@@ -51,7 +51,6 @@ from .mann import (
     Schedule,
     Trajectory,
     full_iterates,
-    mann_step,
     read_trajectory_csv,
     run,
     verify_trajectory,

@@ -46,6 +46,9 @@ ALL_AUDITS = (
     "rate",
     "convergence",
 )
+# auditors that read every iterate; run_audits replays a decimated record
+# once for all of them
+REPLAYING_AUDITS = frozenset({"trajectory", "edge_propagation", "gk_inequality", "fejer"})
 
 
 @dataclass(frozen=True)
@@ -98,17 +101,22 @@ def _hypothesis_case(traj: Trajectory) -> str | None:
 
 
 def audit_edge_propagation(
-    traj: Trajectory, operator: Operator, rel: ConeRelation
+    traj: Trajectory,
+    operator: Operator,
+    rel: ConeRelation,
+    x_all: np.ndarray | None = None,
 ) -> AuditReport:
     """Check the propagated edges along the whole run.
 
     With a forward-comparable start this is (x_n, x_{n+1}) and
     (x_{n+1}, T(x_n)) for every step; with a reverse-comparable start both
     families run mirrored.  A start comparable in neither direction yields
-    hypothesis-not-met.
+    hypothesis-not-met.  `x_all` is the run's `full_iterates`, replayed here
+    when not given.
     """
     report = AuditReport("edge_propagation")
-    x_all = full_iterates(traj, operator)
+    if x_all is None:
+        x_all = full_iterates(traj, operator)
     tx_all = operator.apply_batch(x_all)
     forward = traj.start_edge_forward
     reverse = traj.start_edge_reverse
@@ -148,11 +156,13 @@ def audit_fejer(
     operator: Operator,
     rel: ConeRelation,
     space: NormSpace,
+    x_all: np.ndarray | None = None,
 ) -> AuditReport:
     """Check edge(x_n, omega) for all n and nonincreasing distances to omega.
 
     Requires omega to be a fixed point (within 1e-10) with edge(x_1, omega);
-    otherwise the result is hypothesis-not-met.
+    otherwise the result is hypothesis-not-met.  `x_all` is the run's
+    `full_iterates`, replayed here when not given.
     """
     report = AuditReport("fejer_monotone")
     w = as_vector(omega, space.dimension, "omega")
@@ -160,7 +170,8 @@ def audit_fejer(
         report.hypothesis_met = False
         report.extra["note"] = "omega is not a fixed point"
         return report
-    x_all = full_iterates(traj, operator)
+    if x_all is None:
+        x_all = full_iterates(traj, operator)
     if not rel.contains(x_all[0], w):
         report.hypothesis_met = False
         report.extra["note"] = "edge(x_1, omega) does not hold"
@@ -185,7 +196,10 @@ def audit_fejer(
 
 
 def gk_inequality_check(
-    traj: Trajectory, operator: Operator, pairs: list[tuple[int, int]]
+    traj: Trajectory,
+    operator: Operator,
+    pairs: list[tuple[int, int]],
+    x_all: np.ndarray | None = None,
 ) -> list[GKRecord]:
     """Evaluate the telescoping inequality at the requested (i, n) pairs.
 
@@ -193,9 +207,11 @@ def gk_inequality_check(
     rhs = ||T(x_{i+n}) - x_i|| + prod of (1 - t_s)^{-1} * (r_i - r_{i+n});
     the slack rhs - lhs is nonnegative (within 1e-9) whenever the run's
     hypotheses hold.  Spans touching a step with t_s = 1 are undefined.
+    `x_all` is the run's `full_iterates`, replayed here when not given.
     """
     n_total = traj.n_iterates
-    x_all = full_iterates(traj, operator)
+    if x_all is None:
+        x_all = full_iterates(traj, operator)
     tx_all = operator.apply_batch(x_all)
     space = operator.space
     records = []
@@ -392,20 +408,26 @@ def run_audits(
     ...} with optional per-record payloads for the inequality audits.
     Hypothesis gating (comparable start, step bounds, known fixed point) is
     applied here so the low-level checks keep their strict contracts.
+    The iterates are replayed once (`full_iterates`) and passed to every
+    auditor that reads them.
     """
     results: dict[str, dict] = {}
     case = _hypothesis_case(traj)
+    replay = REPLAYING_AUDITS.intersection(names)
+    x_all = full_iterates(traj, operator) if replay else None
     for name in names:
         if name == "trajectory":
-            results[name] = verify_trajectory(traj, operator).to_dict()
+            results[name] = verify_trajectory(traj, operator, x_all).to_dict()
         elif name == "edge_propagation":
-            results[name] = audit_edge_propagation(traj, operator, rel).to_dict()
+            results[name] = audit_edge_propagation(traj, operator, rel, x_all).to_dict()
         elif name == "residual_monotone":
             results[name] = residual_monotone_check(traj).to_dict()
         elif name == "gk_inequality":
-            results[name] = _gk_entry(traj, operator, case, seed, gk_pairs, gk_window)
+            results[name] = _gk_entry(
+                traj, operator, case, seed, gk_pairs, gk_window, x_all
+            )
         elif name == "fejer":
-            results[name] = _fejer_entry(traj, operator, rel, space, omega)
+            results[name] = _fejer_entry(traj, operator, rel, space, omega, x_all)
         elif name == "rate":
             results[name] = _rate_entry(
                 traj, schedule, diam, case, rate_spans, rate_samples
@@ -437,6 +459,7 @@ def _gk_entry(
     seed: int,
     gk_pairs: int,
     gk_window: int,
+    x_all: np.ndarray,
 ) -> dict:
     if case == "none":
         return _not_met("gk_inequality", "start is not comparable with its image")
@@ -450,7 +473,7 @@ def _gk_entry(
             i = int(rng.integers(1, window))
             n = int(rng.integers(1, window - i + 1))
             pairs.append((i, n))
-    records = gk_inequality_check(traj, operator, pairs)
+    records = gk_inequality_check(traj, operator, pairs, x_all)
     failures = sum(1 for r in records if r.slack < -INEQUALITY_SLACK_TOL)
     worst = min((r.slack for r in records), default=np.inf)
     return {
@@ -470,6 +493,7 @@ def _fejer_entry(
     rel: ConeRelation,
     space: NormSpace,
     omega,
+    x_all: np.ndarray,
 ) -> dict:
     x1 = traj.iterates[0]
     candidates = (
@@ -479,13 +503,15 @@ def _fejer_entry(
     )
     for w in candidates:
         if rel.contains(x1, w):
-            entry = audit_fejer(traj, w, operator, rel, space).to_dict()
+            entry = audit_fejer(traj, w, operator, rel, space, x_all).to_dict()
             entry.setdefault("detail", {})["direction"] = "forward"
             return entry
         if rel.contains(w, x1):
             # start above omega: the same monotone argument applies under
             # the reversed graph, so audit with the cone -K
-            entry = audit_fejer(traj, w, operator, rel.reversed(), space).to_dict()
+            entry = audit_fejer(
+                traj, w, operator, rel.reversed(), space, x_all
+            ).to_dict()
             entry.setdefault("detail", {})["direction"] = "reverse"
             return entry
     note = (

@@ -9,13 +9,14 @@ step can be recomputed bit-identically from the records.  Indices are
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import as_vector, fmt17, frozen_array, jsonable
 from .errors import ConfigError, DomainError, InputError
-from .normed_space import MEMBERSHIP_TOL, contains
+from .normed_space import MEMBERSHIP_TOL, Box, NormSpace, contains
 from .operators import Operator
 from .order_graph import AuditReport, ConeRelation
 
@@ -26,6 +27,10 @@ STOP_DIVERGED = "diverged_from_domain"
 STEP_RECOMPUTE_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_TOL = 1e-10
+
+# rows per block of the batched trajectory recheck; bounds its scratch
+# memory to a few block-sized arrays whatever the length of the run
+VERIFY_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,14 +174,58 @@ class Trajectory:
             return "reverse"
         return "none"
 
+    def validate(self) -> None:
+        """Check that the record is internally consistent.
 
-def mann_step(x, tx, t: float) -> np.ndarray:
-    """One averaged step t*T(x) + (1-t)*x."""
-    if not (0.0 <= t <= 1.0):
-        raise InputError(f"step size must lie in [0, 1], got {t}")
-    xv = as_vector(x, name="x")
-    tv = as_vector(tx, xv.shape[0], "tx")
-    return t * tv + (1.0 - t) * xv
+        Residuals cover n = 1..N, steps n = 1..N-1, and every stored iterate
+        row has its own index, strictly increasing from 1 to N.
+        """
+        n_total = self.n_iterates
+        if n_total == 0 or self.iterates.ndim != 2 or self.iterates.shape[0] == 0:
+            raise InputError("empty trajectory")
+        if self.schedule_used.shape != (n_total - 1,):
+            raise InputError("schedule_used length must be n_iterates - 1")
+        indices = self.iterate_indices
+        if indices.ndim != 1 or indices.shape[0] != self.iterates.shape[0]:
+            raise InputError(
+                f"{self.iterates.shape[0]} iterate rows but "
+                f"{indices.shape[0]} iterate indices"
+            )
+        if int(indices[0]) != 1 or int(indices[-1]) != n_total:
+            raise InputError("recorded iterates must span indices 1..N")
+        if np.any(np.diff(indices) <= 0):
+            raise InputError("iterate indices must be strictly increasing")
+
+
+def _step(x, tx, t):
+    """The averaged step t*T(x) + (1-t)*x.
+
+    Elementwise, so a column of step sizes steps every row of an (n, d)
+    array with the same arithmetic as one vector.
+    """
+    return t * tx + (1.0 - t) * x
+
+
+def _vector_norm(p: float):
+    """The l_p norm of one vector, by the expression np.linalg.norm itself
+    evaluates for that p, without its per-call dispatch (bit-identical)."""
+    if p == 2.0:
+        return lambda v: math.sqrt(v.dot(v))
+    if p == 1.0:
+        return lambda v: float(np.add.reduce(np.abs(v)))
+    if math.isinf(p):
+        return lambda v: float(np.abs(v).max(initial=0.0))
+    inv = 1.0 / p
+    return lambda v: float(np.add.reduce(np.abs(v) ** p) ** inv)
+
+
+def _membership_test(space: NormSpace, body):
+    """`contains(space, body, ., MEMBERSHIP_TOL)` with box bounds widened once."""
+    if isinstance(body, Box):
+        lo = body.lo - MEMBERSHIP_TOL
+        hi = body.hi + MEMBERSHIP_TOL
+        return lambda v: bool((v >= lo).all() and (v <= hi).all())
+    return lambda v: contains(space, body, v, MEMBERSHIP_TOL)
 
 
 def run(
@@ -208,11 +257,11 @@ def run(
     x = as_vector(x1, space.dimension, "x1")
     if not contains(space, operator.domain, x, MEMBERSHIP_TOL):
         raise DomainError("starting point lies outside the operator domain")
+    tx = as_vector(operator._apply(x), space.dimension, "T(x1)")
     forward = reverse = None
     if rel is not None:
-        tx1 = operator._apply(x)
-        forward = rel.contains(x, tx1)
-        reverse = rel.contains(tx1, x)
+        forward = rel.contains(x, tx)
+        reverse = rel.contains(tx, x)
         if require_comparable_start and not (forward or reverse):
             raise ConfigError(
                 "starting point is not comparable with its image in either direction"
@@ -221,42 +270,43 @@ def run(
     effective_max = max_iter
     if schedule.steps_available is not None:
         effective_max = min(max_iter, schedule.steps_available + 1)
+    t_values = None if schedule.t_values is None else schedule.t_values.tolist()
+    norm = _vector_norm(space.p)
+    inside = _membership_test(space, operator.domain)
+    apply = operator._apply
 
+    # iterate arrays are never modified in place, so they are kept uncopied
     recorded: list[np.ndarray] = []
     indices: list[int] = []
     residuals: list[float] = []
     steps: list[float] = []
 
-    def record(n: int, point: np.ndarray) -> None:
-        recorded.append(np.array(point))
-        indices.append(n)
-
     stop = None
     n = 1
     while True:
-        tx = operator._apply(x)
-        residuals.append(space.norm(x - tx))
+        residual = norm(x - tx)
+        residuals.append(residual)
         if (n - 1) % record_stride == 0:
-            record(n, x)
-        if residuals[-1] <= tol:
+            recorded.append(x)
+            indices.append(n)
+        if residual <= tol:
             stop = STOP_TOLERANCE
             break
         if n >= effective_max:
             stop = STOP_MAX_ITER
             break
-        t = schedule.value(n)
-        x_next = t * tx + (1.0 - t) * x
+        t = schedule.t_constant if t_values is None else t_values[n - 1]
+        x = _step(x, tx, t)
         steps.append(t)
-        if not contains(space, operator.domain, x_next, MEMBERSHIP_TOL):
-            n += 1
-            residuals.append(space.norm(x_next - operator._apply(x_next)))
-            record(n, x_next)
+        n += 1
+        tx = apply(x)
+        if not inside(x):
+            residuals.append(norm(x - tx))
             stop = STOP_DIVERGED
             break
-        x = x_next
-        n += 1
     if indices[-1] != n:  # always keep the final iterate
-        record(n, x)
+        recorded.append(x)
+        indices.append(n)
 
     return Trajectory(
         iterates=np.stack(recorded),
@@ -273,10 +323,16 @@ def run(
 
 
 def full_iterates(traj: Trajectory, operator: Operator) -> np.ndarray:
-    """All iterates x_1..x_N; gaps of a decimated record are replayed with the
-    recorded step sizes (bit-identical to the original run)."""
-    if traj.n_iterates == 0:
-        raise InputError("empty trajectory")
+    """All iterates x_1..x_N as one (N, d) array.
+
+    A full-history record is returned as stored, without a copy.  The gaps
+    of a decimated record are replayed in order with the recorded step sizes
+    through the same step and the same single-vector T as run(), so every
+    replayed iterate is bit-identical to the original run.  This is the only
+    replay: `run_audits` calls it once per audit and hands the array to
+    every auditor that reads iterates.
+    """
+    traj.validate()
     if traj.is_full_history:
         return traj.iterates
     out = np.empty((traj.n_iterates, traj.dimension))
@@ -285,50 +341,73 @@ def full_iterates(traj: Trajectory, operator: Operator) -> np.ndarray:
         x = np.array(traj.iterates[j])
         out[lo - 1] = x
         for n in range(lo, hi):
-            t = traj.schedule_used[n - 1]
-            x = t * operator._apply(x) + (1.0 - t) * x
+            x = _step(x, operator._apply(x), traj.schedule_used[n - 1])
             out[n] = x
     out[-1] = traj.iterates[-1]
     return out
 
 
-def verify_trajectory(traj: Trajectory, operator: Operator) -> AuditReport:
-    """Recompute every step and every residual of a recorded trajectory.
+def verify_trajectory(
+    traj: Trajectory, operator: Operator, x_all: np.ndarray | None = None
+) -> AuditReport:
+    """Recompute every residual and every recorded step of a trajectory.
 
-    Each transition is replayed with the recorded step size and compared to
-    the recorded iterate (norm tolerance 1e-12); each residual is recomputed
-    the same way.  Any run() output verifies with zero failures.
+    `x_all` holds all iterates x_1..x_N as `full_iterates` returns them
+    (computed here when not given).  T is applied to it in blocks of
+    VERIFY_BLOCK_ROWS rows, and two families of checks run as vector
+    comparisons, each with tolerance STEP_RECOMPUTE_TOL (1e-12):
+
+    * residual n, for every n = 1..N: | ||x_n - T x_n|| - r_n |;
+    * step to each recorded iterate x_h after the first: the norm of
+      t_{h-1} T x_{h-1} + (1 - t_{h-1}) x_{h-1} minus the recorded x_h.  For
+      a full-history record that is every step; for a decimated one the
+      steps inside a gap are the replay itself, and the check at the gap's
+      end compares the replay with the record.
+
+    That makes N + k - 1 trials for k recorded iterates (2N - 1 for full
+    history), and the first witness is the first failure in the order
+    residual_1, (step into x_2), residual_2, ...  The batched T can differ
+    from run()'s single-vector T in the last bit (a matrix-matrix product
+    against a matrix-vector product), an error of order 1e-16 times the
+    size of the iterates, far inside the tolerance, so any run() output
+    verifies with zero failures.
     """
-    if traj.n_iterates == 0 or traj.iterates.shape[0] == 0:
-        raise InputError("empty trajectory")
-    n_total = traj.n_iterates
-    if traj.schedule_used.shape[0] != n_total - 1:
-        raise InputError("schedule_used length must be n_iterates - 1")
-    if int(traj.iterate_indices[0]) != 1 or int(traj.iterate_indices[-1]) != n_total:
-        raise InputError("recorded iterates must span indices 1..N")
+    traj.validate()
+    if x_all is None:
+        x_all = full_iterates(traj, operator)
     space = operator.space
+    n_total = traj.n_iterates
+    ends = traj.iterate_indices[1:]
     report = AuditReport("trajectory_consistency")
-    for j in range(traj.iterate_indices.shape[0] - 1):
-        lo, hi = int(traj.iterate_indices[j]), int(traj.iterate_indices[j + 1])
-        x = np.array(traj.iterates[j])
-        for n in range(lo, hi):
-            tx = operator._apply(x)
-            report.record(
-                abs(space.norm(x - tx) - traj.residuals[n - 1]) <= STEP_RECOMPUTE_TOL, x
-            )
-            t = traj.schedule_used[n - 1]
-            x = t * tx + (1.0 - t) * x
-        report.record(
-            space.norm(x - traj.iterates[j + 1]) <= STEP_RECOMPUTE_TOL,
-            x,
-            traj.iterates[j + 1],
+    report.trials = n_total + int(ends.shape[0])
+    for start in range(0, n_total, VERIFY_BLOCK_ROWS):
+        stop = min(start + VERIFY_BLOCK_ROWS, n_total)
+        x = x_all[start:stop]
+        tx = operator.apply_batch(x)
+        residual_ok = (
+            np.abs(space.norms(x - tx) - traj.residuals[start:stop])
+            <= STEP_RECOMPUTE_TOL
         )
-    final = traj.iterates[-1]
-    report.record(
-        abs(space.norm(final - operator._apply(final)) - traj.residuals[-1])
-        <= STEP_RECOMPUTE_TOL,
-        final,
-    )
+        # steps into recorded iterates whose source row lies in this block
+        first, last = np.searchsorted(ends, [start + 2, stop + 2])
+        rows = ends[first:last] - 2 - start
+        t = traj.schedule_used[rows + start][:, None]
+        predicted = _step(x[rows], tx[rows], t)
+        recorded = traj.iterates[first + 1 : last + 1]
+        step_ok = space.norms(predicted - recorded) <= STEP_RECOMPUTE_TOL
+        bad_residual = np.flatnonzero(~residual_ok)
+        bad_step = np.flatnonzero(~step_ok)
+        report.failures += int(bad_residual.size + bad_step.size)
+        if report.witness is not None or not (bad_residual.size or bad_step.size):
+            continue
+        # residual of row r comes before the step leaving row r
+        if bad_step.size == 0 or (
+            bad_residual.size and bad_residual[0] <= rows[bad_step[0]]
+        ):
+            report.witness = (np.array(x[bad_residual[0]]),)
+        else:
+            k = bad_step[0]
+            report.witness = (np.array(predicted[k]), np.array(recorded[k]))
     return report
 
 
@@ -418,8 +497,10 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
 
 
 def trajectory_from_dict(data: dict) -> Trajectory:
+    """Rebuild a trajectory from its JSON record; inconsistent records raise
+    ConfigError."""
     try:
-        return Trajectory(
+        traj = Trajectory(
             iterates=np.array(data["iterates"], dtype=float),
             iterate_indices=np.array(data["iterate_indices"], dtype=int),
             residuals=np.array(data["residuals"], dtype=float),
@@ -431,5 +512,7 @@ def trajectory_from_dict(data: dict) -> Trajectory:
             space_ref=data.get("space_ref", ""),
             relation_ref=data.get("relation_ref", ""),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        traj.validate()
+    except (KeyError, TypeError, ValueError, InputError) as exc:
         raise ConfigError(f"malformed trajectory record: {exc}") from exc
+    return traj

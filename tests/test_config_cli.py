@@ -208,6 +208,30 @@ class TestCliAudit:
         # the per-iterate CSV is decimated and cannot be replayed on its own
         assert main(["audit", str(tmp_path / "dec" / "trajectory.csv"), "--config", path, "--quiet"]) == 1
 
+    def test_inconsistent_records_are_schema_errors(self, tmp_path, oracle_cfg):
+        _, path = oracle_cfg
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--quiet"]) == 0
+        record = json.loads((out / "run.json").read_text())
+        traj = record["trajectory"]
+        n = len(traj["residuals"])
+
+        def audit(name, **changes):
+            bad = json.loads(json.dumps(record))
+            bad["trajectory"].update(changes)
+            target = tmp_path / f"{name}.json"
+            target.write_text(json.dumps(bad))
+            return main(["audit", str(target), "--config", path, "--quiet"])
+
+        # a copy of x_N appended as an extra row
+        assert audit("extra_row", iterates=traj["iterates"] + traj["iterates"][-1:]) == 1
+        # full history, but indices claiming a record of x_1 and x_N only
+        assert audit("two_indices", iterate_indices=[1, n]) == 1
+        # an index list that stops short of the rows
+        assert audit("truncated", iterate_indices=traj["iterate_indices"][:-2] + [n]) == 1
+        assert audit("unordered", iterate_indices=[1, 3, 2] + traj["iterate_indices"][3:]) == 1
+        assert audit("short_schedule", schedule_used=traj["schedule_used"][:-1]) == 1
+
 
 class TestCliSweep:
     def test_step_size_sweep_all_pass(self, tmp_path, oracle_cfg):

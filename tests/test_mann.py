@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import graphmann.mann
 from graphmann.errors import ConfigError, DomainError, InputError
 from graphmann.mann import (
+    STEP_RECOMPUTE_TOL,
     STOP_DIVERGED,
     STOP_MAX_ITER,
     STOP_TOLERANCE,
     Schedule,
+    _step,
     full_iterates,
-    mann_step,
     read_trajectory_csv,
     run,
     trajectory_from_dict,
@@ -19,9 +21,9 @@ from graphmann.mann import (
     verify_trajectory,
     write_trajectory_csv,
 )
-from graphmann.normed_space import Box, NormSpace
+from graphmann.normed_space import Ball, Box, NormSpace
 from graphmann.operators import Componentwise, Identity, MatrixAffine, Operator
-from graphmann.order_graph import ConeRelation
+from graphmann.order_graph import AuditReport, ConeRelation
 
 SPACE1 = NormSpace(1, 2.0)
 BOX1 = Box([0.0], [1.0])
@@ -33,33 +35,109 @@ def midpoint_map():
     return Componentwise(SPACE1, BOX1, (np.array([0.0, 1.0]),), (np.array([0.5, 1.0]),))
 
 
+def doubly_stochastic_map(d, p, seed=0):
+    """x |-> clamp(0.9 P x + 0.05) on [0, 1]^d, P an average of permutations,
+    so its operator norm is 0.9 in every l_p."""
+    rng = np.random.default_rng([seed, d])
+    perm = sum(np.eye(d)[rng.permutation(d)] for _ in range(3)) / 3.0
+    return MatrixAffine(NormSpace(d, p), Box(np.zeros(d), np.ones(d)), 0.9 * perm, np.full(d, 0.05))
+
+
+def piecewise_map(d, p):
+    knots_x = tuple(np.array([0.0, 0.3, 0.7, 1.0]) for _ in range(d))
+    knots_y = tuple(np.array([0.25, 0.4, 0.65, 0.75]) + 0.01 * i for i in range(d))
+    return Componentwise(NormSpace(d, p), Box(np.zeros(d), np.ones(d)), knots_x, knots_y)
+
+
+class BallContraction(Operator):
+    """x |-> c + s (x - c) + shift on a p = 2 ball around c; maps the ball
+    into itself while |shift| <= (1 - s) r."""
+
+    def __init__(self, d):
+        self.space = NormSpace(d, 2.0)
+        self.domain = Ball(np.full(d, 0.5), 1.0)
+        self.shift = np.linspace(-0.05, 0.05, d)
+
+    def _apply(self, x):
+        c = self.domain.center
+        return c + 0.7 * (x - c) + self.shift
+
+
+def reference_verify(traj, operator):
+    """The per-step recheck that verify_trajectory batches: replay each gap
+    with the single-vector T, checking residual n, then the step into each
+    recorded iterate, then the final residual."""
+    space = operator.space
+    report = AuditReport("trajectory_consistency")
+    for j in range(traj.iterate_indices.shape[0] - 1):
+        lo, hi = int(traj.iterate_indices[j]), int(traj.iterate_indices[j + 1])
+        x = np.array(traj.iterates[j])
+        for n in range(lo, hi):
+            tx = operator._apply(x)
+            report.record(
+                abs(space.norm(x - tx) - traj.residuals[n - 1]) <= STEP_RECOMPUTE_TOL, x
+            )
+            t = traj.schedule_used[n - 1]
+            x = t * tx + (1.0 - t) * x
+        report.record(
+            space.norm(x - traj.iterates[j + 1]) <= STEP_RECOMPUTE_TOL,
+            x,
+            traj.iterates[j + 1],
+        )
+    final = traj.iterates[-1]
+    report.record(
+        abs(space.norm(final - operator._apply(final)) - traj.residuals[-1])
+        <= STEP_RECOMPUTE_TOL,
+        final,
+    )
+    return report
+
+
 def closed_form(n, t, x1=0.0):
     # recurrence oracle: x_{n+1} = (1 - t/2) x_n + t/2 has fixed point 1
     return 1.0 - (1.0 - x1) * (1.0 - t / 2.0) ** (n - 1)
 
 
 class TestMannStep:
+    """The averaged step that run() and full_iterates() share."""
+
     def test_zero_step_keeps_x(self):
-        assert np.array_equal(mann_step([0.2, 0.4], [0.9, 0.9], 0.0), [0.2, 0.4])
+        x, tx = np.array([0.2, 0.4]), np.array([0.9, 0.9])
+        assert np.array_equal(_step(x, tx, 0.0), x)
 
     def test_full_step_moves_to_image(self):
-        assert np.array_equal(mann_step([0.2, 0.4], [0.9, 0.9], 1.0), [0.9, 0.9])
+        x, tx = np.array([0.2, 0.4]), np.array([0.9, 0.9])
+        assert np.array_equal(_step(x, tx, 1.0), tx)
 
     def test_fixed_point_is_stationary(self):
         x = np.array([0.3, 0.7])
         for t in (0.1, 0.5, 0.9):
-            assert np.allclose(mann_step(x, x, t), x)
+            assert np.allclose(_step(x, x, t), x)
 
     def test_step_out_of_range(self):
-        with pytest.raises(InputError):
-            mann_step([0.0], [1.0], 1.5)
-        with pytest.raises(InputError):
-            mann_step([0.0], [1.0], -0.1)
+        # a step outside [0, 1] cannot reach run(): schedules refuse it
+        with pytest.raises(ConfigError):
+            Schedule.explicit([0.5, 1.5], enforce_bounds=False)
+        with pytest.raises(ConfigError):
+            Schedule.constant(-0.1, enforce_bounds=False)
 
     @given(st.floats(0.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
     def test_stays_on_segment(self, t, a, b):
-        out = mann_step([a], [b], t)
+        out = _step(np.array([a]), np.array([b]), t)
         assert min(a, b) - 1e-12 <= out[0] <= max(a, b) + 1e-12
+
+    def test_run_takes_this_step(self):
+        op = midpoint_map()
+        traj = run(op, [0.0], Schedule.constant(0.3), max_iter=30, tol=0.0)
+        for n in range(traj.n_iterates - 1):
+            x = traj.iterates[n]
+            assert np.array_equal(traj.iterates[n + 1], _step(x, op._apply(x), 0.3))
+
+    def test_column_of_steps_matches_rowwise_steps(self, rng):
+        x, tx = rng.uniform(0, 1, (20, 3)), rng.uniform(0, 1, (20, 3))
+        t = rng.uniform(0, 1, 20)
+        rowwise = np.stack([_step(x[k], tx[k], t[k]) for k in range(20)])
+        assert np.array_equal(_step(x, tx, t[:, None]), rowwise)
 
 
 class TestSchedule:
@@ -210,6 +288,11 @@ class TestDecimation:
             max_iter=100, tol=0.0, record_stride=7,
         )
         assert np.array_equal(full_iterates(thin, midpoint_map()), full.iterates)
+        op = doubly_stochastic_map(16, 2.0)
+        x1 = np.random.default_rng(5).uniform(0, 1, 16)
+        full = run(op, x1, Schedule.constant(0.6), max_iter=150, tol=0.0)
+        thin = run(op, x1, Schedule.constant(0.6), max_iter=150, tol=0.0, record_stride=11)
+        assert np.array_equal(full_iterates(thin, op), full.iterates)
 
     def test_verify_decimated_trajectory(self):
         thin = run(
@@ -239,6 +322,94 @@ class TestVerify:
             verify_trajectory(traj, midpoint_map())
 
 
+class TestLoopFastPath:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+    @pytest.mark.parametrize("family", [doubly_stochastic_map, piecewise_map])
+    def test_residuals_bitwise_equal_to_space_norm(self, family, p):
+        op = family(6, p)
+        x1 = np.random.default_rng(2).uniform(0, 1, 6)
+        traj = run(op, x1, Schedule.constant(0.4), max_iter=200, tol=0.0)
+        for n in range(traj.n_iterates):
+            x = traj.iterates[n]
+            assert traj.residuals[n] == op.space.norm(x - op._apply(x))
+
+    def test_ball_residuals_bitwise_equal_to_space_norm(self):
+        op = BallContraction(5)
+        traj = run(op, np.full(5, 0.1), Schedule.constant(0.5), max_iter=120, tol=0.0)
+        assert traj.stop_reason == STOP_MAX_ITER
+        for n in range(traj.n_iterates):
+            x = traj.iterates[n]
+            assert traj.residuals[n] == op.space.norm(x - op._apply(x))
+
+    @pytest.mark.parametrize("overshoot, diverged", [(5e-10, False), (2e-9, True)])
+    def test_box_membership_tolerance_kept(self, overshoot, diverged):
+        # leaving the box by less than MEMBERSHIP_TOL (1e-9) is not divergence
+        class Nudge(Operator):
+            def __init__(self):
+                self.space, self.domain = SPACE1, BOX1
+
+            def _apply(self, x):
+                return np.array([1.0 + overshoot])
+
+        traj = run(Nudge(), [0.0], Schedule.constant(1.0, enforce_bounds=False),
+                   max_iter=5, tol=0.0)
+        assert (traj.stop_reason == STOP_DIVERGED) == diverged
+        assert traj.n_iterates == 2
+
+
+def tampered(kind, p, family):
+    op = family(5, p)
+    x1 = np.random.default_rng(3).uniform(0, 1, 5)
+    stride = 7 if kind == "decimated_iterate" else 1
+    traj = run(op, x1, Schedule.constant(0.3), max_iter=120, tol=0.0, record_stride=stride)
+    traj.iterates = traj.iterates.copy()
+    if kind in ("iterate", "decimated_iterate"):
+        traj.iterates[traj.iterates.shape[0] // 2, 1] += 1e-6
+    elif kind == "residual":
+        traj.residuals = traj.residuals.copy()
+        traj.residuals[70] += 1e-9
+    elif kind == "step":
+        traj.schedule_used = traj.schedule_used.copy()
+        traj.schedule_used[40] += 1e-3
+    elif kind == "residual_and_step":
+        # residual 41 and the step leaving x_41 fail; the residual comes first
+        traj.residuals = traj.residuals.copy()
+        traj.schedule_used = traj.schedule_used.copy()
+        traj.residuals[40] += 1e-9
+        traj.schedule_used[40] += 1e-3
+    return traj, op
+
+
+class TestBatchedVerify:
+    @pytest.mark.parametrize("block", [1024, 7])
+    @pytest.mark.parametrize(
+        "kind",
+        ["none", "iterate", "residual", "step", "residual_and_step", "decimated_iterate"],
+    )
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, np.inf])
+    @pytest.mark.parametrize("family", [doubly_stochastic_map, piecewise_map])
+    def test_matches_per_step_reference(self, monkeypatch, family, p, kind, block):
+        monkeypatch.setattr(graphmann.mann, "VERIFY_BLOCK_ROWS", block)
+        traj, op = tampered(kind, p, family)
+        expect = reference_verify(traj, op)
+        got = verify_trajectory(traj, op)
+        assert (got.trials, got.failures) == (expect.trials, expect.failures)
+        assert (got.failures > 0) == (kind != "none")
+        if expect.witness is None:
+            assert got.witness is None
+        else:
+            assert len(got.witness) == len(expect.witness)
+            for a, b in zip(got.witness, expect.witness):
+                assert np.max(np.abs(a - b)) <= 1e-12
+
+    def test_given_iterates_are_used(self):
+        traj, op = tampered("none", 2.0, doubly_stochastic_map)
+        x_all = full_iterates(traj, op).copy()
+        assert verify_trajectory(traj, op, x_all).failures == 0
+        x_all[10, 0] += 1e-6
+        assert verify_trajectory(traj, op, x_all).failures > 0
+
+
 class TestSerialization:
     def test_csv_round_trip_lossless(self, tmp_path):
         traj = run(midpoint_map(), [0.0], Schedule.constant(0.5), max_iter=40, tol=0.0)
@@ -264,6 +435,24 @@ class TestSerialization:
         path.write_text("n,x_1,t_n\n1,0.0,0.5\n")
         with pytest.raises(ConfigError):
             read_trajectory_csv(path)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"iterate_indices": [1, 3, 2]},
+            {"iterate_indices": [1, 2, 3, 4]},
+            {"iterate_indices": [2, 3, 4, 5, 6]},
+            {"iterate_indices": [[1, 2, 3, 4, 5]]},
+            {"schedule_used": [0.5, 0.5, 0.5]},
+            {"residuals": []},
+        ],
+    )
+    def test_inconsistent_json_record_rejected(self, change):
+        traj = run(midpoint_map(), [0.0], Schedule.constant(0.5), max_iter=5, tol=0.0)
+        record = trajectory_to_dict(traj)
+        record.update(change)
+        with pytest.raises(ConfigError):
+            trajectory_from_dict(record)
 
     def test_json_round_trip(self):
         traj = run(midpoint_map(), [0.0], Schedule.constant(0.5), rel=REL1)
