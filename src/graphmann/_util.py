@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -48,3 +50,57 @@ def jsonable(value: Any) -> Any:
 def fmt17(value: float) -> str:
     """Format a float with 17 significant digits (lossless for doubles)."""
     return format(float(value), ".17g")
+
+
+# element types json writes the same with or without indent, and whose text
+# never contains ", " or "], ["
+_NUMBER_TYPES = {int, float, bool, type(None)}
+
+
+def _numbers(seq) -> bool:
+    return set(map(type, seq)) <= _NUMBER_TYPES
+
+
+def dumps_indent2(obj: Any) -> str:
+    """Exactly `json.dumps(obj, indent=2)`, mostly at the C encoder's speed.
+
+    CPython's C encoder runs only without indent.  Lists of numbers, and
+    nonempty lists of nonempty number lists, go through it in one call and
+    are indented by string substitution; everything else is laid out here
+    with json's own indent rules, each leaf written by json itself.
+    """
+    return _indent2(obj, "\n")
+
+
+def _indent2(value: Any, newline: str) -> str:
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (
+            _json_key(key) + ": " + _indent2(item, inner) for key, item in value.items()
+        )
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if not isinstance(value, (list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "[]"
+    if _numbers(value):
+        body = json.dumps(value)[1:-1].replace(", ", "," + inner)
+        return "[" + inner + body + newline + "]"
+    if set(map(type, value)) == {list} and all(value) and _numbers(chain.from_iterable(value)):
+        row = inner + "  "
+        body = (
+            json.dumps(value)[2:-2]
+            .replace("], [", inner + "]," + inner + "[" + row)
+            .replace(", ", "," + row)
+        )
+        return "[" + inner + "[" + row + body + inner + "]" + newline + "]"
+    return "[" + inner + ("," + inner).join(_indent2(v, inner) for v in value) + newline + "]"
+
+
+def _json_key(key: Any) -> str:
+    """A dict key as json writes it; json itself converts non-string keys."""
+    if isinstance(key, str):
+        return json.dumps(key)
+    return json.dumps({key: None})[1:-7]

@@ -16,6 +16,7 @@ from typing import Any
 
 import numpy as np
 
+from ._util import dumps_indent2
 from .diagnostics import ALL_AUDITS
 from .errors import ConfigError, GraphmannError
 from .mann import Schedule
@@ -399,7 +400,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2) + "\n")
+    Path(path).write_text(dumps_indent2(config.to_dict()) + "\n")
 
 
 # --- builders ---------------------------------------------------------------

@@ -47,8 +47,10 @@ ALL_AUDITS = (
     "convergence",
 )
 # auditors that read every iterate; run_audits replays a decimated record
-# once for all of them
+# once for all of them when it is not handed the iterates
 REPLAYING_AUDITS = frozenset({"trajectory", "edge_propagation", "gk_inequality", "fejer"})
+# auditors that read T of every iterate; run_audits applies T once for both
+IMAGE_AUDITS = frozenset({"edge_propagation", "gk_inequality"})
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,7 @@ def audit_edge_propagation(
     operator: Operator,
     rel: ConeRelation,
     x_all: np.ndarray | None = None,
+    tx_all: np.ndarray | None = None,
 ) -> AuditReport:
     """Check the propagated edges along the whole run.
 
@@ -112,12 +115,14 @@ def audit_edge_propagation(
     (x_{n+1}, T(x_n)) for every step; with a reverse-comparable start both
     families run mirrored.  A start comparable in neither direction yields
     hypothesis-not-met.  `x_all` is the run's `full_iterates`, replayed here
-    when not given.
+    when not given, and `tx_all` is `operator.apply_batch(x_all)`, computed
+    here when not given.
     """
     report = AuditReport("edge_propagation")
     if x_all is None:
         x_all = full_iterates(traj, operator)
-    tx_all = operator.apply_batch(x_all)
+    if tx_all is None:
+        tx_all = operator.apply_batch(x_all)
     forward = traj.start_edge_forward
     reverse = traj.start_edge_reverse
     if forward is None or reverse is None:
@@ -200,6 +205,7 @@ def gk_inequality_check(
     operator: Operator,
     pairs: list[tuple[int, int]],
     x_all: np.ndarray | None = None,
+    tx_all: np.ndarray | None = None,
 ) -> list[GKRecord]:
     """Evaluate the telescoping inequality at the requested (i, n) pairs.
 
@@ -207,12 +213,14 @@ def gk_inequality_check(
     rhs = ||T(x_{i+n}) - x_i|| + prod of (1 - t_s)^{-1} * (r_i - r_{i+n});
     the slack rhs - lhs is nonnegative (within 1e-9) whenever the run's
     hypotheses hold.  Spans touching a step with t_s = 1 are undefined.
-    `x_all` is the run's `full_iterates`, replayed here when not given.
+    `x_all` is the run's `full_iterates`, replayed here when not given, and
+    `tx_all` is `operator.apply_batch(x_all)`, computed here when not given.
     """
     n_total = traj.n_iterates
     if x_all is None:
         x_all = full_iterates(traj, operator)
-    tx_all = operator.apply_batch(x_all)
+    if tx_all is None:
+        tx_all = operator.apply_batch(x_all)
     space = operator.space
     records = []
     for i, n in pairs:
@@ -401,6 +409,7 @@ def run_audits(
     rate_spans=DEFAULT_RATE_SPANS,
     rate_samples: int = 20,
     fixed_point_tol: float = ACCEPT_FIXED_POINT_TOL,
+    x_all: np.ndarray | None = None,
 ) -> dict[str, dict]:
     """Run the named auditors and collect a JSON-ready report per auditor.
 
@@ -408,23 +417,29 @@ def run_audits(
     ...} with optional per-record payloads for the inequality audits.
     Hypothesis gating (comparable start, step bounds, known fixed point) is
     applied here so the low-level checks keep their strict contracts.
-    The iterates are replayed once (`full_iterates`) and passed to every
-    auditor that reads them.
+    `x_all` holds all iterates x_1..x_N of the run, as `full_iterates`
+    returns them; a run that kept its iterates passes them here.  Without
+    it the iterates are replayed once (`full_iterates`).  Either way the
+    array, and T applied to it once, are shared by every auditor that reads
+    them.
     """
     results: dict[str, dict] = {}
     case = _hypothesis_case(traj)
-    replay = REPLAYING_AUDITS.intersection(names)
-    x_all = full_iterates(traj, operator) if replay else None
+    if x_all is None and REPLAYING_AUDITS.intersection(names):
+        x_all = full_iterates(traj, operator)
+    tx_all = operator.apply_batch(x_all) if IMAGE_AUDITS.intersection(names) else None
     for name in names:
         if name == "trajectory":
             results[name] = verify_trajectory(traj, operator, x_all).to_dict()
         elif name == "edge_propagation":
-            results[name] = audit_edge_propagation(traj, operator, rel, x_all).to_dict()
+            results[name] = audit_edge_propagation(
+                traj, operator, rel, x_all, tx_all
+            ).to_dict()
         elif name == "residual_monotone":
             results[name] = residual_monotone_check(traj).to_dict()
         elif name == "gk_inequality":
             results[name] = _gk_entry(
-                traj, operator, case, seed, gk_pairs, gk_window, x_all
+                traj, operator, case, seed, gk_pairs, gk_window, x_all, tx_all
             )
         elif name == "fejer":
             results[name] = _fejer_entry(traj, operator, rel, space, omega, x_all)
@@ -460,6 +475,7 @@ def _gk_entry(
     gk_pairs: int,
     gk_window: int,
     x_all: np.ndarray,
+    tx_all: np.ndarray,
 ) -> dict:
     if case == "none":
         return _not_met("gk_inequality", "start is not comparable with its image")
@@ -473,7 +489,7 @@ def _gk_entry(
             i = int(rng.integers(1, window))
             n = int(rng.integers(1, window - i + 1))
             pairs.append((i, n))
-    records = gk_inequality_check(traj, operator, pairs, x_all)
+    records = gk_inequality_check(traj, operator, pairs, x_all, tx_all)
     failures = sum(1 for r in records if r.slack < -INEQUALITY_SLACK_TOL)
     worst = min((r.slack for r in records), default=np.inf)
     return {

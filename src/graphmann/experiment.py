@@ -2,22 +2,23 @@
 
 One experiment produces up to three artifacts in its output directory:
 `trajectory.csv` (per-iterate table), `run.json` (full trajectory record
-with the config echoed), and `audits.json` (per-auditor status).  Sweeps run
-one experiment per axis value concurrently and aggregate a summary CSV.
-Identical config and seed give byte-identical files.
+with the config echoed), and `audits.json` (per-auditor status).  The
+auditors read the run's own iterates, so a run is computed once and never
+replayed.  Sweeps run one experiment per axis value, in the given order, and
+aggregate a summary CSV.  Identical config and seed give byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._util import fmt17
+from ._util import dumps_indent2, fmt17
 from .config import (
     ExperimentConfig,
     build_body,
@@ -33,6 +34,7 @@ from .mann import (
     STOP_MAX_ITER,
     STOP_TOLERANCE,
     Trajectory,
+    decimate,
     read_trajectory_csv,
     run,
     trajectory_from_dict,
@@ -68,7 +70,7 @@ def _write_outputs(
             "config": config.to_dict(),
             "trajectory": trajectory_to_dict(traj),
         }
-        (out_dir / "run.json").write_text(json.dumps(record, indent=2) + "\n")
+        (out_dir / "run.json").write_text(dumps_indent2(record) + "\n")
     report = {
         "schema_version": RUN_SCHEMA_VERSION,
         "stop_reason": traj.stop_reason,
@@ -77,7 +79,7 @@ def _write_outputs(
         "exit_code": exit_code_from_audits(audits),
         "audits": audits,
     }
-    (out_dir / "audits.json").write_text(json.dumps(report, indent=2) + "\n")
+    (out_dir / "audits.json").write_text(dumps_indent2(report) + "\n")
 
 
 def run_experiment(
@@ -86,7 +88,12 @@ def run_experiment(
     seed: int | None = None,
     write: bool = True,
 ) -> ExperimentResult:
-    """Execute one configured experiment end to end."""
+    """Execute one configured experiment end to end.
+
+    The loop keeps every iterate; the auditors read them all, and the
+    record written (and returned) is decimated to the configured
+    `record_stride`.
+    """
     seed = config.seed if seed is None else int(seed)
     space = build_space(config)
     body = build_body(config, space)
@@ -95,16 +102,17 @@ def run_experiment(
     schedule = build_schedule(config)
     rng = np.random.default_rng([seed, 1])
     x1 = build_start(config, operator, rel, rng)
-    traj = run(
+    full = run(
         operator,
         x1,
         schedule,
         max_iter=config.run.max_iter,
         tol=config.run.tol,
         rel=rel,
-        record_stride=config.run.record_stride,
+        record_stride=1,
         relation_ref=config.relation.kind,
     )
+    traj = decimate(full, config.run.record_stride)
     audits = run_audits(
         config.audits,
         traj,
@@ -114,6 +122,7 @@ def run_experiment(
         schedule,
         diam=diameter(space, body),
         seed=seed,
+        x_all=full.iterates,
     )
     code = exit_code_from_audits(audits)
     target = Path(out_dir) if out_dir is not None else Path(config.output.directory)
@@ -190,7 +199,7 @@ def audit_stored(
             "exit_code": code,
             "audits": audits,
         }
-        (out / "audits.json").write_text(json.dumps(report, indent=2) + "\n")
+        (out / "audits.json").write_text(dumps_indent2(report) + "\n")
     return code, audits
 
 
@@ -225,27 +234,36 @@ def run_sweep(
     out_dir: str | Path | None = None,
     seed: int | None = None,
 ) -> tuple[int, list[dict]]:
-    """Run one experiment per axis value concurrently; aggregate a summary.
+    """Run one experiment per axis value, in order; aggregate a summary.
 
-    The summary CSV has one row per value (in the given order): value,
+    Each value writes to its own subdirectory `<axis>=<value:g>`; values
+    that share a directory name (duplicates, or values equal to six
+    significant digits) are a ConfigError, raised before any run.  The
+    summary CSV has one row per value (in the given order): value,
     final_residual, iterations, all_audits_pass.  The exit code follows the
     single-run contract over the aggregate.
     """
     if not values:
         raise ConfigError("sweep needs a nonempty list of values")
+    names = [f"{axis.replace('.', '_')}={value:g}" for value in values]
+    first_value: dict[str, float] = {}
+    for value, name in zip(values, names):
+        if name in first_value:
+            raise ConfigError(
+                f"sweep values {first_value[name]!r} and {value!r} "
+                f"share the output directory {name}"
+            )
+        first_value[name] = value
     base = ExperimentConfig.from_dict(config_data)
     root = Path(out_dir) if out_dir is not None else Path(base.output.directory)
     configs = []
     for value in values:
         data = set_config_value(config_data, axis, value)
         configs.append(ExperimentConfig.from_dict(data))
-
-    def one(idx: int) -> ExperimentResult:
-        sub = root / f"{axis.replace('.', '_')}={values[idx]:g}"
-        return run_experiment(configs[idx], out_dir=sub, seed=seed)
-
-    with ThreadPoolExecutor(max_workers=min(8, len(values))) as pool:
-        results = list(pool.map(one, range(len(values))))
+    results = [
+        run_experiment(config, out_dir=root / name, seed=seed)
+        for config, name in zip(configs, names)
+    ]
 
     rows = []
     for value, res in zip(values, results):

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import as_vector, fmt17, frozen_array, jsonable
+from ._util import as_vector, frozen_array, jsonable
 from .errors import ConfigError, DomainError, InputError
 from .normed_space import MEMBERSHIP_TOL, Box, NormSpace, contains
 from .operators import Operator
@@ -322,6 +322,25 @@ def run(
     )
 
 
+def decimate(traj: Trajectory, stride: int) -> Trajectory:
+    """The record `run(..., record_stride=stride)` keeps of a full-history run.
+
+    x_n is kept for (n - 1) % stride == 0, plus the final iterate; residuals
+    and steps are shared with `traj`.  With stride 1 `traj` itself is
+    returned, without a copy.
+    """
+    if stride < 1:
+        raise InputError(f"record_stride must be >= 1, got {stride}")
+    if not traj.is_full_history:
+        raise InputError("only a full-history trajectory can be decimated")
+    if stride == 1:
+        return traj
+    rows = np.arange(0, traj.n_iterates, stride)
+    if rows[-1] != traj.n_iterates - 1:
+        rows = np.append(rows, traj.n_iterates - 1)
+    return replace(traj, iterates=traj.iterates[rows], iterate_indices=rows + 1)
+
+
 def full_iterates(traj: Trajectory, operator: Operator) -> np.ndarray:
     """All iterates x_1..x_N as one (N, d) array.
 
@@ -329,8 +348,9 @@ def full_iterates(traj: Trajectory, operator: Operator) -> np.ndarray:
     of a decimated record are replayed in order with the recorded step sizes
     through the same step and the same single-vector T as run(), so every
     replayed iterate is bit-identical to the original run.  This is the only
-    replay: `run_audits` calls it once per audit and hands the array to
-    every auditor that reads iterates.
+    replay: `run_audits` calls it once when it is not handed the iterates
+    (the audit of a stored record) and shares the array with every auditor
+    that reads iterates.
     """
     traj.validate()
     if traj.is_full_history:
@@ -417,20 +437,25 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """CSV with one row per recorded iterate: n, x_1..x_d, residual, t_n.
 
     t_n is the step leaving x_n and is empty on the final row.  Numbers use
-    17 significant digits, which round-trips doubles exactly.
+    17 significant digits, which round-trips doubles exactly.  The bytes are
+    those of `csv.writer` over `fmt17` fields (`%.17g` is the same
+    conversion; no field needs quoting), one `%` template per row.
     """
     d = traj.dimension
+    n_total = traj.n_iterates
+    residuals = traj.residuals.tolist()
+    steps = traj.schedule_used.tolist()
+    row = "%d" + ",%.17g" * (d + 2) + "\r\n"
+    final_row = "%d" + ",%.17g" * (d + 1) + ",\r\n"
+    header = ["n"] + [f"x_{i + 1}" for i in range(d)] + ["residual", "t_n"]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n"] + [f"x_{i + 1}" for i in range(d)] + ["residual", "t_n"])
-        for j, n in enumerate(traj.iterate_indices):
-            n = int(n)
-            t = fmt17(traj.schedule_used[n - 1]) if n <= traj.n_iterates - 1 else ""
-            writer.writerow(
-                [str(n)]
-                + [fmt17(v) for v in traj.iterates[j]]
-                + [fmt17(traj.residuals[n - 1]), t]
-            )
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(
+            row % (n, *x, residuals[n - 1], steps[n - 1])
+            if n <= n_total - 1
+            else final_row % (n, *x, residuals[n - 1])
+            for n, x in zip(traj.iterate_indices.tolist(), traj.iterates.tolist())
+        )
 
 
 def read_trajectory_csv(path) -> Trajectory:

@@ -5,11 +5,22 @@ import numpy as np
 import pytest
 
 from graphmann.cli import main
-from graphmann.config import ExperimentConfig, load_config, save_config
+from graphmann.config import (
+    ExperimentConfig,
+    build_body,
+    build_operator,
+    build_relation,
+    build_schedule,
+    build_space,
+    load_config,
+    save_config,
+)
 from graphmann.corpus import negative_swap_config, oracle_1d_config, t_one_config
-from graphmann.diagnostics import write_gk_records_csv
+from graphmann.diagnostics import run_audits, write_gk_records_csv
 from graphmann.errors import ConfigError
 from graphmann.experiment import run_experiment, set_config_value
+from graphmann.mann import trajectory_from_dict
+from graphmann.normed_space import diameter
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -297,6 +308,41 @@ class TestCliSweep:
         assert [p.name for p in a_files] == [p.name for p in b_files]
         for pa, pb in zip(a_files, b_files):
             assert pa.read_bytes() == pb.read_bytes()
+
+
+    @pytest.mark.parametrize("values", ["0.3000001,0.3000002", "0.5,0.5", "0.2,0.4,0.2"])
+    def test_values_sharing_a_directory_exit_one(self, tmp_path, oracle_cfg, values):
+        _, path = oracle_cfg
+        out = tmp_path / "sw"
+        args = ["sweep", "--config", path, "--axis", "schedule.t", "--values", values]
+        assert main(args + ["--out", str(out), "--quiet"]) == 1
+        assert not out.exists()
+
+
+class TestRunAudits:
+    @pytest.mark.parametrize("stride", [1, 3, 40])
+    @pytest.mark.parametrize("make", [oracle_1d_config, negative_swap_config, t_one_config])
+    def test_audits_equal_a_replay_of_the_written_record(self, tmp_path, make, stride):
+        data = make(str(tmp_path / "out"))
+        data.setdefault("run", {})["record_stride"] = stride
+        config = ExperimentConfig.from_dict(data)
+        result = run_experiment(config)
+        record = json.loads((tmp_path / "out" / "run.json").read_text())["trajectory"]
+        traj = trajectory_from_dict(record)
+        space = build_space(config)
+        body = build_body(config, space)
+        replayed = run_audits(
+            config.audits,
+            traj,
+            build_operator(config, space, body),
+            build_relation(config, space),
+            space,
+            build_schedule(config),
+            diam=diameter(space, body),
+            seed=config.seed,
+        )
+        assert replayed == result.audits
+        assert np.array_equal(traj.iterate_indices, result.trajectory.iterate_indices)
 
 
 class TestCliReport:

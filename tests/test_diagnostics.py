@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import graphmann.diagnostics
 from graphmann.diagnostics import (
+    ALL_AUDITS,
     audit_edge_propagation,
     audit_fejer,
     convergence_audit,
@@ -15,7 +17,7 @@ from graphmann.diagnostics import (
     verify_fixed_point,
 )
 from graphmann.errors import ConfigError, DomainError, InputError, UndefinedProductError
-from graphmann.mann import Schedule, Trajectory, full_iterates, run
+from graphmann.mann import Schedule, Trajectory, decimate, full_iterates, run
 from graphmann.normed_space import Box, NormSpace, diameter
 from graphmann.operators import Componentwise, Identity, MatrixAffine, NonmonotoneSwap
 from graphmann.order_graph import ConeRelation
@@ -289,6 +291,39 @@ class TestOrchestration:
         )
         assert all(entry["status"] == "pass" for entry in results.values())
         assert exit_code_from_audits(results) == 0
+
+    def test_given_iterates_are_not_replayed(self, monkeypatch):
+        op = gentle_maps()
+        schedule = Schedule.constant(0.5)
+        full = run(op, [0.1, 0.2], schedule, max_iter=300, tol=0.0, rel=COORD2)
+        thin = decimate(full, 7)
+        args = (op, COORD2, SPACE2, schedule)
+        replayed = run_audits(ALL_AUDITS, thin, *args, diam=2.0)
+
+        def no_replay(*args):
+            raise AssertionError("full_iterates called although x_all was given")
+
+        monkeypatch.setattr(graphmann.diagnostics, "full_iterates", no_replay)
+        given_iterates = run_audits(ALL_AUDITS, thin, *args, diam=2.0, x_all=full.iterates)
+        assert given_iterates == replayed
+        assert all(entry["status"] != "fail" for entry in replayed.values())
+
+    def test_image_of_the_iterates_computed_once(self, monkeypatch):
+        op = gentle_maps()
+        schedule = Schedule.constant(0.5)
+        traj = run(op, [0.1, 0.2], schedule, max_iter=300, tol=0.0, rel=COORD2)
+        rows = []
+        apply_batch = MatrixAffine.apply_batch
+
+        def counted(self, x):
+            rows.append(len(x))
+            return apply_batch(self, x)
+
+        monkeypatch.setattr(MatrixAffine, "apply_batch", counted)
+        run_audits(ALL_AUDITS, traj, op, COORD2, SPACE2, schedule, diam=2.0)
+        # the trajectory recheck's blocks, then one batch shared by the
+        # edge-propagation and Goebel-Kirk auditors
+        assert sum(rows) == 2 * traj.n_iterates
 
     def test_exit_code_precedence(self):
         assert exit_code_from_audits({"a": {"status": "pass"}}) == 0

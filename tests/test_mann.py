@@ -1,10 +1,14 @@
+import csv
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import graphmann.mann
+from graphmann._util import fmt17
 from graphmann.errors import ConfigError, DomainError, InputError
 from graphmann.mann import (
     STEP_RECOMPUTE_TOL,
@@ -12,7 +16,9 @@ from graphmann.mann import (
     STOP_MAX_ITER,
     STOP_TOLERANCE,
     Schedule,
+    Trajectory,
     _step,
+    decimate,
     full_iterates,
     read_trajectory_csv,
     run,
@@ -91,6 +97,42 @@ def reference_verify(traj, operator):
         final,
     )
     return report
+
+
+def reference_write_csv(traj, path):
+    """The csv.writer + fmt17 writer that write_trajectory_csv's one
+    template per row reproduces byte for byte."""
+    d = traj.dimension
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n"] + [f"x_{i + 1}" for i in range(d)] + ["residual", "t_n"])
+        for j, n in enumerate(traj.iterate_indices):
+            n = int(n)
+            t = fmt17(traj.schedule_used[n - 1]) if n <= traj.n_iterates - 1 else ""
+            writer.writerow(
+                [str(n)]
+                + [fmt17(v) for v in traj.iterates[j]]
+                + [fmt17(traj.residuals[n - 1]), t]
+            )
+
+
+def assert_same_trajectory(a, b):
+    for field in dataclasses.fields(Trajectory):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape, field.name
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
+class Drifting(Operator):
+    def __init__(self):
+        self.space = SPACE1
+        self.domain = BOX1
+
+    def _apply(self, x):
+        return x + 0.3  # leaves [0, 1] after a few steps
 
 
 def closed_form(n, t, x1=0.0):
@@ -301,6 +343,36 @@ class TestDecimation:
         )
         assert verify_trajectory(thin, midpoint_map()).failures == 0
 
+    @pytest.mark.parametrize("stride", [1, 2, 7, 50, 1000])
+    def test_decimate_matches_strided_run(self, stride):
+        op = doubly_stochastic_map(4, 2.0)
+        x1 = np.random.default_rng(3).uniform(0, 1, 4)
+        schedule = Schedule.constant(0.6)
+        for n in sorted({1, 2, stride, stride + 1}):
+            full = run(op, x1, schedule, max_iter=n, tol=0.0)
+            thin = run(op, x1, schedule, max_iter=n, tol=0.0, record_stride=stride)
+            assert_same_trajectory(decimate(full, stride), thin)
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 50])
+    def test_decimate_matches_strided_run_on_divergence(self, stride):
+        full = run(Drifting(), [0.0], Schedule.constant(0.5), max_iter=50, tol=0.0)
+        thin = run(Drifting(), [0.0], Schedule.constant(0.5), max_iter=50, tol=0.0,
+                   record_stride=stride)
+        assert full.stop_reason == STOP_DIVERGED
+        assert_same_trajectory(decimate(full, stride), thin)
+
+    def test_decimate_stride_one_is_the_trajectory(self):
+        full = run(midpoint_map(), [0.0], Schedule.constant(0.5), max_iter=20, tol=0.0)
+        assert decimate(full, 1) is full
+
+    def test_decimate_needs_full_history(self):
+        thin = run(midpoint_map(), [0.0], Schedule.constant(0.5), max_iter=20, tol=0.0,
+                   record_stride=3)
+        with pytest.raises(InputError):
+            decimate(thin, 2)
+        with pytest.raises(InputError):
+            decimate(run(midpoint_map(), [0.0], Schedule.constant(0.5), max_iter=5), 0)
+
 
 class TestVerify:
     def test_any_run_output_passes(self):
@@ -429,6 +501,36 @@ class TestSerialization:
         assert lines[0] == "n,x_1,residual,t_n"
         assert lines[1].startswith("1,")
         assert lines[-1].endswith(",")  # final row carries no step
+
+    @pytest.mark.parametrize("d", [1, 4, 256])
+    @pytest.mark.parametrize("stride", [1, 9])
+    def test_csv_bytes_match_reference_writer(self, tmp_path, d, stride):
+        op = doubly_stochastic_map(d, 2.0)
+        x1 = np.random.default_rng(d).uniform(0, 1, d)
+        traj = run(op, x1, Schedule.constant(0.6), max_iter=40, tol=0.0,
+                   record_stride=stride)
+        write_trajectory_csv(traj, tmp_path / "new.csv")
+        reference_write_csv(traj, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_csv_bytes_match_reference_writer_edge_records(self, tmp_path):
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+        one = run(midpoint_map(), [0.25], Schedule.constant(0.5), max_iter=1)
+        records = [
+            one,
+            Trajectory(
+                iterates=np.array([special, special[::-1], [0.1] * 6]),
+                iterate_indices=np.array([1, 3, 4]),
+                residuals=np.array([math.inf, -0.0, 5e-324, math.nan]),
+                schedule_used=np.array([1.7976931348623157e308, 0.5, -0.0]),
+                stop_reason=STOP_MAX_ITER,
+            ),
+        ]
+        for k, traj in enumerate(records):
+            write_trajectory_csv(traj, tmp_path / f"new{k}.csv")
+            reference_write_csv(traj, tmp_path / f"ref{k}.csv")
+            new = (tmp_path / f"new{k}.csv").read_bytes()
+            assert new == (tmp_path / f"ref{k}.csv").read_bytes()
 
     def test_csv_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
