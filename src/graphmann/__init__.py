@@ -27,14 +27,11 @@ from .order_graph import (
     audit_cg,
     audit_reflexive,
     audit_transitive,
-    edge_contains,
-    interval_contains,
     sample_cone_element,
     undirected_contains,
 )
 from .operators import (
     Componentwise,
-    Compose,
     FixedPointSet,
     Identity,
     MatrixAffine,
@@ -42,7 +39,6 @@ from .operators import (
     Operator,
     audit_lipschitz_on_edges,
     audit_monotone,
-    evaluate,
     known_fixed_points,
     matrix_opnorm_bound,
     sample_domain_edge,

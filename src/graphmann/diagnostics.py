@@ -14,13 +14,20 @@ point, steps outside (0, 1)) is never conflated with a failed conclusion.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._util import as_vector, fmt17, jsonable
+from ._util import as_vector, fmt17
 from .errors import ConfigError, InputError, UndefinedProductError
-from .mann import STOP_TOLERANCE, Schedule, Trajectory, full_iterates, verify_trajectory
+from .mann import (
+    STOP_TOLERANCE,
+    Schedule,
+    Trajectory,
+    full_iterates,
+    start_edges,
+    verify_trajectory,
+)
 from .normed_space import NormSpace
 from .operators import Operator, known_fixed_points
 from .order_graph import (
@@ -28,7 +35,6 @@ from .order_graph import (
     ConeRelation,
     STATUS_FAIL,
     STATUS_HYPOTHESIS_NOT_MET,
-    STATUS_PASS,
 )
 
 INEQUALITY_SLACK_TOL = 1e-9
@@ -36,7 +42,13 @@ MONOTONE_TOL = 1e-12
 FEJER_FIXED_POINT_TOL = 1e-10
 ACCEPT_FIXED_POINT_TOL = 1e-8
 
-DEFAULT_RATE_SPANS = (1, 5, 10, 50)
+# run_audits checks the telescoping inequality at GK_PAIRS seeded random
+# (i, n) pairs inside the first GK_WINDOW iterates, and the rate inequality
+# at each of RATE_SPANS that fits the run
+GK_PAIRS = 50
+GK_WINDOW = 200
+RATE_SPANS = (1, 5, 10, 50)
+INCOMPARABLE_START = "start is not comparable with its image"
 ALL_AUDITS = (
     "trajectory",
     "edge_propagation",
@@ -63,9 +75,6 @@ class GKRecord:
     rhs: float
     slack: float
 
-    def to_dict(self) -> dict:
-        return {"i": self.i, "n": self.n, "lhs": self.lhs, "rhs": self.rhs, "slack": self.slack}
-
 
 @dataclass(frozen=True)
 class RateCheck:
@@ -85,22 +94,6 @@ class RateCheck:
     failures: int
     min_slack: float
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "a": self.a,
-            "diam": self.diam,
-            "bound": self.bound,
-            "observed_limit_estimate": self.observed_limit_estimate,
-            "trials": self.trials,
-            "failures": self.failures,
-            "min_slack": self.min_slack,
-        }
-
-
-def _hypothesis_case(traj: Trajectory) -> str | None:
-    return traj.start_edge_case()
-
 
 def audit_edge_propagation(
     traj: Trajectory,
@@ -114,32 +107,30 @@ def audit_edge_propagation(
     With a forward-comparable start this is (x_n, x_{n+1}) and
     (x_{n+1}, T(x_n)) for every step; with a reverse-comparable start both
     families run mirrored.  A start comparable in neither direction yields
-    hypothesis-not-met.  `x_all` is the run's `full_iterates`, replayed here
-    when not given, and `tx_all` is `operator.apply_batch(x_all)`, computed
-    here when not given.
+    hypothesis-not-met.  The direction is read from the trajectory's start
+    flags (`Trajectory.start_edge_case`); a record without them raises
+    InputError.  `x_all` is the run's `full_iterates`, replayed here when
+    not given, and `tx_all` is `operator.apply_batch(x_all)`, computed here
+    when not given.
     """
+    case = traj.start_edge_case()
+    if case is None:
+        raise InputError("the trajectory carries no start comparability flags")
+    if case == "none":
+        return AuditReport.not_met("edge_propagation", INCOMPARABLE_START)
     report = AuditReport("edge_propagation")
     if x_all is None:
         x_all = full_iterates(traj, operator)
     if tx_all is None:
         tx_all = operator.apply_batch(x_all)
-    forward = traj.start_edge_forward
-    reverse = traj.start_edge_reverse
-    if forward is None or reverse is None:
-        forward = rel.contains(x_all[0], tx_all[0])
-        reverse = rel.contains(tx_all[0], x_all[0])
-    if not (forward or reverse):
-        report.hypothesis_met = False
-        report.extra["note"] = "start is not comparable with its image"
-        return report
-    if forward:
-        step_diffs = x_all[1:] - x_all[:-1]
-        image_diffs = tx_all[:-1] - x_all[1:]
-        report.extra["case"] = "forward"
-    else:
+    if case == "reverse":
         step_diffs = x_all[:-1] - x_all[1:]
         image_diffs = x_all[1:] - tx_all[:-1]
         report.extra["case"] = "reverse"
+    else:
+        step_diffs = x_all[1:] - x_all[:-1]
+        image_diffs = tx_all[:-1] - x_all[1:]
+        report.extra["case"] = "forward"
     for diffs, label in ((step_diffs, "step_edge"), (image_diffs, "image_edge")):
         if diffs.shape[0] == 0:
             continue
@@ -169,18 +160,14 @@ def audit_fejer(
     otherwise the result is hypothesis-not-met.  `x_all` is the run's
     `full_iterates`, replayed here when not given.
     """
-    report = AuditReport("fejer_monotone")
     w = as_vector(omega, space.dimension, "omega")
     if space.norm(operator._apply(w) - w) > FEJER_FIXED_POINT_TOL:
-        report.hypothesis_met = False
-        report.extra["note"] = "omega is not a fixed point"
-        return report
+        return AuditReport.not_met("fejer_monotone", "omega is not a fixed point")
     if x_all is None:
         x_all = full_iterates(traj, operator)
     if not rel.contains(x_all[0], w):
-        report.hypothesis_met = False
-        report.extra["note"] = "edge(x_1, omega) does not hold"
-        return report
+        return AuditReport.not_met("fejer_monotone", "edge(x_1, omega) does not hold")
+    report = AuditReport("fejer_monotone")
     member = rel.diffs_in_cone(w - x_all)
     report.trials += int(member.shape[0])
     bad = np.flatnonzero(~member)
@@ -248,12 +235,14 @@ def gk_inequality_check(
 
 
 def write_gk_records_csv(records, path) -> None:
-    """CSV export of telescoping-inequality records: i, n, lhs, rhs, slack."""
+    """CSV export of telescoping-inequality records: i, n, lhs, rhs, slack.
+
+    `records` are the dicts of the gk_inequality audit's "records".
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "n", "lhs", "rhs", "slack"])
-        for record in records:
-            row = record.to_dict() if isinstance(record, GKRecord) else record
+        for row in records:
             writer.writerow(
                 [str(row["i"]), str(row["n"])]
                 + [fmt17(row[key]) for key in ("lhs", "rhs", "slack")]
@@ -262,12 +251,9 @@ def write_gk_records_csv(records, path) -> None:
 
 def residual_monotone_check(traj: Trajectory) -> AuditReport:
     """Check r_{n+1} <= r_n + 1e-12 for the whole run."""
+    if traj.start_edge_case() == "none":
+        return AuditReport.not_met("residual_monotone", INCOMPARABLE_START)
     report = AuditReport("residual_monotone")
-    case = _hypothesis_case(traj)
-    if case == "none":
-        report.hypothesis_met = False
-        report.extra["note"] = "start is not comparable with its image"
-        return report
     r = traj.residuals
     increases = np.flatnonzero(r[1:] > r[:-1] + MONOTONE_TOL)
     report.trials = int(r.shape[0] - 1)
@@ -363,31 +349,28 @@ def convergence_audit(
 
     The final iterate must satisfy ||T(x) - x|| <= tol, and the limit edge
     edge(x_1, x_final) (mirrored for reverse-comparable starts) must hold.
-    Runs that did not stop on tolerance are hypothesis-not-met.
+    Runs that did not stop on tolerance are hypothesis-not-met.  The
+    direction is read from the trajectory's start flags; a record without
+    them raises InputError.
     """
-    report = AuditReport("convergence_to_fixed_point")
+    case = traj.start_edge_case()
+    if case is None:
+        raise InputError("the trajectory carries no start comparability flags")
     if traj.stop_reason != STOP_TOLERANCE:
-        report.hypothesis_met = False
-        report.extra["note"] = f"run stopped with {traj.stop_reason!r}"
-        return report
+        return AuditReport.not_met(
+            "convergence_to_fixed_point", f"run stopped with {traj.stop_reason!r}"
+        )
+    report = AuditReport("convergence_to_fixed_point")
     final = traj.final_iterate
     report.record(verify_fixed_point(operator, final, tol), final)
     x1 = traj.iterates[0]
-    case = _hypothesis_case(traj)
-    if case is None:
-        tx1 = operator._apply(np.array(x1))
-        case = (
-            "forward"
-            if rel.contains(x1, tx1)
-            else ("reverse" if rel.contains(tx1, x1) else "none")
-        )
     if case in ("forward", "both"):
         report.record(rel.contains(x1, final), x1, final)
     elif case == "reverse":
         report.record(rel.contains(final, x1), final, x1)
     else:
         report.hypothesis_met = False
-        report.extra["note"] = "start is not comparable with its image"
+        report.extra["note"] = INCOMPARABLE_START
     report.extra["final_residual"] = traj.final_residual
     return report
 
@@ -403,169 +386,126 @@ def run_audits(
     schedule: Schedule,
     diam: float,
     seed: int = 0,
-    omega=None,
-    gk_pairs: int = 50,
-    gk_window: int = 200,
-    rate_spans=DEFAULT_RATE_SPANS,
-    rate_samples: int = 20,
-    fixed_point_tol: float = ACCEPT_FIXED_POINT_TOL,
     x_all: np.ndarray | None = None,
 ) -> dict[str, dict]:
     """Run the named auditors and collect a JSON-ready report per auditor.
 
-    Each entry is {"property", "status", "trials", "failures", "witness",
-    ...} with optional per-record payloads for the inequality audits.
-    Hypothesis gating (comparable start, step bounds, known fixed point) is
-    applied here so the low-level checks keep their strict contracts.
-    `x_all` holds all iterates x_1..x_N of the run, as `full_iterates`
-    returns them; a run that kept its iterates passes them here.  Without
-    it the iterates are replayed once (`full_iterates`).  Either way the
-    array, and T applied to it once, are shared by every auditor that reads
-    them.
+    Each entry is an `AuditReport.to_dict()`: {"property", "status",
+    "trials", "failures", "witness"[, "detail"][, "records"]}, with records
+    for the inequality audits.  Hypothesis gating (comparable start, step
+    bounds, known fixed point) is applied here so the low-level checks keep
+    their strict contracts.  A record without start flags (a CSV export) is
+    given them here, by `start_edges` at x_1.  `x_all` holds all iterates
+    x_1..x_N of the run, as `full_iterates` returns them; a run that kept
+    its iterates passes them here.  Without it the iterates are replayed
+    once (`full_iterates`).  Either way the array, and T applied to it once,
+    are shared by every auditor that reads them.
     """
-    results: dict[str, dict] = {}
-    case = _hypothesis_case(traj)
+    if traj.start_edge_case() is None:
+        x1 = traj.iterates[0]
+        forward, reverse = start_edges(rel, x1, operator._apply(x1))
+        traj = replace(traj, start_edge_forward=forward, start_edge_reverse=reverse)
     if x_all is None and REPLAYING_AUDITS.intersection(names):
         x_all = full_iterates(traj, operator)
     tx_all = operator.apply_batch(x_all) if IMAGE_AUDITS.intersection(names) else None
+    results: dict[str, dict] = {}
     for name in names:
         if name == "trajectory":
-            results[name] = verify_trajectory(traj, operator, x_all).to_dict()
+            report = verify_trajectory(traj, operator, x_all)
         elif name == "edge_propagation":
-            results[name] = audit_edge_propagation(
-                traj, operator, rel, x_all, tx_all
-            ).to_dict()
+            report = audit_edge_propagation(traj, operator, rel, x_all, tx_all)
         elif name == "residual_monotone":
-            results[name] = residual_monotone_check(traj).to_dict()
+            report = residual_monotone_check(traj)
         elif name == "gk_inequality":
-            results[name] = _gk_entry(
-                traj, operator, case, seed, gk_pairs, gk_window, x_all, tx_all
-            )
+            report = _gk_report(traj, operator, seed, x_all, tx_all)
         elif name == "fejer":
-            results[name] = _fejer_entry(traj, operator, rel, space, omega, x_all)
+            report = _fejer_report(traj, operator, rel, space, x_all)
         elif name == "rate":
-            results[name] = _rate_entry(
-                traj, schedule, diam, case, rate_spans, rate_samples
-            )
+            report = _rate_report(traj, schedule, diam)
         elif name == "convergence":
-            results[name] = convergence_audit(
-                traj, operator, rel, fixed_point_tol
-            ).to_dict()
+            report = convergence_audit(traj, operator, rel)
         else:
             raise ConfigError(f"unknown auditor {name!r}")
+        results[name] = report.to_dict()
     return results
 
 
-def _not_met(property_name: str, note: str) -> dict:
-    return {
-        "property": property_name,
-        "status": STATUS_HYPOTHESIS_NOT_MET,
-        "trials": 0,
-        "failures": 0,
-        "witness": None,
-        "detail": {"note": note},
-    }
-
-
-def _gk_entry(
+def _gk_report(
     traj: Trajectory,
     operator: Operator,
-    case: str | None,
     seed: int,
-    gk_pairs: int,
-    gk_window: int,
     x_all: np.ndarray,
     tx_all: np.ndarray,
-) -> dict:
-    if case == "none":
-        return _not_met("gk_inequality", "start is not comparable with its image")
+) -> AuditReport:
+    if traj.start_edge_case() == "none":
+        return AuditReport.not_met("gk_inequality", INCOMPARABLE_START)
     if traj.schedule_used.shape[0] and float(traj.schedule_used.max()) >= 1.0:
-        return _not_met("gk_inequality", "schedule contains a step with t = 1")
-    window = min(traj.n_iterates, gk_window)
+        return AuditReport.not_met(
+            "gk_inequality", "schedule contains a step with t = 1"
+        )
+    window = min(traj.n_iterates, GK_WINDOW)
     pairs: list[tuple[int, int]] = []
     if window >= 2:
         rng = np.random.default_rng([seed, 17])
-        for _ in range(gk_pairs):
+        for _ in range(GK_PAIRS):
             i = int(rng.integers(1, window))
             n = int(rng.integers(1, window - i + 1))
             pairs.append((i, n))
     records = gk_inequality_check(traj, operator, pairs, x_all, tx_all)
-    failures = sum(1 for r in records if r.slack < -INEQUALITY_SLACK_TOL)
-    worst = min((r.slack for r in records), default=np.inf)
-    return {
-        "property": "gk_inequality",
-        "status": STATUS_FAIL if failures else STATUS_PASS,
-        "trials": len(records),
-        "failures": failures,
-        "witness": None,
-        "detail": {"min_slack": float(worst)},
-        "records": [r.to_dict() for r in records],
-    }
+    # a one-iterate run checks no pair; its min_slack is null, since JSON
+    # has no infinity
+    return AuditReport(
+        "gk_inequality",
+        trials=len(records),
+        failures=sum(1 for r in records if r.slack < -INEQUALITY_SLACK_TOL),
+        extra={"min_slack": min((r.slack for r in records), default=None)},
+        records=[asdict(r) for r in records],
+    )
 
 
-def _fejer_entry(
+def _fejer_report(
     traj: Trajectory,
     operator: Operator,
     rel: ConeRelation,
     space: NormSpace,
-    omega,
     x_all: np.ndarray,
-) -> dict:
+) -> AuditReport:
     x1 = traj.iterates[0]
-    candidates = (
-        [as_vector(omega, space.dimension, "omega")]
-        if omega is not None
-        else list(known_fixed_points(operator).known_points)
-    )
+    candidates = known_fixed_points(operator).known_points
     for w in candidates:
-        if rel.contains(x1, w):
-            entry = audit_fejer(traj, w, operator, rel, space, x_all).to_dict()
-            entry.setdefault("detail", {})["direction"] = "forward"
-            return entry
-        if rel.contains(w, x1):
-            # start above omega: the same monotone argument applies under
-            # the reversed graph, so audit with the cone -K
-            entry = audit_fejer(
-                traj, w, operator, rel.reversed(), space, x_all
-            ).to_dict()
-            entry.setdefault("detail", {})["direction"] = "reverse"
-            return entry
+        # a start above omega: the same monotone argument applies under the
+        # reversed graph, so audit with the cone -K
+        for direction, edge_rel in (("forward", rel), ("reverse", rel.reversed())):
+            if edge_rel.contains(x1, w):
+                report = audit_fejer(traj, w, operator, edge_rel, space, x_all)
+                report.extra["direction"] = direction
+                return report
     note = (
         "no known fixed point is comparable to x_1"
         if candidates
         else "operator has no analytically known fixed point"
     )
-    return _not_met("fejer_monotone", note)
+    return AuditReport.not_met("fejer_monotone", note)
 
 
-def _rate_entry(
-    traj: Trajectory,
-    schedule: Schedule,
-    diam: float,
-    case: str | None,
-    rate_spans,
-    rate_samples: int,
-) -> dict:
-    if case == "none":
-        return _not_met("rate_inequality", "start is not comparable with its image")
+def _rate_report(traj: Trajectory, schedule: Schedule, diam: float) -> AuditReport:
+    if traj.start_edge_case() == "none":
+        return AuditReport.not_met("rate_inequality", INCOMPARABLE_START)
     if not schedule.enforce_bounds:
-        return _not_met(
+        return AuditReport.not_met(
             "rate_inequality", "schedule does not enforce bounds [a, b] in (0, 1)"
         )
-    spans = [int(n) for n in rate_spans if int(n) <= traj.n_iterates - 1]
-    checks = rate_audit(traj, schedule, diam, spans, rate_samples)
-    trials = sum(c.trials for c in checks)
-    failures = sum(c.failures for c in checks)
-    worst = min((c.min_slack for c in checks), default=np.inf)
-    return {
-        "property": "rate_inequality",
-        "status": STATUS_FAIL if failures else STATUS_PASS,
-        "trials": trials,
-        "failures": failures,
-        "witness": None,
-        "detail": jsonable({"min_slack": worst, "spans": spans}),
-        "records": [c.to_dict() for c in checks],
-    }
+    spans = [n for n in RATE_SPANS if n <= traj.n_iterates - 1]
+    checks = rate_audit(traj, schedule, diam, spans)
+    # as for the Goebel-Kirk audit, min_slack is null when no span fits
+    worst = min((c.min_slack for c in checks), default=None)
+    return AuditReport(
+        "rate_inequality",
+        trials=sum(c.trials for c in checks),
+        failures=sum(c.failures for c in checks),
+        extra={"min_slack": worst, "spans": spans},
+        records=[asdict(c) for c in checks],
+    )
 
 
 def exit_code_from_audits(results: dict[str, dict]) -> int:

@@ -82,6 +82,15 @@ def _write_outputs(
     (out_dir / "audits.json").write_text(dumps_indent2(report) + "\n")
 
 
+def _build(config: ExperimentConfig):
+    """The space, relation, operator, schedule and domain diameter of a config."""
+    space = build_space(config)
+    body = build_body(config, space)
+    rel = build_relation(config, space)
+    operator = build_operator(config, space, body)
+    return space, rel, operator, build_schedule(config), diameter(space, body)
+
+
 def run_experiment(
     config: ExperimentConfig,
     out_dir: str | Path | None = None,
@@ -95,11 +104,7 @@ def run_experiment(
     `record_stride`.
     """
     seed = config.seed if seed is None else int(seed)
-    space = build_space(config)
-    body = build_body(config, space)
-    rel = build_relation(config, space)
-    operator = build_operator(config, space, body)
-    schedule = build_schedule(config)
+    space, rel, operator, schedule, diam = _build(config)
     rng = np.random.default_rng([seed, 1])
     x1 = build_start(config, operator, rel, rng)
     full = run(
@@ -120,7 +125,7 @@ def run_experiment(
         rel,
         space,
         schedule,
-        diam=diameter(space, body),
+        diam=diam,
         seed=seed,
         x_all=full.iterates,
     )
@@ -167,17 +172,13 @@ def audit_stored(
     out_dir: str | Path | None = None,
 ) -> tuple[int, dict]:
     """Re-run the trajectory consistency check plus all configured auditors
-    on a stored trajectory."""
-    space = build_space(config)
-    body = build_body(config, space)
-    rel = build_relation(config, space)
-    operator = build_operator(config, space, body)
-    schedule = build_schedule(config)
+    on a stored trajectory.
+
+    The report written to `out_dir` names its source by file name only, so
+    it does not depend on the directory the trajectory was read from.
+    """
+    space, rel, operator, schedule, diam = _build(config)
     traj = load_stored_trajectory(trajectory_path, config)
-    if traj.start_edge_forward is None:
-        tx1 = operator._apply(np.array(traj.iterates[0]))
-        traj.start_edge_forward = rel.contains(traj.iterates[0], tx1)
-        traj.start_edge_reverse = rel.contains(tx1, traj.iterates[0])
     names = ["trajectory"] + [a for a in config.audits if a != "trajectory"]
     audits = run_audits(
         names,
@@ -186,7 +187,7 @@ def audit_stored(
         rel,
         space,
         schedule,
-        diam=diameter(space, body),
+        diam=diam,
         seed=config.seed,
     )
     code = exit_code_from_audits(audits)
@@ -195,7 +196,7 @@ def audit_stored(
         out.mkdir(parents=True, exist_ok=True)
         report = {
             "schema_version": RUN_SCHEMA_VERSION,
-            "source": str(trajectory_path),
+            "source": Path(trajectory_path).name,
             "exit_code": code,
             "audits": audits,
         }

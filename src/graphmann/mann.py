@@ -110,16 +110,6 @@ class Schedule:
         """Length cap for explicit schedules, None when unbounded."""
         return None if self.t_values is None else int(self.t_values.shape[0])
 
-    def value(self, n: int) -> float:
-        """Step size for the step leaving x_n (n is 1-based)."""
-        if n < 1:
-            raise InputError(f"step index must be >= 1, got {n}")
-        if self.t_constant is not None:
-            return self.t_constant
-        if n > self.t_values.shape[0]:
-            raise InputError(f"explicit schedule has no step {n}")
-        return float(self.t_values[n - 1])
-
 
 @dataclass(eq=False)
 class Trajectory:
@@ -197,6 +187,13 @@ class Trajectory:
             raise InputError("iterate indices must be strictly increasing")
 
 
+def start_edges(rel: ConeRelation, x1, tx1) -> tuple[bool, bool]:
+    """(edge(x1, T x1), edge(T x1, x1)): whether the start is comparable with
+    its image forward and in reverse.  Every auditor reads this decision from
+    the trajectory's start flags."""
+    return rel.contains(x1, tx1), rel.contains(tx1, x1)
+
+
 def _step(x, tx, t):
     """The averaged step t*T(x) + (1-t)*x.
 
@@ -235,19 +232,15 @@ def run(
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
     rel: ConeRelation | None = None,
-    require_comparable_start: bool = False,
     record_stride: int = 1,
-    operator_ref: str = "",
-    space_ref: str = "",
     relation_ref: str = "",
 ) -> Trajectory:
     """Iterate from x1 until the residual ||x_n - T(x_n)|| falls to `tol` or
     `max_iter` iterates are produced.
 
     When `rel` is given, comparability of (x1, T(x1)) is checked in both
-    orientations and recorded on the trajectory; with
-    `require_comparable_start` the run refuses to start if neither holds.
-    Explicit schedules cap the run at their own length.
+    orientations (`start_edges`) and recorded on the trajectory.  Explicit
+    schedules cap the run at their own length.
     """
     if max_iter < 1:
         raise InputError(f"max_iter must be >= 1, got {max_iter}")
@@ -260,12 +253,7 @@ def run(
     tx = as_vector(operator._apply(x), space.dimension, "T(x1)")
     forward = reverse = None
     if rel is not None:
-        forward = rel.contains(x, tx)
-        reverse = rel.contains(tx, x)
-        if require_comparable_start and not (forward or reverse):
-            raise ConfigError(
-                "starting point is not comparable with its image in either direction"
-            )
+        forward, reverse = start_edges(rel, x, tx)
 
     effective_max = max_iter
     if schedule.steps_available is not None:
@@ -316,8 +304,8 @@ def run(
         stop_reason=stop,
         start_edge_forward=forward,
         start_edge_reverse=reverse,
-        operator_ref=operator_ref or operator.describe(),
-        space_ref=space_ref or f"l{space.p}(d={space.dimension})",
+        operator_ref=operator.describe(),
+        space_ref=f"l{space.p}(d={space.dimension})",
         relation_ref=relation_ref,
     )
 

@@ -48,11 +48,6 @@ class NormSpace:
     def uniformly_convex(self) -> bool:
         return 1.0 < self.p < math.inf
 
-    @property
-    def weak_opial(self) -> bool:
-        # weak and norm convergence coincide in finite dimension
-        return True
-
     def norm(self, x) -> float:
         v = as_vector(x, self.dimension, "x")
         return float(np.linalg.norm(v, ord=np.inf if math.isinf(self.p) else self.p))
@@ -65,11 +60,6 @@ class NormSpace:
             )
         ord_ = np.inf if math.isinf(self.p) else self.p
         return np.linalg.norm(rows, ord=ord_, axis=1)
-
-    def distance(self, x, y) -> float:
-        return self.norm(
-            as_vector(x, self.dimension, "x") - as_vector(y, self.dimension, "y")
-        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,6 @@ import numpy as np
 from ._util import as_vector, frozen_array
 from .errors import DomainError, InputError
 from .normed_space import (
-    Ball,
     Box,
     ConvexBody,
     MEMBERSHIP_TOL,
@@ -274,43 +273,6 @@ class NonmonotoneSwap(Operator):
 
     def describe(self) -> str:
         return f"test_only_nonmonotone(d={self.space.dimension})"
-
-
-@dataclass(frozen=True, eq=False)
-class Compose(Operator):
-    """outer after inner; both over the same space and domain."""
-
-    outer: Operator
-    inner: Operator
-
-    def __post_init__(self) -> None:
-        if self.outer.space != self.inner.space:
-            raise InputError("composed operators must share a space")
-        if not _body_equal(self.outer.domain, self.inner.domain):
-            raise InputError("composed operators must share a domain")
-        object.__setattr__(self, "space", self.inner.space)
-        object.__setattr__(self, "domain", self.inner.domain)
-
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        return self.outer._apply(self.inner._apply(x))
-
-    def apply_batch(self, rows: np.ndarray) -> np.ndarray:
-        return self.outer.apply_batch(self.inner.apply_batch(rows))
-
-    def describe(self) -> str:
-        return f"compose({self.outer.describe()}, {self.inner.describe()})"
-
-
-def _body_equal(a: ConvexBody, b: ConvexBody) -> bool:
-    if isinstance(a, Box) and isinstance(b, Box):
-        return np.array_equal(a.lo, b.lo) and np.array_equal(a.hi, b.hi)
-    if isinstance(a, Ball) and isinstance(b, Ball):
-        return np.array_equal(a.center, b.center) and a.radius == b.radius
-    return False
-
-
-def evaluate(operator: Operator, x) -> np.ndarray:
-    return operator.evaluate(x)
 
 
 def known_fixed_points(operator: Operator) -> FixedPointSet:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -90,7 +90,9 @@ class AuditReport:
 
     `witness` carries the vectors of the first failure and is present exactly
     when failures > 0.  `hypothesis_met` distinguishes "the property's
-    hypotheses did not apply" from a genuine pass or fail.
+    hypotheses did not apply" from a genuine pass or fail.  `records` holds
+    the per-instance payload of an inequality audit, one dict per checked
+    instance, and is exported only when set.
     """
 
     property_name: str
@@ -99,6 +101,12 @@ class AuditReport:
     witness: tuple[np.ndarray, ...] | None = None
     hypothesis_met: bool = True
     extra: dict = field(default_factory=dict)
+    records: list[dict] | None = None
+
+    @classmethod
+    def not_met(cls, property_name: str, note: str) -> "AuditReport":
+        """A report whose hypotheses did not apply, with the reason."""
+        return cls(property_name, hypothesis_met=False, extra={"note": note})
 
     @property
     def status(self) -> str:
@@ -121,27 +129,13 @@ class AuditReport:
             "failures": self.failures,
             "witness": jsonable([v for v in self.witness]) if self.witness else None,
             **({"detail": jsonable(self.extra)} if self.extra else {}),
+            **({"records": jsonable(self.records)} if self.records is not None else {}),
         }
-
-
-def edge_contains(rel: ConeRelation, x, y) -> bool:
-    return rel.contains(x, y)
 
 
 def undirected_contains(rel, x, y) -> bool:
     """Membership in E(G) union E(G^-1)."""
     return rel.contains(x, y) or rel.contains(y, x)
-
-
-def interval_contains(
-    rel: ConeRelation, anchor, x, direction: Literal["up", "down"]
-) -> bool:
-    """Membership of x in the up-set [anchor, ->) or down-set (<-, anchor]."""
-    if direction == "up":
-        return rel.contains(anchor, x)
-    if direction == "down":
-        return rel.contains(x, anchor)
-    raise InputError(f"direction must be 'up' or 'down', got {direction!r}")
 
 
 # --- samplers -------------------------------------------------------------

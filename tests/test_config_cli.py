@@ -16,7 +16,7 @@ from graphmann.config import (
     save_config,
 )
 from graphmann.corpus import negative_swap_config, oracle_1d_config, t_one_config
-from graphmann.diagnostics import run_audits, write_gk_records_csv
+from graphmann.diagnostics import ALL_AUDITS, run_audits, write_gk_records_csv
 from graphmann.errors import ConfigError
 from graphmann.experiment import run_experiment, set_config_value
 from graphmann.mann import trajectory_from_dict
@@ -177,6 +177,25 @@ class TestCliRun:
         b = read_csv_rows(tmp_path / "s2" / "trajectory.csv")[0]["x_1"]
         assert a != b
 
+    def test_start_at_fixed_point_writes_standard_json(self, tmp_path):
+        # a one-iterate run checks no Goebel-Kirk pair and no rate span
+        data = oracle_1d_config(str(tmp_path / "fixed"))
+        data["start"]["value"] = [1.0]
+        path = write_config(tmp_path, data)
+        assert main(["run", "--config", path, "--quiet"]) == 0
+        assert main(["audit", str(tmp_path / "fixed" / "run.json"), "--config", path,
+                     "--out", str(tmp_path / "audit"), "--quiet"]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        for report_path in (tmp_path / "fixed" / "audits.json", tmp_path / "audit" / "audits.json"):
+            report = json.loads(report_path.read_text(), parse_constant=reject)
+            for name in ("gk_inequality", "rate"):
+                entry = report["audits"][name]
+                assert entry["trials"] == 0 and entry["records"] == []
+                assert entry["detail"]["min_slack"] is None
+
 
 class TestCliAudit:
     def test_round_trip_on_own_output(self, tmp_path, oracle_cfg):
@@ -185,6 +204,19 @@ class TestCliAudit:
         assert main(["run", "--config", path, "--quiet"]) == 0
         assert main(["audit", str(out / "run.json"), "--config", path, "--quiet"]) == 0
         assert main(["audit", str(out / "trajectory.csv"), "--config", path, "--quiet"]) == 0
+
+    def test_report_does_not_depend_on_the_read_directory(self, tmp_path, oracle_cfg, monkeypatch):
+        _, path = oracle_cfg
+        assert main(["run", "--config", path, "--quiet"]) == 0
+        absolute = tmp_path / "out" / "run.json"
+        assert main(["audit", str(absolute), "--config", path, "--out", str(tmp_path / "abs"),
+                     "--quiet"]) == 0
+        monkeypatch.chdir(tmp_path / "out")
+        assert main(["audit", "run.json", "--config", path, "--out", str(tmp_path / "rel"),
+                     "--quiet"]) == 0
+        written = (tmp_path / "abs" / "audits.json").read_bytes()
+        assert written == (tmp_path / "rel" / "audits.json").read_bytes()
+        assert json.loads(written)["source"] == "run.json"
 
     def test_tampered_iterate_detected(self, tmp_path, oracle_cfg):
         _, path = oracle_cfg
@@ -343,6 +375,17 @@ class TestRunAudits:
         )
         assert replayed == result.audits
         assert np.array_equal(traj.iterate_indices, result.trajectory.iterate_indices)
+
+    @pytest.mark.parametrize("make", [oracle_1d_config, negative_swap_config, t_one_config])
+    def test_entries_share_one_key_order(self, tmp_path, make):
+        data = make(str(tmp_path / "out"))
+        assert data["audits"] == list(ALL_AUDITS)
+        result = run_experiment(ExperimentConfig.from_dict(data), write=False)
+        head = ["property", "status", "trials", "failures", "witness"]
+        for entry in result.audits.values():
+            keys = list(entry)
+            assert keys[:5] == head
+            assert keys[5:] in ([], ["detail"], ["records"], ["detail", "records"])
 
 
 class TestCliReport:

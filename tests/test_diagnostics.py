@@ -17,7 +17,15 @@ from graphmann.diagnostics import (
     verify_fixed_point,
 )
 from graphmann.errors import ConfigError, DomainError, InputError, UndefinedProductError
-from graphmann.mann import Schedule, Trajectory, decimate, full_iterates, run
+from graphmann.mann import (
+    Schedule,
+    Trajectory,
+    decimate,
+    full_iterates,
+    read_trajectory_csv,
+    run,
+    write_trajectory_csv,
+)
 from graphmann.normed_space import Box, NormSpace, diameter
 from graphmann.operators import Componentwise, Identity, MatrixAffine, NonmonotoneSwap
 from graphmann.order_graph import ConeRelation
@@ -229,6 +237,12 @@ class TestEdgePropagation:
         report = audit_edge_propagation(traj, op, COORD2)
         assert report.status == "hypothesis_not_met"
 
+    def test_record_without_start_flags_rejected(self):
+        traj = run(half_maps(), [0.1, 0.2], Schedule.constant(0.4), max_iter=20, tol=0.0)
+        assert traj.start_edge_case() is None
+        with pytest.raises(InputError):
+            audit_edge_propagation(traj, half_maps(), COORD2)
+
 
 class TestResidualMonotone:
     def test_library_run_passes(self):
@@ -264,6 +278,12 @@ class TestConvergence:
     def test_unconverged_run_is_hypothesis_not_met(self):
         traj = run(half_maps(), [0.1, 0.2], Schedule.constant(0.4), max_iter=5, tol=0.0, rel=COORD2)
         assert convergence_audit(traj, half_maps(), COORD2).status == "hypothesis_not_met"
+
+    def test_record_without_start_flags_rejected(self):
+        traj = run(half_maps(), [0.1, 0.2], Schedule.constant(0.4))
+        assert traj.start_edge_case() is None
+        with pytest.raises(InputError):
+            convergence_audit(traj, half_maps(), COORD2)
 
     def test_verify_fixed_point(self):
         op = half_maps()
@@ -324,6 +344,27 @@ class TestOrchestration:
         # the trajectory recheck's blocks, then one batch shared by the
         # edge-propagation and Goebel-Kirk auditors
         assert sum(rows) == 2 * traj.n_iterates
+
+    @pytest.mark.parametrize(
+        "op, x1, case",
+        [
+            # T swaps the coordinates, so x1 is incomparable with its image
+            (MatrixAffine(SPACE2, BOX2, np.array([[0.0, 0.5], [0.5, 0.0]]), [0.2, 0.2]),
+             [0.9, 0.05], "none"),
+            (half_maps(), [0.9, 0.8], "reverse"),
+        ],
+    )
+    def test_csv_export_audits_like_the_run(self, tmp_path, op, x1, case):
+        schedule = Schedule.constant(0.4)
+        traj = run(op, x1, schedule, rel=COORD2)
+        assert traj.start_edge_case() == case
+        write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+        exported = read_trajectory_csv(tmp_path / "trajectory.csv")
+        exported.stop_reason = traj.stop_reason
+        assert exported.start_edge_case() is None
+        args = (op, COORD2, SPACE2, schedule)
+        own = run_audits(ALL_AUDITS, traj, *args, diam=2.0)
+        assert run_audits(ALL_AUDITS, exported, *args, diam=2.0) == own
 
     def test_exit_code_precedence(self):
         assert exit_code_from_audits({"a": {"status": "pass"}}) == 0

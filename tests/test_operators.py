@@ -7,13 +7,11 @@ from graphmann.errors import DomainError, InputError
 from graphmann.normed_space import Ball, Box, NormSpace, contains
 from graphmann.operators import (
     Componentwise,
-    Compose,
     Identity,
     MatrixAffine,
     NonmonotoneSwap,
     audit_lipschitz_on_edges,
     audit_monotone,
-    evaluate,
     known_fixed_points,
     matrix_opnorm_bound,
     sample_domain_edge,
@@ -46,18 +44,18 @@ class TestEvaluate:
         op = Identity(SPACE, UNIT_BOX)
         for _ in range(10):
             x = rng.uniform(0, 1, 2)
-            assert np.array_equal(evaluate(op, x), x)
+            assert np.array_equal(op.evaluate(x), x)
 
     def test_componentwise_shift_cap(self):
-        assert evaluate(shift_cap(), [0.5]) == pytest.approx([0.6])
-        assert evaluate(shift_cap(), [0.95]) == pytest.approx([1.0])
+        assert shift_cap().evaluate([0.5]) == pytest.approx([0.6])
+        assert shift_cap().evaluate([0.95]) == pytest.approx([1.0])
 
     def test_matrix_affine_formula(self):
-        assert np.allclose(evaluate(half_maps(), [1.0, 1.0]), [0.75, 0.75])
+        assert np.allclose(half_maps().evaluate([1.0, 1.0]), [0.75, 0.75])
 
     def test_outside_domain_rejected(self):
         with pytest.raises(DomainError):
-            evaluate(half_maps(), [2.0, 0.5])
+            half_maps().evaluate([2.0, 0.5])
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_self_map_on_bulk_samples(self, p, rng):
@@ -246,27 +244,6 @@ class TestKnownFixedPoints:
         assert fps.description == "none known" or all(
             op.space.norm(op.evaluate(p) - p) <= 1e-12 for p in fps.known_points
         )
-
-
-class TestComposition:
-    def test_composition_passes_both_audits(self, rng):
-        outer = half_maps()
-        inner = Componentwise(
-            SPACE,
-            UNIT_BOX,
-            (np.array([0.0, 1.0]), np.array([0.0, 1.0])),
-            (np.array([0.2, 0.9]), np.array([0.1, 0.7])),
-        )
-        comp = Compose(outer, inner)
-        assert audit_monotone(comp, COORD, 500, rng).failures == 0
-        assert audit_lipschitz_on_edges(comp, COORD, SPACE, 500, rng) <= 1.0 + 1e-9
-
-    def test_mismatched_domains_rejected(self):
-        other = MatrixAffine(
-            SPACE, Box([0.0, 0.0], [2.0, 2.0]), 0.5 * np.eye(2), [0.25, 0.25]
-        )
-        with pytest.raises(InputError):
-            Compose(half_maps(), other)
 
 
 def test_sample_domain_edge_yields_edges(rng):

@@ -9,10 +9,8 @@ from graphmann.order_graph import (
     audit_reflexive,
     audit_transitive,
     chained_triple_source,
-    edge_contains,
     edge_pair_source,
     gaussian_point_source,
-    interval_contains,
     sample_cone_element,
     undirected_contains,
 )
@@ -29,25 +27,25 @@ def half_space():
 
 class TestEdgeContains:
     def test_coordinatewise_increase(self):
-        assert edge_contains(coordinatewise(), [0, 0], [1, 2])
+        assert coordinatewise().contains([0, 0], [1, 2])
 
     def test_loop_at_every_vertex(self, rng):
         rel = half_space()
         for _ in range(20):
             x = rng.standard_normal(2)
-            assert edge_contains(rel, x, x)
+            assert rel.contains(x, x)
 
     def test_incomparable_pair(self):
-        assert not edge_contains(coordinatewise(), [1, 0], [0, 1])
+        assert not coordinatewise().contains([1, 0], [0, 1])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            edge_contains(coordinatewise(), [0, 0, 0], [1, 1, 1])
+            coordinatewise().contains([0, 0, 0], [1, 1, 1])
 
     def test_full_relation_with_no_rows(self, rng):
         rel = ConeRelation(np.zeros((0, 3)))
         for _ in range(10):
-            assert edge_contains(rel, rng.standard_normal(3), rng.standard_normal(3))
+            assert rel.contains(rng.standard_normal(3), rng.standard_normal(3))
 
 
 class TestUndirected:
@@ -67,33 +65,6 @@ class TestUndirected:
     def test_symmetric(self, x, y):
         rel = half_space()
         assert undirected_contains(rel, x, y) == undirected_contains(rel, y, x)
-
-
-class TestInterval:
-    def test_up(self):
-        assert interval_contains(coordinatewise(), [0, 0], [1, 1], "up")
-
-    def test_down(self):
-        assert not interval_contains(coordinatewise(), [0, 0], [1, 1], "down")
-
-    def test_anchor_in_both(self):
-        rel = coordinatewise()
-        assert interval_contains(rel, [0.3, 0.7], [0.3, 0.7], "up")
-        assert interval_contains(rel, [0.3, 0.7], [0.3, 0.7], "down")
-
-    def test_bad_direction(self):
-        with pytest.raises(InputError):
-            interval_contains(coordinatewise(), [0, 0], [1, 1], "sideways")
-
-    def test_up_set_is_convex(self, rng):
-        # convex combinations of sampled members stay in [a, ->)
-        rel = half_space()
-        anchor = rng.standard_normal(2)
-        for _ in range(200):
-            u = anchor + sample_cone_element(rel, rng)
-            v = anchor + sample_cone_element(rel, rng)
-            a = rng.uniform()
-            assert interval_contains(rel, anchor, a * u + (1 - a) * v, "up")
 
 
 class TestAuditReflexive:
