@@ -523,7 +523,8 @@ def build_start(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Resolve the starting point; 'random_comparable' draws a seeded point
-    with (x1, T(x1)) in the undirected edge set."""
+    with (x1, T(x1)) in the undirected edge set, and falls back to the box
+    corners lo, then hi, when no draw is comparable."""
     space, body = operator.space, operator.domain
     cfg = config.start
     if cfg.kind == "explicit":
@@ -540,6 +541,14 @@ def build_start(
         x = sample_point(space, body, rng)
         if undirected_contains(rel, x, operator._apply(x)):
             return x
+    # a dense map can leave every draw incomparable with its image, while T
+    # maps into the box, so under the coordinatewise cone both corners are
+    # comparable with their images
+    if isinstance(body, Box):
+        for corner in (body.lo, body.hi):
+            x = np.array(corner)
+            if undirected_contains(rel, x, operator._apply(x)):
+                return x
     raise ConfigError(
         "could not draw a start comparable with its image; "
         "provide an explicit start"

@@ -4,6 +4,12 @@ Runs are sequential by definition; the recorded trajectory keeps residuals
 and step sizes for every n and (optionally decimated) iterates, and every
 step can be recomputed bit-identically from the records.  Indices are
 1-based in all exported artifacts.
+
+One stepping kernel serves the run and the replay: `_step` writes
+t T(x) + (1 - t) x in place into a preallocated row, and T is the
+operator's single-vector `_apply`.  run() steps into blocks of
+RUN_BLOCK_ROWS rows and checks a box domain once per block;
+`full_iterates` steps straight into its output array.
 """
 
 from __future__ import annotations
@@ -11,12 +17,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from ._util import as_vector, frozen_array, jsonable
 from .errors import ConfigError, DomainError, InputError
-from .normed_space import MEMBERSHIP_TOL, Box, NormSpace, contains
+from .normed_space import MEMBERSHIP_TOL, Box, contains
 from .operators import Operator
 from .order_graph import AuditReport, ConeRelation
 
@@ -31,6 +38,10 @@ DEFAULT_TOL = 1e-10
 # rows per block of the batched trajectory recheck; bounds its scratch
 # memory to a few block-sized arrays whatever the length of the run
 VERIFY_BLOCK_ROWS = 1024
+
+# rows per block of the run loop: iterates are stepped in place into a block
+# and a box domain is checked once per block
+RUN_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,13 +205,18 @@ def start_edges(rel: ConeRelation, x1, tx1) -> tuple[bool, bool]:
     return rel.contains(x1, tx1), rel.contains(tx1, x1)
 
 
-def _step(x, tx, t):
+def _step(x, tx, t, out=None):
     """The averaged step t*T(x) + (1-t)*x.
 
     Elementwise, so a column of step sizes steps every row of an (n, d)
-    array with the same arithmetic as one vector.
+    array with the same arithmetic as one vector.  With `out` (which must
+    not overlap x or tx) the step is written there, with the same bits.
     """
-    return t * tx + (1.0 - t) * x
+    if out is None:
+        return t * tx + (1.0 - t) * x
+    np.multiply(tx, t, out=out)
+    out += (1.0 - t) * x
+    return out
 
 
 def _vector_norm(p: float):
@@ -216,13 +232,11 @@ def _vector_norm(p: float):
     return lambda v: float(np.add.reduce(np.abs(v) ** p) ** inv)
 
 
-def _membership_test(space: NormSpace, body):
-    """`contains(space, body, ., MEMBERSHIP_TOL)` with box bounds widened once."""
-    if isinstance(body, Box):
-        lo = body.lo - MEMBERSHIP_TOL
-        hi = body.hi + MEMBERSHIP_TOL
-        return lambda v: bool((v >= lo).all() and (v <= hi).all())
-    return lambda v: contains(space, body, v, MEMBERSHIP_TOL)
+def _first_outside(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
+    """Index of the first row outside [lo, hi] (NaN is outside), or the row
+    count when every row is inside."""
+    inside = ((rows >= lo) & (rows <= hi)).all(axis=1)
+    return rows.shape[0] if inside.all() else int(inside.argmin())
 
 
 def run(
@@ -240,17 +254,26 @@ def run(
 
     When `rel` is given, comparability of (x1, T(x1)) is checked in both
     orientations (`start_edges`) and recorded on the trajectory.  Explicit
-    schedules cap the run at their own length.
+    schedules cap the run at their own length.  An iterate outside the
+    domain (beyond MEMBERSHIP_TOL) ends the run with STOP_DIVERGED and its
+    own residual as the last one.
+
+    Iterates are stepped in place into blocks of RUN_BLOCK_ROWS rows.  A box
+    domain is checked once per block, so a run that leaves the box applies
+    T to at most RUN_BLOCK_ROWS - 1 further iterates and then discards them;
+    any other body is checked after every step.  Only the rows
+    `record_stride` selects and the final iterate are kept.
     """
     if max_iter < 1:
         raise InputError(f"max_iter must be >= 1, got {max_iter}")
     if record_stride < 1:
         raise InputError(f"record_stride must be >= 1, got {record_stride}")
     space = operator.space
-    x = as_vector(x1, space.dimension, "x1")
+    d = space.dimension
+    x = as_vector(x1, d, "x1")
     if not contains(space, operator.domain, x, MEMBERSHIP_TOL):
         raise DomainError("starting point lies outside the operator domain")
-    tx = as_vector(operator._apply(x), space.dimension, "T(x1)")
+    tx = as_vector(operator._apply(x), d, "T(x1)")
     forward = reverse = None
     if rel is not None:
         forward, reverse = start_edges(rel, x, tx)
@@ -258,46 +281,84 @@ def run(
     effective_max = max_iter
     if schedule.steps_available is not None:
         effective_max = min(max_iter, schedule.steps_available + 1)
+    t_constant = schedule.t_constant
     t_values = None if schedule.t_values is None else schedule.t_values.tolist()
     norm = _vector_norm(space.p)
-    inside = _membership_test(space, operator.domain)
+    body = operator.domain
+    box = isinstance(body, Box)
+    if box:
+        lo = body.lo - MEMBERSHIP_TOL
+        hi = body.hi + MEMBERSHIP_TOL
+    else:
+        inside = partial(contains, space, body, tol=MEMBERSHIP_TOL)
     apply = operator._apply
+    block_rows = RUN_BLOCK_ROWS
 
-    # iterate arrays are never modified in place, so they are kept uncopied
-    recorded: list[np.ndarray] = []
+    kept: list[np.ndarray] = []  # recorded rows, one array per block
     indices: list[int] = []
     residuals: list[float] = []
     steps: list[float] = []
+    diff = np.empty(d)
 
-    stop = None
+    def keep(block: np.ndarray, base: int, count: int) -> None:
+        # rows 0..count-1 of a block whose row 0 is iterate `base`
+        first = -(base - 1) % record_stride
+        if first < count:
+            picked = block[first:count:record_stride]
+            kept.append(picked if record_stride == 1 else picked.copy())
+            indices.extend(range(base + first, base + count, record_stride))
+
+    block = np.empty((block_rows, d))
+    block[0] = x
+    x = block[0]
+    base = 1  # iterate index of block row 0
+    row = 0
     n = 1
+    stop = None
     while True:
-        residual = norm(x - tx)
+        residual = norm(np.subtract(x, tx, out=diff))
         residuals.append(residual)
-        if (n - 1) % record_stride == 0:
-            recorded.append(x)
-            indices.append(n)
         if residual <= tol:
             stop = STOP_TOLERANCE
             break
         if n >= effective_max:
             stop = STOP_MAX_ITER
             break
-        t = schedule.t_constant if t_values is None else t_values[n - 1]
-        x = _step(x, tx, t)
+        if row + 1 == block_rows:
+            if box and _first_outside(block, lo, hi) < block_rows:
+                break
+            keep(block, base, block_rows)
+            block = np.empty((block_rows, d))
+            base, row = n + 1, -1
+        t = t_constant if t_values is None else t_values[n - 1]
+        row += 1
+        x = _step(x, tx, t, out=block[row])
         steps.append(t)
         n += 1
-        tx = apply(x)
-        if not inside(x):
-            residuals.append(norm(x - tx))
+        try:
+            tx = apply(x)
+        except Exception:
+            # T may refuse a point past one that already left the box
+            if box and _first_outside(block[:row], lo, hi) < row:
+                break
+            raise
+        if not box and not inside(x):
+            residuals.append(norm(np.subtract(x, tx, out=diff)))
             stop = STOP_DIVERGED
             break
+    if box:
+        out = _first_outside(block[: row + 1], lo, hi)
+        if out <= row:
+            # the first iterate outside the box ends the run
+            row, n, stop = out, base + out, STOP_DIVERGED
+            del residuals[n:], steps[n - 1 :]
+    keep(block, base, row + 1)
     if indices[-1] != n:  # always keep the final iterate
-        recorded.append(x)
+        kept.append(block[row : row + 1])
         indices.append(n)
 
     return Trajectory(
-        iterates=np.stack(recorded),
+        iterates=np.concatenate(kept),
         iterate_indices=np.array(indices, dtype=int),
         residuals=np.array(residuals),
         schedule_used=np.array(steps),
@@ -333,24 +394,26 @@ def full_iterates(traj: Trajectory, operator: Operator) -> np.ndarray:
     """All iterates x_1..x_N as one (N, d) array.
 
     A full-history record is returned as stored, without a copy.  The gaps
-    of a decimated record are replayed in order with the recorded step sizes
-    through the same step and the same single-vector T as run(), so every
-    replayed iterate is bit-identical to the original run.  This is the only
-    replay: `run_audits` calls it once when it is not handed the iterates
-    (the audit of a stored record) and shares the array with every auditor
-    that reads iterates.
+    of a decimated record are replayed in order with the recorded step sizes,
+    each step written in place into the output row by the same `_step` and
+    the same single-vector T as run()'s loop, so every replayed iterate is
+    bit-identical to the original run.  This is the only replay:
+    `run_audits` calls it once when it is not handed the iterates (the audit
+    of a stored record) and shares the array with every auditor that reads
+    iterates.
     """
     traj.validate()
     if traj.is_full_history:
         return traj.iterates
     out = np.empty((traj.n_iterates, traj.dimension))
+    apply = operator._apply
+    steps = traj.schedule_used.tolist()
     for j in range(traj.iterate_indices.shape[0] - 1):
         lo, hi = int(traj.iterate_indices[j]), int(traj.iterate_indices[j + 1])
-        x = np.array(traj.iterates[j])
-        out[lo - 1] = x
+        out[lo - 1] = traj.iterates[j]
         for n in range(lo, hi):
-            x = _step(x, operator._apply(x), traj.schedule_used[n - 1])
-            out[n] = x
+            x = out[n - 1]
+            _step(x, apply(x), steps[n - 1], out=out[n])
     out[-1] = traj.iterates[-1]
     return out
 

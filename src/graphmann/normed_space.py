@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ._util import as_vector, frozen_array
 from .errors import (
@@ -199,6 +198,10 @@ def modulus_uc_estimate(
         raise InputError(f"epsilon must lie in (0, 2], got {epsilon}")
     if budget < 1:
         raise InputError(f"budget must be >= 1, got {budget}")
+    # scipy.optimize costs more to import than the rest of the package
+    # together, and only this estimator needs it
+    from scipy.optimize import minimize
+
     d = space.dimension
     rng = np.random.default_rng(seed)
 

@@ -142,8 +142,12 @@ class MatrixAffine(Operator):
         del box
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
+        # np.clip(M x + c, lo, hi) without its dispatch: the same ufuncs,
+        # applied in place to the fresh image
         box = self.domain
-        return np.clip(self.matrix @ x + self.offset, box.lo, box.hi)
+        v = self.matrix @ x
+        v += self.offset
+        return v.clip(box.lo, box.hi, out=v)
 
     def apply_batch(self, rows: np.ndarray) -> np.ndarray:
         box = self.domain
@@ -265,7 +269,9 @@ class NonmonotoneSwap(Operator):
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         box = self.domain
-        return np.clip(self.factor * x[::-1] + self.offset, box.lo, box.hi)
+        v = self.factor * x[::-1]
+        v += self.offset
+        return v.clip(box.lo, box.hi, out=v)
 
     def apply_batch(self, rows: np.ndarray) -> np.ndarray:
         box = self.domain

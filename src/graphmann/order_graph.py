@@ -63,6 +63,8 @@ class ConeRelation:
     def diff_in_cone(self, diff: np.ndarray) -> bool:
         if self.generator_matrix.shape[0] == 0:
             return True
+        if self._coordinate_sign:
+            return bool(self._coordinatewise(diff))
         return bool(np.all(self.generator_matrix @ diff >= -self.slack_tol))
 
     def diffs_in_cone(self, diffs: np.ndarray) -> np.ndarray:
@@ -73,7 +75,34 @@ class ConeRelation:
             )
         if self.generator_matrix.shape[0] == 0:
             return np.ones(diffs.shape[0], dtype=bool)
+        if self._coordinate_sign:
+            return self._coordinatewise(diffs)
         return np.all(diffs @ self.generator_matrix.T >= -self.slack_tol, axis=1)
+
+    @cached_property
+    def _coordinate_sign(self) -> int:
+        """+1 when the generator is I (the coordinatewise cone), -1 when it is
+        -I (its reverse), 0 otherwise."""
+        mat = self.generator_matrix
+        if mat.shape[0] != mat.shape[1]:
+            return 0
+        eye = np.eye(mat.shape[0])
+        if np.array_equal(mat, eye):
+            return 1
+        return -1 if np.array_equal(mat, -eye) else 0
+
+    def _coordinatewise(self, diffs: np.ndarray):
+        """The decisions of the product with +-I, elementwise on the last axis.
+
+        The product's entry i is +-diff_i plus d - 1 zero terms 0 * diff_k,
+        which are exact for finite diff_k and NaN otherwise; so in d >= 2 a
+        row with any inf or NaN is outside the cone.
+        """
+        tol = self.slack_tol
+        ok = diffs >= -tol if self._coordinate_sign > 0 else diffs <= tol
+        if self.dimension > 1:
+            ok &= np.isfinite(diffs)
+        return ok.all(axis=-1)
 
     def reversed(self) -> "ConeRelation":
         """Relation of the reversed graph (cone -K)."""

@@ -12,6 +12,7 @@ from graphmann.config import (
     build_relation,
     build_schedule,
     build_space,
+    build_start,
     load_config,
     save_config,
 )
@@ -21,6 +22,7 @@ from graphmann.errors import ConfigError
 from graphmann.experiment import run_experiment, set_config_value
 from graphmann.mann import trajectory_from_dict
 from graphmann.normed_space import diameter
+from graphmann.order_graph import undirected_contains
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -166,6 +168,32 @@ class TestCliRun:
         assert main(["run", "--config", path, "--out", str(tmp_path / "b"), "--quiet"]) == 0
         for name in ("trajectory.csv", "run.json", "audits.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_random_start_for_a_dense_map_falls_back_to_a_corner(self, tmp_path):
+        # no draw near the fixed point or uniform in the box is comparable
+        # with its image; the corner lo is (T(lo) >= lo)
+        matrix = np.random.default_rng(9).uniform(0.0, 1.0, (16, 16))
+        matrix *= 0.9 / max(matrix.sum(axis=0).max(), matrix.sum(axis=1).max())
+        data = {
+            "schema_version": 1,
+            "seed": 1,
+            "space": {"dimension": 16, "p": 1.5},
+            "body": {"kind": "box", "lo": 0.0, "hi": 1.0},
+            "relation": {"kind": "coordinatewise"},
+            "operator": {"kind": "matrix_affine", "matrix": matrix.tolist(), "offset": 0.02},
+            "start": {"kind": "random_comparable"},
+            "schedule": {"kind": "constant", "t": 0.5},
+            "run": {"max_iter": 2000, "tol": 1e-10, "record_stride": 1},
+            "output": {"directory": str(tmp_path / "dense")},
+        }
+        config = ExperimentConfig.from_dict(data)
+        space = build_space(config)
+        rel = build_relation(config, space)
+        operator = build_operator(config, space, build_body(config, space))
+        x1 = build_start(config, operator, rel, np.random.default_rng([1, 1]))
+        assert np.array_equal(x1, np.zeros(16))
+        assert undirected_contains(rel, x1, operator._apply(x1))
+        assert main(["run", "--config", write_config(tmp_path, data), "--quiet"]) == 0
 
     def test_seed_override_changes_random_start(self, tmp_path):
         data = oracle_1d_config(str(tmp_path / "o"))

@@ -11,6 +11,7 @@ import graphmann.mann
 from graphmann._util import fmt17
 from graphmann.errors import ConfigError, DomainError, InputError
 from graphmann.mann import (
+    RUN_BLOCK_ROWS,
     STEP_RECOMPUTE_TOL,
     STOP_DIVERGED,
     STOP_MAX_ITER,
@@ -27,13 +28,20 @@ from graphmann.mann import (
     verify_trajectory,
     write_trajectory_csv,
 )
-from graphmann.normed_space import Ball, Box, NormSpace
-from graphmann.operators import Componentwise, Identity, MatrixAffine, Operator
+from graphmann.normed_space import MEMBERSHIP_TOL, Ball, Box, NormSpace, contains
+from graphmann.operators import (
+    Componentwise,
+    Identity,
+    MatrixAffine,
+    NonmonotoneSwap,
+    Operator,
+)
 from graphmann.order_graph import AuditReport, ConeRelation
 
 SPACE1 = NormSpace(1, 2.0)
 BOX1 = Box([0.0], [1.0])
 REL1 = ConeRelation(np.eye(1))
+REL5 = ConeRelation(np.eye(5))
 
 
 def midpoint_map():
@@ -55,12 +63,21 @@ def piecewise_map(d, p):
     return Componentwise(NormSpace(d, p), Box(np.zeros(d), np.ones(d)), knots_x, knots_y)
 
 
-class BallContraction(Operator):
-    """x |-> c + s (x - c) + shift on a p = 2 ball around c; maps the ball
-    into itself while |shift| <= (1 - s) r."""
+def swap_map(d, p):
+    return NonmonotoneSwap(NormSpace(d, p), Box(np.zeros(d), np.ones(d)), 0.8,
+                           np.linspace(0.05, 0.15, d))
 
-    def __init__(self, d):
-        self.space = NormSpace(d, 2.0)
+
+def identity_map(d, p):
+    return Identity(NormSpace(d, p), Box(np.zeros(d), np.ones(d)))
+
+
+class BallContraction(Operator):
+    """x |-> c + s (x - c) + shift on a ball around c; maps the ball into
+    itself while ||shift|| <= (1 - s) r."""
+
+    def __init__(self, d, p=2.0):
+        self.space = NormSpace(d, p)
         self.domain = Ball(np.full(d, 0.5), 1.0)
         self.shift = np.linspace(-0.05, 0.05, d)
 
@@ -99,6 +116,58 @@ def reference_verify(traj, operator):
     return report
 
 
+def reference_run(operator, x1, schedule, max_iter, tol, rel=None, record_stride=1):
+    """The per-iterate loop that run() blocks: one fresh array per step, the
+    domain checked after every step, every recorded iterate kept."""
+    space = operator.space
+    x = np.asarray(x1, dtype=float)
+    tx = operator._apply(x)
+    forward = reverse = None
+    if rel is not None:
+        forward, reverse = rel.contains(x, tx), rel.contains(tx, x)
+    effective_max = max_iter
+    if schedule.steps_available is not None:
+        effective_max = min(max_iter, schedule.steps_available + 1)
+    t_values = None if schedule.t_values is None else schedule.t_values.tolist()
+    recorded, indices, residuals, steps = [], [], [], []
+    n = 1
+    while True:
+        residual = space.norm(x - tx)
+        residuals.append(residual)
+        if (n - 1) % record_stride == 0:
+            recorded.append(x)
+            indices.append(n)
+        if residual <= tol:
+            stop = STOP_TOLERANCE
+            break
+        if n >= effective_max:
+            stop = STOP_MAX_ITER
+            break
+        t = schedule.t_constant if t_values is None else t_values[n - 1]
+        x = t * tx + (1.0 - t) * x
+        steps.append(t)
+        n += 1
+        tx = operator._apply(x)
+        if not contains(space, operator.domain, x, MEMBERSHIP_TOL):
+            residuals.append(space.norm(x - tx))
+            stop = STOP_DIVERGED
+            break
+    if indices[-1] != n:
+        recorded.append(x)
+        indices.append(n)
+    return Trajectory(
+        iterates=np.stack(recorded),
+        iterate_indices=np.array(indices, dtype=int),
+        residuals=np.array(residuals),
+        schedule_used=np.array(steps),
+        stop_reason=stop,
+        start_edge_forward=forward,
+        start_edge_reverse=reverse,
+        operator_ref=operator.describe(),
+        space_ref=f"l{space.p}(d={space.dimension})",
+    )
+
+
 def reference_write_csv(traj, path):
     """The csv.writer + fmt17 writer that write_trajectory_csv's one
     template per row reproduces byte for byte."""
@@ -121,7 +190,7 @@ def assert_same_trajectory(a, b):
         x, y = getattr(a, field.name), getattr(b, field.name)
         if isinstance(x, np.ndarray):
             assert x.dtype == y.dtype and x.shape == y.shape, field.name
-            assert np.array_equal(x, y), field.name
+            assert x.tobytes() == y.tobytes(), field.name  # bitwise, NaN included
         else:
             assert x == y, field.name
 
@@ -133,6 +202,26 @@ class Drifting(Operator):
 
     def _apply(self, x):
         return x + 0.3  # leaves [0, 1] after a few steps
+
+
+class Escape(Operator):
+    """T(x) = x + s in d coordinates, so with step t the iterates x_n =
+    (n - 1) t s first leave the unit box at x_target.  Counts its calls; with
+    `refuse_after` it raises on a point past that many steps beyond x_target,
+    and with `body` it runs on that body instead of the box."""
+
+    def __init__(self, target, t, d=2, p=2.0, refuse_after=None, body=None):
+        self.space = NormSpace(d, p)
+        self.domain = body if body is not None else Box(np.zeros(d), np.ones(d))
+        self.shift = np.full(d, 1.0 / (t * (target - 1.5)))
+        self.limit = None if refuse_after is None else 1.0 + (refuse_after + 1.0) * t * self.shift[0]
+        self.calls = 0
+
+    def _apply(self, x):
+        self.calls += 1
+        if self.limit is not None and x[0] > self.limit:
+            raise DomainError("refused a point far outside the box")
+        return x + self.shift
 
 
 def closed_form(n, t, x1=0.0):
@@ -174,6 +263,13 @@ class TestMannStep:
         for n in range(traj.n_iterates - 1):
             x = traj.iterates[n]
             assert np.array_equal(traj.iterates[n + 1], _step(x, op._apply(x), 0.3))
+
+    def test_step_into_out_matches_allocating_step(self, rng):
+        x, tx = rng.uniform(0, 1, (40, 9)), rng.uniform(0, 1, (40, 9))
+        for k, t in enumerate(rng.uniform(0, 1, 40)):
+            out = np.empty(9)
+            assert _step(x[k], tx[k], t, out=out) is out
+            assert np.array_equal(out, t * tx[k] + (1.0 - t) * x[k])
 
     def test_column_of_steps_matches_rowwise_steps(self, rng):
         x, tx = rng.uniform(0, 1, (20, 3)), rng.uniform(0, 1, (20, 3))
@@ -408,6 +504,147 @@ class TestLoopFastPath:
                    max_iter=5, tol=0.0)
         assert (traj.stop_reason == STOP_DIVERGED) == diverged
         assert traj.n_iterates == 2
+
+
+K = RUN_BLOCK_ROWS
+STRIDES = (1, 7, K, K + 1)
+
+
+def kernel_schedules():
+    values = np.random.default_rng(8).uniform(0.2, 0.8, 4 * K)
+    return {"constant": Schedule.constant(0.4), "explicit": Schedule.explicit(values)}
+
+
+class TestBlockKernel:
+    """run()'s block kernel against the per-iterate loop it replaced."""
+
+    @pytest.mark.parametrize("schedule", ["constant", "explicit"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, np.inf])
+    @pytest.mark.parametrize(
+        "family", [doubly_stochastic_map, piecewise_map, identity_map, swap_map]
+    )
+    def test_box_runs_bitwise_equal_to_reference(self, family, p, schedule):
+        op = family(5, p)
+        sched = kernel_schedules()[schedule]
+        x1 = np.random.default_rng(4).uniform(0, 1, 5)
+        # a max_iter stop two blocks in, a tolerance stop, and N = 1
+        for max_iter, tol in ((2 * K + 3, 0.0), (100_000, 1e-12), (1, 0.0)):
+            for stride in STRIDES:
+                args = (op, x1, sched, max_iter, tol, REL5, stride)
+                assert_same_trajectory(run(*args), reference_run(*args))
+
+    @pytest.mark.parametrize("schedule", ["constant", "explicit"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, np.inf])
+    def test_ball_runs_bitwise_equal_to_reference(self, p, schedule):
+        op = BallContraction(5, p)
+        sched = kernel_schedules()[schedule]
+        for max_iter, tol in ((2 * K + 3, 0.0), (100_000, 1e-6), (1, 0.0)):
+            for stride in STRIDES:
+                args = (op, np.full(5, 0.3), sched, max_iter, tol, REL5, stride)
+                assert_same_trajectory(run(*args), reference_run(*args))
+
+    @pytest.mark.parametrize("stride", STRIDES)
+    @pytest.mark.parametrize("target", [2, K - 1, K, K + 1, K + 2, 2 * K + 1])
+    def test_divergence_ends_at_the_first_outside_iterate(self, target, stride):
+        sched = Schedule.constant(0.5)
+        expect = reference_run(Escape(target, 0.5), np.zeros(2), sched, 10 * K, 0.0,
+                               record_stride=stride)
+        assert expect.stop_reason == STOP_DIVERGED and expect.n_iterates == target
+        op = Escape(target, 0.5)
+        got = run(op, np.zeros(2), sched, max_iter=10 * K, tol=0.0, record_stride=stride)
+        assert_same_trajectory(got, expect)
+        # T is applied to x_1..x_target, then to at most K - 1 discarded iterates
+        assert target <= op.calls <= target + K - 1
+
+    @pytest.mark.parametrize("n_stop", [K - 1, K, K + 1])
+    def test_tolerance_stop_at_block_edges(self, n_stop):
+        sched = Schedule.constant(0.02)
+        tol = reference_run(midpoint_map(), [0.0], sched, 2 * K, 0.0).residuals[n_stop - 1]
+        for stride in STRIDES:
+            args = (midpoint_map(), [0.0], sched, 2 * K, tol, REL1, stride)
+            expect = reference_run(*args)
+            assert expect.stop_reason == STOP_TOLERANCE and expect.n_iterates == n_stop
+            assert_same_trajectory(run(*args), expect)
+
+    @pytest.mark.parametrize("target", [K - 1, K, K + 1])
+    def test_divergence_with_a_stop_inside_the_block(self, target):
+        # the outside iterate wins over a later max_iter or tolerance stop
+        sched = Schedule.explicit(np.full(target + 3, 0.5))
+        for max_iter, tol in ((target, 0.0), (target + 2, 0.0), (10 * K, 1e9)):
+            args = (Escape(target, 0.5), np.zeros(2), sched, max_iter, tol)
+            assert_same_trajectory(run(*args), reference_run(*args))
+
+    @pytest.mark.parametrize("target", [K - 1, K, K + 1])
+    def test_divergence_on_a_ball_is_checked_every_step(self, target):
+        ball = Ball(np.full(2, 0.5), 0.5)
+        args = (np.full(2, 0.5), Schedule.constant(0.5), 10 * K, 0.0)
+        expect = reference_run(Escape(target, 0.5, body=ball), *args)
+        op = Escape(target, 0.5, body=ball)
+        assert_same_trajectory(run(op, *args), expect)
+        assert expect.stop_reason == STOP_DIVERGED
+        assert op.calls == expect.n_iterates
+
+    @pytest.mark.parametrize("target", [K - 1, K, K + 1])
+    def test_refusal_past_an_outside_iterate_is_divergence(self, target):
+        args = (np.zeros(2), Schedule.constant(0.5), 10 * K, 0.0)
+        expect = reference_run(Escape(target, 0.5, refuse_after=0), *args)
+        assert expect.stop_reason == STOP_DIVERGED
+        assert_same_trajectory(run(Escape(target, 0.5, refuse_after=0), *args), expect)
+
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_nan_iterate_is_divergence(self, stride):
+        class GoesNaN(Operator):
+            def __init__(self):
+                self.space, self.domain = NormSpace(2, 2.0), Box(np.zeros(2), np.ones(2))
+
+            def _apply(self, x):
+                return np.full(2, np.nan) if x[0] > 0.99 else 0.5 * (x + 1.0)
+
+        args = (GoesNaN(), np.zeros(2), Schedule.constant(0.02), 10 * K, 0.0, None, stride)
+        expect = reference_run(*args)
+        assert expect.stop_reason == STOP_DIVERGED and expect.n_iterates > K
+        assert_same_trajectory(run(*args), expect)
+
+    def test_refusal_inside_the_box_is_raised(self):
+        class Refusing(Operator):
+            def __init__(self):
+                self.space, self.domain, self.calls = SPACE1, BOX1, 0
+
+            def _apply(self, x):
+                self.calls += 1
+                if self.calls > K + 3:
+                    raise DomainError("refused")
+                return 0.5 * (x + 1.0)
+
+        with pytest.raises(DomainError):
+            run(Refusing(), [0.0], Schedule.constant(0.01), max_iter=10 * K, tol=0.0)
+
+    def test_start_and_images_are_not_written(self):
+        class FrozenImages(Operator):
+            def __init__(self):
+                self.space, self.domain = NormSpace(3, 1.5), Box(np.zeros(3), np.ones(3))
+
+            def _apply(self, x):
+                v = 0.5 * x + 0.25
+                v.flags.writeable = False
+                return v
+
+        x1 = np.array([0.0, 0.5, 1.0])
+        x1.flags.writeable = False
+        op = FrozenImages()
+        args = (op, x1, Schedule.constant(0.3), 2 * K + 5, 0.0, None, 7)
+        assert_same_trajectory(run(*args), reference_run(*args))
+        assert np.array_equal(x1, [0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("d", [1, 16, 256])
+    def test_replayed_decimated_records_equal_full_history(self, d):
+        op = doubly_stochastic_map(d, 1.5)
+        x1 = np.random.default_rng(d).uniform(0, 1, d)
+        sched = kernel_schedules()["explicit"]
+        full = run(op, x1, sched, max_iter=2 * K + 9, tol=0.0)
+        for stride in (7, K, K + 1):
+            thin = run(op, x1, sched, max_iter=2 * K + 9, tol=0.0, record_stride=stride)
+            assert np.array_equal(full_iterates(thin, op), full.iterates)
 
 
 def tampered(kind, p, family):

@@ -1,9 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+
+import graphmann
 
 from graphmann.errors import (
     DimensionMismatchError,
@@ -220,3 +226,17 @@ def test_norm_scaling_homogeneity(scale, coord):
     space = NormSpace(2, 2.0)
     x = np.array([coord, 1.0 - coord])
     assert space.norm(scale * x) == pytest.approx(scale * space.norm(x), rel=1e-12)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only modulus_uc_estimate needs it, and it costs most of the import time
+    src = str(Path(graphmann.__file__).resolve().parents[1])
+    code = (
+        "import sys, graphmann, graphmann.cli\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n"
+        "graphmann.modulus_uc_estimate(graphmann.NormSpace(2, 2.0), 1.0, budget=1)\n"
+        "assert 'scipy.optimize' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

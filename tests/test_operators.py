@@ -84,6 +84,29 @@ class TestEvaluate:
             assert np.allclose(op.evaluate(row), expect)
 
 
+class TestApplyBits:
+    """The in-place images equal the np.clip expressions they replace."""
+
+    @pytest.mark.parametrize("d", [1, 5, 64])
+    def test_matrix_affine(self, rng, d):
+        space, box = NormSpace(d, 1.5), Box(np.zeros(d), np.ones(d))
+        matrix = rng.uniform(0, 1, (d, d))
+        matrix *= 0.9 / max(matrix.sum(axis=0).max(), matrix.sum(axis=1).max())
+        op = MatrixAffine(space, box, matrix, rng.uniform(0, 0.3, d))
+        rows = rng.uniform(-0.5, 1.5, (50, d))  # clipped at both ends
+        for x in rows:
+            expect = np.clip(op.matrix @ x + op.offset, box.lo, box.hi)
+            assert op._apply(x).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 5, 64])
+    def test_swap(self, rng, d):
+        box = Box(np.zeros(d), np.ones(d))
+        op = NonmonotoneSwap(NormSpace(d, 2.0), box, 0.7, rng.uniform(-0.2, 0.5, d))
+        for x in rng.uniform(-0.5, 1.5, (50, d)):
+            expect = np.clip(op.factor * x[::-1] + op.offset, box.lo, box.hi)
+            assert op._apply(x).tobytes() == expect.tobytes()
+
+
 class TestConstructionGuards:
     def test_negative_matrix_entry_rejected(self):
         with pytest.raises(InputError):

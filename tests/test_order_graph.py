@@ -48,6 +48,68 @@ class TestEdgeContains:
             assert rel.contains(rng.standard_normal(3), rng.standard_normal(3))
 
 
+def product_decisions(rel, diffs):
+    """The matmul membership test the coordinatewise path replaces."""
+    with np.errstate(invalid="ignore"):
+        return np.all(diffs @ rel.generator_matrix.T >= -rel.slack_tol, axis=1)
+
+
+def awkward_rows(rng, d, n=400):
+    """Rows near the slack boundary, with signed zeros, infs and NaNs."""
+    rows = rng.standard_normal((n, d)) * rng.choice([1e-12, 1.0], (n, 1))
+    mask = rng.uniform(size=rows.shape) < 0.15
+    specials = [np.inf, -np.inf, np.nan, 0.0, -0.0, 1e-12, -1e-12, -1.0000001e-12]
+    rows[mask] = rng.choice(specials, mask.sum())
+    return rows
+
+
+class TestCoordinatewiseFastPath:
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 16])
+    def test_same_decisions_as_the_product(self, rng, d, sign):
+        rel = ConeRelation(sign * np.eye(d))
+        assert rel._coordinate_sign == sign
+        rows = awkward_rows(rng, d)
+        expect = product_decisions(rel, rows)
+        assert np.array_equal(rel.diffs_in_cone(rows), expect)
+        assert [rel.diff_in_cone(r) for r in rows] == expect.tolist()
+        assert expect.any() and not expect.all()
+
+    def test_reversed_cone_uses_it_too(self, rng):
+        rel = ConeRelation(np.eye(4)).reversed()
+        rows = awkward_rows(rng, 4)
+        assert rel._coordinate_sign == -1
+        assert np.array_equal(rel.diffs_in_cone(rows), product_decisions(rel, rows))
+
+    def test_non_finite_rows_are_outside_from_d_2(self):
+        rel = coordinatewise(2)
+        rows = np.array([[np.inf, 1.0], [1.0, np.nan], [np.inf, np.inf], [1.0, 2.0]])
+        assert rel.diffs_in_cone(rows).tolist() == [False, False, False, True]
+        # in d = 1 the product has no zero terms, so +inf is in the cone
+        assert ConeRelation(np.eye(1)).diffs_in_cone(np.array([[np.inf], [np.nan]])).tolist() == [
+            True,
+            False,
+        ]
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([[1.0, 1.0, 0.0]]),
+            np.array([[1.0, -1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]),
+            np.diag([1.0, 1.0, -1.0]),
+        ],
+        ids=["half_space", "custom", "mixed_signs"],
+    )
+    def test_other_cones_keep_the_product(self, rng, matrix):
+        rel = ConeRelation(matrix)
+        assert rel._coordinate_sign == 0
+        rows = awkward_rows(rng, 3)
+        expect = product_decisions(rel, rows)
+        with np.errstate(invalid="ignore"):  # the product meets inf and NaN
+            assert np.array_equal(rel.diffs_in_cone(rows), expect)
+            assert [rel.diff_in_cone(r) for r in rows] == expect.tolist()
+
+
 class TestUndirected:
     def test_reverse_edge(self):
         assert undirected_contains(coordinatewise(), [1, 2], [0, 0])
