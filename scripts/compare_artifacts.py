@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Check that two source trees write byte-identical artifacts.
+
+Usage:
+    python scripts/compare_artifacts.py BASE_SRC HEAD_SRC
+
+BASE_SRC and HEAD_SRC are checkouts of graphmann, each holding
+src/graphmann: for instance a git worktree of a base commit and the working
+tree.  On a fixed set of configs each tree runs `graphmann run`, then
+`graphmann audit` of the run.json and of the trajectory.csv that run wrote.
+Every exit code and every file written must be the same under both trees.
+The two trees run one after the other on the same machine, so BLAS
+differences between hosts cannot show up as differences here.
+
+Exits 0 when everything matches and 1 when any file or exit code differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# runs each command of a JSON list through graphmann.cli.main, with the
+# given source directory first on sys.path; prints the exit codes
+RUNNER = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import graphmann.cli
+codes = [graphmann.cli.main(args + ["--quiet"]) for args in json.loads(sys.argv[2])]
+print(json.dumps(codes))
+"""
+
+
+def source_dir(tree: str) -> Path:
+    src = Path(tree).resolve() / "src"
+    if not (src / "graphmann").is_dir():
+        raise SystemExit(f"{tree} has no src/graphmann")
+    return src
+
+
+def configs(head_src: Path) -> dict[str, dict]:
+    """The demo configs, and the benchmark's averaged-permutation family
+    (long_full is d = 4, wide_sweep d = 256), with HEAD_SRC's graphmann."""
+    sys.path[:0] = [str(head_src), str(ROOT)]
+    from graphmann.corpus import negative_swap_config, oracle_1d_config, t_one_config
+    from perfbench.workloads import averaged_permutation_config as permutation
+
+    explicit = permutation(3, d=4, s=0.99, stride=1)
+    steps = 0.3 + 0.5 * np.random.default_rng(5).random(3000)
+    explicit["schedule"] = {"kind": "explicit", "values": steps.tolist(), "a": 0.3, "b": 0.8}
+    return {
+        "oracle": oracle_1d_config(),
+        "swap": negative_swap_config(),
+        "t1": t_one_config(),
+        "perm_d4_stride1": permutation(3, d=4, s=0.999, stride=1),
+        "perm_d4_stride50": permutation(3, d=4, s=0.999, stride=50),
+        "perm_d256_stride50": permutation(3, d=256, s=0.995, stride=50),
+        "explicit_d4": explicit,
+    }
+
+
+def commands(config_paths: dict[str, Path], out: Path) -> list[list[str]]:
+    cmds = []
+    for name, config in config_paths.items():
+        case = out / name
+        cmds += [
+            ["run", "--config", str(config), "--out", str(case / "run")],
+            ["audit", str(case / "run" / "run.json"), "--config", str(config),
+             "--out", str(case / "audit_json")],
+            ["audit", str(case / "run" / "trajectory.csv"), "--config", str(config),
+             "--out", str(case / "audit_csv")],
+        ]
+    return cmds
+
+
+def run_tree(src: Path, cmds: list[list[str]]) -> list[int]:
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNNER, str(src), json.dumps(cmds)],
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"graphmann under {src} crashed:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def digests(root: Path) -> dict[str, str]:
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("base", metavar="BASE_SRC", help="checkout of the base commit")
+    parser.add_argument("head", metavar="HEAD_SRC", help="checkout of the change")
+    args = parser.parse_args()
+    base_src, head_src = source_dir(args.base), source_dir(args.head)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        config_paths = {}
+        for name, data in configs(head_src).items():
+            config_paths[name] = work / "configs" / f"{name}.json"
+            config_paths[name].parent.mkdir(parents=True, exist_ok=True)
+            config_paths[name].write_text(json.dumps(data) + "\n")
+        results = {}
+        for label, src in (("base", base_src), ("head", head_src)):
+            cmds = commands(config_paths, work / label)
+            codes = run_tree(src, cmds)
+            results[label] = (codes, digests(work / label))
+        cmds = commands(config_paths, Path("."))
+
+    (base_codes, base_files), (head_codes, head_files) = results["base"], results["head"]
+    differ = 0
+    for cmd, a, b in zip(cmds, base_codes, head_codes):
+        if a != b:
+            differ += 1
+            print(f"exit code differs ({a} -> {b}): graphmann {' '.join(cmd)}")
+    for name in sorted(base_files.keys() | head_files.keys()):
+        if base_files.get(name) != head_files.get(name):
+            differ += 1
+            state = ("only in base" if name not in head_files
+                     else "only in head" if name not in base_files else "bytes differ")
+            print(f"{state}: {name}")
+    print(f"{len(cmds)} commands, {len(base_files | head_files)} files compared, "
+          f"{differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -53,50 +53,60 @@ def fmt17(value: float) -> str:
 
 
 # element types json writes the same with or without indent, and whose text
-# never contains ", " or "], ["
+# never contains "," or "]"
 _NUMBER_TYPES = {int, float, bool, type(None)}
-
-
-def _numbers(seq) -> bool:
-    return set(map(type, seq)) <= _NUMBER_TYPES
 
 
 def dumps_indent2(obj: Any) -> str:
     """Exactly `json.dumps(obj, indent=2)`, mostly at the C encoder's speed.
 
-    CPython's C encoder runs only without indent.  Lists of numbers, and
-    nonempty lists of nonempty number lists, go through it in one call and
-    are indented by string substitution; everything else is laid out here
-    with json's own indent rules, each leaf written by json itself.
+    CPython's C encoder runs only without indent, but with any item
+    separator.  Lists of numbers, and nonempty lists of nonempty number
+    lists, go through it in one call whose separator carries the newline
+    and indent of their items; a list of lists then needs one substitution
+    to lay out the row boundaries.  Everything else is laid out here with
+    json's own indent rules, each leaf written by json itself.
     """
-    return _indent2(obj, "\n")
+    parts: list[str] = []
+    _indent2(obj, "\n", parts)
+    return "".join(parts)
 
 
-def _indent2(value: Any, newline: str) -> str:
+def _indent2(value: Any, newline: str, parts: list[str]) -> None:
+    """Append the pieces of `value`'s indent=2 text, nested at `newline`."""
     inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (
-            _json_key(key) + ": " + _indent2(item, inner) for key, item in value.items()
-        )
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if not isinstance(value, (list, tuple)):
-        return json.dumps(value)
-    if not value:
-        return "[]"
-    if _numbers(value):
-        body = json.dumps(value)[1:-1].replace(", ", "," + inner)
-        return "[" + inner + body + newline + "]"
-    if set(map(type, value)) == {list} and all(value) and _numbers(chain.from_iterable(value)):
-        row = inner + "  "
-        body = (
-            json.dumps(value)[2:-2]
-            .replace("], [", inner + "]," + inner + "[" + row)
-            .replace(", ", "," + row)
-        )
-        return "[" + inner + "[" + row + body + inner + "]" + newline + "]"
-    return "[" + inner + ("," + inner).join(_indent2(v, inner) for v in value) + newline + "]"
+    if isinstance(value, dict) and value:
+        opener = "{"
+        for key, item in value.items():
+            parts.append(opener + inner + _json_key(key) + ": ")
+            _indent2(item, inner, parts)
+            opener = ","
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        types = set(map(type, value))
+        if types <= _NUMBER_TYPES:
+            body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+            parts += ("[" + inner, body, newline + "]")
+        elif (
+            types == {list}
+            and all(value)
+            and set(map(type, chain.from_iterable(value))) <= _NUMBER_TYPES
+        ):
+            row = inner + "  "
+            body = json.dumps(value, separators=("," + row, ": "))[2:-2].replace(
+                "]," + row + "[", inner + "]," + inner + "[" + row
+            )
+            parts += ("[" + inner + "[" + row, body, inner + "]" + newline + "]")
+        else:
+            opener = "["
+            for item in value:
+                parts.append(opener + inner)
+                _indent2(item, inner, parts)
+                opener = ","
+            parts.append(newline + "]")
+    else:
+        # scalars, {} and []
+        parts.append(json.dumps(value))
 
 
 def _json_key(key: Any) -> str:

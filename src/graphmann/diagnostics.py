@@ -411,7 +411,7 @@ def run_audits(
     results: dict[str, dict] = {}
     for name in names:
         if name == "trajectory":
-            report = verify_trajectory(traj, operator, x_all)
+            report = verify_trajectory(traj, operator, x_all, tx_all)
         elif name == "edge_propagation":
             report = audit_edge_propagation(traj, operator, rel, x_all, tx_all)
         elif name == "residual_monotone":

@@ -5,19 +5,20 @@ and step sizes for every n and (optionally decimated) iterates, and every
 step can be recomputed bit-identically from the records.  Indices are
 1-based in all exported artifacts.
 
-One stepping kernel serves the run and the replay: `_step` writes
-t T(x) + (1 - t) x in place into a preallocated row, and T is the
-operator's single-vector `_apply`.  run() steps into blocks of
-RUN_BLOCK_ROWS rows and checks a box domain once per block;
-`full_iterates` steps straight into its output array.
+One stepping kernel serves the run, the replay and the recheck: `_step`
+writes t T(x) + (1 - t) x in place into a preallocated row, with t and
+1 - t as 0-d arrays, and T is the operator's single-vector `_apply`.
+run() steps into blocks of RUN_BLOCK_ROWS rows and checks a box domain once
+per block; `full_iterates` steps straight into its output array;
+`verify_trajectory` steps whole columns of rows at once.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -42,6 +43,10 @@ VERIFY_BLOCK_ROWS = 1024
 # rows per block of the run loop: iterates are stepped in place into a block
 # and a box domain is checked once per block
 RUN_BLOCK_ROWS = 256
+
+# rows per `%` template of the CSV writer; bounds the Python floats alive at
+# once whatever the length of the record
+CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,18 +210,21 @@ def start_edges(rel: ConeRelation, x1, tx1) -> tuple[bool, bool]:
     return rel.contains(x1, tx1), rel.contains(tx1, x1)
 
 
-def _step(x, tx, t, out=None):
-    """The averaged step t*T(x) + (1-t)*x.
+def _step(x, tx, t, out=None, s=None, scratch=None):
+    """The averaged step t*T(x) + (1-t)*x, with s = 1 - t (computed when
+    not given).
 
-    Elementwise, so a column of step sizes steps every row of an (n, d)
-    array with the same arithmetic as one vector.  With `out` (which must
-    not overlap x or tx) the step is written there, with the same bits.
+    Elementwise, so columns of step sizes step every row of an (n, d) array
+    with the same arithmetic as one vector.  The loops pass t and s as 0-d
+    arrays, which numpy multiplies by without converting a Python float on
+    every call, and preallocated rows: the step is written to `out` and
+    (1-t)*x to `scratch`, neither of which may overlap x or tx.  Without
+    them fresh arrays are returned, with the same bits.
     """
-    if out is None:
-        return t * tx + (1.0 - t) * x
-    np.multiply(tx, t, out=out)
-    out += (1.0 - t) * x
-    return out
+    if s is None:
+        s = 1.0 - t
+    out = np.multiply(tx, t, out)
+    return np.add(out, np.multiply(x, s, scratch), out)
 
 
 def _vector_norm(p: float):
@@ -281,8 +289,12 @@ def run(
     effective_max = max_iter
     if schedule.steps_available is not None:
         effective_max = min(max_iter, schedule.steps_available + 1)
-    t_constant = schedule.t_constant
+    # the step size and its complement, rewritten per step for an explicit
+    # schedule
+    t, s = np.empty(()), np.empty(())
     t_values = None if schedule.t_values is None else schedule.t_values.tolist()
+    if t_values is None:
+        t[()], s[()] = schedule.t_constant, 1.0 - schedule.t_constant
     norm = _vector_norm(space.p)
     body = operator.domain
     box = isinstance(body, Box)
@@ -297,8 +309,8 @@ def run(
     kept: list[np.ndarray] = []  # recorded rows, one array per block
     indices: list[int] = []
     residuals: list[float] = []
-    steps: list[float] = []
     diff = np.empty(d)
+    scratch = np.empty(d)
 
     def keep(block: np.ndarray, base: int, count: int) -> None:
         # rows 0..count-1 of a block whose row 0 is iterate `base`
@@ -330,10 +342,11 @@ def run(
             keep(block, base, block_rows)
             block = np.empty((block_rows, d))
             base, row = n + 1, -1
-        t = t_constant if t_values is None else t_values[n - 1]
+        if t_values is not None:
+            t[()] = step = t_values[n - 1]
+            s[()] = 1.0 - step
         row += 1
-        x = _step(x, tx, t, out=block[row])
-        steps.append(t)
+        x = _step(x, tx, t, block[row], s, scratch)
         n += 1
         try:
             tx = apply(x)
@@ -351,7 +364,7 @@ def run(
         if out <= row:
             # the first iterate outside the box ends the run
             row, n, stop = out, base + out, STOP_DIVERGED
-            del residuals[n:], steps[n - 1 :]
+            del residuals[n:]
     keep(block, base, row + 1)
     if indices[-1] != n:  # always keep the final iterate
         kept.append(block[row : row + 1])
@@ -361,7 +374,11 @@ def run(
         iterates=np.concatenate(kept),
         iterate_indices=np.array(indices, dtype=int),
         residuals=np.array(residuals),
-        schedule_used=np.array(steps),
+        schedule_used=(
+            np.full(n - 1, schedule.t_constant)
+            if t_values is None
+            else schedule.t_values[: n - 1].copy()
+        ),
         stop_reason=stop,
         start_edge_forward=forward,
         start_edge_reverse=reverse,
@@ -408,25 +425,32 @@ def full_iterates(traj: Trajectory, operator: Operator) -> np.ndarray:
     out = np.empty((traj.n_iterates, traj.dimension))
     apply = operator._apply
     steps = traj.schedule_used.tolist()
+    t, s, scratch = np.empty(()), np.empty(()), np.empty(traj.dimension)
     for j in range(traj.iterate_indices.shape[0] - 1):
         lo, hi = int(traj.iterate_indices[j]), int(traj.iterate_indices[j + 1])
         out[lo - 1] = traj.iterates[j]
         for n in range(lo, hi):
             x = out[n - 1]
-            _step(x, apply(x), steps[n - 1], out=out[n])
+            t[()] = step = steps[n - 1]
+            s[()] = 1.0 - step
+            _step(x, apply(x), t, out[n], s, scratch)
     out[-1] = traj.iterates[-1]
     return out
 
 
 def verify_trajectory(
-    traj: Trajectory, operator: Operator, x_all: np.ndarray | None = None
+    traj: Trajectory,
+    operator: Operator,
+    x_all: np.ndarray | None = None,
+    tx_all: np.ndarray | None = None,
 ) -> AuditReport:
     """Recompute every residual and every recorded step of a trajectory.
 
     `x_all` holds all iterates x_1..x_N as `full_iterates` returns them
-    (computed here when not given).  T is applied to it in blocks of
-    VERIFY_BLOCK_ROWS rows, and two families of checks run as vector
-    comparisons, each with tolerance STEP_RECOMPUTE_TOL (1e-12):
+    (computed here when not given), and `tx_all` is
+    `operator.apply_batch(x_all)`; without it T is applied here in blocks of
+    VERIFY_BLOCK_ROWS rows.  Two families of checks run block by block as
+    vector comparisons, each with tolerance STEP_RECOMPUTE_TOL (1e-12):
 
     * residual n, for every n = 1..N: | ||x_n - T x_n|| - r_n |;
     * step to each recorded iterate x_h after the first: the norm of
@@ -454,7 +478,7 @@ def verify_trajectory(
     for start in range(0, n_total, VERIFY_BLOCK_ROWS):
         stop = min(start + VERIFY_BLOCK_ROWS, n_total)
         x = x_all[start:stop]
-        tx = operator.apply_batch(x)
+        tx = operator.apply_batch(x) if tx_all is None else tx_all[start:stop]
         residual_ok = (
             np.abs(space.norms(x - tx) - traj.residuals[start:stop])
             <= STEP_RECOMPUTE_TOL
@@ -490,67 +514,105 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     t_n is the step leaving x_n and is empty on the final row.  Numbers use
     17 significant digits, which round-trips doubles exactly.  The bytes are
     those of `csv.writer` over `fmt17` fields (`%.17g` is the same
-    conversion; no field needs quoting), one `%` template per row.
+    conversion; no field needs quoting).  The rows are gathered into one
+    (k, d + 3) table, and each block of CSV_BLOCK_ROWS rows is formatted by
+    one `%` template.
     """
-    d = traj.dimension
-    n_total = traj.n_iterates
-    residuals = traj.residuals.tolist()
-    steps = traj.schedule_used.tolist()
+    k, d = traj.iterates.shape
+    indices = traj.iterate_indices
+    table = np.empty((k, d + 3))
+    table[:, 0] = indices
+    table[:, 1 : d + 1] = traj.iterates
+    table[:, d + 1] = traj.residuals[indices - 1]
+    table[:-1, d + 2] = traj.schedule_used[indices[:-1] - 1]
     row = "%d" + ",%.17g" * (d + 2) + "\r\n"
     final_row = "%d" + ",%.17g" * (d + 1) + ",\r\n"
     header = ["n"] + [f"x_{i + 1}" for i in range(d)] + ["residual", "t_n"]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(
-            row % (n, *x, residuals[n - 1], steps[n - 1])
-            if n <= n_total - 1
-            else final_row % (n, *x, residuals[n - 1])
-            for n, x in zip(traj.iterate_indices.tolist(), traj.iterates.tolist())
-        )
+        for start in range(0, k - 1, CSV_BLOCK_ROWS):
+            block = table[start : min(start + CSV_BLOCK_ROWS, k - 1)]
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+        fh.write(final_row % tuple(table[-1, :-1].tolist()))
+
+
+# what an empty t_n field reads as: a NaN whose payload no parsed number
+# carries, so a missing step stays apart from a recorded "nan"
+_EMPTY_STEP_BITS = 0x7FF8_0000_0000_0001
+_EMPTY_STEP = float(np.array(_EMPTY_STEP_BITS, dtype=np.uint64).view(np.float64))
+
+
+def _step_field(field: str) -> float:
+    # the t_n field, empty on the final row
+    return float(field) if field else _EMPTY_STEP
 
 
 def read_trajectory_csv(path) -> Trajectory:
     """Rebuild a trajectory from a full-history CSV export.
 
-    Decimated exports cannot be audited from CSV alone (use the JSON record);
-    rows must carry consecutive indices starting at 1.
+    The header is checked here and the body parsed by numpy's C reader
+    (`np.loadtxt`).  Lines may end in CRLF, LF or CR, and empty lines are
+    skipped.  Rows must carry consecutive indices starting at 1, and every
+    row but the last a step size; decimated exports cannot be audited from
+    CSV alone (use the JSON record).  A malformed file raises ConfigError
+    naming its 1-based line.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ConfigError("trajectory CSV is empty")
-    header = rows[0]
-    if len(header) < 4 or header[0] != "n" or header[-2] != "residual" or header[-1] != "t_n":
-        raise ConfigError("trajectory CSV header must be n, x_1..x_d, residual, t_n")
-    d = len(header) - 3
-    if header[1 : 1 + d] != [f"x_{i + 1}" for i in range(d)]:
-        raise ConfigError("trajectory CSV coordinate columns must be x_1..x_d")
-    body = rows[1:]
-    if not body:
-        raise ConfigError("trajectory CSV has no data rows")
-    iterates, indices, residuals, steps = [], [], [], []
-    for k, row in enumerate(body):
-        if len(row) != len(header):
-            raise ConfigError(f"row {k + 2} has {len(row)} fields, expected {len(header)}")
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header == [""]:
+            raise ConfigError("line 1: trajectory CSV is empty")
+        if len(header) < 4 or header[0] != "n" or header[-2:] != ["residual", "t_n"]:
+            raise ConfigError(
+                "line 1: trajectory CSV header must be n, x_1..x_d, residual, t_n"
+            )
+        d = len(header) - 3
+        if header[1 : 1 + d] != [f"x_{i + 1}" for i in range(d)]:
+            raise ConfigError("line 1: trajectory CSV coordinate columns must be x_1..x_d")
+        lines: list[int] = []  # the file line of each row handed to the parser
+
+        def rows():
+            for number, text in enumerate(fh, start=2):
+                if text != "\n":
+                    lines.append(number)
+                    yield text
+
+        body = rows()
+        first = next(body, None)
+        if first is None:
+            raise ConfigError("line 2: trajectory CSV has no data rows")
+        if first.count(",") != d + 2:
+            raise ConfigError(
+                f"line {lines[0]}: {first.count(',') + 1} fields, expected {d + 3}"
+            )
         try:
-            n = int(row[0])
-            if n != k + 1:
-                raise ConfigError("CSV audit requires consecutive indices starting at 1")
-            indices.append(n)
-            iterates.append([float(v) for v in row[1 : 1 + d]])
-            residuals.append(float(row[1 + d]))
-            t_field = row[2 + d]
-            if k < len(body) - 1:
-                if t_field == "":
-                    raise ConfigError(f"row {k + 2} is missing its step size")
-                steps.append(float(t_field))
+            table = np.loadtxt(
+                chain((first,), body),
+                delimiter=",",
+                comments=None,
+                ndmin=2,
+                converters={d + 2: _step_field},
+            )
         except ValueError as exc:
-            raise ConfigError(f"row {k + 2} is not numeric: {exc}") from exc
+            # the parser takes one line at a time from `body`, so it failed
+            # on the last line taken; its own row count is dropped
+            reason = str(exc).partition(" at row ")[0]
+            raise ConfigError(f"line {lines[-1]}: {reason}") from exc
+    k = table.shape[0]
+    wrong = np.flatnonzero(table[:, 0] != np.arange(1, k + 1))
+    if wrong.size:
+        j = int(wrong[0])
+        raise ConfigError(
+            f"line {lines[j]}: index {table[j, 0]:g} where {j + 1} was expected; "
+            "CSV audit requires consecutive indices starting at 1"
+        )
+    missing = np.flatnonzero(table[:-1, d + 2].view(np.uint64) == _EMPTY_STEP_BITS)
+    if missing.size:
+        raise ConfigError(f"line {lines[int(missing[0])]}: the step size t_n is missing")
     return Trajectory(
-        iterates=np.array(iterates),
-        iterate_indices=np.array(indices, dtype=int),
-        residuals=np.array(residuals),
-        schedule_used=np.array(steps),
+        iterates=table[:, 1 : d + 1].copy(),
+        iterate_indices=np.arange(1, k + 1),
+        residuals=table[:, d + 1].copy(),
+        schedule_used=table[:-1, d + 2].copy(),
         stop_reason="unknown",
     )
 

@@ -150,8 +150,11 @@ class MatrixAffine(Operator):
         return v.clip(box.lo, box.hi, out=v)
 
     def apply_batch(self, rows: np.ndarray) -> np.ndarray:
+        # np.clip(rows @ M.T + c, lo, hi), in place on the fresh product
         box = self.domain
-        return np.clip(rows @ self.matrix.T + self.offset, box.lo, box.hi)
+        v = rows @ self.matrix.T
+        v += self.offset
+        return v.clip(box.lo, box.hi, out=v)
 
     def describe(self) -> str:
         return f"matrix_affine(d={self.space.dimension})"

@@ -341,9 +341,9 @@ class TestOrchestration:
 
         monkeypatch.setattr(MatrixAffine, "apply_batch", counted)
         run_audits(ALL_AUDITS, traj, op, COORD2, SPACE2, schedule, diam=2.0)
-        # the trajectory recheck's blocks, then one batch shared by the
+        # one batch shared by the trajectory recheck and the
         # edge-propagation and Goebel-Kirk auditors
-        assert sum(rows) == 2 * traj.n_iterates
+        assert sum(rows) == traj.n_iterates
 
     @pytest.mark.parametrize(
         "op, x1, case",

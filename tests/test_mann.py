@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 
 import graphmann.mann
 from graphmann._util import fmt17
+from graphmann.cli import main
+from graphmann.corpus import oracle_1d_config
 from graphmann.errors import ConfigError, DomainError, InputError
 from graphmann.mann import (
     RUN_BLOCK_ROWS,
@@ -185,6 +187,48 @@ def reference_write_csv(traj, path):
             )
 
 
+def reference_read_csv(path):
+    """The csv.reader loop that read_trajectory_csv's numpy parse replaces."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ConfigError("trajectory CSV is empty")
+    header = rows[0]
+    if len(header) < 4 or header[0] != "n" or header[-2] != "residual" or header[-1] != "t_n":
+        raise ConfigError("trajectory CSV header must be n, x_1..x_d, residual, t_n")
+    d = len(header) - 3
+    if header[1 : 1 + d] != [f"x_{i + 1}" for i in range(d)]:
+        raise ConfigError("trajectory CSV coordinate columns must be x_1..x_d")
+    body = rows[1:]
+    if not body:
+        raise ConfigError("trajectory CSV has no data rows")
+    iterates, indices, residuals, steps = [], [], [], []
+    for k, row in enumerate(body):
+        if len(row) != len(header):
+            raise ConfigError(f"row {k + 2} has {len(row)} fields, expected {len(header)}")
+        try:
+            n = int(row[0])
+            if n != k + 1:
+                raise ConfigError("CSV audit requires consecutive indices starting at 1")
+            indices.append(n)
+            iterates.append([float(v) for v in row[1 : 1 + d]])
+            residuals.append(float(row[1 + d]))
+            t_field = row[2 + d]
+            if k < len(body) - 1:
+                if t_field == "":
+                    raise ConfigError(f"row {k + 2} is missing its step size")
+                steps.append(float(t_field))
+        except ValueError as exc:
+            raise ConfigError(f"row {k + 2} is not numeric: {exc}") from exc
+    return Trajectory(
+        iterates=np.array(iterates),
+        iterate_indices=np.array(indices, dtype=int),
+        residuals=np.array(residuals),
+        schedule_used=np.array(steps),
+        stop_reason="unknown",
+    )
+
+
 def assert_same_trajectory(a, b):
     for field in dataclasses.fields(Trajectory):
         x, y = getattr(a, field.name), getattr(b, field.name)
@@ -270,6 +314,14 @@ class TestMannStep:
             out = np.empty(9)
             assert _step(x[k], tx[k], t, out=out) is out
             assert np.array_equal(out, t * tx[k] + (1.0 - t) * x[k])
+
+    def test_zero_d_steps_into_rows_match_float_steps(self, rng):
+        x, tx = rng.uniform(0, 1, (40, 9)), rng.uniform(0, 1, (40, 9))
+        t, s, out, scratch = np.empty(()), np.empty(()), np.empty(9), np.empty(9)
+        for k, step in enumerate(rng.uniform(0, 1, 40)):
+            t[()], s[()] = step, 1.0 - step
+            assert _step(x[k], tx[k], t, out, s, scratch) is out
+            assert out.tobytes() == (step * tx[k] + (1.0 - step) * x[k]).tobytes()
 
     def test_column_of_steps_matches_rowwise_steps(self, rng):
         x, tx = rng.uniform(0, 1, (20, 3)), rng.uniform(0, 1, (20, 3))
@@ -750,6 +802,17 @@ class TestSerialization:
             new = (tmp_path / f"new{k}.csv").read_bytes()
             assert new == (tmp_path / f"ref{k}.csv").read_bytes()
 
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    @pytest.mark.parametrize("n", [1, 2, 6, 7, 8, 15, 16])
+    def test_csv_blocks_match_reference_writer(self, tmp_path, monkeypatch, block, n):
+        monkeypatch.setattr(graphmann.mann, "CSV_BLOCK_ROWS", block)
+        traj = run(doubly_stochastic_map(3, 2.0), [0.1, 0.5, 0.9], Schedule.constant(0.6),
+                   max_iter=n, tol=0.0)
+        assert traj.n_iterates == n
+        write_trajectory_csv(traj, tmp_path / "new.csv")
+        reference_write_csv(traj, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_csv_missing_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("n,x_1,t_n\n1,0.0,0.5\n")
@@ -780,3 +843,122 @@ class TestSerialization:
         assert np.array_equal(back.iterates, traj.iterates)
         assert back.stop_reason == traj.stop_reason
         assert back.start_edge_forward == traj.start_edge_forward
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+
+
+def csv_records(d):
+    """Full-history records of dimension d: a run, a one-iterate run, and
+    one holding every special float (a nan step included)."""
+    op = doubly_stochastic_map(d, 2.0)
+    x1 = np.random.default_rng(d).uniform(0, 1, d)
+    n = 9
+    return [
+        run(op, x1, Schedule.constant(0.6), max_iter=40, tol=0.0),
+        run(op, x1, Schedule.constant(0.6), max_iter=1),
+        Trajectory(
+            iterates=np.resize(SPECIAL_FLOATS, (n, d)),
+            iterate_indices=np.arange(1, n + 1),
+            residuals=np.resize(SPECIAL_FLOATS[::-1], n),
+            schedule_used=np.resize(SPECIAL_FLOATS[2:] + SPECIAL_FLOATS[:2], n - 1),
+            stop_reason=STOP_MAX_ITER,
+        ),
+    ]
+
+
+def long_csv_lines(tmp_path, n=5000):
+    traj = Trajectory(
+        iterates=np.linspace(0.0, 1.0, n)[:, None],
+        iterate_indices=np.arange(1, n + 1),
+        residuals=np.linspace(1.0, 0.0, n),
+        schedule_used=np.full(n - 1, 0.5),
+        stop_reason=STOP_MAX_ITER,
+    )
+    write_trajectory_csv(traj, tmp_path / "long.csv")
+    return (tmp_path / "long.csv").read_text().splitlines()
+
+
+def replace_field(lines, line, field, text):
+    cells = lines[line - 1].split(",")
+    cells[field] = text
+    lines[line - 1] = ",".join(cells)
+    return lines
+
+
+# (lines of a valid 6-iterate 1-d export) -> (malformed lines, 1-based line named)
+MALFORMED_CSV = {
+    "field_missing": lambda ls: (ls[:3] + [ls[3].rsplit(",", 1)[0]] + ls[4:], 4),
+    "field_extra_on_first_row": lambda ls: ([ls[0], ls[1] + ",0.5"] + ls[2:], 2),
+    "non_numeric_iterate": lambda ls: (replace_field(ls, 5, 1, "zero"), 5),
+    "non_numeric_step": lambda ls: (replace_field(ls, 3, 3, "abc"), 3),
+    "non_numeric_final_step": lambda ls: (replace_field(ls, 7, 3, "abc"), 7),
+    "missing_step": lambda ls: (replace_field(ls, 3, 3, ""), 3),
+    "index_gap": lambda ls: (replace_field(ls, 5, 0, "5"), 5),
+    "index_not_integral": lambda ls: (replace_field(ls, 4, 0, "3.5"), 4),
+    "first_index_not_one": lambda ls: (replace_field(ls, 2, 0, "0"), 2),
+    "header_only": lambda ls: (ls[:1], 2),
+    "empty_file": lambda ls: ([], 1),
+    "bad_header": lambda ls: (["n,x_1,t_n"] + ls[1:], 1),
+    "non_numeric_after_blank_lines": lambda ls: (
+        ls[:2] + ["", ""] + replace_field(ls, 4, 2, "?")[2:], 6),
+    "index_gap_after_blank_line": lambda ls: (
+        ls[:3] + [""] + replace_field(ls, 6, 0, "9")[3:], 7),
+}
+
+
+class TestCsvReader:
+    """read_trajectory_csv against the csv.reader loop it replaces."""
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\n", "\r"])
+    @pytest.mark.parametrize("d", [1, 4, 256])
+    def test_fields_match_reference_reader(self, tmp_path, d, ending):
+        for k, traj in enumerate(csv_records(d)):
+            path = tmp_path / f"t{k}.csv"
+            write_trajectory_csv(traj, path)
+            path.write_bytes(path.read_bytes().replace(b"\r\n", ending.encode()))
+            new, ref = read_trajectory_csv(path), reference_read_csv(path)
+            assert_same_trajectory(new, ref)
+            assert new.iterates.tobytes() == traj.iterates.tobytes()
+            assert new.residuals.tobytes() == traj.residuals.tobytes()
+            assert new.schedule_used.tobytes() == traj.schedule_used.tobytes()
+
+    def test_empty_lines_are_skipped(self, tmp_path):
+        traj = csv_records(4)[0]
+        write_trajectory_csv(traj, tmp_path / "clean.csv")
+        lines = (tmp_path / "clean.csv").read_text().splitlines()
+        spaced = lines[:1] + [""] + lines[1:5] + ["", ""] + lines[5:] + [""]
+        (tmp_path / "spaced.csv").write_text("\n".join(spaced) + "\n")
+        assert_same_trajectory(
+            read_trajectory_csv(tmp_path / "spaced.csv"),
+            read_trajectory_csv(tmp_path / "clean.csv"),
+        )
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
+    def test_malformed_file_names_its_line(self, tmp_path, case):
+        traj = run(midpoint_map(), [0.0], Schedule.constant(0.5), max_iter=6, tol=0.0)
+        write_trajectory_csv(traj, tmp_path / "good.csv")
+        lines, line = MALFORMED_CSV[case]((tmp_path / "good.csv").read_text().splitlines())
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(text + "\r\n" for text in lines))
+        with pytest.raises(ConfigError, match=rf"\bline {line}\b"):
+            read_trajectory_csv(bad)
+        config = tmp_path / "oracle.json"
+        config.write_text(json.dumps(oracle_1d_config(str(tmp_path / "out"))))
+        assert main(["audit", str(bad), "--config", str(config), "--quiet"]) == 1
+
+    @pytest.mark.parametrize("line, field", [(2, 1), (2500, 0), (4000, 2), (4000, 3), (5001, 1)])
+    def test_malformed_line_deep_in_a_long_file(self, tmp_path, line, field):
+        lines = replace_field(long_csv_lines(tmp_path), line, field, "x")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=rf"\bline {line}\b"):
+            read_trajectory_csv(bad)
+
+    def test_recorded_nan_step_is_not_a_missing_step(self, tmp_path):
+        traj = csv_records(1)[0]
+        traj.schedule_used[3] = math.nan
+        write_trajectory_csv(traj, tmp_path / "t.csv")
+        back = read_trajectory_csv(tmp_path / "t.csv")
+        assert back.schedule_used.tobytes() == traj.schedule_used.tobytes()
+        assert verify_trajectory(back, doubly_stochastic_map(1, 2.0)).failures > 0

@@ -99,6 +99,18 @@ class TestApplyBits:
             assert op._apply(x).tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("d", [1, 5, 64])
+    @pytest.mark.parametrize("n", [1, 50])
+    def test_matrix_affine_batch(self, rng, d, n):
+        space, box = NormSpace(d, 2.0), Box(np.zeros(d), np.ones(d))
+        matrix = rng.uniform(0, 1, (d, d))
+        matrix *= 0.9 / max(matrix.sum(axis=0).max(), matrix.sum(axis=1).max())
+        op = MatrixAffine(space, box, matrix, rng.uniform(0, 0.3, d))
+        rows = rng.uniform(-0.5, 1.5, (n, d))  # clipped at both ends
+        expect = np.clip(rows @ op.matrix.T + op.offset, box.lo, box.hi)
+        assert op.apply_batch(rows).tobytes() == expect.tobytes()
+        assert op.apply_batch(rows[::2]).tobytes() == expect[::2].tobytes()
+
+    @pytest.mark.parametrize("d", [1, 5, 64])
     def test_swap(self, rng, d):
         box = Box(np.zeros(d), np.ones(d))
         op = NonmonotoneSwap(NormSpace(d, 2.0), box, 0.7, rng.uniform(-0.2, 0.5, d))
