@@ -48,8 +48,9 @@ def source_dir(tree: str) -> Path:
 
 
 def configs(head_src: Path) -> dict[str, dict]:
-    """The demo configs, and the benchmark's averaged-permutation family
-    (long_full is d = 4, wide_sweep d = 256), with HEAD_SRC's graphmann."""
+    """The demo configs, the benchmark's averaged-permutation family
+    (long_full is d = 4, wide_sweep d = 256), and a swap run whose auditors
+    fail in every audit block, with HEAD_SRC's graphmann."""
     sys.path[:0] = [str(head_src), str(ROOT)]
     from graphmann.corpus import negative_swap_config, oracle_1d_config, t_one_config
     from perfbench.workloads import averaged_permutation_config as permutation
@@ -65,7 +66,28 @@ def configs(head_src: Path) -> dict[str, dict]:
         "perm_d4_stride50": permutation(3, d=4, s=0.999, stride=50),
         "perm_d256_stride50": permutation(3, d=256, s=0.995, stride=50),
         "explicit_d4": explicit,
+        "swap_d256": swap_d256(negative_swap_config()),
     }
+
+
+def swap_d256(config: dict) -> dict:
+    """The swap demo at d = 256, run to 3 100 iterates with tol 0.
+
+    T x = 0.999 reverse(x) + 0.0005 fixes 0.5 * 1, and the start is 0.5 * 1
+    plus an antisymmetric vector, so x_n - 0.5 * 1 flips sign every step
+    and shrinks by 0.997 per step.  The first coordinate therefore falls on
+    every other step, and `edge_propagation` and `fejer` fail in all three
+    1 024-row audit blocks (the 28-row tail folds into the third); the run
+    exits 2.
+    """
+    d = 256
+    config["space"]["dimension"] = d
+    config["relation"]["row"] = [1.0] + [0.0] * (d - 1)
+    config["operator"].update(factor=0.999, offset=0.0005)
+    config["start"]["value"] = (0.5 + 0.4 * np.linspace(-1.0, 1.0, d)).tolist()
+    config["schedule"]["t"] = 0.999
+    config["run"].update(max_iter=3100, tol=0.0)
+    return config
 
 
 def commands(config_paths: dict[str, Path], out: Path) -> list[list[str]]:

@@ -9,12 +9,20 @@ diam / (1 + n a), and fixed-point convergence of the final iterate.
 Outcomes are tri-state: pass, fail, or hypothesis-not-met.  A property whose
 hypotheses do not apply to the run (no comparable start, no known fixed
 point, steps outside (0, 1)) is never conflated with a failed conclusion.
+
+`run_audits` reads the iterates in one pass over row blocks
+(`mann.audit_blocks`): T is applied once per block, the trajectory,
+edge-propagation and Fejer auditors each extend their report with the block,
+and the Goebel-Kirk auditor reads the images of the first block.  Beyond the
+iterates themselves the audit holds a few blocks of memory, however long the
+run, and every report equals that of one check over the whole run.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -22,8 +30,11 @@ from ._util import as_vector, fmt17
 from .errors import ConfigError, InputError, UndefinedProductError
 from .mann import (
     STOP_TOLERANCE,
+    AuditBlock,
     Schedule,
     Trajectory,
+    audit_block_rows,
+    audit_blocks,
     full_iterates,
     start_edges,
     verify_trajectory,
@@ -61,8 +72,9 @@ ALL_AUDITS = (
 # auditors that read every iterate; run_audits replays a decimated record
 # once for all of them when it is not handed the iterates
 REPLAYING_AUDITS = frozenset({"trajectory", "edge_propagation", "gk_inequality", "fejer"})
-# auditors that read T of every iterate; run_audits applies T once for both
-IMAGE_AUDITS = frozenset({"edge_propagation", "gk_inequality"})
+# auditors that read T of every iterate; run_audits applies T once per block
+# for both, and the Goebel-Kirk auditor reads T of the first block
+IMAGE_AUDITS = frozenset({"trajectory", "edge_propagation"})
 
 
 @dataclass(frozen=True)
@@ -100,7 +112,8 @@ def audit_edge_propagation(
     operator: Operator,
     rel: ConeRelation,
     x_all: np.ndarray | None = None,
-    tx_all: np.ndarray | None = None,
+    block: AuditBlock | None = None,
+    report: AuditReport | None = None,
 ) -> AuditReport:
     """Check the propagated edges along the whole run.
 
@@ -110,39 +123,49 @@ def audit_edge_propagation(
     hypothesis-not-met.  The direction is read from the trajectory's start
     flags (`Trajectory.start_edge_case`); a record without them raises
     InputError.  `x_all` is the run's `full_iterates`, replayed here when
-    not given, and `tx_all` is `operator.apply_batch(x_all)`, computed here
-    when not given.
+    not given.  The witness is the first failing step edge, or the first
+    failing image edge when every step edge holds.
+
+    The steps are checked one `audit_blocks` block at a time, with T applied
+    once per block; a block's last step reads the first row of the next.
+    `block` and `report` work as in `verify_trajectory`.
     """
-    case = traj.start_edge_case()
-    if case is None:
-        raise InputError("the trajectory carries no start comparability flags")
-    if case == "none":
-        return AuditReport.not_met("edge_propagation", INCOMPARABLE_START)
-    report = AuditReport("edge_propagation")
+    if report is None:
+        case = traj.start_edge_case()
+        if case is None:
+            raise InputError("the trajectory carries no start comparability flags")
+        if case == "none":
+            return AuditReport.not_met("edge_propagation", INCOMPARABLE_START)
+        direction = "reverse" if case == "reverse" else "forward"
+        report = AuditReport("edge_propagation", extra={"case": direction})
     if x_all is None:
         x_all = full_iterates(traj, operator)
-    if tx_all is None:
-        tx_all = operator.apply_batch(x_all)
-    if case == "reverse":
-        step_diffs = x_all[:-1] - x_all[1:]
-        image_diffs = x_all[1:] - tx_all[:-1]
-        report.extra["case"] = "reverse"
-    else:
-        step_diffs = x_all[1:] - x_all[:-1]
-        image_diffs = tx_all[:-1] - x_all[1:]
-        report.extra["case"] = "forward"
-    for diffs, label in ((step_diffs, "step_edge"), (image_diffs, "image_edge")):
-        if diffs.shape[0] == 0:
+    reverse = report.extra["case"] == "reverse"
+    for start, stop, tx in audit_blocks(x_all, operator) if block is None else (block,):
+        x = x_all[start : stop + 1]  # the steps leaving rows start..stop-1
+        steps = x.shape[0] - 1
+        if steps == 0:
             continue
-        ok = rel.diffs_in_cone(diffs)
-        report.trials += int(ok.shape[0])
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            report.failures += int(bad.size)
-            if report.witness is None:
+        if reverse:
+            step_diffs = x[:-1] - x[1:]
+            image_diffs = x[1:] - tx[:steps]
+        else:
+            step_diffs = x[1:] - x[:-1]
+            image_diffs = tx[:steps] - x[1:]
+        for family, (diffs, label) in enumerate(
+            ((step_diffs, "step_edge"), (image_diffs, "image_edge"))
+        ):
+            ok = rel.diffs_in_cone(diffs)
+            report.trials += steps
+            bad = np.flatnonzero(~ok)
+            if bad.size:
                 k = int(bad[0])
-                report.witness = (np.array(x_all[k]), np.array(x_all[k + 1]))
-                report.extra["first_failure"] = {"family": label, "step": k + 1}
+                report.fail(
+                    int(bad.size),
+                    (family, start + k),
+                    (x[k], x[k + 1]),
+                    first_failure={"family": label, "step": start + k + 1},
+                )
     return report
 
 
@@ -153,37 +176,47 @@ def audit_fejer(
     rel: ConeRelation,
     space: NormSpace,
     x_all: np.ndarray | None = None,
+    block: AuditBlock | None = None,
+    report: AuditReport | None = None,
 ) -> AuditReport:
     """Check edge(x_n, omega) for all n and nonincreasing distances to omega.
 
     Requires omega to be a fixed point (within 1e-10) with edge(x_1, omega);
     otherwise the result is hypothesis-not-met.  `x_all` is the run's
-    `full_iterates`, replayed here when not given.
+    `full_iterates`, replayed here when not given.  The witness is the first
+    iterate outside the edge to omega, or the first distance increase when
+    every edge holds.
+
+    The rows are checked one `audit_blocks` block at a time; a block's first
+    distance is compared with the last row of the block before.  `block` and
+    `report` work as in `verify_trajectory`.
     """
     w = as_vector(omega, space.dimension, "omega")
-    if space.norm(operator._apply(w) - w) > FEJER_FIXED_POINT_TOL:
-        return AuditReport.not_met("fejer_monotone", "omega is not a fixed point")
-    if x_all is None:
-        x_all = full_iterates(traj, operator)
-    if not rel.contains(x_all[0], w):
-        return AuditReport.not_met("fejer_monotone", "edge(x_1, omega) does not hold")
-    report = AuditReport("fejer_monotone")
-    member = rel.diffs_in_cone(w - x_all)
-    report.trials += int(member.shape[0])
-    bad = np.flatnonzero(~member)
-    if bad.size:
-        report.failures += int(bad.size)
-        report.witness = (np.array(x_all[int(bad[0])]), np.array(w))
-    dist = space.norms(x_all - w)
-    increases = np.flatnonzero(dist[1:] > dist[:-1] + MONOTONE_TOL)
-    report.trials += int(dist.shape[0] - 1)
-    if increases.size:
-        report.failures += int(increases.size)
-        if report.witness is None:
-            k = int(increases[0])
-            report.witness = (np.array(x_all[k]), np.array(x_all[k + 1]))
-    report.extra["initial_distance"] = float(dist[0])
-    report.extra["limit_estimate"] = float(dist[-1])
+    if report is None:
+        if space.norm(operator._apply(w) - w) > FEJER_FIXED_POINT_TOL:
+            return AuditReport.not_met("fejer_monotone", "omega is not a fixed point")
+        if x_all is None:
+            x_all = full_iterates(traj, operator)
+        if not rel.contains(x_all[0], w):
+            return AuditReport.not_met("fejer_monotone", "edge(x_1, omega) does not hold")
+        report = AuditReport("fejer_monotone")
+    for start, stop, _ in audit_blocks(x_all) if block is None else (block,):
+        member = rel.diffs_in_cone(w - x_all[start:stop])
+        report.trials += stop - start
+        bad = np.flatnonzero(~member)
+        if bad.size:
+            k = start + int(bad[0])
+            report.fail(int(bad.size), (0, k), (x_all[k], w))
+        # distances from the boundary row before the block on
+        lo = max(start - 1, 0)
+        dist = space.norms(x_all[lo:stop] - w)
+        increases = np.flatnonzero(dist[1:] > dist[:-1] + MONOTONE_TOL)
+        report.trials += stop - lo - 1
+        if increases.size:
+            k = lo + int(increases[0])
+            report.fail(int(increases.size), (1, k), (x_all[k], x_all[k + 1]))
+        report.extra.setdefault("initial_distance", float(dist[0]))
+        report.extra["limit_estimate"] = float(dist[-1])
     return report
 
 
@@ -192,7 +225,7 @@ def gk_inequality_check(
     operator: Operator,
     pairs: list[tuple[int, int]],
     x_all: np.ndarray | None = None,
-    tx_all: np.ndarray | None = None,
+    tx_head: np.ndarray | None = None,
 ) -> list[GKRecord]:
     """Evaluate the telescoping inequality at the requested (i, n) pairs.
 
@@ -201,13 +234,19 @@ def gk_inequality_check(
     the slack rhs - lhs is nonnegative (within 1e-9) whenever the run's
     hypotheses hold.  Spans touching a step with t_s = 1 are undefined.
     `x_all` is the run's `full_iterates`, replayed here when not given, and
-    `tx_all` is `operator.apply_batch(x_all)`, computed here when not given.
+    `tx_head` is `operator.apply_batch` of its first rows, through at least
+    row i + n of every pair (`run_audits` passes its first audit block).
+    When it is not given or too short, T is applied here to the head rows
+    only: one batch of at least an audit block, whose bits are those of a
+    batch over the whole array.
     """
     n_total = traj.n_iterates
     if x_all is None:
         x_all = full_iterates(traj, operator)
-    if tx_all is None:
-        tx_all = operator.apply_batch(x_all)
+    head = max((i + n for i, n in pairs), default=0)
+    if head > (0 if tx_head is None else tx_head.shape[0]):
+        rows = max(head, audit_block_rows(traj.dimension))
+        tx_head = operator.apply_batch(x_all[:rows])
     space = operator.space
     records = []
     for i, n in pairs:
@@ -229,7 +268,7 @@ def gk_inequality_check(
         prod = float(np.prod(1.0 / one_minus))
         gap = r_i - r_in
         telescoped = 0.0 if gap == 0.0 else prod * gap
-        rhs = space.norm(tx_all[i + n - 1] - x_all[i - 1]) + telescoped
+        rhs = space.norm(tx_head[i + n - 1] - x_all[i - 1]) + telescoped
         records.append(GKRecord(i=i, n=n, lhs=lhs, rhs=rhs, slack=rhs - lhs))
     return records
 
@@ -398,35 +437,62 @@ def run_audits(
     given them here, by `start_edges` at x_1.  `x_all` holds all iterates
     x_1..x_N of the run, as `full_iterates` returns them; a run that kept
     its iterates passes them here.  Without it the iterates are replayed
-    once (`full_iterates`).  Either way the array, and T applied to it once,
-    are shared by every auditor that reads them.
+    once (`full_iterates`).
+
+    The auditors that read every iterate share one pass over the
+    `audit_blocks` of `x_all`: T is applied once per block, each of
+    `trajectory`, `edge_propagation` and `fejer` extends its report with
+    the block, and `gk_inequality` reads the images of the first block.
+    Beyond the iterates, the audit holds O(block) memory, and T is applied
+    to each row at most once.
     """
+    unknown = [name for name in names if name not in ALL_AUDITS]
+    if unknown:
+        raise ConfigError(f"unknown auditor {unknown[0]!r}")
     if traj.start_edge_case() is None:
         x1 = traj.iterates[0]
         forward, reverse = start_edges(rel, x1, operator._apply(x1))
         traj = replace(traj, start_edge_forward=forward, start_edge_reverse=reverse)
     if x_all is None and REPLAYING_AUDITS.intersection(names):
         x_all = full_iterates(traj, operator)
-    tx_all = operator.apply_batch(x_all) if IMAGE_AUDITS.intersection(names) else None
+    reports: dict[str, AuditReport] = {}
+    # the block auditors asked for, each a call on one block and its report
+    passes = {}
+    if "trajectory" in names:
+        passes["trajectory"] = partial(verify_trajectory, traj, operator, x_all)
+    if "edge_propagation" in names:
+        passes["edge_propagation"] = partial(
+            audit_edge_propagation, traj, operator, rel, x_all
+        )
+    if "fejer" in names:
+        target = _fejer_target(traj, operator, rel)
+        if isinstance(target, AuditReport):
+            reports["fejer"] = target
+        else:
+            omega, edge_rel, direction = target
+            passes["fejer"] = partial(audit_fejer, traj, omega, operator, edge_rel, space, x_all)
+    tx_head = None
+    images = operator if IMAGE_AUDITS.intersection(passes) else None
+    for block in audit_blocks(x_all, images) if passes else ():
+        if block.start == 0:
+            tx_head = block.tx
+        for name, check in passes.items():
+            report = reports.get(name)
+            if report is None or report.hypothesis_met:
+                reports[name] = check(block, report)
+    if "fejer" in passes:
+        reports["fejer"].extra["direction"] = direction
+    if "gk_inequality" in names:
+        reports["gk_inequality"] = _gk_report(traj, operator, seed, x_all, tx_head)
     results: dict[str, dict] = {}
     for name in names:
-        if name == "trajectory":
-            report = verify_trajectory(traj, operator, x_all, tx_all)
-        elif name == "edge_propagation":
-            report = audit_edge_propagation(traj, operator, rel, x_all, tx_all)
-        elif name == "residual_monotone":
-            report = residual_monotone_check(traj)
-        elif name == "gk_inequality":
-            report = _gk_report(traj, operator, seed, x_all, tx_all)
-        elif name == "fejer":
-            report = _fejer_report(traj, operator, rel, space, x_all)
+        if name == "residual_monotone":
+            reports[name] = residual_monotone_check(traj)
         elif name == "rate":
-            report = _rate_report(traj, schedule, diam)
+            reports[name] = _rate_report(traj, schedule, diam)
         elif name == "convergence":
-            report = convergence_audit(traj, operator, rel)
-        else:
-            raise ConfigError(f"unknown auditor {name!r}")
-        results[name] = report.to_dict()
+            reports[name] = convergence_audit(traj, operator, rel)
+        results[name] = reports[name].to_dict()
     return results
 
 
@@ -435,7 +501,7 @@ def _gk_report(
     operator: Operator,
     seed: int,
     x_all: np.ndarray,
-    tx_all: np.ndarray,
+    tx_head: np.ndarray | None,
 ) -> AuditReport:
     if traj.start_edge_case() == "none":
         return AuditReport.not_met("gk_inequality", INCOMPARABLE_START)
@@ -451,7 +517,7 @@ def _gk_report(
             i = int(rng.integers(1, window))
             n = int(rng.integers(1, window - i + 1))
             pairs.append((i, n))
-    records = gk_inequality_check(traj, operator, pairs, x_all, tx_all)
+    records = gk_inequality_check(traj, operator, pairs, x_all, tx_head)
     # a one-iterate run checks no pair; its min_slack is null, since JSON
     # has no infinity
     return AuditReport(
@@ -463,13 +529,9 @@ def _gk_report(
     )
 
 
-def _fejer_report(
-    traj: Trajectory,
-    operator: Operator,
-    rel: ConeRelation,
-    space: NormSpace,
-    x_all: np.ndarray,
-) -> AuditReport:
+def _fejer_target(traj: Trajectory, operator: Operator, rel: ConeRelation):
+    """(omega, relation, direction) for the first known fixed point
+    comparable with x_1, or a not-met report when there is none."""
     x1 = traj.iterates[0]
     candidates = known_fixed_points(operator).known_points
     for w in candidates:
@@ -477,9 +539,7 @@ def _fejer_report(
         # reversed graph, so audit with the cone -K
         for direction, edge_rel in (("forward", rel), ("reverse", rel.reversed())):
             if edge_rel.contains(x1, w):
-                report = audit_fejer(traj, w, operator, edge_rel, space, x_all)
-                report.extra["direction"] = direction
-                return report
+                return w, edge_rel, direction
     note = (
         "no known fixed point is comparable to x_1"
         if candidates

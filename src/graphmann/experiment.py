@@ -4,9 +4,10 @@ One experiment produces up to three artifacts in its output directory:
 `trajectory.csv` (per-iterate table), `run.json` (full trajectory record
 with the config echoed), and `audits.json` (per-auditor status).  The
 auditors read the run's own iterates, so a run is computed once and never
-replayed.  Sweeps run one experiment per axis value, in the given order, and
-aggregate a summary CSV.  Identical config and seed give byte-identical
-files.
+replayed.  The run keeps every iterate in memory; the audit reads them in
+row blocks and adds only a few blocks to that.  Sweeps run one experiment
+per axis value, in the given order, and aggregate a summary CSV.  Identical
+config and seed give byte-identical files.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ writes t T(x) + (1 - t) x in place into a preallocated row, with t and
 1 - t as 0-d arrays, and T is the operator's single-vector `_apply`.
 run() steps into blocks of RUN_BLOCK_ROWS rows and checks a box domain once
 per block; `full_iterates` steps straight into its output array;
-`verify_trajectory` steps whole columns of rows at once.
+`verify_trajectory` steps whole columns of rows at once, one audit block
+(`audit_blocks`) at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,9 +38,13 @@ STEP_RECOMPUTE_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_TOL = 1e-10
 
-# rows per block of the batched trajectory recheck; bounds its scratch
-# memory to a few block-sized arrays whatever the length of the run
-VERIFY_BLOCK_ROWS = 1024
+# the audit reads a run's iterates in blocks of AUDIT_BLOCK_BYTES and at
+# least AUDIT_BLOCK_ROWS rows, and applies T once per block, so its scratch
+# memory is a few blocks whatever the length of the run.  T of a block this
+# long has the bits of T of the whole array (a product of a few rows can
+# differ in the last bit), and a shorter tail folds into the block before it
+AUDIT_BLOCK_ROWS = 256
+AUDIT_BLOCK_BYTES = 2 << 20
 
 # rows per block of the run loop: iterates are stepped in place into a block
 # and a box domain is checked once per block
@@ -201,6 +207,36 @@ class Trajectory:
             raise InputError("recorded iterates must span indices 1..N")
         if np.any(np.diff(indices) <= 0):
             raise InputError("iterate indices must be strictly increasing")
+
+
+class AuditBlock(NamedTuple):
+    """Rows start..stop-1 of a run's iterates and, when the audit reads
+    images, T of those rows (`tx`)."""
+
+    start: int
+    stop: int
+    tx: np.ndarray | None
+
+
+def audit_block_rows(d: int) -> int:
+    """Rows of one audit block at dimension d."""
+    return max(AUDIT_BLOCK_ROWS, AUDIT_BLOCK_BYTES // (8 * d))
+
+
+def audit_blocks(x_all: np.ndarray, operator: Operator | None = None):
+    """The audit's blocks of the rows of x_all, in order.
+
+    Each block has `audit_block_rows(d)` rows, and a tail shorter than
+    AUDIT_BLOCK_ROWS folds into the block before it.  With `operator`, T is
+    applied to each block's rows as one batch.
+    """
+    n, d = x_all.shape
+    starts = list(range(0, n, audit_block_rows(d)))
+    if len(starts) > 1 and n - starts[-1] < AUDIT_BLOCK_ROWS:
+        del starts[-1]
+    for start, stop in zip(starts, starts[1:] + [n]):
+        tx = None if operator is None else operator.apply_batch(x_all[start:stop])
+        yield AuditBlock(start, stop, tx)
 
 
 def start_edges(rel: ConeRelation, x1, tx1) -> tuple[bool, bool]:
@@ -442,15 +478,16 @@ def verify_trajectory(
     traj: Trajectory,
     operator: Operator,
     x_all: np.ndarray | None = None,
-    tx_all: np.ndarray | None = None,
+    block: AuditBlock | None = None,
+    report: AuditReport | None = None,
 ) -> AuditReport:
     """Recompute every residual and every recorded step of a trajectory.
 
     `x_all` holds all iterates x_1..x_N as `full_iterates` returns them
-    (computed here when not given), and `tx_all` is
-    `operator.apply_batch(x_all)`; without it T is applied here in blocks of
-    VERIFY_BLOCK_ROWS rows.  Two families of checks run block by block as
-    vector comparisons, each with tolerance STEP_RECOMPUTE_TOL (1e-12):
+    (computed here when not given).  The rows are checked one
+    `audit_blocks` block at a time, with T applied once per block, in two
+    families of vector comparisons, each with tolerance STEP_RECOMPUTE_TOL
+    (1e-12):
 
     * residual n, for every n = 1..N: | ||x_n - T x_n|| - r_n |;
     * step to each recorded iterate x_h after the first: the norm of
@@ -466,19 +503,21 @@ def verify_trajectory(
     against a matrix-vector product), an error of order 1e-16 times the
     size of the iterates, far inside the tolerance, so any run() output
     verifies with zero failures.
+
+    `run_audits` checks a run in one pass over its blocks: it passes one
+    `block` per call and, from the second block on, the `report` the
+    previous call returned, which the call extends.  Without `block` every
+    block is checked here.
     """
     traj.validate()
     if x_all is None:
         x_all = full_iterates(traj, operator)
+    if report is None:
+        report = AuditReport("trajectory_consistency")
     space = operator.space
-    n_total = traj.n_iterates
     ends = traj.iterate_indices[1:]
-    report = AuditReport("trajectory_consistency")
-    report.trials = n_total + int(ends.shape[0])
-    for start in range(0, n_total, VERIFY_BLOCK_ROWS):
-        stop = min(start + VERIFY_BLOCK_ROWS, n_total)
+    for start, stop, tx in audit_blocks(x_all, operator) if block is None else (block,):
         x = x_all[start:stop]
-        tx = operator.apply_batch(x) if tx_all is None else tx_all[start:stop]
         residual_ok = (
             np.abs(space.norms(x - tx) - traj.residuals[start:stop])
             <= STEP_RECOMPUTE_TOL
@@ -490,19 +529,17 @@ def verify_trajectory(
         predicted = _step(x[rows], tx[rows], t)
         recorded = traj.iterates[first + 1 : last + 1]
         step_ok = space.norms(predicted - recorded) <= STEP_RECOMPUTE_TOL
-        bad_residual = np.flatnonzero(~residual_ok)
-        bad_step = np.flatnonzero(~step_ok)
-        report.failures += int(bad_residual.size + bad_step.size)
-        if report.witness is not None or not (bad_residual.size or bad_step.size):
-            continue
+        report.trials += stop - start + int(last - first)
         # residual of row r comes before the step leaving row r
-        if bad_step.size == 0 or (
-            bad_residual.size and bad_residual[0] <= rows[bad_step[0]]
-        ):
-            report.witness = (np.array(x[bad_residual[0]]),)
-        else:
-            k = bad_step[0]
-            report.witness = (np.array(predicted[k]), np.array(recorded[k]))
+        bad = np.flatnonzero(~residual_ok)
+        if bad.size:
+            report.fail(int(bad.size), (start + int(bad[0]), 0), (x[bad[0]],))
+        bad = np.flatnonzero(~step_ok)
+        if bad.size:
+            k = bad[0]
+            report.fail(
+                int(bad.size), (start + int(rows[k]), 1), (predicted[k], recorded[k])
+            )
     return report
 
 

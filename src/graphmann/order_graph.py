@@ -121,7 +121,8 @@ class AuditReport:
     when failures > 0.  `hypothesis_met` distinguishes "the property's
     hypotheses did not apply" from a genuine pass or fail.  `records` holds
     the per-instance payload of an inequality audit, one dict per checked
-    instance, and is exported only when set.
+    instance, and is exported only when set.  `witness_key` orders the
+    failures counted by `fail` and is not exported.
     """
 
     property_name: str
@@ -131,6 +132,7 @@ class AuditReport:
     hypothesis_met: bool = True
     extra: dict = field(default_factory=dict)
     records: list[dict] | None = None
+    witness_key: tuple | None = None
 
     @classmethod
     def not_met(cls, property_name: str, note: str) -> "AuditReport":
@@ -149,6 +151,20 @@ class AuditReport:
             self.failures += 1
             if self.witness is None:
                 self.witness = tuple(np.array(v) for v in witness_vectors)
+
+    def fail(self, count: int, key: tuple, witness: tuple, **detail) -> None:
+        """Count `count` failures, the first of which sorts as `key` (a tuple
+        such as (family, index)) among this report's failures.
+
+        Its `witness` vectors and `detail` entries are kept unless a failure
+        of a lower key was counted before, so a report extended block by
+        block keeps the witness of one check over the whole run.
+        """
+        self.failures += count
+        if self.witness_key is None or key < self.witness_key:
+            self.witness_key = key
+            self.witness = tuple(np.array(v) for v in witness)
+            self.extra.update(detail)
 
     def to_dict(self) -> dict:
         return {

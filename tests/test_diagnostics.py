@@ -1,10 +1,17 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import graphmann.diagnostics
+import graphmann.mann
 from graphmann.diagnostics import (
     ALL_AUDITS,
+    FEJER_FIXED_POINT_TOL,
+    INCOMPARABLE_START,
+    MONOTONE_TOL,
     audit_edge_propagation,
     audit_fejer,
     convergence_audit,
@@ -15,20 +22,32 @@ from graphmann.diagnostics import (
     residual_monotone_check,
     run_audits,
     verify_fixed_point,
+    _gk_report,
+    _rate_report,
 )
 from graphmann.errors import ConfigError, DomainError, InputError, UndefinedProductError
 from graphmann.mann import (
+    STEP_RECOMPUTE_TOL,
     Schedule,
     Trajectory,
+    _step,
+    audit_block_rows,
     decimate,
     full_iterates,
     read_trajectory_csv,
     run,
+    start_edges,
     write_trajectory_csv,
 )
 from graphmann.normed_space import Box, NormSpace, diameter
-from graphmann.operators import Componentwise, Identity, MatrixAffine, NonmonotoneSwap
-from graphmann.order_graph import ConeRelation
+from graphmann.operators import (
+    Componentwise,
+    Identity,
+    MatrixAffine,
+    NonmonotoneSwap,
+    known_fixed_points,
+)
+from graphmann.order_graph import AuditReport, ConeRelation
 
 SPACE1 = NormSpace(1, 2.0)
 BOX1 = Box([0.0], [1.0])
@@ -70,6 +89,153 @@ def constant_trajectory(point, n, t=0.5, residual=0.0):
     )
 
 
+def reference_run_audits(names, traj, operator, rel, space, schedule, diam, seed=0, x_all=None):
+    """The unblocked audit that run_audits does in one pass over blocks: T
+    applied to all iterates as one batch, and the trajectory,
+    edge-propagation and Fejer checks each over the whole run at once."""
+    if traj.start_edge_case() is None:
+        x1 = traj.iterates[0]
+        forward, reverse = start_edges(rel, x1, operator._apply(x1))
+        traj = replace(traj, start_edge_forward=forward, start_edge_reverse=reverse)
+    if x_all is None:
+        x_all = full_iterates(traj, operator)
+    tx_all = operator.apply_batch(x_all)
+    audits = {
+        "trajectory": lambda: reference_verify(traj, operator, x_all, tx_all),
+        "edge_propagation": lambda: reference_edges(traj, rel, x_all, tx_all),
+        "residual_monotone": lambda: residual_monotone_check(traj),
+        "gk_inequality": lambda: _gk_report(traj, operator, seed, x_all, tx_all),
+        "fejer": lambda: reference_fejer(traj, operator, rel, space, x_all),
+        "rate": lambda: _rate_report(traj, schedule, diam),
+        "convergence": lambda: convergence_audit(traj, operator, rel),
+    }
+    return {name: audits[name]().to_dict() for name in names}
+
+
+def reference_verify(traj, operator, x_all, tx_all):
+    space = operator.space
+    report = AuditReport("trajectory_consistency")
+    report.trials = traj.n_iterates + traj.iterate_indices.shape[0] - 1
+    residual_ok = np.abs(space.norms(x_all - tx_all) - traj.residuals) <= STEP_RECOMPUTE_TOL
+    rows = traj.iterate_indices[1:] - 2
+    predicted = _step(x_all[rows], tx_all[rows], traj.schedule_used[rows][:, None])
+    recorded = traj.iterates[1:]
+    step_ok = space.norms(predicted - recorded) <= STEP_RECOMPUTE_TOL
+    bad_residual, bad_step = np.flatnonzero(~residual_ok), np.flatnonzero(~step_ok)
+    report.failures = int(bad_residual.size + bad_step.size)
+    if bad_residual.size and (not bad_step.size or bad_residual[0] <= rows[bad_step[0]]):
+        report.witness = (np.array(x_all[bad_residual[0]]),)
+    elif bad_step.size:
+        k = bad_step[0]
+        report.witness = (np.array(predicted[k]), np.array(recorded[k]))
+    return report
+
+
+def reference_edges(traj, rel, x_all, tx_all):
+    case = traj.start_edge_case()
+    if case == "none":
+        return AuditReport.not_met("edge_propagation", INCOMPARABLE_START)
+    report = AuditReport("edge_propagation")
+    if case == "reverse":
+        step_diffs, image_diffs = x_all[:-1] - x_all[1:], x_all[1:] - tx_all[:-1]
+        report.extra["case"] = "reverse"
+    else:
+        step_diffs, image_diffs = x_all[1:] - x_all[:-1], tx_all[:-1] - x_all[1:]
+        report.extra["case"] = "forward"
+    for diffs, label in ((step_diffs, "step_edge"), (image_diffs, "image_edge")):
+        if diffs.shape[0] == 0:
+            continue
+        ok = rel.diffs_in_cone(diffs)
+        report.trials += int(ok.shape[0])
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            report.failures += int(bad.size)
+            if report.witness is None:
+                k = int(bad[0])
+                report.witness = (np.array(x_all[k]), np.array(x_all[k + 1]))
+                report.extra["first_failure"] = {"family": label, "step": k + 1}
+    return report
+
+
+def reference_fejer(traj, operator, rel, space, x_all):
+    x1 = traj.iterates[0]
+    for w in known_fixed_points(operator).known_points:
+        for direction, edge_rel in (("forward", rel), ("reverse", rel.reversed())):
+            if edge_rel.contains(x1, w):
+                if space.norm(operator._apply(w) - w) > FEJER_FIXED_POINT_TOL:
+                    report = AuditReport.not_met("fejer_monotone", "omega is not a fixed point")
+                elif not edge_rel.contains(x_all[0], w):
+                    report = AuditReport.not_met(
+                        "fejer_monotone", "edge(x_1, omega) does not hold"
+                    )
+                else:
+                    report = AuditReport("fejer_monotone")
+                    member = edge_rel.diffs_in_cone(w - x_all)
+                    report.trials += int(member.shape[0])
+                    bad = np.flatnonzero(~member)
+                    if bad.size:
+                        report.failures += int(bad.size)
+                        report.witness = (np.array(x_all[int(bad[0])]), np.array(w))
+                    dist = space.norms(x_all - w)
+                    increases = np.flatnonzero(dist[1:] > dist[:-1] + MONOTONE_TOL)
+                    report.trials += int(dist.shape[0] - 1)
+                    if increases.size:
+                        report.failures += int(increases.size)
+                        if report.witness is None:
+                            k = int(increases[0])
+                            report.witness = (np.array(x_all[k]), np.array(x_all[k + 1]))
+                    report.extra["initial_distance"] = float(dist[0])
+                    report.extra["limit_estimate"] = float(dist[-1])
+                report.extra["direction"] = direction
+                return report
+    note = (
+        "no known fixed point is comparable to x_1"
+        if known_fixed_points(operator).known_points
+        else "operator has no analytically known fixed point"
+    )
+    return AuditReport.not_met("fejer_monotone", note)
+
+
+def permutation_map(d, s):
+    """x |-> clamp(s P x + (1 - s) / 2) on [0, 1]^d, P an average of three
+    permutations: it contracts by s and fixes 0.5 * 1."""
+    rng = np.random.default_rng([0, d])
+    perm = sum(np.eye(d)[rng.permutation(d)] for _ in range(3)) / 3.0
+    box = Box(np.zeros(d), np.ones(d))
+    return MatrixAffine(NormSpace(d, 2.0), box, s * perm, np.full(d, (1.0 - s) / 2.0))
+
+
+def oscillating_swap(d):
+    """The swap map 0.999 reverse(x) + 0.0005 from 0.5 * 1 plus an
+    antisymmetric vector: x_n - 0.5 * 1 flips sign every step, so the first
+    coordinate falls on every other step."""
+    box = Box(np.zeros(d), np.ones(d))
+    op = NonmonotoneSwap(NormSpace(d, 2.0), box, 0.999, np.full(d, 0.0005))
+    x1 = 0.5 + 0.4 * np.linspace(-1.0, 1.0, d)
+    return op, x1, ConeRelation(np.eye(d)[:1])
+
+
+def tamper(traj, kind, m):
+    """A copy of a full-history record with row m (0-based) of one kind of
+    record changed."""
+    traj = replace(traj, iterates=traj.iterates.copy(), residuals=traj.residuals.copy(),
+                   schedule_used=traj.schedule_used.copy())
+    if kind == "iterate_up":
+        traj.iterates[m, 0] += 0.1
+    elif kind == "iterate_down":
+        traj.iterates[m, 0] -= 0.1
+    elif kind == "residual":
+        traj.residuals[m] += 1e-9
+    elif kind == "step":
+        traj.schedule_used[m] += 1e-3
+    elif kind == "fejer_late_member":
+        # a distance increase into row m, and an iterate past the fixed
+        # point 5 rows later
+        traj.iterates[m, 0] -= 0.1
+        traj.iterates[m + 5, 0] = 0.9
+    return traj
+
+
 class TestGoebelKirk:
     def test_hand_computed_one_dimensional_case(self):
         # t = 0.5, x1 = 0: r1 = 0.5, x2 = 0.25, T(x2) = 0.625, r2 = 0.375,
@@ -100,6 +266,32 @@ class TestGoebelKirk:
         traj = oracle_run(n=5)
         with pytest.raises(InputError):
             gk_inequality_check(traj, midpoint_map(), [(3, 4)])
+
+    def test_images_of_the_head_rows_only(self, monkeypatch):
+        d = 256
+        op = permutation_map(d, 0.999)
+        schedule = Schedule.constant(0.5)
+        traj = run(op, np.zeros(d), schedule, max_iter=3000, tol=0.0)
+        pairs = [(1, 199), (150, 50)]
+        whole = gk_inequality_check(traj, op, pairs, tx_head=op.apply_batch(traj.iterates))
+        rows = []
+        apply_batch = MatrixAffine.apply_batch
+
+        def counted(self, x):
+            rows.append(len(x))
+            return apply_batch(self, x)
+
+        monkeypatch.setattr(MatrixAffine, "apply_batch", counted)
+        # one batch of an audit block, whose bits are those of the whole array
+        assert gk_inequality_check(traj, op, pairs) == whole
+        assert rows == [audit_block_rows(d)]
+        # pairs beyond the block widen the batch to the rows they read
+        gk_inequality_check(traj, op, [(2000, 500)])
+        assert rows[1:] == [2500]
+        rows.clear()
+        rel = ConeRelation(np.eye(d))
+        run_audits(["gk_inequality"], traj, op, rel, op.space, schedule, diam=16.0)
+        assert rows == [audit_block_rows(d)]
 
     def test_unit_step_makes_product_undefined(self):
         sched = Schedule.constant(1.0, enforce_bounds=False)
@@ -374,3 +566,123 @@ class TestOrchestration:
         assert exit_code_from_audits(
             {"a": {"status": "hypothesis_not_met"}, "b": {"status": "fail"}}
         ) == 2
+
+
+def piecewise_map2():
+    knots = tuple(np.array([0.0, 0.3, 0.7, 1.0]) for _ in range(2))
+    values = (np.array([0.25, 0.4, 0.65, 0.75]), np.array([0.3, 0.45, 0.7, 0.8]))
+    return Componentwise(SPACE2, BOX2, knots, values)
+
+
+B = 7  # block rows of the blocked audit in TestBlockedAudit
+
+
+class TestBlockedAudit:
+    """run_audits in blocks writes what the unblocked audit writes, whichever
+    block holds a failure."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # blocks of B rows: the byte budget never exceeds the minimum
+        monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_ROWS", B)
+        monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_BYTES", 0)
+
+    @staticmethod
+    def assert_same(traj, op, rel, schedule, x_all=None):
+        args = (traj, op, rel, op.space, schedule)
+        got = run_audits(ALL_AUDITS, *args, diam=2.0, seed=3, x_all=x_all)
+        assert got == reference_run_audits(ALL_AUDITS, *args, diam=2.0, seed=3, x_all=x_all)
+        return got
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_swap_fails_in_every_block(self, d):
+        op, x1, rel = oscillating_swap(d)
+        schedule = Schedule.constant(0.999)
+        traj = run(op, x1, schedule, max_iter=60, tol=0.0, rel=rel)
+        got = self.assert_same(traj, op, rel, schedule)
+        edge = got["edge_propagation"]
+        assert edge["status"] == "fail" and edge["failures"] > 60 // B
+        assert got["fejer"]["status"] == "fail"
+
+    def test_swap_demo(self):
+        rel = ConeRelation(np.array([[1.0, 0.0]]))
+        op = NonmonotoneSwap(SPACE2, BOX2, 0.5, [0.3, 0.1])
+        schedule = Schedule.constant(0.5)
+        traj = run(op, [0.55, 0.55], schedule, max_iter=50, tol=0.0, rel=rel)
+        assert self.assert_same(traj, op, rel, schedule)["edge_propagation"]["status"] == "fail"
+
+    @pytest.mark.parametrize("m", [B - 1, B, B + 1])
+    @pytest.mark.parametrize(
+        "kind", ["iterate_up", "iterate_down", "residual", "step", "fejer_late_member"]
+    )
+    @pytest.mark.parametrize("family", [gentle_maps, piecewise_map2])
+    def test_tampered_record(self, family, kind, m):
+        op = family()
+        schedule = Schedule.constant(0.5)
+        traj = run(op, [0.1, 0.2], schedule, max_iter=40, tol=0.0, rel=COORD2)
+        got = self.assert_same(tamper(traj, kind, m), op, COORD2, schedule)
+        assert got["trajectory"]["status"] == "fail"
+        if kind.startswith("iterate") or kind == "fejer_late_member":
+            assert got["edge_propagation"]["status"] == "fail"
+        if kind in ("iterate_down", "fejer_late_member"):
+            # row m moves away from the fixed point
+            assert got["fejer"]["status"] == "fail"
+
+    @pytest.mark.parametrize("kind", [None, "iterate_up", "iterate_down"])
+    def test_reverse_start(self, kind):
+        schedule = Schedule.constant(0.4)
+        traj = run(half_maps(), [0.9, 0.8], schedule, max_iter=40, tol=0.0, rel=COORD2)
+        if kind is not None:
+            traj = tamper(traj, kind, B)
+        got = self.assert_same(traj, half_maps(), COORD2, schedule)
+        assert got["edge_propagation"]["detail"]["case"] == "reverse"
+        assert got["fejer"]["detail"]["direction"] == "reverse"
+
+    @pytest.mark.parametrize("stride", [3, B, 40])
+    def test_replayed_record(self, stride):
+        schedule = Schedule.constant(0.5)
+        full = run(gentle_maps(), [0.1, 0.2], schedule, max_iter=40, tol=0.0, rel=COORD2)
+        self.assert_same(decimate(full, stride), gentle_maps(), COORD2, schedule)
+        self.assert_same(decimate(full, stride), gentle_maps(), COORD2, schedule, full.iterates)
+
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 3 * B + 1])
+    def test_run_lengths(self, n):
+        schedule = Schedule.constant(0.5)
+        traj = run(gentle_maps(), [0.1, 0.2], schedule, max_iter=n, tol=0.0, rel=COORD2)
+        self.assert_same(traj, gentle_maps(), COORD2, schedule)
+
+
+class TestBlockedAuditAtScale:
+    """The same at d = 256 with the block rule itself: 1 024-row blocks."""
+
+    @pytest.mark.parametrize("kind", ["iterate_up", "iterate_down", "step"])
+    def test_tampered_record_at_block_boundaries(self, kind):
+        op = permutation_map(256, 0.999)
+        b = audit_block_rows(256)
+        schedule = Schedule.constant(0.5)
+        rel = ConeRelation(np.eye(256))
+        traj = run(op, np.zeros(256), schedule, max_iter=2 * b + 60, tol=0.0, rel=rel)
+        for m in (b - 1, b, b + 1):
+            args = (tamper(traj, kind, m), op, rel, op.space, schedule)
+            got = run_audits(ALL_AUDITS, *args, diam=16.0)
+            assert got == reference_run_audits(ALL_AUDITS, *args, diam=16.0)
+            assert got["trajectory"]["status"] == "fail"
+
+    def test_memory_does_not_grow_with_the_run(self):
+        d = 256
+        op = permutation_map(d, 0.9999)
+        rel = ConeRelation(np.eye(d))
+        schedule = Schedule.constant(0.5)
+        peaks = []
+        for n in (2000, 8000):
+            traj = run(op, np.zeros(d), schedule, max_iter=n, tol=0.0, rel=rel)
+            tracemalloc.start()
+            try:
+                # the iterates were allocated before tracing started
+                results = run_audits(ALL_AUDITS, traj, op, rel, op.space, schedule,
+                                     diam=16.0, x_all=traj.iterates)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert all(e["status"] != "fail" for e in results.values())
+        assert peaks[1] - peaks[0] < audit_block_rows(d) * d * 8

@@ -731,7 +731,9 @@ class TestBatchedVerify:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, np.inf])
     @pytest.mark.parametrize("family", [doubly_stochastic_map, piecewise_map])
     def test_matches_per_step_reference(self, monkeypatch, family, p, kind, block):
-        monkeypatch.setattr(graphmann.mann, "VERIFY_BLOCK_ROWS", block)
+        # blocks of `block` rows: the byte budget never exceeds the minimum
+        monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_ROWS", block)
+        monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_BYTES", 0)
         traj, op = tampered(kind, p, family)
         expect = reference_verify(traj, op)
         got = verify_trajectory(traj, op)

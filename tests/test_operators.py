@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphmann.errors import DomainError, InputError
+from graphmann.mann import audit_block_rows, audit_blocks
 from graphmann.normed_space import Ball, Box, NormSpace, contains
 from graphmann.operators import (
     Componentwise,
@@ -117,6 +118,43 @@ class TestApplyBits:
         for x in rng.uniform(-0.5, 1.5, (50, d)):
             expect = np.clip(op.factor * x[::-1] + op.offset, box.lo, box.hi)
             assert op._apply(x).tobytes() == expect.tobytes()
+
+
+def block_test_operator(family, d, rng):
+    """An operator of `family` at dimension d with random data, so that every
+    product and interpolation carries rounding."""
+    space, box = NormSpace(d, 2.0), Box(np.zeros(d), np.ones(d))
+    if family == "matrix_affine":
+        matrix = rng.uniform(0, 1, (d, d))
+        matrix *= 0.9 / max(matrix.sum(axis=0).max(), matrix.sum(axis=1).max())
+        return MatrixAffine(space, box, matrix, rng.uniform(0, 0.1, d))
+    if family == "componentwise":
+        knots_x = tuple(np.array([0.0, 0.3, 0.7, 1.0]) for _ in range(d))
+        # rises of at most 0.25 over knot gaps of at least 0.3: slopes in [0, 1]
+        knots_y = tuple(0.1 + np.cumsum(rng.uniform(0.0, 0.25, 4)) for _ in range(d))
+        return Componentwise(space, box, knots_x, knots_y)
+    if family == "identity":
+        return Identity(space, box)
+    return NonmonotoneSwap(space, box, 0.7, rng.uniform(0.0, 0.3, d))
+
+
+class TestBlockedApplyBits:
+    """T applied block by block over the audit's blocks has the bits of T
+    applied to the whole array, so a blocked audit reads the same images."""
+
+    @pytest.mark.parametrize("family", ["matrix_affine", "componentwise", "identity", "swap"])
+    @pytest.mark.parametrize("d", [1, 4, 16, 256])
+    def test_blocks_match_whole_array(self, family, d):
+        rng = np.random.default_rng([d, 7])
+        op = block_test_operator(family, d, rng)
+        b = audit_block_rows(d)
+        for n in (b - 1, b, b + 1, 2 * b + 1, 2 * b + 255, 2 * b + 256):
+            rows = rng.uniform(0.0, 1.0, (n, d))
+            blocks = list(audit_blocks(rows, op))
+            assert blocks[0].start == 0 and blocks[-1].stop == n
+            assert len(blocks) == 1 + (n >= b + 256) + (n >= 2 * b + 256)
+            blocked = np.concatenate([block.tx for block in blocks])
+            assert blocked.tobytes() == op.apply_batch(rows).tobytes()
 
 
 class TestConstructionGuards:
