@@ -15,8 +15,7 @@ BENCHMARK.json also gets a paired comparison: in how many pairs the change
 is better, the median gap and the parent's quartile distance.  Versions and
 `nproc` come from the runs' environment lines, which must agree.
 
-The file is written to BENCH_<label>.json at the root of the checkout, or
-to --out.
+The file is written to BENCH_<label>.json at the root of the checkout.
 """
 
 from __future__ import annotations
@@ -99,7 +98,6 @@ def main() -> int:
                         help="saved runs of the change")
     parser.add_argument("--parent", nargs="*", type=Path, default=[],
                         help="saved runs of the parent commit")
-    parser.add_argument("--out", type=Path, help="output path")
     args = parser.parse_args()
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -133,7 +131,7 @@ def main() -> int:
         "sides": sides,
         "comparison": comparison,
     }
-    out = args.out or ROOT / f"BENCH_{args.label}.json"
+    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(trend, indent=2) + "\n")
     print(f"wrote {out}")
     return 0

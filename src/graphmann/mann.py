@@ -42,7 +42,8 @@ DEFAULT_TOL = 1e-10
 # least AUDIT_BLOCK_ROWS rows, and applies T once per block, so its scratch
 # memory is a few blocks whatever the length of the run.  T of a block this
 # long has the bits of T of the whole array (a product of a few rows can
-# differ in the last bit), and a shorter tail folds into the block before it
+# differ in the last bit), and a shorter tail folds into the block before it,
+# so no block is a smaller product than the others
 AUDIT_BLOCK_ROWS = 256
 AUDIT_BLOCK_BYTES = 2 << 20
 
@@ -226,13 +227,14 @@ def audit_block_rows(d: int) -> int:
 def audit_blocks(x_all: np.ndarray, operator: Operator | None = None):
     """The audit's blocks of the rows of x_all, in order.
 
-    Each block has `audit_block_rows(d)` rows, and a tail shorter than
-    AUDIT_BLOCK_ROWS folds into the block before it.  With `operator`, T is
-    applied to each block's rows as one batch.
+    Each block has `audit_block_rows(d)` rows, and a shorter tail folds into
+    the block before it, so the last block has up to twice as many.  With
+    `operator`, T is applied to each block's rows as one batch.
     """
     n, d = x_all.shape
-    starts = list(range(0, n, audit_block_rows(d)))
-    if len(starts) > 1 and n - starts[-1] < AUDIT_BLOCK_ROWS:
+    rows = audit_block_rows(d)
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] < rows:
         del starts[-1]
     for start, stop in zip(starts, starts[1:] + [n]):
         tx = None if operator is None else operator.apply_batch(x_all[start:stop])
@@ -509,11 +511,12 @@ def verify_trajectory(
     previous call returned, which the call extends.  Without `block` every
     block is checked here.
     """
-    traj.validate()
+    if report is None:
+        # a later block of the same pass was validated with the first
+        traj.validate()
+        report = AuditReport("trajectory_consistency")
     if x_all is None:
         x_all = full_iterates(traj, operator)
-    if report is None:
-        report = AuditReport("trajectory_consistency")
     space = operator.space
     ends = traj.iterate_indices[1:]
     for start, stop, tx in audit_blocks(x_all, operator) if block is None else (block,):
