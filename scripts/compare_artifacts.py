@@ -12,6 +12,10 @@ Every exit code and every file written must be the same under both trees.
 The two trees run one after the other on the same machine, so BLAS
 differences between hosts cannot show up as differences here.
 
+No configurable operator leaves its box, so the configs named in DRIFT run
+with T patched to x + s (s the given shift in every coordinate), under both
+trees alike, to cover a run that diverges from its domain.
+
 Exits 0 when everything matches and 1 when any file or exit code differs.
 """
 
@@ -30,14 +34,41 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 # runs each command of a JSON list through graphmann.cli.main, with the
-# given source directory first on sys.path; prints the exit codes
+# given source directory first on sys.path, and T = x + shift for the
+# commands whose config has a shift; prints the exit codes
 RUNNER = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
+import numpy as np
 import graphmann.cli
-codes = [graphmann.cli.main(args + ["--quiet"]) for args in json.loads(sys.argv[2])]
+import graphmann.experiment as experiment
+from graphmann.operators import Operator
+
+
+class Drift(Operator):
+    def __init__(self, space, domain, shift):
+        self.space, self.domain = space, domain
+        self.shift = np.full(space.dimension, shift)
+
+    def _apply(self, x):
+        return x + self.shift
+
+
+build_operator = experiment.build_operator
+job = json.loads(sys.argv[2])
+codes = []
+for args in job["commands"]:
+    shift = job["shifts"].get(args[args.index("--config") + 1])
+    experiment.build_operator = build_operator if shift is None else (
+        lambda config, space, body, shift=shift: Drift(space, body, shift))
+    codes.append(graphmann.cli.main(args + ["--quiet"]))
 print(json.dumps(codes))
 """
+
+# configs run with T = x + shift: with t = 0.5 from 0 the iterates
+# x_n = (n - 1) s / 2 leave the unit box first at n = 1 500, inside the
+# audit block still pending at d = 256 (rows 1 024..1 499)
+DRIFT = {"leave_box_d256": 1.0 / (0.5 * (1500 - 1.5))}
 
 
 def source_dir(tree: str) -> Path:
@@ -49,8 +80,9 @@ def source_dir(tree: str) -> Path:
 
 def configs(head_src: Path) -> dict[str, dict]:
     """The demo configs, the benchmark's averaged-permutation family
-    (long_full is d = 4, wide_sweep d = 256), and a swap run whose auditors
-    fail in every audit block, with HEAD_SRC's graphmann."""
+    (long_full is d = 4, wide_sweep d = 256), a swap run whose auditors fail
+    in every audit block, and d = 256 runs that end just past an audit
+    block or leave the box, with HEAD_SRC's graphmann."""
     sys.path[:0] = [str(head_src), str(ROOT)]
     from graphmann.corpus import negative_swap_config, oracle_1d_config, t_one_config
     from perfbench.workloads import averaged_permutation_config as permutation
@@ -58,6 +90,20 @@ def configs(head_src: Path) -> dict[str, dict]:
     explicit = permutation(3, d=4, s=0.99, stride=1)
     steps = 0.3 + 0.5 * np.random.default_rng(5).random(3000)
     explicit["schedule"] = {"kind": "explicit", "values": steps.tolist(), "a": 0.3, "b": 0.8}
+    # 2 049 iterates: one past the second 1 024-row audit block, so the
+    # one-row tail folds into it
+    past_block = permutation(3, d=256, s=0.995, stride=7)
+    past_block["run"].update(max_iter=2049, tol=0.0)
+    # the identity config, run with T = x + s (DRIFT); its record is
+    # decimated, so the audit of run.json replays up to the first iterate
+    # outside the box
+    leave_box = permutation(3, d=256, s=0.995, stride=50)
+    leave_box["operator"] = {"kind": "identity"}
+    leave_box["run"]["tol"] = 0.0
+    # the audit of the decimated record streams its replay through blocks
+    # that all fail
+    swap_thin = swap_d256(negative_swap_config())
+    swap_thin["run"]["record_stride"] = 50
     return {
         "oracle": oracle_1d_config(),
         "swap": negative_swap_config(),
@@ -67,6 +113,9 @@ def configs(head_src: Path) -> dict[str, dict]:
         "perm_d256_stride50": permutation(3, d=256, s=0.995, stride=50),
         "explicit_d4": explicit,
         "swap_d256": swap_d256(negative_swap_config()),
+        "perm_d256_stride7_past_block": past_block,
+        "leave_box_d256": leave_box,
+        "swap_d256_stride50": swap_thin,
     }
 
 
@@ -104,9 +153,10 @@ def commands(config_paths: dict[str, Path], out: Path) -> list[list[str]]:
     return cmds
 
 
-def run_tree(src: Path, cmds: list[list[str]]) -> list[int]:
+def run_tree(src: Path, cmds: list[list[str]], shifts: dict[str, float]) -> list[int]:
+    job = {"commands": cmds, "shifts": shifts}
     proc = subprocess.run(
-        [sys.executable, "-c", RUNNER, str(src), json.dumps(cmds)],
+        [sys.executable, "-c", RUNNER, str(src), json.dumps(job)],
         capture_output=True,
         text=True,
     )
@@ -138,10 +188,11 @@ def main() -> int:
             config_paths[name] = work / "configs" / f"{name}.json"
             config_paths[name].parent.mkdir(parents=True, exist_ok=True)
             config_paths[name].write_text(json.dumps(data) + "\n")
+        shifts = {str(config_paths[name]): shift for name, shift in DRIFT.items()}
         results = {}
         for label, src in (("base", base_src), ("head", head_src)):
             cmds = commands(config_paths, work / label)
-            codes = run_tree(src, cmds)
+            codes = run_tree(src, cmds, shifts)
             results[label] = (codes, digests(work / label))
         cmds = commands(config_paths, Path("."))
 

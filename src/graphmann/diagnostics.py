@@ -10,12 +10,12 @@ Outcomes are tri-state: pass, fail, or hypothesis-not-met.  A property whose
 hypotheses do not apply to the run (no comparable start, no known fixed
 point, steps outside (0, 1)) is never conflated with a failed conclusion.
 
-`run_audits` reads the iterates in one pass over row blocks
-(`mann.audit_blocks`): T is applied once per block, the trajectory,
-edge-propagation and Fejer auditors each extend their report with the block,
-and the Goebel-Kirk auditor reads the images of the first block.  Beyond the
-iterates themselves the audit holds a few blocks of memory, however long the
-run, and every report equals that of one check over the whole run.
+`run_audits` reads the iterates in one pass over row blocks, fed to an
+`AuditPass` while a run or a replay produces them: T is applied once per
+block, the trajectory, edge-propagation and Fejer auditors each extend their
+report with the block, and the Goebel-Kirk auditor reads the head of the
+first block.  The audit holds a few blocks of rows, however long the run,
+and every report equals that of one check over the whole run.
 """
 
 from __future__ import annotations
@@ -31,11 +31,13 @@ from .errors import ConfigError, InputError, UndefinedProductError
 from .mann import (
     STOP_TOLERANCE,
     AuditBlock,
+    AuditStream,
     Schedule,
     Trajectory,
     audit_block_rows,
     audit_blocks,
     full_iterates,
+    iterate_rows,
     start_edges,
     verify_trajectory,
 )
@@ -69,8 +71,8 @@ ALL_AUDITS = (
     "rate",
     "convergence",
 )
-# auditors that read every iterate; run_audits replays a decimated record
-# once for all of them when it is not handed the iterates
+# auditors that read the iterates; run_audits streams a record's rows (a
+# decimated one replayed) once for all of them when no run streamed them
 REPLAYING_AUDITS = frozenset({"trajectory", "edge_propagation", "gk_inequality", "fejer"})
 # auditors that read T of every iterate; run_audits applies T once per block
 # for both, and the Goebel-Kirk auditor reads T of the first block
@@ -108,7 +110,7 @@ class RateCheck:
 
 
 def audit_edge_propagation(
-    traj: Trajectory,
+    traj: Trajectory | None,
     operator: Operator,
     rel: ConeRelation,
     x_all: np.ndarray | None = None,
@@ -122,40 +124,33 @@ def audit_edge_propagation(
     families run mirrored.  A start comparable in neither direction yields
     hypothesis-not-met.  The direction is read from the trajectory's start
     flags (`Trajectory.start_edge_case`); a record without them raises
-    InputError.  `x_all` is the run's `full_iterates`, replayed here when
-    not given.  The witness is the first failing step edge, or the first
-    failing image edge when every step edge holds.
+    InputError.  `x_all` holds all iterates x_1..x_N; without it the
+    record's own are read, replayed gap by gap when decimated.  The witness
+    is the first failing step edge, or the first failing image edge when
+    every step edge holds.
 
     The steps are checked one `audit_blocks` block at a time, with T applied
     once per block; a block's last step reads the first row of the next.
     `block` and `report` work as in `verify_trajectory`.
     """
     if report is None:
-        case = traj.start_edge_case()
-        if case is None:
-            raise InputError("the trajectory carries no start comparability flags")
-        if case == "none":
-            return AuditReport.not_met("edge_propagation", INCOMPARABLE_START)
-        direction = "reverse" if case == "reverse" else "forward"
-        report = AuditReport("edge_propagation", extra={"case": direction})
-    if x_all is None:
-        x_all = full_iterates(traj, operator)
+        report = _edge_report(traj.start_edge_case())
+        if not report.hypothesis_met:
+            return report
     reverse = report.extra["case"] == "reverse"
-    for start, stop, tx in audit_blocks(x_all, operator) if block is None else (block,):
-        x = x_all[start : stop + 1]  # the steps leaving rows start..stop-1
+    for b in audit_blocks(x_all, operator, traj) if block is None else (block,):
+        x, tx, start = b.x, b.tx, b.start  # the steps leaving rows start..stop-1
         steps = x.shape[0] - 1
         if steps == 0:
             continue
+        # each family's edges as (tail, head) rows; one family's
+        # differences are alive at a time
         if reverse:
-            step_diffs = x[:-1] - x[1:]
-            image_diffs = x[1:] - tx[:steps]
+            edges = ((x[1:], x[:-1]), (tx[:steps], x[1:]))
         else:
-            step_diffs = x[1:] - x[:-1]
-            image_diffs = tx[:steps] - x[1:]
-        for family, (diffs, label) in enumerate(
-            ((step_diffs, "step_edge"), (image_diffs, "image_edge"))
-        ):
-            ok = rel.diffs_in_cone(diffs)
+            edges = ((x[:-1], x[1:]), (x[1:], tx[:steps]))
+        for family, ((tail, head), label) in enumerate(zip(edges, ("step_edge", "image_edge"))):
+            ok = rel.diffs_in_cone(head - tail)
             report.trials += steps
             bad = np.flatnonzero(~ok)
             if bad.size:
@@ -169,8 +164,19 @@ def audit_edge_propagation(
     return report
 
 
+def _edge_report(case: str | None) -> AuditReport:
+    """The edge-propagation report before its first block, for a start
+    comparable with its image as `case` (`mann.edge_case`) says."""
+    if case is None:
+        raise InputError("the trajectory carries no start comparability flags")
+    if case == "none":
+        return AuditReport.not_met("edge_propagation", INCOMPARABLE_START)
+    direction = "reverse" if case == "reverse" else "forward"
+    return AuditReport("edge_propagation", extra={"case": direction})
+
+
 def audit_fejer(
-    traj: Trajectory,
+    traj: Trajectory | None,
     omega,
     operator: Operator,
     rel: ConeRelation,
@@ -182,10 +188,10 @@ def audit_fejer(
     """Check edge(x_n, omega) for all n and nonincreasing distances to omega.
 
     Requires omega to be a fixed point (within 1e-10) with edge(x_1, omega);
-    otherwise the result is hypothesis-not-met.  `x_all` is the run's
-    `full_iterates`, replayed here when not given.  The witness is the first
-    iterate outside the edge to omega, or the first distance increase when
-    every edge holds.
+    otherwise the result is hypothesis-not-met.  `x_all` holds all iterates
+    x_1..x_N; without it the record's own are read, replayed gap by gap when
+    decimated.  The witness is the first iterate outside the edge to omega,
+    or the first distance increase when every edge holds.
 
     The rows are checked one `audit_blocks` block at a time; a block's first
     distance is compared with the last row of the block before.  `block` and
@@ -193,31 +199,46 @@ def audit_fejer(
     """
     w = as_vector(omega, space.dimension, "omega")
     if report is None:
-        if space.norm(operator._apply(w) - w) > FEJER_FIXED_POINT_TOL:
-            return AuditReport.not_met("fejer_monotone", "omega is not a fixed point")
-        if x_all is None:
-            x_all = full_iterates(traj, operator)
-        if not rel.contains(x_all[0], w):
-            return AuditReport.not_met("fejer_monotone", "edge(x_1, omega) does not hold")
-        report = AuditReport("fejer_monotone")
-    for start, stop, _ in audit_blocks(x_all) if block is None else (block,):
-        member = rel.diffs_in_cone(w - x_all[start:stop])
+        x1 = (traj.iterates if x_all is None else x_all)[0]
+        report = _fejer_report(w, operator, rel, space, x1)
+        if not report.hypothesis_met:
+            return report
+    blocks = audit_blocks(x_all, operator, traj, images=False) if block is None else (block,)
+    for b in blocks:
+        start, stop = b.start, b.stop
+        x = b.x[: stop - start]
+        member = rel.diffs_in_cone(w - x)
         report.trials += stop - start
         bad = np.flatnonzero(~member)
         if bad.size:
-            k = start + int(bad[0])
-            report.fail(int(bad.size), (0, k), (x_all[k], w))
-        # distances from the boundary row before the block on
-        lo = max(start - 1, 0)
-        dist = space.norms(x_all[lo:stop] - w)
+            k = int(bad[0])
+            report.fail(int(bad.size), (0, start + k), (x[k], w))
+        # distances from the last row of the block before on, whose distance
+        # is the limit estimate so far (norms of rows do not depend on the
+        # other rows of the batch)
+        dist = space.norms(x - w)
+        if b.prev is not None:
+            dist = np.concatenate(([report.extra["limit_estimate"]], dist))
+        lo = stop - dist.shape[0]
         increases = np.flatnonzero(dist[1:] > dist[:-1] + MONOTONE_TOL)
-        report.trials += stop - lo - 1
+        report.trials += dist.shape[0] - 1
         if increases.size:
             k = lo + int(increases[0])
-            report.fail(int(increases.size), (1, k), (x_all[k], x_all[k + 1]))
+            pair = (b.prev if k < start else x[k - start], x[k + 1 - start])
+            report.fail(int(increases.size), (1, k), pair)
         report.extra.setdefault("initial_distance", float(dist[0]))
         report.extra["limit_estimate"] = float(dist[-1])
     return report
+
+
+def _fejer_report(w, operator: Operator, rel: ConeRelation, space: NormSpace, x1) -> AuditReport:
+    """The Fejer report before its first block: not met unless omega is a
+    fixed point with edge(x_1, omega)."""
+    if space.norm(operator._apply(w) - w) > FEJER_FIXED_POINT_TOL:
+        return AuditReport.not_met("fejer_monotone", "omega is not a fixed point")
+    if not rel.contains(x1, w):
+        return AuditReport.not_met("fejer_monotone", "edge(x_1, omega) does not hold")
+    return AuditReport("fejer_monotone")
 
 
 def gk_inequality_check(
@@ -233,12 +254,14 @@ def gk_inequality_check(
     rhs = ||T(x_{i+n}) - x_i|| + prod of (1 - t_s)^{-1} * (r_i - r_{i+n});
     the slack rhs - lhs is nonnegative (within 1e-9) whenever the run's
     hypotheses hold.  Spans touching a step with t_s = 1 are undefined.
-    `x_all` is the run's `full_iterates`, replayed here when not given, and
+    `x_all` holds the run's first iterates, through at least row i + n of
+    every pair (all of them, `full_iterates`, when not given), and
     `tx_head` is `operator.apply_batch` of its first rows, through at least
-    row i + n of every pair (`run_audits` passes its first audit block).
-    When it is not given or too short, T is applied here to the head rows
-    only: one batch of at least an audit block, whose bits are those of a
-    batch over the whole array.
+    row i + n of every pair (`run_audits` passes the head of its first audit
+    block).  When it is not given or too short, T is applied here to the
+    head rows only: one batch of at least an audit block (`run_audits` then
+    passes that many rows), whose bits are those of a batch over the whole
+    array.
     """
     n_total = traj.n_iterates
     if x_all is None:
@@ -416,6 +439,73 @@ def convergence_audit(
 
 # --- orchestration ----------------------------------------------------------
 
+class AuditPass(AuditStream):
+    """The one pass of `run_audits` over a run's rows, audited as they stream
+    in.
+
+    A producer opens it with the run's record and pushes the run's rows in
+    order (`mann.AuditStream`): `mann.run` while it runs, or `run_audits`
+    for a stored record.  On each block T is applied once, each of
+    `trajectory`, `edge_propagation` and `fejer` among `names` extends its
+    report with the block, and the head of the run is kept for
+    `gk_inequality`.  `run_audits` reads the reports after `close`.
+    """
+
+    def __init__(self, names, operator: Operator, rel: ConeRelation, space: NormSpace) -> None:
+        super().__init__(operator if IMAGE_AUDITS.intersection(names) else None)
+        self.names = names
+        self.audited = operator, rel, space
+        self.reports: dict[str, AuditReport] = {}
+        self.checks = {}  # the block auditors asked for, each a call on a block and its report
+        self.fejer_direction = None
+        # the first rows, and the images of the first block, for gk_inequality
+        self.head_rows: list[np.ndarray] = []
+        self.head_images = None
+        self.head_needed = 0
+
+    def audit(self, block: AuditBlock) -> None:
+        if block.start == 0:
+            self._begin(block)
+        for name, check in self.checks.items():
+            report = self.reports[name]
+            if report.hypothesis_met:
+                check(block=block, report=report)
+        if self.head_needed:
+            rows = block.x[: min(self.head_needed, block.stop - block.start)]
+            self.head_rows.append(rows.copy())
+            self.head_needed -= rows.shape[0]
+
+    def _begin(self, block: AuditBlock) -> None:
+        # each report before its first block, from the start flags and x_1
+        operator, rel, space = self.audited
+        x1 = block.x[0]
+        if "trajectory" in self.names:
+            self.reports["trajectory"] = AuditReport("trajectory_consistency")
+            self.checks["trajectory"] = partial(verify_trajectory, None, operator)
+        if "edge_propagation" in self.names:
+            self.reports["edge_propagation"] = _edge_report(self.case)
+            self.checks["edge_propagation"] = partial(audit_edge_propagation, None, operator, rel)
+        if "fejer" in self.names:
+            target = _fejer_target(x1, operator, rel)
+            if isinstance(target, AuditReport):
+                self.reports["fejer"] = target
+            else:
+                omega, edge_rel, self.fejer_direction = target
+                self.reports["fejer"] = _fejer_report(omega, operator, edge_rel, space, x1)
+                self.checks["fejer"] = partial(
+                    audit_fejer, None, omega, operator, edge_rel, space
+                )
+        if "gk_inequality" in self.names:
+            # the pairs lie in the first GK_WINDOW rows; where the first
+            # block's images do not cover them, gk_inequality_check applies
+            # T to an audit block of rows itself
+            self.head_needed = GK_WINDOW
+            if block.tx is None or block.tx.shape[0] < GK_WINDOW:
+                self.head_needed = max(GK_WINDOW, audit_block_rows(x1.shape[0]))
+            if block.tx is not None:
+                self.head_images = block.tx[:GK_WINDOW].copy()
+
+
 def run_audits(
     names,
     traj: Trajectory,
@@ -426,6 +516,7 @@ def run_audits(
     diam: float,
     seed: int = 0,
     x_all: np.ndarray | None = None,
+    audit: AuditPass | None = None,
 ) -> dict[str, dict]:
     """Run the named auditors and collect a JSON-ready report per auditor.
 
@@ -434,17 +525,19 @@ def run_audits(
     for the inequality audits.  Hypothesis gating (comparable start, step
     bounds, known fixed point) is applied here so the low-level checks keep
     their strict contracts.  A record without start flags (a CSV export) is
-    given them here, by `start_edges` at x_1.  `x_all` holds all iterates
-    x_1..x_N of the run, as `full_iterates` returns them; a run that kept
-    its iterates passes them here.  Without it the iterates are replayed
-    once (`full_iterates`).
+    given them here, by `start_edges` at x_1.
 
-    The auditors that read every iterate share one pass over the
-    `audit_blocks` of `x_all`: T is applied once per block, each of
-    `trajectory`, `edge_propagation` and `fejer` extends its report with
-    the block, and `gk_inequality` reads the images of the first block.
-    Beyond the iterates, the audit holds O(block) memory, and T is applied
-    to each row at most once.
+    The auditors that read the iterates share one pass over the run's rows
+    in audit blocks (`AuditPass`): T is applied once per block, each of
+    `trajectory`, `edge_propagation` and `fejer` extends its report with the
+    block, and `gk_inequality` reads the head of the first block.  `audit`
+    is the pass a run was streamed into while it ran (`run(...,
+    audit=...)`, as `run_experiment` does), over the same `names`.
+    Without it the pass is fed here, after validating the record: with the
+    rows of `x_all`, all iterates x_1..x_N, when given, else with the
+    record's own, a decimated record replayed gap by gap (`iterate_rows`).
+    Either way the audit holds a few blocks of rows, however long the run,
+    and T is applied to each row at most once.
     """
     unknown = [name for name in names if name not in ALL_AUDITS]
     if unknown:
@@ -453,37 +546,26 @@ def run_audits(
         x1 = traj.iterates[0]
         forward, reverse = start_edges(rel, x1, operator._apply(x1))
         traj = replace(traj, start_edge_forward=forward, start_edge_reverse=reverse)
-    if x_all is None and REPLAYING_AUDITS.intersection(names):
-        x_all = full_iterates(traj, operator)
-    reports: dict[str, AuditReport] = {}
-    # the block auditors asked for, each a call on one block and its report
-    passes = {}
-    if "trajectory" in names:
-        passes["trajectory"] = partial(verify_trajectory, traj, operator, x_all)
-    if "edge_propagation" in names:
-        passes["edge_propagation"] = partial(
-            audit_edge_propagation, traj, operator, rel, x_all
-        )
-    if "fejer" in names:
-        target = _fejer_target(traj, operator, rel)
-        if isinstance(target, AuditReport):
-            reports["fejer"] = target
-        else:
-            omega, edge_rel, direction = target
-            passes["fejer"] = partial(audit_fejer, traj, omega, operator, edge_rel, space, x_all)
-    tx_head = None
-    images = operator if IMAGE_AUDITS.intersection(passes) else None
-    for block in audit_blocks(x_all, images) if passes else ():
-        if block.start == 0:
-            tx_head = block.tx
-        for name, check in passes.items():
-            report = reports.get(name)
-            if report is None or report.hypothesis_met:
-                reports[name] = check(block, report)
-    if "fejer" in passes:
-        reports["fejer"].extra["direction"] = direction
+    if audit is None:
+        audit = AuditPass(names, operator, rel, space)
+        if REPLAYING_AUDITS.intersection(names):
+            traj.validate()
+            audit.open(
+                traj.residuals,
+                traj.schedule_used,
+                traj.iterate_indices,
+                traj.start_edge_forward,
+                traj.start_edge_reverse,
+            )
+            for rows in (x_all,) if x_all is not None else iterate_rows(traj, operator):
+                audit.push(rows)
+            audit.close()
+    reports = dict(audit.reports)
+    if audit.fejer_direction is not None:
+        reports["fejer"].extra["direction"] = audit.fejer_direction
     if "gk_inequality" in names:
-        reports["gk_inequality"] = _gk_report(traj, operator, seed, x_all, tx_head)
+        x_head = np.concatenate(audit.head_rows)
+        reports["gk_inequality"] = _gk_report(traj, operator, seed, x_head, audit.head_images)
     results: dict[str, dict] = {}
     for name in names:
         if name == "residual_monotone":
@@ -500,7 +582,7 @@ def _gk_report(
     traj: Trajectory,
     operator: Operator,
     seed: int,
-    x_all: np.ndarray,
+    x_head: np.ndarray,
     tx_head: np.ndarray | None,
 ) -> AuditReport:
     if traj.start_edge_case() == "none":
@@ -517,7 +599,7 @@ def _gk_report(
             i = int(rng.integers(1, window))
             n = int(rng.integers(1, window - i + 1))
             pairs.append((i, n))
-    records = gk_inequality_check(traj, operator, pairs, x_all, tx_head)
+    records = gk_inequality_check(traj, operator, pairs, x_head, tx_head)
     # a one-iterate run checks no pair; its min_slack is null, since JSON
     # has no infinity
     return AuditReport(
@@ -529,10 +611,9 @@ def _gk_report(
     )
 
 
-def _fejer_target(traj: Trajectory, operator: Operator, rel: ConeRelation):
+def _fejer_target(x1, operator: Operator, rel: ConeRelation):
     """(omega, relation, direction) for the first known fixed point
     comparable with x_1, or a not-met report when there is none."""
-    x1 = traj.iterates[0]
     candidates = known_fixed_points(operator).known_points
     for w in candidates:
         # a start above omega: the same monotone argument applies under the

@@ -3,11 +3,13 @@
 One experiment produces up to three artifacts in its output directory:
 `trajectory.csv` (per-iterate table), `run.json` (full trajectory record
 with the config echoed), and `audits.json` (per-auditor status).  The
-auditors read the run's own iterates, so a run is computed once and never
-replayed.  The run keeps every iterate in memory; the audit reads them in
-row blocks and adds only a few blocks to that.  Sweeps run one experiment
-per axis value, in the given order, and aggregate a summary CSV.  Identical
-config and seed give byte-identical files.
+auditors read the run's own iterates while the loop produces them, so a run
+is computed once and never replayed, and it keeps in memory only the
+iterates its `record_stride` records plus the audit blocks still pending.
+The audit of a stored decimated record replays it gap by gap into the same
+blocks.  Sweeps run one experiment per axis value, in the given order, keep
+one summary row per value and aggregate a summary CSV.  Identical config
+and seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -29,13 +31,12 @@ from .config import (
     build_space,
     build_start,
 )
-from .diagnostics import exit_code_from_audits, run_audits, write_gk_records_csv
+from .diagnostics import AuditPass, exit_code_from_audits, run_audits, write_gk_records_csv
 from .errors import ConfigError
 from .mann import (
     STOP_MAX_ITER,
     STOP_TOLERANCE,
     Trajectory,
-    decimate,
     read_trajectory_csv,
     run,
     trajectory_from_dict,
@@ -100,25 +101,27 @@ def run_experiment(
 ) -> ExperimentResult:
     """Execute one configured experiment end to end.
 
-    The loop keeps every iterate; the auditors read them all, and the
-    record written (and returned) is decimated to the configured
-    `record_stride`.
+    The loop runs at the configured `record_stride` and streams every
+    iterate into the audit's pass (`AuditPass`) as it goes, so the auditors
+    read all N iterates while the record written (and returned) keeps only
+    the recorded ones, and no (N, d) history is ever held.
     """
     seed = config.seed if seed is None else int(seed)
     space, rel, operator, schedule, diam = _build(config)
     rng = np.random.default_rng([seed, 1])
     x1 = build_start(config, operator, rel, rng)
-    full = run(
+    audit = AuditPass(config.audits, operator, rel, space)
+    traj = run(
         operator,
         x1,
         schedule,
         max_iter=config.run.max_iter,
         tol=config.run.tol,
         rel=rel,
-        record_stride=1,
+        record_stride=config.run.record_stride,
         relation_ref=config.relation.kind,
+        audit=audit,
     )
-    traj = decimate(full, config.run.record_stride)
     audits = run_audits(
         config.audits,
         traj,
@@ -128,7 +131,7 @@ def run_experiment(
         schedule,
         diam=diam,
         seed=seed,
-        x_all=full.iterates,
+        audit=audit,
     )
     code = exit_code_from_audits(audits)
     target = Path(out_dir) if out_dir is not None else Path(config.output.directory)
@@ -175,7 +178,9 @@ def audit_stored(
     """Re-run the trajectory consistency check plus all configured auditors
     on a stored trajectory.
 
-    The report written to `out_dir` names its source by file name only, so
+    A decimated record is replayed gap by gap into the audit's blocks as the
+    auditors read them (`run_audits`), so the audit never holds all N
+    iterates.  The report written to `out_dir` names its source by file name only, so
     it does not depend on the directory the trajectory was read from.
     """
     space, rel, operator, schedule, diam = _build(config)
@@ -229,6 +234,17 @@ def set_config_value(data: dict, axis: str, value: float) -> dict:
     return out
 
 
+def _summary(value: float, res: ExperimentResult) -> tuple[dict, int]:
+    """A sweep's summary row for one value, and the experiment's exit code."""
+    row = {
+        "value": value,
+        "final_residual": res.trajectory.final_residual,
+        "iterations": res.trajectory.n_iterates,
+        "all_audits_pass": res.exit_code == 0,
+    }
+    return row, res.exit_code
+
+
 def run_sweep(
     config_data: dict,
     axis: str,
@@ -243,7 +259,9 @@ def run_sweep(
     significant digits) are a ConfigError, raised before any run.  The
     summary CSV has one row per value (in the given order): value,
     final_residual, iterations, all_audits_pass.  The exit code follows the
-    single-run contract over the aggregate.
+    single-run contract over the aggregate.  Only each value's summary row
+    and exit code outlive its experiment, so the sweep holds one record at a
+    time.
     """
     if not values:
         raise ConfigError("sweep needs a nonempty list of values")
@@ -262,21 +280,11 @@ def run_sweep(
     for value in values:
         data = set_config_value(config_data, axis, value)
         configs.append(ExperimentConfig.from_dict(data))
-    results = [
-        run_experiment(config, out_dir=root / name, seed=seed)
-        for config, name in zip(configs, names)
-    ]
-
-    rows = []
-    for value, res in zip(values, results):
-        rows.append(
-            {
-                "value": value,
-                "final_residual": res.trajectory.final_residual,
-                "iterations": res.trajectory.n_iterates,
-                "all_audits_pass": res.exit_code == 0,
-            }
-        )
+    rows, codes = [], []
+    for value, config, name in zip(values, configs, names):
+        row, code = _summary(value, run_experiment(config, out_dir=root / name, seed=seed))
+        rows.append(row)
+        codes.append(code)
     root.mkdir(parents=True, exist_ok=True)
     with open(root / "sweep_summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -290,7 +298,6 @@ def run_sweep(
                     str(row["all_audits_pass"]).lower(),
                 ]
             )
-    codes = [res.exit_code for res in results]
     if any(c == 2 for c in codes):
         return 2, rows
     if any(c == 3 for c in codes):

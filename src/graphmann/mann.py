@@ -9,15 +9,17 @@ One stepping kernel serves the run, the replay and the recheck: `_step`
 writes t T(x) + (1 - t) x in place into a preallocated row, with t and
 1 - t as 0-d arrays, and T is the operator's single-vector `_apply`.
 run() steps into blocks of RUN_BLOCK_ROWS rows and checks a box domain once
-per block; `full_iterates` steps straight into its output array;
-`verify_trajectory` steps whole columns of rows at once, one audit block
-(`audit_blocks`) at a time.
+per block; `iterate_rows` replays a decimated record gap by gap into blocks
+of the same size; `verify_trajectory` steps whole columns of rows at once,
+one audit block at a time.  The audit reads a run's rows through an
+`AuditStream`, which cuts them into audit blocks as a run or a replay hands
+them over, so no (N, d) history is needed to audit a run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from typing import NamedTuple
@@ -177,15 +179,7 @@ class Trajectory:
 
     def start_edge_case(self) -> str | None:
         """'forward' / 'reverse' / 'both' / 'none', or None when unchecked."""
-        if self.start_edge_forward is None or self.start_edge_reverse is None:
-            return None
-        if self.start_edge_forward and self.start_edge_reverse:
-            return "both"
-        if self.start_edge_forward:
-            return "forward"
-        if self.start_edge_reverse:
-            return "reverse"
-        return "none"
+        return edge_case(self.start_edge_forward, self.start_edge_reverse)
 
     def validate(self) -> None:
         """Check that the record is internally consistent.
@@ -210,13 +204,41 @@ class Trajectory:
             raise InputError("iterate indices must be strictly increasing")
 
 
+def edge_case(forward: bool | None, reverse: bool | None) -> str | None:
+    """'forward' / 'reverse' / 'both' / 'none' for a start comparable with its
+    image in the given directions (`start_edges`), or None when unchecked."""
+    if forward is None or reverse is None:
+        return None
+    if forward and reverse:
+        return "both"
+    if forward:
+        return "forward"
+    if reverse:
+        return "reverse"
+    return "none"
+
+
 class AuditBlock(NamedTuple):
-    """Rows start..stop-1 of a run's iterates and, when the audit reads
-    images, T of those rows (`tx`)."""
+    """Rows start..stop-1 of a run's iterates, with what the auditors read of
+    them.
+
+    `x` holds the block's rows and then row `stop` when the run goes on (the
+    step leaving the block's last row ends there); `prev` is row start - 1,
+    None in the first block; `tx` is T of the block's rows when the audit
+    reads images.  `residuals` are the recorded r_n of the block's rows,
+    `checked` the offsets of the rows whose step leads to a recorded iterate
+    (that iterate is x[checked + 1]) and `steps` the recorded t_n of those
+    steps.
+    """
 
     start: int
     stop: int
+    x: np.ndarray
+    prev: np.ndarray | None
     tx: np.ndarray | None
+    residuals: np.ndarray
+    checked: np.ndarray
+    steps: np.ndarray
 
 
 def audit_block_rows(d: int) -> int:
@@ -224,21 +246,139 @@ def audit_block_rows(d: int) -> int:
     return max(AUDIT_BLOCK_ROWS, AUDIT_BLOCK_BYTES // (8 * d))
 
 
-def audit_blocks(x_all: np.ndarray, operator: Operator | None = None):
-    """The audit's blocks of the rows of x_all, in order.
+class AuditStream:
+    """Cuts the rows of a run, handed over in order, into the audit's blocks.
 
-    Each block has `audit_block_rows(d)` rows, and a shorter tail folds into
-    the block before it, so the last block has up to twice as many.  With
-    `operator`, T is applied to each block's rows as one batch.
+    A producer calls `open` once with the run's record, `push` with its rows
+    in order and `close` after the last.  Each block has
+    `audit_block_rows(d)` rows, and a shorter tail folds into the block
+    before it, so the last block has up to twice as many: a block is cut
+    once its successor is full-size, or at `close`.  Pushed rows are copied
+    into a ring of two blocks and a spare row, allocated at the first push,
+    so the stream holds O(block) memory and allocates nothing per block but
+    T of its rows, applied as one batch when `operator` is given.  Blocks
+    are cut at multiples of a block, so a block's rows and the row after
+    them are contiguous in the ring (the spare row repeats ring row 0);
+    only a last block that wraps round is copied out.  Each block goes
+    to `audit`, which queues a copy on `blocks`; a subclass audits it there
+    instead, before the ring moves on.
     """
-    n, d = x_all.shape
-    rows = audit_block_rows(d)
-    starts = list(range(0, n, rows))
-    if len(starts) > 1 and n - starts[-1] < rows:
-        del starts[-1]
-    for start, stop in zip(starts, starts[1:] + [n]):
-        tx = None if operator is None else operator.apply_batch(x_all[start:stop])
-        yield AuditBlock(start, stop, tx)
+
+    def __init__(self, operator: Operator | None = None) -> None:
+        self.images = operator
+        self.blocks: list[AuditBlock] = []
+
+    def open(self, residuals, steps, indices, forward=None, reverse=None) -> None:
+        """Start a run.
+
+        `residuals` (r_n), `steps` (t_n) and `indices` (the increasing
+        1-based indices of the recorded iterates) are indexed from 0 and may
+        grow while rows are pushed, as long as they cover every row pushed.
+        `forward` and `reverse` are the start flags (`start_edges`), kept as
+        `case` (`edge_case`).
+        """
+        self.record = (residuals, steps, indices)
+        self.case = edge_case(forward, reverse)
+        self.pending = None  # the ring, allocated at the first push
+        self.start = 0  # run row of the first pending row, at ring row start % ring
+        self.count = 0
+        self.prev = None
+        self.cursor = 1  # the first recorded index a step may lead to
+
+    def push(self, rows: np.ndarray) -> None:
+        """Hand over the run's next rows (copied)."""
+        if self.pending is None:
+            d = rows.shape[1]
+            self.size = audit_block_rows(d)
+            self.pending = np.empty((2 * self.size + 1, d))
+        ring = 2 * self.size
+        done = 0
+        while done < rows.shape[0]:
+            at = (self.start + self.count) % ring
+            n = min(rows.shape[0] - done, ring - self.count, ring - at)
+            self.pending[at : at + n] = rows[done : done + n]
+            if at == 0:
+                # the spare row after the ring: the row after a block in
+                # the second half
+                self.pending[ring] = rows[done]
+            self.count += n
+            done += n
+            if self.count == ring:
+                self._cut(self.size)
+
+    def close(self) -> None:
+        """End the run: the rows still pending form its last block.  The
+        ring and the record are released."""
+        if self.count:
+            self._cut(self.count)
+        self.pending = self.record = None
+
+    def audit(self, block: AuditBlock) -> None:
+        """Take one block, whose rows stay valid only for this call."""
+        self.blocks.append(block._replace(x=block.x.copy()))
+
+    def _cut(self, k: int) -> None:
+        # the first k pending rows form a block; x adds the row after them
+        start, stop = self.start, self.start + k
+        ring = 2 * self.size
+        at = start % ring
+        end = at + min(k + 1, self.count)
+        if end <= ring + 1:
+            x = self.pending[at:end]
+        else:  # a last block that wraps round the ring
+            x = np.concatenate((self.pending[at:ring], self.pending[: end - ring]))
+        rows = x[:k]
+        # the recorded x_h with h - 2 in [start, stop): at most k of them
+        residuals, steps, indices = self.record
+        ends = np.array(indices[self.cursor : self.cursor + k], dtype=int)
+        ends = ends[: np.searchsorted(ends, stop + 2)]
+        self.cursor += ends.shape[0]
+        checked = ends - (start + 2)
+        self.audit(
+            AuditBlock(
+                start,
+                stop,
+                x,
+                self.prev,
+                None if self.images is None else self.images.apply_batch(rows),
+                np.array(residuals[start:stop], dtype=float),
+                checked,
+                steps[checked + start],
+            )
+        )
+        self.prev = rows[-1].copy()
+        self.start, self.count = stop, self.count - k
+
+
+_NO_RECORD = np.empty(0)
+
+
+def audit_blocks(
+    x_all,
+    operator: Operator | None = None,
+    traj: Trajectory | None = None,
+    images: bool = True,
+):
+    """The audit's blocks of a run's rows, in order, as `AuditStream` cuts
+    them.
+
+    The rows are x_all, an (N, d) array, or, when it is None, the iterates
+    of the record `traj` (`iterate_rows`).  With `traj`, which is validated
+    first, each block carries its slices of the record, and with `operator`
+    and `images`, T of its rows.
+    """
+    stream = AuditStream(operator if images else None)
+    if traj is None:
+        stream.open(_NO_RECORD, _NO_RECORD, _NO_RECORD)
+    else:
+        traj.validate()
+        stream.open(traj.residuals, traj.schedule_used, traj.iterate_indices)
+    for rows in (x_all,) if x_all is not None else iterate_rows(traj, operator):
+        stream.push(rows)
+        yield from stream.blocks
+        stream.blocks.clear()
+    stream.close()
+    yield from stream.blocks
 
 
 def start_edges(rel: ConeRelation, x1, tx1) -> tuple[bool, bool]:
@@ -294,6 +434,7 @@ def run(
     rel: ConeRelation | None = None,
     record_stride: int = 1,
     relation_ref: str = "",
+    audit: AuditStream | None = None,
 ) -> Trajectory:
     """Iterate from x1 until the residual ||x_n - T(x_n)|| falls to `tol` or
     `max_iter` iterates are produced.
@@ -309,6 +450,11 @@ def run(
     T to at most RUN_BLOCK_ROWS - 1 further iterates and then discards them;
     any other body is checked after every step.  Only the rows
     `record_stride` selects and the final iterate are kept.
+
+    With `audit`, the run is audited while it runs: the stream is opened
+    with the run's record, each block of rows is pushed once it has passed
+    the box check (so no discarded row is ever handed over), and the stream
+    is closed after the final iterate.
     """
     if max_iter < 1:
         raise InputError(f"max_iter must be >= 1, got {max_iter}")
@@ -349,14 +495,24 @@ def run(
     residuals: list[float] = []
     diff = np.empty(d)
     scratch = np.empty(d)
+    if audit is not None:
+        steps = (
+            np.broadcast_to(schedule.t_constant, (effective_max,))
+            if t_values is None
+            else schedule.t_values
+        )
+        audit.open(residuals, steps, indices, forward, reverse)
 
     def keep(block: np.ndarray, base: int, count: int) -> None:
-        # rows 0..count-1 of a block whose row 0 is iterate `base`
+        # rows 0..count-1 of a block whose row 0 is iterate `base`, past the
+        # box check; the block is never written again
         first = -(base - 1) % record_stride
         if first < count:
             picked = block[first:count:record_stride]
             kept.append(picked if record_stride == 1 else picked.copy())
             indices.extend(range(base + first, base + count, record_stride))
+        if audit is not None:
+            audit.push(block[:count])
 
     block = np.empty((block_rows, d))
     block[0] = x
@@ -407,6 +563,8 @@ def run(
     if indices[-1] != n:  # always keep the final iterate
         kept.append(block[row : row + 1])
         indices.append(n)
+    if audit is not None:
+        audit.close()
 
     return Trajectory(
         iterates=np.concatenate(kept),
@@ -426,58 +584,59 @@ def run(
     )
 
 
-def decimate(traj: Trajectory, stride: int) -> Trajectory:
-    """The record `run(..., record_stride=stride)` keeps of a full-history run.
+def iterate_rows(traj: Trajectory, operator: Operator):
+    """The iterates x_1..x_N of a record, in order, in blocks of rows.
 
-    x_n is kept for (n - 1) % stride == 0, plus the final iterate; residuals
-    and steps are shared with `traj`.  With stride 1 `traj` itself is
-    returned, without a copy.
+    A full-history record is yielded as stored, in one block.  The gaps of a
+    decimated record are replayed in order with the recorded step sizes,
+    each step written in place into a block of RUN_BLOCK_ROWS rows by the
+    same `_step` and the same single-vector T as run()'s loop, so every
+    replayed iterate is bit-identical to the original run; the recorded
+    iterates are copied in as stored.  A block is never written after it is
+    yielded, and none is kept here, so the replay holds O(block) memory.
+    The record is not validated here.
     """
-    if stride < 1:
-        raise InputError(f"record_stride must be >= 1, got {stride}")
-    if not traj.is_full_history:
-        raise InputError("only a full-history trajectory can be decimated")
-    if stride == 1:
-        return traj
-    rows = np.arange(0, traj.n_iterates, stride)
-    if rows[-1] != traj.n_iterates - 1:
-        rows = np.append(rows, traj.n_iterates - 1)
-    return replace(traj, iterates=traj.iterates[rows], iterate_indices=rows + 1)
+    if traj.is_full_history:
+        yield traj.iterates
+        return
+    d = traj.dimension
+    apply = operator._apply
+    steps = traj.schedule_used.tolist()
+    indices = traj.iterate_indices.tolist()
+    t, s, scratch = np.empty(()), np.empty(()), np.empty(d)
+    block, row = np.empty((RUN_BLOCK_ROWS, d)), 0
+    for j, lo in enumerate(indices):
+        hi = indices[j + 1] if j + 1 < len(indices) else lo + 1
+        for n in range(lo, hi):
+            if row == RUN_BLOCK_ROWS:
+                yield block
+                block, row = np.empty((RUN_BLOCK_ROWS, d)), 0
+            if n == lo:
+                block[row] = traj.iterates[j]
+            else:
+                t[()] = step = steps[n - 2]
+                s[()] = 1.0 - step
+                _step(x, apply(x), t, block[row], s, scratch)
+            x = block[row]
+            row += 1
+    yield block[:row]
 
 
 def full_iterates(traj: Trajectory, operator: Operator) -> np.ndarray:
-    """All iterates x_1..x_N as one (N, d) array.
+    """All iterates x_1..x_N of a validated record as one (N, d) array.
 
-    A full-history record is returned as stored, without a copy.  The gaps
-    of a decimated record are replayed in order with the recorded step sizes,
-    each step written in place into the output row by the same `_step` and
-    the same single-vector T as run()'s loop, so every replayed iterate is
-    bit-identical to the original run.  This is the only replay:
-    `run_audits` calls it once when it is not handed the iterates (the audit
-    of a stored record) and shares the array with every auditor that reads
-    iterates.
+    A full-history record is returned as stored, without a copy; a
+    decimated one is replayed by `iterate_rows`.  The audit itself never
+    needs this array: it reads the rows block by block as they are
+    replayed.
     """
     traj.validate()
-    if traj.is_full_history:
-        return traj.iterates
-    out = np.empty((traj.n_iterates, traj.dimension))
-    apply = operator._apply
-    steps = traj.schedule_used.tolist()
-    t, s, scratch = np.empty(()), np.empty(()), np.empty(traj.dimension)
-    for j in range(traj.iterate_indices.shape[0] - 1):
-        lo, hi = int(traj.iterate_indices[j]), int(traj.iterate_indices[j + 1])
-        out[lo - 1] = traj.iterates[j]
-        for n in range(lo, hi):
-            x = out[n - 1]
-            t[()] = step = steps[n - 1]
-            s[()] = 1.0 - step
-            _step(x, apply(x), t, out[n], s, scratch)
-    out[-1] = traj.iterates[-1]
-    return out
+    rows = list(iterate_rows(traj, operator))
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
 def verify_trajectory(
-    traj: Trajectory,
+    traj: Trajectory | None,
     operator: Operator,
     x_all: np.ndarray | None = None,
     block: AuditBlock | None = None,
@@ -485,11 +644,11 @@ def verify_trajectory(
 ) -> AuditReport:
     """Recompute every residual and every recorded step of a trajectory.
 
-    `x_all` holds all iterates x_1..x_N as `full_iterates` returns them
-    (computed here when not given).  The rows are checked one
-    `audit_blocks` block at a time, with T applied once per block, in two
-    families of vector comparisons, each with tolerance STEP_RECOMPUTE_TOL
-    (1e-12):
+    `x_all` holds all iterates x_1..x_N; without it the record's own are
+    read, replayed gap by gap when decimated (`iterate_rows`).  The rows
+    are checked one `audit_blocks` block at a time, with T applied once per
+    block, in two families of vector comparisons, each with tolerance
+    STEP_RECOMPUTE_TOL (1e-12):
 
     * residual n, for every n = 1..N: | ||x_n - T x_n|| - r_n |;
     * step to each recorded iterate x_h after the first: the norm of
@@ -506,42 +665,33 @@ def verify_trajectory(
     size of the iterates, far inside the tolerance, so any run() output
     verifies with zero failures.
 
-    `run_audits` checks a run in one pass over its blocks: it passes one
-    `block` per call and, from the second block on, the `report` the
-    previous call returned, which the call extends.  Without `block` every
-    block is checked here.
+    `run_audits` checks a run in one pass over its blocks as they stream
+    in: it passes one `block` per call, which carries its slices of the
+    record (so `traj` is not read and may be None), and the `report` the
+    checks of the earlier blocks extended.  Without `block` every block is
+    checked here.
     """
     if report is None:
-        # a later block of the same pass was validated with the first
-        traj.validate()
         report = AuditReport("trajectory_consistency")
-    if x_all is None:
-        x_all = full_iterates(traj, operator)
     space = operator.space
-    ends = traj.iterate_indices[1:]
-    for start, stop, tx in audit_blocks(x_all, operator) if block is None else (block,):
-        x = x_all[start:stop]
-        residual_ok = (
-            np.abs(space.norms(x - tx) - traj.residuals[start:stop])
-            <= STEP_RECOMPUTE_TOL
-        )
-        # steps into recorded iterates whose source row lies in this block
-        first, last = np.searchsorted(ends, [start + 2, stop + 2])
-        rows = ends[first:last] - 2 - start
-        t = traj.schedule_used[rows + start][:, None]
-        predicted = _step(x[rows], tx[rows], t)
-        recorded = traj.iterates[first + 1 : last + 1]
+    for b in audit_blocks(x_all, operator, traj) if block is None else (block,):
+        x, tx, checked = b.x[: b.stop - b.start], b.tx, b.checked
+        residual_ok = np.abs(space.norms(x - tx) - b.residuals) <= STEP_RECOMPUTE_TOL
+        predicted = _step(x[checked], tx[checked], b.steps[:, None])
+        recorded = b.x[checked + 1]
         step_ok = space.norms(predicted - recorded) <= STEP_RECOMPUTE_TOL
-        report.trials += stop - start + int(last - first)
+        report.trials += b.stop - b.start + checked.shape[0]
         # residual of row r comes before the step leaving row r
         bad = np.flatnonzero(~residual_ok)
         if bad.size:
-            report.fail(int(bad.size), (start + int(bad[0]), 0), (x[bad[0]],))
+            report.fail(int(bad.size), (b.start + int(bad[0]), 0), (x[bad[0]],))
         bad = np.flatnonzero(~step_ok)
         if bad.size:
             k = bad[0]
             report.fail(
-                int(bad.size), (start + int(rows[k]), 1), (predicted[k], recorded[k])
+                int(bad.size),
+                (b.start + int(checked[k]), 1),
+                (predicted[k], recorded[k]),
             )
     return report
 

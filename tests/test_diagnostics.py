@@ -7,8 +7,10 @@ from hypothesis import given, strategies as st
 
 import graphmann.diagnostics
 import graphmann.mann
+from graphmann.config import ExperimentConfig
 from graphmann.diagnostics import (
     ALL_AUDITS,
+    AuditPass,
     FEJER_FIXED_POINT_TOL,
     INCOMPARABLE_START,
     MONOTONE_TOL,
@@ -26,13 +28,14 @@ from graphmann.diagnostics import (
     _rate_report,
 )
 from graphmann.errors import ConfigError, DomainError, InputError, UndefinedProductError
+from graphmann.experiment import audit_stored, run_experiment
 from graphmann.mann import (
     STEP_RECOMPUTE_TOL,
+    STOP_DIVERGED,
     Schedule,
     Trajectory,
     _step,
     audit_block_rows,
-    decimate,
     full_iterates,
     read_trajectory_csv,
     run,
@@ -45,9 +48,11 @@ from graphmann.operators import (
     Identity,
     MatrixAffine,
     NonmonotoneSwap,
+    Operator,
     known_fixed_points,
 )
 from graphmann.order_graph import AuditReport, ConeRelation
+from testonly_records import decimate
 
 SPACE1 = NormSpace(1, 2.0)
 BOX1 = Box([0.0], [1.0])
@@ -686,3 +691,206 @@ class TestBlockedAuditAtScale:
                 tracemalloc.stop()
             assert all(e["status"] != "fail" for e in results.values())
         assert peaks[1] - peaks[0] < audit_block_rows(d) * d * 8
+
+
+STRIDES = [1, 7, 50]
+
+
+def streamed_audit(op, x1, schedule, rel, stride, diam=2.0, **run_args):
+    """A run audited while it runs, at `stride`, as run_experiment audits it:
+    its record and its reports."""
+    audit = AuditPass(ALL_AUDITS, op, rel, op.space)
+    traj = run(op, x1, schedule, rel=rel, record_stride=stride, audit=audit, **run_args)
+    args = (traj, op, rel, op.space, schedule)
+    return traj, run_audits(ALL_AUDITS, *args, diam=diam, seed=3, audit=audit)
+
+
+def assert_streamed_like_full_history(op, x1, schedule, rel, stride, diam=2.0, **run_args):
+    """The streamed audit of a run writes what the unblocked audit of its full
+    history writes, and its record is the full history decimated."""
+    full = run(op, x1, schedule, rel=rel, **run_args)
+    traj, got = streamed_audit(op, x1, schedule, rel, stride, diam, **run_args)
+    thin = decimate(full, stride)
+    for field in ("iterates", "iterate_indices", "residuals", "schedule_used"):
+        assert getattr(traj, field).tobytes() == getattr(thin, field).tobytes(), field
+    assert traj.stop_reason == full.stop_reason
+    args = (thin, op, rel, op.space, schedule)
+    assert got == reference_run_audits(ALL_AUDITS, *args, diam=diam, seed=3, x_all=full.iterates)
+    return traj, got
+
+
+class Escape(Operator):
+    """T(x) = x + s in every coordinate of the unit square: with step t the
+    iterates x_n = (n - 1) t s first leave the box at x_target."""
+
+    def __init__(self, target, t):
+        self.space = SPACE2
+        self.domain = BOX2
+        self.shift = np.full(2, 1.0 / (t * (target - 1.5)))
+
+    def _apply(self, x):
+        return x + self.shift
+
+
+class TestStreamedAudit:
+    """run() audited while it runs, with blocks of B audit rows pushed from
+    run blocks of 5 and of 256 rows, against the unblocked audit of the full
+    history."""
+
+    @pytest.fixture(autouse=True, params=[5, 256], ids=["run_rows5", "run_rows256"])
+    def small_blocks(self, monkeypatch, request):
+        monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_ROWS", B)
+        monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_BYTES", 0)
+        monkeypatch.setattr(graphmann.mann, "RUN_BLOCK_ROWS", request.param)
+
+    @pytest.mark.parametrize("stride", STRIDES)
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_swap_fails_in_every_block(self, d, stride):
+        op, x1, rel = oscillating_swap(d)
+        schedule = Schedule.constant(0.999)
+        _, got = assert_streamed_like_full_history(op, x1, schedule, rel, stride,
+                                                   max_iter=60, tol=0.0)
+        assert got["edge_propagation"]["failures"] > 60 // B
+        assert got["fejer"]["status"] == "fail"
+
+    @pytest.mark.parametrize("stride", STRIDES)
+    def test_swap_demo(self, stride):
+        rel = ConeRelation(np.array([[1.0, 0.0]]))
+        op = NonmonotoneSwap(SPACE2, BOX2, 0.5, [0.3, 0.1])
+        _, got = assert_streamed_like_full_history(op, [0.55, 0.55], Schedule.constant(0.5),
+                                                   rel, stride, max_iter=50, tol=0.0)
+        assert got["edge_propagation"]["status"] == "fail"
+
+    @pytest.mark.parametrize("stride", STRIDES)
+    @pytest.mark.parametrize("schedule", ["constant", "explicit"])
+    @pytest.mark.parametrize("x1, case", [([0.1, 0.2], "forward"), ([0.9, 0.8], "reverse")])
+    def test_start_direction_and_schedule(self, x1, case, schedule, stride):
+        schedule = (
+            Schedule.constant(0.4)
+            if schedule == "constant"
+            # shorter than max_iter: the schedule caps the run at 31 iterates
+            else Schedule.explicit(np.random.default_rng(2).uniform(0.2, 0.8, 30))
+        )
+        _, got = assert_streamed_like_full_history(half_maps(), x1, schedule, COORD2, stride,
+                                                   max_iter=40, tol=0.0)
+        assert got["edge_propagation"]["detail"]["case"] == case
+        assert got["fejer"]["detail"]["direction"] == case
+        assert all(entry["status"] != "fail" for entry in got.values())
+
+    @pytest.mark.parametrize("stride", STRIDES)
+    def test_one_iterate(self, stride):
+        traj, _ = assert_streamed_like_full_history(gentle_maps(), [0.1, 0.2],
+                                                    Schedule.constant(0.5), COORD2, stride,
+                                                    max_iter=1, tol=0.0)
+        assert traj.n_iterates == 1
+
+    @pytest.mark.parametrize("stride", STRIDES)
+    # 2B + 2 ends in a last block that wraps round the stream's ring
+    @pytest.mark.parametrize(
+        "n", [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 2, 3 * B + 1]
+    )
+    def test_tolerance_stop(self, n, stride):
+        schedule = Schedule.constant(0.5)
+        # the residuals decrease strictly, so the run meets r_n exactly at n
+        tol = run(gentle_maps(), [0.1, 0.2], schedule, max_iter=n, tol=0.0).residuals[-1]
+        traj, _ = assert_streamed_like_full_history(gentle_maps(), [0.1, 0.2], schedule, COORD2,
+                                                    stride, max_iter=100, tol=tol)
+        assert traj.n_iterates == n and traj.stop_reason == "tolerance_met"
+
+    @pytest.mark.parametrize("stride", STRIDES)
+    @pytest.mark.parametrize("target", [2, 5, B - 1, B, B + 1, 10, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 2])
+    def test_box_divergence(self, target, stride):
+        traj, _ = assert_streamed_like_full_history(Escape(target, 0.5), [0.0, 0.0],
+                                                    Schedule.constant(0.5), COORD2, stride,
+                                                    max_iter=100, tol=0.0)
+        assert traj.stop_reason == STOP_DIVERGED and traj.n_iterates == target
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("m", [B - 1, B, B + 1])
+    @pytest.mark.parametrize(
+        "kind", ["iterate_up", "iterate_down", "residual", "step", "fejer_late_member"]
+    )
+    def test_tampered_stored_record(self, kind, m, stride):
+        # a stored record streamed through the audit, its gaps replayed
+        schedule = Schedule.constant(0.5)
+        full = run(gentle_maps(), [0.1, 0.2], schedule, max_iter=60, tol=0.0, rel=COORD2)
+        args = (tamper(decimate(full, stride), kind, m), gentle_maps(), COORD2, SPACE2, schedule)
+        got = run_audits(ALL_AUDITS, *args, diam=2.0, seed=3)
+        assert got == reference_run_audits(ALL_AUDITS, *args, diam=2.0, seed=3)
+        assert got["trajectory"]["status"] == "fail"
+
+
+class TestStreamedAuditAtScale:
+    """The same at d = 256 with the block rules themselves: 1 024-row audit
+    blocks pushed from 256-row run blocks."""
+
+    def test_tolerance_stops_at_block_edges(self):
+        d = 256
+        op = permutation_map(d, 0.999)
+        rel = ConeRelation(np.eye(d))
+        schedule = Schedule.constant(0.5)
+        b = audit_block_rows(d)
+        residuals = run(op, np.zeros(d), schedule, max_iter=2 * b + 1, tol=0.0).residuals
+        for n in (b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1):
+            for stride in STRIDES:
+                traj, got = assert_streamed_like_full_history(
+                    op, np.zeros(d), schedule, rel, stride, diam=16.0, max_iter=4 * b,
+                    tol=residuals[n - 1],
+                )
+                assert traj.n_iterates == n
+                # a tolerance this loose ends far from the fixed point, so
+                # only `convergence` fails
+                assert {name for name, e in got.items() if e["status"] == "fail"} == {
+                    "convergence"
+                }
+
+
+def permutation_config(d, s, n, stride):
+    """The config of `permutation_map(d, s)` from 0, run to n iterates."""
+    op = permutation_map(d, s)
+    return ExperimentConfig.from_dict({
+        "schema_version": 1,
+        "seed": 0,
+        "space": {"dimension": d, "p": 2.0},
+        "body": {"kind": "box", "lo": 0.0, "hi": 1.0},
+        "relation": {"kind": "coordinatewise"},
+        "operator": {"kind": "matrix_affine", "matrix": op.matrix.tolist(),
+                     "offset": float(op.offset[0])},
+        "start": {"kind": "explicit", "value": 0.0},
+        "schedule": {"kind": "constant", "t": 0.5},
+        "run": {"max_iter": n, "tol": 0.0, "record_stride": stride},
+        "audits": list(ALL_AUDITS),
+        "output": {"directory": "out", "formats": ["csv", "json"]},
+    })
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes allocated while fn runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedMemory:
+    def test_run_and_stored_audit_peaks_do_not_grow_with_the_run(self, tmp_path):
+        # at stride 50 neither the run nor the audit of its run.json holds
+        # an (N, d) history, so 6 000 more iterates of 2 KiB add less than
+        # one audit block to either peak
+        d = 256
+        peaks = {"run": [], "audit": []}
+        for n in (2000, 8000):
+            config = permutation_config(d, 0.9999, n, 50)
+            out = tmp_path / str(n)
+            peak, result = traced_peak(run_experiment, config, out_dir=out)
+            assert result.trajectory.n_iterates == n and result.exit_code != 2
+            peaks["run"].append(peak)
+            del result
+            peak, (code, _) = traced_peak(audit_stored, out / "run.json", config)
+            assert code != 2
+            peaks["audit"].append(peak)
+        block = audit_block_rows(d) * d * 8
+        assert peaks["run"][1] - peaks["run"][0] < block
+        assert peaks["audit"][1] - peaks["audit"][0] < block

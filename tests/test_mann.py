@@ -21,7 +21,6 @@ from graphmann.mann import (
     Schedule,
     Trajectory,
     _step,
-    decimate,
     full_iterates,
     read_trajectory_csv,
     run,
@@ -39,6 +38,7 @@ from graphmann.operators import (
     Operator,
 )
 from graphmann.order_graph import AuditReport, ConeRelation
+from testonly_records import decimate
 
 SPACE1 = NormSpace(1, 2.0)
 BOX1 = Box([0.0], [1.0])
