@@ -22,6 +22,7 @@ Exits 0 when everything matches and 1 when any file or exit code differs.
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import subprocess
@@ -82,7 +83,8 @@ def configs(head_src: Path) -> dict[str, dict]:
     """The demo configs, the benchmark's averaged-permutation family
     (long_full is d = 4, wide_sweep d = 256), a swap run whose auditors fail
     in every audit block, and d = 256 runs that end just past an audit
-    block or leave the box, with HEAD_SRC's graphmann."""
+    block (one of them without the auditors that read images) or leave the
+    box, with HEAD_SRC's graphmann."""
     sys.path[:0] = [str(head_src), str(ROOT)]
     from graphmann.corpus import negative_swap_config, oracle_1d_config, t_one_config
     from perfbench.workloads import averaged_permutation_config as permutation
@@ -94,6 +96,10 @@ def configs(head_src: Path) -> dict[str, dict]:
     # one-row tail folds into it
     past_block = permutation(3, d=256, s=0.995, stride=7)
     past_block["run"].update(max_iter=2049, tol=0.0)
+    # the same run with no auditor that reads T of every iterate: the stream
+    # applies no T, and gk_inequality applies it to the head rows itself
+    no_images = copy.deepcopy(past_block)
+    no_images["audits"] = ["residual_monotone", "gk_inequality", "fejer", "rate", "convergence"]
     # the identity config, run with T = x + s (DRIFT); its record is
     # decimated, so the audit of run.json replays up to the first iterate
     # outside the box
@@ -114,6 +120,7 @@ def configs(head_src: Path) -> dict[str, dict]:
         "explicit_d4": explicit,
         "swap_d256": swap_d256(negative_swap_config()),
         "perm_d256_stride7_past_block": past_block,
+        "perm_d256_stride7_no_images": no_images,
         "leave_box_d256": leave_box,
         "swap_d256_stride50": swap_thin,
     }

@@ -30,15 +30,12 @@ def _parse_values(raw: str) -> list[float]:
         raise ConfigError(f"--values must be comma-separated numbers: {exc}") from exc
 
 
-def _print_audit_table(audits: dict, stream) -> None:
+def _audit_table(audits: dict) -> list[str]:
     header = f"{'auditor':<20} {'status':<20} {'trials':>8} {'failures':>9}"
-    print(header, file=stream)
-    print("-" * len(header), file=stream)
-    for name, entry in audits.items():
-        print(
-            f"{name:<20} {entry['status']:<20} {entry['trials']:>8} {entry['failures']:>9}",
-            file=stream,
-        )
+    return [header, "-" * len(header)] + [
+        f"{name:<20} {entry['status']:<20} {entry['trials']:>8} {entry['failures']:>9}"
+        for name, entry in audits.items()
+    ]
 
 
 def _cmd_run(args) -> int:
@@ -50,7 +47,7 @@ def _cmd_run(args) -> int:
             f"run: {traj.n_iterates} iterates, stop={traj.stop_reason}, "
             f"final residual {traj.final_residual:.3e}"
         )
-        _print_audit_table(result.audits, sys.stdout)
+        print("\n".join(_audit_table(result.audits)))
         print(f"artifacts in {result.out_dir}")
     return result.exit_code
 
@@ -78,7 +75,7 @@ def _cmd_audit(args) -> int:
     config = load_config(args.config)
     code, audits = audit_stored(args.trajectory, config, out_dir=args.out)
     if not args.quiet:
-        _print_audit_table(audits, sys.stdout)
+        print("\n".join(_audit_table(audits)))
     return code
 
 
@@ -90,20 +87,26 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"cannot read report {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path} is not a JSON report")
-    if "audits" in data:
-        for key in ("stop_reason", "iterations", "final_residual", "exit_code"):
-            if key in data:
-                print(f"{key}: {data[key]}")
-        _print_audit_table(data["audits"], sys.stdout)
-        return 0
-    if "trajectory" in data:
-        traj = data["trajectory"]
-        print(f"stop_reason: {traj.get('stop_reason')}")
-        print(f"iterates: {len(traj.get('residuals', []))}")
-        residuals = traj.get("residuals") or [float("nan")]
-        print(f"final residual: {residuals[-1]:.6e}")
-        return 0
-    raise ConfigError(f"{path} contains neither an audit nor a run record")
+    if "audits" not in data and "trajectory" not in data:
+        raise ConfigError(f"{path} contains neither an audit nor a run record")
+    # a malformed report fails here, before any line is printed
+    try:
+        if "audits" in data:
+            keys = ("stop_reason", "iterations", "final_residual", "exit_code")
+            lines = [f"{key}: {data[key]}" for key in keys if key in data]
+            lines += _audit_table(data["audits"])
+        else:
+            traj = data["trajectory"]
+            residuals = traj.get("residuals") or [float("nan")]
+            lines = [
+                f"stop_reason: {traj.get('stop_reason')}",
+                f"iterates: {len(traj.get('residuals', []))}",
+                f"final residual: {residuals[-1]:.6e}",
+            ]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} is not a well-formed report: {exc!r}") from exc
+    print("\n".join(lines))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

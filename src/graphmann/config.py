@@ -349,10 +349,17 @@ class ExperimentConfig:
             raise ConfigError(
                 f"schema_version must be {SCHEMA_VERSION}, got {version!r}"
             )
-        for section in ("space", "body", "relation", "operator", "start", "schedule"):
+        sections = ("space", "body", "relation", "operator", "start", "schedule")
+        for section in sections:
             if section not in data:
                 raise ConfigError(f"config section {section!r} is required")
-        audits = tuple(data.get("audits", ALL_AUDITS))
+        for section in sections + ("run", "output"):
+            if not isinstance(data.get(section, {}), dict):
+                raise ConfigError(f"config section {section!r} must be a JSON object")
+        audits = data.get("audits", list(ALL_AUDITS))
+        if not isinstance(audits, list):
+            raise ConfigError("audits must be a list of auditor names")
+        audits = tuple(audits)
         bad = [a for a in audits if a not in ALL_AUDITS]
         if bad:
             raise ConfigError(f"unknown auditors {bad}; valid: {list(ALL_AUDITS)}")

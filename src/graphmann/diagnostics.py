@@ -35,10 +35,9 @@ from .mann import (
     Schedule,
     Trajectory,
     audit_block_rows,
-    audit_blocks,
     full_iterates,
-    iterate_rows,
     start_edges,
+    stream_record,
     verify_trajectory,
 )
 from .normed_space import NormSpace
@@ -113,7 +112,6 @@ def audit_edge_propagation(
     traj: Trajectory | None,
     operator: Operator,
     rel: ConeRelation,
-    x_all: np.ndarray | None = None,
     block: AuditBlock | None = None,
     report: AuditReport | None = None,
 ) -> AuditReport:
@@ -124,43 +122,44 @@ def audit_edge_propagation(
     families run mirrored.  A start comparable in neither direction yields
     hypothesis-not-met.  The direction is read from the trajectory's start
     flags (`Trajectory.start_edge_case`); a record without them raises
-    InputError.  `x_all` holds all iterates x_1..x_N; without it the
-    record's own are read, replayed gap by gap when decimated.  The witness
-    is the first failing step edge, or the first failing image edge when
-    every step edge holds.
+    InputError.  The witness is the first failing step edge, or the first
+    failing image edge when every step edge holds.
 
-    The steps are checked one `audit_blocks` block at a time, with T applied
-    once per block; a block's last step reads the first row of the next.
+    The steps are checked one audit block at a time, with T applied once
+    per block; a block's last step reads the first row of the next.
     `block` and `report` work as in `verify_trajectory`.
     """
     if report is None:
         report = _edge_report(traj.start_edge_case())
         if not report.hypothesis_met:
             return report
-    reverse = report.extra["case"] == "reverse"
-    for b in audit_blocks(x_all, operator, traj) if block is None else (block,):
-        x, tx, start = b.x, b.tx, b.start  # the steps leaving rows start..stop-1
-        steps = x.shape[0] - 1
-        if steps == 0:
-            continue
-        # each family's edges as (tail, head) rows; one family's
-        # differences are alive at a time
-        if reverse:
-            edges = ((x[1:], x[:-1]), (tx[:steps], x[1:]))
-        else:
-            edges = ((x[:-1], x[1:]), (x[1:], tx[:steps]))
-        for family, ((tail, head), label) in enumerate(zip(edges, ("step_edge", "image_edge"))):
-            ok = rel.diffs_in_cone(head - tail)
-            report.trials += steps
-            bad = np.flatnonzero(~ok)
-            if bad.size:
-                k = int(bad[0])
-                report.fail(
-                    int(bad.size),
-                    (family, start + k),
-                    (x[k], x[k + 1]),
-                    first_failure={"family": label, "step": start + k + 1},
-                )
+    if block is None:
+        stream = AuditStream(operator)
+        stream.audit = partial(audit_edge_propagation, None, operator, rel, report=report)
+        stream_record(traj, operator, stream)
+        return report
+    x, tx, start = block.x, block.tx, block.start  # the steps leaving rows start..stop-1
+    steps = x.shape[0] - 1
+    if steps == 0:
+        return report
+    # each family's edges as (tail, head) rows; one family's differences
+    # are alive at a time
+    if report.extra["case"] == "reverse":
+        edges = ((x[1:], x[:-1]), (tx[:steps], x[1:]))
+    else:
+        edges = ((x[:-1], x[1:]), (x[1:], tx[:steps]))
+    for family, ((tail, head), label) in enumerate(zip(edges, ("step_edge", "image_edge"))):
+        ok = rel.diffs_in_cone(head - tail)
+        report.trials += steps
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            k = int(bad[0])
+            report.fail(
+                int(bad.size),
+                (family, start + k),
+                (x[k], x[k + 1]),
+                first_failure={"family": label, "step": start + k + 1},
+            )
     return report
 
 
@@ -181,53 +180,53 @@ def audit_fejer(
     operator: Operator,
     rel: ConeRelation,
     space: NormSpace,
-    x_all: np.ndarray | None = None,
     block: AuditBlock | None = None,
     report: AuditReport | None = None,
 ) -> AuditReport:
     """Check edge(x_n, omega) for all n and nonincreasing distances to omega.
 
     Requires omega to be a fixed point (within 1e-10) with edge(x_1, omega);
-    otherwise the result is hypothesis-not-met.  `x_all` holds all iterates
-    x_1..x_N; without it the record's own are read, replayed gap by gap when
-    decimated.  The witness is the first iterate outside the edge to omega,
-    or the first distance increase when every edge holds.
+    otherwise the result is hypothesis-not-met.  The witness is the first
+    iterate outside the edge to omega, or the first distance increase when
+    every edge holds.
 
-    The rows are checked one `audit_blocks` block at a time; a block's first
-    distance is compared with the last row of the block before.  `block` and
-    `report` work as in `verify_trajectory`.
+    The rows are checked one audit block at a time; a block's first
+    distance is compared with the last row of the block before.  `block`
+    and `report` work as in `verify_trajectory`.
     """
     w = as_vector(omega, space.dimension, "omega")
     if report is None:
-        x1 = (traj.iterates if x_all is None else x_all)[0]
-        report = _fejer_report(w, operator, rel, space, x1)
+        report = _fejer_report(w, operator, rel, space, traj.iterates[0])
         if not report.hypothesis_met:
             return report
-    blocks = audit_blocks(x_all, operator, traj, images=False) if block is None else (block,)
-    for b in blocks:
-        start, stop = b.start, b.stop
-        x = b.x[: stop - start]
-        member = rel.diffs_in_cone(w - x)
-        report.trials += stop - start
-        bad = np.flatnonzero(~member)
-        if bad.size:
-            k = int(bad[0])
-            report.fail(int(bad.size), (0, start + k), (x[k], w))
-        # distances from the last row of the block before on, whose distance
-        # is the limit estimate so far (norms of rows do not depend on the
-        # other rows of the batch)
-        dist = space.norms(x - w)
-        if b.prev is not None:
-            dist = np.concatenate(([report.extra["limit_estimate"]], dist))
-        lo = stop - dist.shape[0]
-        increases = np.flatnonzero(dist[1:] > dist[:-1] + MONOTONE_TOL)
-        report.trials += dist.shape[0] - 1
-        if increases.size:
-            k = lo + int(increases[0])
-            pair = (b.prev if k < start else x[k - start], x[k + 1 - start])
-            report.fail(int(increases.size), (1, k), pair)
-        report.extra.setdefault("initial_distance", float(dist[0]))
-        report.extra["limit_estimate"] = float(dist[-1])
+    if block is None:
+        stream = AuditStream()
+        stream.audit = partial(audit_fejer, None, w, operator, rel, space, report=report)
+        stream_record(traj, operator, stream)
+        return report
+    start, stop = block.start, block.stop
+    x = block.x[: stop - start]
+    member = rel.diffs_in_cone(w - x)
+    report.trials += stop - start
+    bad = np.flatnonzero(~member)
+    if bad.size:
+        k = int(bad[0])
+        report.fail(int(bad.size), (0, start + k), (x[k], w))
+    # distances from the last row of the block before on, whose distance is
+    # the limit estimate so far (norms of rows do not depend on the other
+    # rows of the batch)
+    dist = space.norms(x - w)
+    if block.prev is not None:
+        dist = np.concatenate(([report.extra["limit_estimate"]], dist))
+    lo = stop - dist.shape[0]
+    increases = np.flatnonzero(dist[1:] > dist[:-1] + MONOTONE_TOL)
+    report.trials += dist.shape[0] - 1
+    if increases.size:
+        k = lo + int(increases[0])
+        pair = (block.prev if k < start else x[k - start], x[k + 1 - start])
+        report.fail(int(increases.size), (1, k), pair)
+    report.extra.setdefault("initial_distance", float(dist[0]))
+    report.extra["limit_estimate"] = float(dist[-1])
     return report
 
 
@@ -456,7 +455,7 @@ class AuditPass(AuditStream):
         self.names = names
         self.audited = operator, rel, space
         self.reports: dict[str, AuditReport] = {}
-        self.checks = {}  # the block auditors asked for, each a call on a block and its report
+        self.checks = []  # the block auditors whose hypotheses hold, each a call on a block
         self.fejer_direction = None
         # the first rows, and the images of the first block, for gk_inequality
         self.head_rows: list[np.ndarray] = []
@@ -466,35 +465,37 @@ class AuditPass(AuditStream):
     def audit(self, block: AuditBlock) -> None:
         if block.start == 0:
             self._begin(block)
-        for name, check in self.checks.items():
-            report = self.reports[name]
-            if report.hypothesis_met:
-                check(block=block, report=report)
+        for check in self.checks:
+            check(block)
         if self.head_needed:
             rows = block.x[: min(self.head_needed, block.stop - block.start)]
             self.head_rows.append(rows.copy())
             self.head_needed -= rows.shape[0]
+
+    def _add(self, name: str, report: AuditReport, check, *args) -> None:
+        # a report before its first block, and the check extending it per block
+        self.reports[name] = report
+        if report.hypothesis_met:
+            self.checks.append(partial(check, *args, report=report))
 
     def _begin(self, block: AuditBlock) -> None:
         # each report before its first block, from the start flags and x_1
         operator, rel, space = self.audited
         x1 = block.x[0]
         if "trajectory" in self.names:
-            self.reports["trajectory"] = AuditReport("trajectory_consistency")
-            self.checks["trajectory"] = partial(verify_trajectory, None, operator)
+            report = AuditReport("trajectory_consistency")
+            self._add("trajectory", report, verify_trajectory, None, operator)
         if "edge_propagation" in self.names:
-            self.reports["edge_propagation"] = _edge_report(self.case)
-            self.checks["edge_propagation"] = partial(audit_edge_propagation, None, operator, rel)
+            report = _edge_report(self.case)
+            self._add("edge_propagation", report, audit_edge_propagation, None, operator, rel)
         if "fejer" in self.names:
             target = _fejer_target(x1, operator, rel)
             if isinstance(target, AuditReport):
                 self.reports["fejer"] = target
             else:
                 omega, edge_rel, self.fejer_direction = target
-                self.reports["fejer"] = _fejer_report(omega, operator, edge_rel, space, x1)
-                self.checks["fejer"] = partial(
-                    audit_fejer, None, omega, operator, edge_rel, space
-                )
+                report = _fejer_report(omega, operator, edge_rel, space, x1)
+                self._add("fejer", report, audit_fejer, None, omega, operator, edge_rel, space)
         if "gk_inequality" in self.names:
             # the pairs lie in the first GK_WINDOW rows; where the first
             # block's images do not cover them, gk_inequality_check applies
@@ -515,7 +516,6 @@ def run_audits(
     schedule: Schedule,
     diam: float,
     seed: int = 0,
-    x_all: np.ndarray | None = None,
     audit: AuditPass | None = None,
 ) -> dict[str, dict]:
     """Run the named auditors and collect a JSON-ready report per auditor.
@@ -533,11 +533,10 @@ def run_audits(
     block, and `gk_inequality` reads the head of the first block.  `audit`
     is the pass a run was streamed into while it ran (`run(...,
     audit=...)`, as `run_experiment` does), over the same `names`.
-    Without it the pass is fed here, after validating the record: with the
-    rows of `x_all`, all iterates x_1..x_N, when given, else with the
-    record's own, a decimated record replayed gap by gap (`iterate_rows`).
-    Either way the audit holds a few blocks of rows, however long the run,
-    and T is applied to each row at most once.
+    Without it the record is streamed into the pass here (`stream_record`):
+    its stored rows, a decimated record replayed gap by gap.  Either way the
+    audit holds a few blocks of rows beyond the record, however long the
+    run, and T is applied to each row at most once.
     """
     unknown = [name for name in names if name not in ALL_AUDITS]
     if unknown:
@@ -549,17 +548,7 @@ def run_audits(
     if audit is None:
         audit = AuditPass(names, operator, rel, space)
         if REPLAYING_AUDITS.intersection(names):
-            traj.validate()
-            audit.open(
-                traj.residuals,
-                traj.schedule_used,
-                traj.iterate_indices,
-                traj.start_edge_forward,
-                traj.start_edge_reverse,
-            )
-            for rows in (x_all,) if x_all is not None else iterate_rows(traj, operator):
-                audit.push(rows)
-            audit.close()
+            stream_record(traj, operator, audit)
     reports = dict(audit.reports)
     if audit.fejer_direction is not None:
         reports["fejer"].extra["direction"] = audit.fejer_direction

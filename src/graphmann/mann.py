@@ -12,8 +12,9 @@ run() steps into blocks of RUN_BLOCK_ROWS rows and checks a box domain once
 per block; `iterate_rows` replays a decimated record gap by gap into blocks
 of the same size; `verify_trajectory` steps whole columns of rows at once,
 one audit block at a time.  The audit reads a run's rows through an
-`AuditStream`, which cuts them into audit blocks as a run or a replay hands
-them over, so no (N, d) history is needed to audit a run.
+`AuditStream`, which cuts them into audit blocks as a run hands them over
+or `stream_record` pushes a stored record, so no (N, d) history is needed
+to audit a run.
 """
 
 from __future__ import annotations
@@ -260,13 +261,12 @@ class AuditStream:
     are cut at multiples of a block, so a block's rows and the row after
     them are contiguous in the ring (the spare row repeats ring row 0);
     only a last block that wraps round is copied out.  Each block goes
-    to `audit`, which queues a copy on `blocks`; a subclass audits it there
-    instead, before the ring moves on.
+    to `audit`, which a subclass defines (or an instance is given), and is
+    audited there before the ring moves on.
     """
 
     def __init__(self, operator: Operator | None = None) -> None:
         self.images = operator
-        self.blocks: list[AuditBlock] = []
 
     def open(self, residuals, steps, indices, forward=None, reverse=None) -> None:
         """Start a run.
@@ -315,7 +315,7 @@ class AuditStream:
 
     def audit(self, block: AuditBlock) -> None:
         """Take one block, whose rows stay valid only for this call."""
-        self.blocks.append(block._replace(x=block.x.copy()))
+        raise NotImplementedError
 
     def _cut(self, k: int) -> None:
         # the first k pending rows form a block; x adds the row after them
@@ -348,37 +348,6 @@ class AuditStream:
         )
         self.prev = rows[-1].copy()
         self.start, self.count = stop, self.count - k
-
-
-_NO_RECORD = np.empty(0)
-
-
-def audit_blocks(
-    x_all,
-    operator: Operator | None = None,
-    traj: Trajectory | None = None,
-    images: bool = True,
-):
-    """The audit's blocks of a run's rows, in order, as `AuditStream` cuts
-    them.
-
-    The rows are x_all, an (N, d) array, or, when it is None, the iterates
-    of the record `traj` (`iterate_rows`).  With `traj`, which is validated
-    first, each block carries its slices of the record, and with `operator`
-    and `images`, T of its rows.
-    """
-    stream = AuditStream(operator if images else None)
-    if traj is None:
-        stream.open(_NO_RECORD, _NO_RECORD, _NO_RECORD)
-    else:
-        traj.validate()
-        stream.open(traj.residuals, traj.schedule_used, traj.iterate_indices)
-    for rows in (x_all,) if x_all is not None else iterate_rows(traj, operator):
-        stream.push(rows)
-        yield from stream.blocks
-        stream.blocks.clear()
-    stream.close()
-    yield from stream.blocks
 
 
 def start_edges(rel: ConeRelation, x1, tx1) -> tuple[bool, bool]:
@@ -622,6 +591,22 @@ def iterate_rows(traj: Trajectory, operator: Operator):
     yield block[:row]
 
 
+def stream_record(traj: Trajectory, operator: Operator, stream: AuditStream) -> None:
+    """Validate a stored record and push its iterates x_1..x_N through
+    `stream` (`iterate_rows`), opened with the record and its start flags."""
+    traj.validate()
+    stream.open(
+        traj.residuals,
+        traj.schedule_used,
+        traj.iterate_indices,
+        traj.start_edge_forward,
+        traj.start_edge_reverse,
+    )
+    for rows in iterate_rows(traj, operator):
+        stream.push(rows)
+    stream.close()
+
+
 def full_iterates(traj: Trajectory, operator: Operator) -> np.ndarray:
     """All iterates x_1..x_N of a validated record as one (N, d) array.
 
@@ -638,17 +623,15 @@ def full_iterates(traj: Trajectory, operator: Operator) -> np.ndarray:
 def verify_trajectory(
     traj: Trajectory | None,
     operator: Operator,
-    x_all: np.ndarray | None = None,
     block: AuditBlock | None = None,
     report: AuditReport | None = None,
 ) -> AuditReport:
     """Recompute every residual and every recorded step of a trajectory.
 
-    `x_all` holds all iterates x_1..x_N; without it the record's own are
-    read, replayed gap by gap when decimated (`iterate_rows`).  The rows
-    are checked one `audit_blocks` block at a time, with T applied once per
-    block, in two families of vector comparisons, each with tolerance
-    STEP_RECOMPUTE_TOL (1e-12):
+    The record's iterates are read as stored, replayed gap by gap when
+    decimated, and checked one audit block at a time (`stream_record`),
+    with T applied once per block, in two families of vector comparisons,
+    each with tolerance STEP_RECOMPUTE_TOL (1e-12):
 
     * residual n, for every n = 1..N: | ||x_n - T x_n|| - r_n |;
     * step to each recorded iterate x_h after the first: the norm of
@@ -665,34 +648,38 @@ def verify_trajectory(
     size of the iterates, far inside the tolerance, so any run() output
     verifies with zero failures.
 
-    `run_audits` checks a run in one pass over its blocks as they stream
-    in: it passes one `block` per call, which carries its slices of the
-    record (so `traj` is not read and may be None), and the `report` the
-    checks of the earlier blocks extended.  Without `block` every block is
-    checked here.
+    Each block is checked by a call with that `block`, which carries its
+    slices of the record (so `traj` is not read and may be None), and the
+    `report` the checks of the earlier blocks extended: `run_audits` makes
+    these calls in its one pass over a run's blocks, and a call without
+    `block` makes them by streaming `traj` itself.
     """
     if report is None:
         report = AuditReport("trajectory_consistency")
+    if block is None:
+        stream = AuditStream(operator)
+        stream.audit = partial(verify_trajectory, None, operator, report=report)
+        stream_record(traj, operator, stream)
+        return report
     space = operator.space
-    for b in audit_blocks(x_all, operator, traj) if block is None else (block,):
-        x, tx, checked = b.x[: b.stop - b.start], b.tx, b.checked
-        residual_ok = np.abs(space.norms(x - tx) - b.residuals) <= STEP_RECOMPUTE_TOL
-        predicted = _step(x[checked], tx[checked], b.steps[:, None])
-        recorded = b.x[checked + 1]
-        step_ok = space.norms(predicted - recorded) <= STEP_RECOMPUTE_TOL
-        report.trials += b.stop - b.start + checked.shape[0]
-        # residual of row r comes before the step leaving row r
-        bad = np.flatnonzero(~residual_ok)
-        if bad.size:
-            report.fail(int(bad.size), (b.start + int(bad[0]), 0), (x[bad[0]],))
-        bad = np.flatnonzero(~step_ok)
-        if bad.size:
-            k = bad[0]
-            report.fail(
-                int(bad.size),
-                (b.start + int(checked[k]), 1),
-                (predicted[k], recorded[k]),
-            )
+    x, tx, checked = block.x[: block.stop - block.start], block.tx, block.checked
+    residual_ok = np.abs(space.norms(x - tx) - block.residuals) <= STEP_RECOMPUTE_TOL
+    predicted = _step(x[checked], tx[checked], block.steps[:, None])
+    recorded = block.x[checked + 1]
+    step_ok = space.norms(predicted - recorded) <= STEP_RECOMPUTE_TOL
+    report.trials += block.stop - block.start + checked.shape[0]
+    # residual of row r comes before the step leaving row r
+    bad = np.flatnonzero(~residual_ok)
+    if bad.size:
+        report.fail(int(bad.size), (block.start + int(bad[0]), 0), (x[bad[0]],))
+    bad = np.flatnonzero(~step_ok)
+    if bad.size:
+        k = bad[0]
+        report.fail(
+            int(bad.size),
+            (block.start + int(checked[k]), 1),
+            (predicted[k], recorded[k]),
+        )
     return report
 
 

@@ -72,6 +72,30 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("body", "x"),
+            ("relation", 3),
+            ("space", []),
+            ("operator", []),
+            ("start", []),
+            ("schedule", []),
+            ("run", []),
+            ("output", []),
+            ("audits", 5),
+            ("audits", None),
+            ("audits", "fejer"),
+        ],
+    )
+    def test_section_of_the_wrong_type(self, tmp_path, capsys, key, value):
+        data = oracle_1d_config(str(tmp_path / "o"))
+        data[key] = value
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(data)
+        assert main(["run", "--config", write_config(tmp_path, data), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_non_numeric_field_is_config_error(self):
         data = oracle_1d_config()
         data["space"]["dimension"] = "two"
@@ -432,10 +456,23 @@ class TestCliReport:
         assert main(["report", str(tmp_path / "out" / "run.json")]) == 0
         assert "tolerance_met" in capsys.readouterr().out
 
-    def test_garbage_input_exit_one(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2, 3]",
+            '{"audits": []}',
+            '{"audits": {"x": {}}}',
+            '{"audits": {"x": 3}}',
+            '{"trajectory": []}',
+            '{"trajectory": {"residuals": "abc"}}',
+        ],
+    )
+    def test_garbage_input_exit_one(self, tmp_path, capsys, text):
         path = tmp_path / "junk.json"
-        path.write_text("[1, 2, 3]")
+        path.write_text(text)
         assert main(["report", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
 
 class TestNegativeCorpusConfigs:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import graphmann.diagnostics
 import graphmann.mann
 from graphmann.config import ExperimentConfig
 from graphmann.diagnostics import (
@@ -509,22 +508,6 @@ class TestOrchestration:
         assert all(entry["status"] == "pass" for entry in results.values())
         assert exit_code_from_audits(results) == 0
 
-    def test_given_iterates_are_not_replayed(self, monkeypatch):
-        op = gentle_maps()
-        schedule = Schedule.constant(0.5)
-        full = run(op, [0.1, 0.2], schedule, max_iter=300, tol=0.0, rel=COORD2)
-        thin = decimate(full, 7)
-        args = (op, COORD2, SPACE2, schedule)
-        replayed = run_audits(ALL_AUDITS, thin, *args, diam=2.0)
-
-        def no_replay(*args):
-            raise AssertionError("full_iterates called although x_all was given")
-
-        monkeypatch.setattr(graphmann.diagnostics, "full_iterates", no_replay)
-        given_iterates = run_audits(ALL_AUDITS, thin, *args, diam=2.0, x_all=full.iterates)
-        assert given_iterates == replayed
-        assert all(entry["status"] != "fail" for entry in replayed.values())
-
     def test_image_of_the_iterates_computed_once(self, monkeypatch):
         op = gentle_maps()
         schedule = Schedule.constant(0.5)
@@ -593,10 +576,10 @@ class TestBlockedAudit:
         monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_BYTES", 0)
 
     @staticmethod
-    def assert_same(traj, op, rel, schedule, x_all=None):
+    def assert_same(traj, op, rel, schedule):
         args = (traj, op, rel, op.space, schedule)
-        got = run_audits(ALL_AUDITS, *args, diam=2.0, seed=3, x_all=x_all)
-        assert got == reference_run_audits(ALL_AUDITS, *args, diam=2.0, seed=3, x_all=x_all)
+        got = run_audits(ALL_AUDITS, *args, diam=2.0, seed=3)
+        assert got == reference_run_audits(ALL_AUDITS, *args, diam=2.0, seed=3)
         return got
 
     @pytest.mark.parametrize("d", [2, 4])
@@ -633,6 +616,32 @@ class TestBlockedAudit:
             # row m moves away from the fixed point
             assert got["fejer"]["status"] == "fail"
 
+    @pytest.mark.parametrize("m", [B - 1, B, B + 1])
+    @pytest.mark.parametrize(
+        "kind", ["iterate_up", "iterate_down", "residual", "step", "fejer_late_member"]
+    )
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_standalone_auditors(self, stride, kind, m):
+        # called on a record, the edge and Fejer auditors stream it through
+        # the same blocks; at stride 2 recorded rows B - 1..B + 1 are
+        # iterates 2B - 1..2B + 3, round the second block boundary
+        op = gentle_maps()
+        full = run(op, [0.1, 0.2], Schedule.constant(0.5), max_iter=40, tol=0.0, rel=COORD2)
+        traj = tamper(decimate(full, stride), kind, m)
+        x_all = full_iterates(traj, op)
+        edges = audit_edge_propagation(traj, op, COORD2)
+        expect = reference_edges(traj, COORD2, x_all, op.apply_batch(x_all))
+        assert edges.to_dict() == expect.to_dict()
+        omega = known_fixed_points(op).known_points[0]
+        fejer = audit_fejer(traj, omega, op, COORD2, SPACE2)
+        expect = reference_fejer(traj, op, COORD2, SPACE2, x_all)
+        assert expect.extra.pop("direction") == "forward"
+        assert fejer.to_dict() == expect.to_dict()
+        if stride == 1 and kind.startswith("iterate"):
+            assert edges.status == "fail"
+        if stride == 1 and kind in ("iterate_down", "fejer_late_member"):
+            assert fejer.status == "fail"
+
     @pytest.mark.parametrize("kind", [None, "iterate_up", "iterate_down"])
     def test_reverse_start(self, kind):
         schedule = Schedule.constant(0.4)
@@ -647,8 +656,11 @@ class TestBlockedAudit:
     def test_replayed_record(self, stride):
         schedule = Schedule.constant(0.5)
         full = run(gentle_maps(), [0.1, 0.2], schedule, max_iter=40, tol=0.0, rel=COORD2)
-        self.assert_same(decimate(full, stride), gentle_maps(), COORD2, schedule)
-        self.assert_same(decimate(full, stride), gentle_maps(), COORD2, schedule, full.iterates)
+        thin = decimate(full, stride)
+        got = self.assert_same(thin, gentle_maps(), COORD2, schedule)
+        # the replay reads the rows the run produced
+        args = (thin, gentle_maps(), COORD2, SPACE2, schedule)
+        assert got == reference_run_audits(ALL_AUDITS, *args, diam=2.0, seed=3, x_all=full.iterates)
 
     @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 3 * B + 1])
     def test_run_lengths(self, n):
@@ -683,9 +695,9 @@ class TestBlockedAuditAtScale:
             traj = run(op, np.zeros(d), schedule, max_iter=n, tol=0.0, rel=rel)
             tracemalloc.start()
             try:
-                # the iterates were allocated before tracing started
-                results = run_audits(ALL_AUDITS, traj, op, rel, op.space, schedule,
-                                     diam=16.0, x_all=traj.iterates)
+                # the iterates were allocated before tracing started, and the
+                # stream reads them as stored
+                results = run_audits(ALL_AUDITS, traj, op, rel, op.space, schedule, diam=16.0)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

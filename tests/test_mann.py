@@ -746,13 +746,6 @@ class TestBatchedVerify:
             for a, b in zip(got.witness, expect.witness):
                 assert np.max(np.abs(a - b)) <= 1e-12
 
-    def test_given_iterates_are_used(self):
-        traj, op = tampered("none", 2.0, doubly_stochastic_map)
-        x_all = full_iterates(traj, op).copy()
-        assert verify_trajectory(traj, op, x_all).failures == 0
-        x_all[10, 0] += 1e-6
-        assert verify_trajectory(traj, op, x_all).failures > 0
-
 
 class TestSerialization:
     def test_csv_round_trip_lossless(self, tmp_path):

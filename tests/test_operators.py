@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from graphmann.errors import DomainError, InputError
-from graphmann.mann import audit_block_rows, audit_blocks
+from graphmann.mann import AuditStream, audit_block_rows
 from graphmann.normed_space import Ball, Box, NormSpace, contains
 from graphmann.operators import (
     Componentwise,
@@ -150,7 +150,12 @@ class TestBlockedApplyBits:
         b = audit_block_rows(d)
         for n in (b - 1, b, b + 1, 2 * b + 1, 2 * b + 255, 3 * b + 1):
             rows = rng.uniform(0.0, 1.0, (n, d))
-            blocks = list(audit_blocks(rows, op))
+            blocks = []
+            stream = AuditStream(op)
+            stream.audit = blocks.append  # start, stop and tx outlive the call
+            stream.open(np.empty(0), np.empty(0), np.empty(0))
+            stream.push(rows)
+            stream.close()
             assert blocks[0].start == 0 and blocks[-1].stop == n
             # a tail shorter than a block folds into the block before it
             assert len(blocks) == max(1, n // b)
