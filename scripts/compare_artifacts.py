@@ -82,9 +82,10 @@ def source_dir(tree: str) -> Path:
 def configs(head_src: Path) -> dict[str, dict]:
     """The demo configs, the benchmark's averaged-permutation family
     (long_full is d = 4, wide_sweep d = 256), a swap run whose auditors fail
-    in every audit block, and d = 256 runs that end just past an audit
-    block (one of them without the auditors that read images) or leave the
-    box, with HEAD_SRC's graphmann."""
+    in every audit block, d = 256 runs that end just past an audit block
+    (one of them without the auditors that read images) or leave the box,
+    and two small runs of the remaining section kinds, with HEAD_SRC's
+    graphmann."""
     sys.path[:0] = [str(head_src), str(ROOT)]
     from graphmann.corpus import negative_swap_config, oracle_1d_config, t_one_config
     from perfbench.workloads import averaged_permutation_config as permutation
@@ -110,6 +111,23 @@ def configs(head_src: Path) -> dict[str, dict]:
     # that all fail
     swap_thin = swap_d256(negative_swap_config())
     swap_thin["run"]["record_stride"] = 50
+    # the section kinds no config above uses: a ball, the identity and a
+    # custom cone; T x = 0.9 x + 0.05 (fixed point 0.5 * 1) by scale from a
+    # drawn comparable start, under an explicit schedule with bounds
+    ball = permutation(3, d=2, s=0.999, stride=1)
+    ball.update(
+        body={"kind": "ball", "center": [0.5, 0.5], "radius": 0.5},
+        relation={"kind": "custom", "generator_matrix": [[1.0, 0.0], [1.0, 1.0]]},
+        operator={"kind": "identity"},
+        start={"kind": "explicit", "value": [0.25, 0.5]},
+    )
+    scaled = permutation(3, d=3, s=0.9, stride=1)
+    scaled.update(
+        operator={"kind": "matrix_affine", "scale": 0.9, "offset": 0.05},
+        start={"kind": "random_comparable"},
+        schedule={"kind": "explicit", "a": 0.3, "b": 0.8,
+                  "values": (0.3 + 0.5 * np.random.default_rng(6).random(2000)).tolist()},
+    )
     return {
         "oracle": oracle_1d_config(),
         "swap": negative_swap_config(),
@@ -123,6 +141,8 @@ def configs(head_src: Path) -> dict[str, dict]:
         "perm_d256_stride7_no_images": no_images,
         "leave_box_d256": leave_box,
         "swap_d256_stride50": swap_thin,
+        "ball_identity_custom_d2": ball,
+        "scale_random_start_explicit_d3": scaled,
     }
 
 

@@ -4,13 +4,19 @@ A config is a JSON object with a `schema_version` field; scalar values for
 vector-valued fields (box corners, offsets, the per-coordinate function of a
 componentwise operator) broadcast to the space dimension, which keeps one
 config usable across a dimension sweep.  See README for the full schema.
+
+Each section's dataclass is the one declaration of its fields: their order
+is the order of the echo in run.json, their defaults are the parser's, and
+a section without a kind accepts exactly their names as keys.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
@@ -19,7 +25,7 @@ import numpy as np
 from ._util import dumps_indent2
 from .diagnostics import ALL_AUDITS
 from .errors import ConfigError, GraphmannError
-from .mann import Schedule
+from .mann import DEFAULT_MAX_ITER, DEFAULT_TOL, Schedule
 from .normed_space import Ball, Box, ConvexBody, NormSpace, contains, sample_point
 from .operators import (
     Componentwise,
@@ -29,17 +35,36 @@ from .operators import (
     Operator,
     known_fixed_points,
 )
-from .order_graph import ConeRelation, sample_cone_element, undirected_contains
+from .order_graph import (
+    EDGE_SLACK_TOL,
+    ConeRelation,
+    sample_cone_element,
+    undirected_contains,
+)
 
 SCHEMA_VERSION = 1
 
 _RANDOM_START_TRIES = 2000
 
 
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
 def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"{section}: unknown keys {sorted(unknown)}")
+
+
+def _int(value: Any, name: str) -> int:
+    """An integer field: an integer, or a float with an integral value such
+    as 2.0 or 1e5; a bool or a fractional number is a ConfigError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _parse_p(value: Any) -> float:
@@ -63,6 +88,14 @@ def _vec(value: Any, dim: int, name: str) -> np.ndarray:
     return arr
 
 
+class _Section:
+    """A section echoed as its set (not None) fields in declaration order."""
+
+    def to_dict(self) -> dict:
+        pairs = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: value for name, value in pairs if value is not None}
+
+
 @dataclass(frozen=True)
 class SpaceConfig:
     dimension: int
@@ -70,20 +103,20 @@ class SpaceConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpaceConfig":
-        _check_keys("space", data, {"dimension", "p"})
+        _check_keys("space", data, _field_names(cls))
         if "dimension" not in data:
             raise ConfigError("space.dimension is required")
-        dim = int(data["dimension"])
+        dim = _int(data["dimension"], "space.dimension")
         if dim < 1:
             raise ConfigError(f"space.dimension must be >= 1, got {dim}")
-        return cls(dimension=dim, p=_parse_p(data.get("p", 2.0)))
+        return cls(dimension=dim, p=_parse_p(data.get("p", cls.p)))
 
     def to_dict(self) -> dict:
         return {"dimension": self.dimension, "p": "inf" if math.isinf(self.p) else self.p}
 
 
 @dataclass(frozen=True)
-class BodyConfig:
+class BodyConfig(_Section):
     kind: str
     lo: Any = None
     hi: Any = None
@@ -105,23 +138,18 @@ class BodyConfig:
             return cls(kind="ball", center=data["center"], radius=float(data["radius"]))
         raise ConfigError(f"body.kind must be 'box' or 'ball', got {kind!r}")
 
-    def to_dict(self) -> dict:
-        if self.kind == "box":
-            return {"kind": "box", "lo": self.lo, "hi": self.hi}
-        return {"kind": "ball", "center": self.center, "radius": self.radius}
-
 
 @dataclass(frozen=True)
-class RelationConfig:
+class RelationConfig(_Section):
     kind: str = "coordinatewise"
+    slack_tol: float = EDGE_SLACK_TOL
     row: Any = None
     generator_matrix: Any = None
-    slack_tol: float = 1e-12
 
     @classmethod
     def from_dict(cls, data: dict) -> "RelationConfig":
-        kind = data.get("kind", "coordinatewise")
-        tol = float(data.get("slack_tol", 1e-12))
+        kind = data.get("kind", cls.kind)
+        tol = float(data.get("slack_tol", cls.slack_tol))
         if kind == "coordinatewise":
             _check_keys("relation", data, {"kind", "slack_tol"})
             return cls(kind=kind, slack_tol=tol)
@@ -139,17 +167,9 @@ class RelationConfig:
             f"relation.kind must be coordinatewise, half_space, or custom, got {kind!r}"
         )
 
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"kind": self.kind, "slack_tol": self.slack_tol}
-        if self.row is not None:
-            out["row"] = self.row
-        if self.generator_matrix is not None:
-            out["generator_matrix"] = self.generator_matrix
-        return out
-
 
 @dataclass(frozen=True)
-class OperatorConfig:
+class OperatorConfig(_Section):
     kind: str
     matrix: Any = None
     scale: float | None = None
@@ -189,17 +209,9 @@ class OperatorConfig:
             )
         raise ConfigError(f"unknown operator kind {kind!r}")
 
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"kind": self.kind}
-        for key in ("matrix", "scale", "offset", "functions", "factor"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
-
 
 @dataclass(frozen=True)
-class StartConfig:
+class StartConfig(_Section):
     kind: str
     value: Any = None
 
@@ -218,26 +230,24 @@ class StartConfig:
             f"start.kind must be 'explicit' or 'random_comparable', got {kind!r}"
         )
 
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"kind": self.kind}
-        if self.value is not None:
-            out["value"] = self.value
-        return out
-
 
 @dataclass(frozen=True)
-class ScheduleConfig:
+class ScheduleConfig(_Section):
     kind: str = "constant"
+    enforce_bounds: bool = True
     t: float | None = None
     values: Any = None
     a: float | None = None
     b: float | None = None
-    enforce_bounds: bool = True
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScheduleConfig":
-        kind = data.get("kind", "constant")
-        enforce = bool(data.get("enforce_bounds", True))
+        kind = data.get("kind", cls.kind)
+        enforce = data.get("enforce_bounds", cls.enforce_bounds)
+        if not isinstance(enforce, bool):
+            raise ConfigError(
+                f"schedule.enforce_bounds must be true or false, got {enforce!r}"
+            )
         a = float(data["a"]) if "a" in data else None
         b = float(data["b"]) if "b" in data else None
         if kind == "constant":
@@ -252,43 +262,26 @@ class ScheduleConfig:
             return cls(kind=kind, values=data["values"], a=a, b=b, enforce_bounds=enforce)
         raise ConfigError(f"schedule.kind must be 'constant' or 'explicit', got {kind!r}")
 
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"kind": self.kind, "enforce_bounds": self.enforce_bounds}
-        if self.t is not None:
-            out["t"] = self.t
-        if self.values is not None:
-            out["values"] = self.values
-        if self.a is not None:
-            out["a"] = self.a
-        if self.b is not None:
-            out["b"] = self.b
-        return out
-
 
 @dataclass(frozen=True)
-class RunOptions:
-    max_iter: int = 100_000
-    tol: float = 1e-10
+class RunOptions(_Section):
+    max_iter: int = DEFAULT_MAX_ITER
+    tol: float = DEFAULT_TOL
     record_stride: int = 1
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunOptions":
-        _check_keys("run", data, {"max_iter", "tol", "record_stride"})
+        _check_keys("run", data, _field_names(cls))
         opts = cls(
-            max_iter=int(data.get("max_iter", 100_000)),
-            tol=float(data.get("tol", 1e-10)),
-            record_stride=int(data.get("record_stride", 1)),
+            max_iter=_int(data.get("max_iter", cls.max_iter), "run.max_iter"),
+            tol=float(data.get("tol", cls.tol)),
+            record_stride=_int(
+                data.get("record_stride", cls.record_stride), "run.record_stride"
+            ),
         )
         if opts.max_iter < 1 or opts.record_stride < 1 or opts.tol < 0:
             raise ConfigError("run options out of range")
         return opts
-
-    def to_dict(self) -> dict:
-        return {
-            "max_iter": self.max_iter,
-            "tol": self.tol,
-            "record_stride": self.record_stride,
-        }
 
 
 @dataclass(frozen=True)
@@ -298,12 +291,12 @@ class OutputConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OutputConfig":
-        _check_keys("output", data, {"directory", "formats"})
-        formats = tuple(data.get("formats", ["csv", "json"]))
+        _check_keys("output", data, _field_names(cls))
+        formats = tuple(data.get("formats", cls.formats))
         bad = [f for f in formats if f not in ("csv", "json")]
         if bad:
             raise ConfigError(f"output.formats entries must be csv/json, got {bad}")
-        return cls(directory=str(data.get("directory", "out")), formats=formats)
+        return cls(directory=str(data.get("directory", cls.directory)), formats=formats)
 
     def to_dict(self) -> dict:
         return {"directory": self.directory, "formats": list(self.formats)}
@@ -327,25 +320,9 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
-        _check_keys(
-            "config",
-            data,
-            {
-                "schema_version",
-                "seed",
-                "space",
-                "body",
-                "relation",
-                "operator",
-                "start",
-                "schedule",
-                "run",
-                "audits",
-                "output",
-            },
-        )
+        _check_keys("config", data, _field_names(cls))
         version = data.get("schema_version")
-        if version != SCHEMA_VERSION:
+        if isinstance(version, bool) or version != SCHEMA_VERSION:
             raise ConfigError(
                 f"schema_version must be {SCHEMA_VERSION}, got {version!r}"
             )
@@ -356,7 +333,7 @@ class ExperimentConfig:
         for section in sections + ("run", "output"):
             if not isinstance(data.get(section, {}), dict):
                 raise ConfigError(f"config section {section!r} must be a JSON object")
-        audits = data.get("audits", list(ALL_AUDITS))
+        audits = data.get("audits", list(cls.audits))
         if not isinstance(audits, list):
             raise ConfigError("audits must be a list of auditor names")
         audits = tuple(audits)
@@ -374,7 +351,7 @@ class ExperimentConfig:
                 run=RunOptions.from_dict(data.get("run", {})),
                 audits=audits,
                 output=OutputConfig.from_dict(data.get("output", {})),
-                seed=int(data.get("seed", 0)),
+                seed=_int(data.get("seed", cls.seed), "seed"),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
@@ -412,78 +389,91 @@ def save_config(config: ExperimentConfig, path) -> None:
 
 # --- builders ---------------------------------------------------------------
 
+def _builds(section: str):
+    """Make a builder raise what a malformed value of config section
+    `section` causes (a library error, or a failed conversion's TypeError or
+    ValueError) as a ConfigError naming the section."""
+
+    def decorate(build):
+        @functools.wraps(build)
+        def checked(*args):
+            try:
+                return build(*args)
+            except (GraphmannError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{section}: {exc}") from exc
+        return checked
+    return decorate
+
+
 def build_space(config: ExperimentConfig) -> NormSpace:
     return NormSpace(config.space.dimension, config.space.p)
 
 
+@_builds("body")
 def build_body(config: ExperimentConfig, space: NormSpace) -> ConvexBody:
     d = space.dimension
     cfg = config.body
-    try:
-        if cfg.kind == "box":
-            return Box(_vec(cfg.lo, d, "body.lo"), _vec(cfg.hi, d, "body.hi"))
-        return Ball(_vec(cfg.center, d, "body.center"), float(cfg.radius))
-    except GraphmannError as exc:
-        raise ConfigError(f"body: {exc}") from exc
+    if cfg.kind == "box":
+        return Box(_vec(cfg.lo, d, "body.lo"), _vec(cfg.hi, d, "body.hi"))
+    return Ball(_vec(cfg.center, d, "body.center"), float(cfg.radius))
 
 
+@_builds("relation")
 def build_relation(config: ExperimentConfig, space: NormSpace) -> ConeRelation:
     d = space.dimension
     cfg = config.relation
-    try:
-        if cfg.kind == "coordinatewise":
-            return ConeRelation(np.eye(d), cfg.slack_tol)
-        if cfg.kind == "half_space":
-            row = _vec(cfg.row, d, "relation.row")
-            if not np.any(row != 0.0):
-                raise ConfigError("relation.row must be nonzero")
-            return ConeRelation(row[None, :], cfg.slack_tol)
-        matrix = np.asarray(cfg.generator_matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[1] != d:
-            raise ConfigError(
-                f"relation.generator_matrix must have {d} columns"
-            )
-        return ConeRelation(matrix, cfg.slack_tol)
-    except GraphmannError as exc:
-        raise ConfigError(f"relation: {exc}") from exc
+    if cfg.kind == "coordinatewise":
+        return ConeRelation(np.eye(d), cfg.slack_tol)
+    if cfg.kind == "half_space":
+        row = _vec(cfg.row, d, "relation.row")
+        if not np.any(row != 0.0):
+            raise ConfigError("relation.row must be nonzero")
+        return ConeRelation(row[None, :], cfg.slack_tol)
+    matrix = np.asarray(cfg.generator_matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[1] != d:
+        raise ConfigError(f"relation.generator_matrix must have {d} columns")
+    return ConeRelation(matrix, cfg.slack_tol)
 
 
+@_builds("operator")
 def build_operator(
     config: ExperimentConfig, space: NormSpace, body: ConvexBody
 ) -> Operator:
     d = space.dimension
     cfg = config.operator
-    try:
-        if cfg.kind == "identity":
-            return Identity(space, body)
-        if cfg.kind == "matrix_affine":
-            matrix = (
-                float(cfg.scale) * np.eye(d)
-                if cfg.scale is not None
-                else np.asarray(cfg.matrix, dtype=float)
-            )
-            return MatrixAffine(space, body, matrix, _vec(cfg.offset, d, "operator.offset"))
-        if cfg.kind == "componentwise":
-            functions = cfg.functions
-            if isinstance(functions, dict):
-                functions = [functions] * d
-            if len(functions) != d:
-                raise ConfigError(
-                    f"operator.functions must have {d} entries or be a single object"
-                )
-            knots_x, knots_y = [], []
-            for i, fn in enumerate(functions):
-                _check_keys(f"operator.functions[{i}]", fn, {"knots_x", "knots_y"})
-                knots_x.append(np.asarray(fn["knots_x"], dtype=float))
-                knots_y.append(np.asarray(fn["knots_y"], dtype=float))
-            return Componentwise(space, body, tuple(knots_x), tuple(knots_y))
-        return NonmonotoneSwap(
-            space, body, float(cfg.factor), _vec(cfg.offset, d, "operator.offset")
+    if cfg.kind == "identity":
+        return Identity(space, body)
+    if cfg.kind == "matrix_affine":
+        matrix = (
+            float(cfg.scale) * np.eye(d)
+            if cfg.scale is not None
+            else np.asarray(cfg.matrix, dtype=float)
         )
-    except GraphmannError as exc:
-        raise ConfigError(f"operator: {exc}") from exc
+        return MatrixAffine(space, body, matrix, _vec(cfg.offset, d, "operator.offset"))
+    if cfg.kind == "componentwise":
+        functions = cfg.functions
+        if isinstance(functions, dict):
+            functions = [functions] * d
+        if len(functions) != d:
+            raise ConfigError(
+                f"operator.functions must have {d} entries or be a single object"
+            )
+        knots_x, knots_y = [], []
+        for i, fn in enumerate(functions):
+            if not isinstance(fn, dict) or set(fn) != {"knots_x", "knots_y"}:
+                raise ConfigError(
+                    f"operator.functions[{i}] must be an object with exactly "
+                    "knots_x and knots_y"
+                )
+            knots_x.append(np.asarray(fn["knots_x"], dtype=float))
+            knots_y.append(np.asarray(fn["knots_y"], dtype=float))
+        return Componentwise(space, body, tuple(knots_x), tuple(knots_y))
+    return NonmonotoneSwap(
+        space, body, float(cfg.factor), _vec(cfg.offset, d, "operator.offset")
+    )
 
 
+@_builds("schedule")
 def build_schedule(config: ExperimentConfig) -> Schedule:
     cfg = config.schedule
     if cfg.kind == "constant":
@@ -523,6 +513,7 @@ def _comparable_toward(
     return None
 
 
+@_builds("start")
 def build_start(
     config: ExperimentConfig,
     operator: Operator,

@@ -179,14 +179,14 @@ def modulus_uc_estimate(
     epsilon: float,
     budget: int = 512,
     seed: int = 0,
-    refine_maxiter: int = 150,
 ) -> float:
     """Estimate the modulus of uniform convexity at epsilon.
 
     Minimizes 1 - ||(x+y)/2|| over ||x|| <= 1, ||y|| <= 1, ||x-y|| >= epsilon
-    by seeded random multistart plus SLSQP refinement.  `budget` counts the
-    random starts; the first k starts of a larger budget coincide with those
-    of budget k, so raising the budget never raises the reported value.
+    by seeded random multistart plus SLSQP refinement (150 iterations at
+    most per start).  `budget` counts the random starts; the first k starts
+    of a larger budget coincide with those of budget k, so raising the
+    budget never raises the reported value.
     A fixed set of deterministic starts (antipodal pair, face pair) is always
     included, which pins the flat-witness value 0 for p in {1, inf}.
 
@@ -247,7 +247,7 @@ def modulus_uc_estimate(
                 np.concatenate([x0, y0]),
                 method="SLSQP",
                 constraints=constraints,
-                options={"maxiter": refine_maxiter, "ftol": 1e-12},
+                options={"maxiter": 150, "ftol": 1e-12},
             )
         except Exception:
             continue

@@ -338,20 +338,17 @@ def known_fixed_points(operator: Operator) -> FixedPointSet:
 # --- edge sampling and audits ----------------------------------------------
 
 def sample_domain_edge(
-    rel: ConeRelation,
-    space: NormSpace,
-    body: ConvexBody,
-    rng: np.random.Generator,
-    max_tries: int = 400,
+    rel: ConeRelation, space: NormSpace, body: ConvexBody, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (x, y) in C x C with edge(x, y).
 
     x is uniform in C; y projects x plus a cone element of norm uniform in
     (0, diam(C)/2) back into C.  Projection can break cone membership for
-    general cones, so candidates are rejected until the edge holds.
+    general cones, so candidates are rejected until the edge holds (400 draws
+    at most).
     """
     diam = diameter(space, body)
-    for _ in range(max_tries):
+    for _ in range(400):
         x = sample_point(space, body, rng)
         v = sample_cone_element(rel, rng)
         nv = space.norm(v)

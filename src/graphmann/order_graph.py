@@ -185,14 +185,12 @@ def undirected_contains(rel, x, y) -> bool:
 
 # --- samplers -------------------------------------------------------------
 
-def sample_cone_element(
-    rel: ConeRelation, rng: np.random.Generator, max_tries: int = 64
-) -> np.ndarray:
+def sample_cone_element(rel: ConeRelation, rng: np.random.Generator) -> np.ndarray:
     """Draw a nonzero element of the cone.
 
     Solves G v = s for a nonnegative slack vector s via the pseudoinverse and
     adds null-space noise; exact for full-row-rank generators, verified and
-    retried otherwise.
+    retried (64 draws at most) otherwise.
     """
     d = rel.dimension
     m = rel.generator_matrix.shape[0]
@@ -203,7 +201,7 @@ def sample_cone_element(
         return v
     pinv = rel._pinv
     null_proj = np.eye(d) - pinv @ rel.generator_matrix
-    for _ in range(max_tries):
+    for _ in range(64):
         slack = np.abs(rng.standard_normal(m))
         v = pinv @ slack + null_proj @ rng.standard_normal(d)
         if np.linalg.norm(v) > 1e-12 and np.all(

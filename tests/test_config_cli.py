@@ -42,11 +42,120 @@ def oracle_cfg(tmp_path):
     return data, write_config(tmp_path, data)
 
 
+def set_field(data, dotted, value):
+    """Set the dotted config field `dotted` of `data` in place."""
+    *path, leaf = dotted.split(".")
+    node = data
+    for part in path:
+        node = node[part]
+    node[leaf] = value
+    return data
+
+
+# one config section each, as written (keys in any order), and its echo
+ECHOES = [
+    ("body", {"hi": 1.0, "lo": 0.0, "kind": "box"},
+     '{"kind": "box", "lo": 0.0, "hi": 1.0}'),
+    ("body", {"radius": 1, "center": 0.5, "kind": "ball"},
+     '{"kind": "ball", "center": 0.5, "radius": 1.0}'),
+    ("relation", {}, '{"kind": "coordinatewise", "slack_tol": 1e-12}'),
+    ("relation", {"row": [1.0], "kind": "half_space"},
+     '{"kind": "half_space", "slack_tol": 1e-12, "row": [1.0]}'),
+    ("relation", {"generator_matrix": [[1.0]], "slack_tol": 1e-09, "kind": "custom"},
+     '{"kind": "custom", "slack_tol": 1e-09, "generator_matrix": [[1.0]]}'),
+    ("operator", {"kind": "identity"}, '{"kind": "identity"}'),
+    ("operator", {"offset": 0.25, "matrix": [[0.5]], "kind": "matrix_affine"},
+     '{"kind": "matrix_affine", "matrix": [[0.5]], "offset": 0.25}'),
+    ("operator", {"scale": 0.5, "kind": "matrix_affine"},
+     '{"kind": "matrix_affine", "scale": 0.5, "offset": 0.0}'),
+    ("operator", {"functions": [{"knots_y": [0.5, 1.0], "knots_x": [0.0, 1.0]}],
+                  "kind": "componentwise"},
+     '{"kind": "componentwise", "functions": [{"knots_y": [0.5, 1.0], "knots_x": [0.0, 1.0]}]}'),
+    ("operator", {"offset": [0.3], "factor": 0.5, "kind": "test_only_nonmonotone"},
+     '{"kind": "test_only_nonmonotone", "offset": [0.3], "factor": 0.5}'),
+    ("start", {"value": [0.0], "kind": "explicit"}, '{"kind": "explicit", "value": [0.0]}'),
+    ("start", {"kind": "random_comparable"}, '{"kind": "random_comparable"}'),
+    ("schedule", {"t": 0.5}, '{"kind": "constant", "enforce_bounds": true, "t": 0.5}'),
+    ("schedule", {"b": 0.9, "enforce_bounds": False, "a": 0.1, "t": 0.5, "kind": "constant"},
+     '{"kind": "constant", "enforce_bounds": false, "t": 0.5, "a": 0.1, "b": 0.9}'),
+    ("schedule", {"values": [0.5, 0.25], "kind": "explicit"},
+     '{"kind": "explicit", "enforce_bounds": true, "values": [0.5, 0.25]}'),
+    ("schedule", {"enforce_bounds": True, "a": 0.2, "values": [0.5], "b": 0.6,
+                  "kind": "explicit"},
+     '{"kind": "explicit", "enforce_bounds": true, "values": [0.5], "a": 0.2, "b": 0.6}'),
+]
+
+ORACLE_ECHO = (
+    '{"schema_version": 1, "seed": 1, "space": {"dimension": 1, "p": 2.0}, '
+    '"body": {"kind": "box", "lo": 0.0, "hi": 1.0}, '
+    '"relation": {"kind": "coordinatewise", "slack_tol": 1e-12}, '
+    '"operator": {"kind": "componentwise", '
+    '"functions": {"knots_x": [0.0, 1.0], "knots_y": [0.5, 1.0]}}, '
+    '"start": {"kind": "explicit", "value": [0.0]}, '
+    '"schedule": {"kind": "constant", "enforce_bounds": true, "t": 0.5}, '
+    '"run": {"max_iter": 100000, "tol": 1e-10, "record_stride": 1}, '
+    '"audits": ["trajectory", "edge_propagation", "residual_monotone", '
+    '"gk_inequality", "fejer", "rate", "convergence"], '
+    '"output": {"directory": "out_oracle", "formats": ["csv", "json"]}}'
+)
+
+
 class TestConfigParsing:
     def test_round_trip(self):
-        data = oracle_1d_config()
-        config = ExperimentConfig.from_dict(data)
+        config = ExperimentConfig.from_dict(oracle_1d_config())
+        assert json.dumps(config.to_dict()) == ORACLE_ECHO
         assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+    @pytest.mark.parametrize(
+        "section, value, echo",
+        ECHOES,
+        ids=["box", "ball", "coordinatewise", "half_space", "custom", "identity",
+             "matrix", "scale", "componentwise", "test_only_nonmonotone", "explicit_start",
+             "random_comparable", "constant", "constant_a_b_unenforced", "explicit",
+             "explicit_a_b_enforced"],
+    )
+    def test_round_trip_of_every_kind(self, section, value, echo):
+        data = oracle_1d_config()
+        data[section] = value
+        config = ExperimentConfig.from_dict(data)
+        assert json.dumps(config.to_dict()[section]) == echo
+        expected = json.loads(ORACLE_ECHO)
+        expected[section] = json.loads(echo)
+        assert json.dumps(config.to_dict()) == json.dumps(expected)
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+    @pytest.mark.parametrize(
+        "dotted, value",
+        [
+            ("space.dimension", 2.5),
+            ("space.dimension", True),
+            ("space.dimension", "1"),
+            ("run.record_stride", 1.5),
+            ("run.record_stride", True),
+            ("run.max_iter", 10.9),
+            ("run.max_iter", True),
+            ("run.max_iter", float("inf")),
+            ("seed", 1.7),
+            ("seed", False),
+            ("schema_version", True),
+            ("schedule.enforce_bounds", "false"),
+            ("schedule.enforce_bounds", 0),
+        ],
+    )
+    def test_integer_and_boolean_fields_are_checked(self, dotted, value):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(set_field(oracle_1d_config(), dotted, value))
+
+    @pytest.mark.parametrize(
+        "dotted, value, echo",
+        [("space.dimension", 1.0, 1), ("run.max_iter", 1e5, 100000), ("seed", 3.0, 3)],
+    )
+    def test_integral_floats_are_integers(self, dotted, value, echo):
+        config = ExperimentConfig.from_dict(set_field(oracle_1d_config(), dotted, value))
+        echoed = config.to_dict()
+        for part in dotted.split("."):
+            echoed = echoed[part]
+        assert type(echoed) is int and echoed == echo
 
     def test_requires_schema_version(self):
         data = oracle_1d_config()
@@ -180,6 +289,29 @@ class TestCliRun:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["run", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("operator", {"kind": "componentwise", "functions": [{"knots_y": [0.5, 1.0]}]}),
+            ("operator", {"kind": "componentwise", "functions": [3]}),
+            ("operator", {"kind": "matrix_affine", "matrix": [["a"]]}),
+            ("body", {"kind": "box", "lo": "a", "hi": 1.0}),
+            ("relation", {"kind": "half_space", "row": ["a"]}),
+            ("relation", {"kind": "custom", "generator_matrix": [["a"]]}),
+            ("start", {"kind": "explicit", "value": ["a"]}),
+            ("schedule", {"kind": "explicit", "values": ["a"]}),
+            ("schedule", {"kind": "explicit", "values": []}),
+        ],
+        ids=["entry-without-knots_x", "entry-not-an-object", "matrix", "lo", "row",
+             "generator_matrix", "start-value", "values", "no-values"],
+    )
+    def test_malformed_value_is_exit_one(self, tmp_path, capsys, section, value):
+        data = oracle_1d_config(str(tmp_path / "o"))
+        data[section] = value
+        assert main(["run", "--config", write_config(tmp_path, data), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
 
     def test_enforced_unit_step_is_config_error(self, tmp_path):
         data = oracle_1d_config(str(tmp_path / "o"))
@@ -364,6 +496,13 @@ class TestCliSweep:
         )
         assert code == 0
         assert len(read_csv_rows(tmp_path / "sw" / "sweep_summary.csv")) == 3
+
+    def test_fractional_integer_value_exit_one(self, tmp_path, oracle_cfg):
+        _, path = oracle_cfg
+        out = tmp_path / "sw"
+        args = ["sweep", "--config", path, "--axis", "run.record_stride", "--values", "1.5"]
+        assert main(args + ["--out", str(out), "--quiet"]) == 1
+        assert not out.exists()
 
     def test_empty_values_exit_one(self, tmp_path, oracle_cfg):
         _, path = oracle_cfg
