@@ -7,7 +7,8 @@ Usage:
 BASE_SRC and HEAD_SRC are checkouts of graphmann, each holding
 src/graphmann: for instance a git worktree of a base commit and the working
 tree.  On a fixed set of configs each tree runs `graphmann run`, then
-`graphmann audit` of the run.json and of the trajectory.csv that run wrote.
+`graphmann audit` of the run.json and of the trajectory.csv that run wrote;
+the configs named in SWEEPS also run each of their `graphmann sweep`s.
 Every exit code and every file written must be the same under both trees.
 The two trees run one after the other on the same machine, so BLAS
 differences between hosts cannot show up as differences here.
@@ -70,6 +71,13 @@ print(json.dumps(codes))
 # x_n = (n - 1) s / 2 leave the unit box first at n = 1 500, inside the
 # audit block still pending at d = 256 (rows 1 024..1 499)
 DRIFT = {"leave_box_d256": 1.0 / (0.5 * (1500 - 1.5))}
+
+
+# sweeps of a config, by axis and values: schedule.t, and operator.offset,
+# which lies in the section that holds the d x d matrix every sub-run shares
+SWEEPS = {
+    "perm_d256_stride50": [("schedule.t", "0.7,0.9"), ("operator.offset", "0.001,0.004")],
+}
 
 
 def source_dir(tree: str) -> Path:
@@ -176,6 +184,11 @@ def commands(config_paths: dict[str, Path], out: Path) -> list[list[str]]:
              "--out", str(case / "audit_json")],
             ["audit", str(case / "run" / "trajectory.csv"), "--config", str(config),
              "--out", str(case / "audit_csv")],
+        ]
+        cmds += [
+            ["sweep", "--config", str(config), "--axis", axis, "--values", values,
+             "--out", str(case / f"sweep_{axis}")]
+            for axis, values in SWEEPS.get(name, ())
         ]
     return cmds
 

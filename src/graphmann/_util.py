@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from itertools import chain
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -56,57 +58,97 @@ def fmt17(value: float) -> str:
 # never contains "," or "]"
 _NUMBER_TYPES = {int, float, bool, type(None)}
 
+# numbers per C-encoder call: the text of one call, and json's string per
+# element while it runs, stay a few hundred KiB however long the list
+_CHUNK = 4096
+
 
 def dumps_indent2(obj: Any) -> str:
-    """Exactly `json.dumps(obj, indent=2)`, mostly at the C encoder's speed.
+    """Exactly `json.dumps(obj, indent=2)`, mostly at the C encoder's speed."""
+    return "".join(_indent2(obj, "\n"))
+
+
+def write_json(obj: Any, path: str | Path) -> None:
+    """Write `json.dumps(obj, indent=2)` and a newline to `path`, piece by
+    piece, so the whole text is never held in memory."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_indent2(obj, "\n"))
+        fh.write("\n")
+
+
+def _indent2(value: Any, newline: str) -> Iterator[str]:
+    """The pieces of `value`'s indent=2 text, nested at `newline`.
 
     CPython's C encoder runs only without indent, but with any item
     separator.  Lists of numbers, and nonempty lists of nonempty number
-    lists, go through it in one call whose separator carries the newline
-    and indent of their items; a list of lists then needs one substitution
-    to lay out the row boundaries.  Everything else is laid out here with
-    json's own indent rules, each leaf written by json itself.
+    lists, go through it `_CHUNK` numbers at a time, with a separator that
+    carries the newline and indent of their items; a group of rows then
+    needs one substitution to lay out the row boundaries.  Everything else
+    is laid out here with json's own indent rules, each leaf written by
+    json itself.
     """
-    parts: list[str] = []
-    _indent2(obj, "\n", parts)
-    return "".join(parts)
-
-
-def _indent2(value: Any, newline: str, parts: list[str]) -> None:
-    """Append the pieces of `value`'s indent=2 text, nested at `newline`."""
     inner = newline + "  "
     if isinstance(value, dict) and value:
         opener = "{"
         for key, item in value.items():
-            parts.append(opener + inner + _json_key(key) + ": ")
-            _indent2(item, inner, parts)
+            yield opener + inner + _json_key(key) + ": "
+            yield from _indent2(item, inner)
             opener = ","
-        parts.append(newline + "}")
+        yield newline + "}"
     elif isinstance(value, (list, tuple)) and value:
         types = set(map(type, value))
         if types <= _NUMBER_TYPES:
-            body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
-            parts += ("[" + inner, body, newline + "]")
+            yield "[" + inner
+            yield from _numbers(value, "," + inner)
+            yield newline + "]"
         elif (
             types == {list}
             and all(value)
             and set(map(type, chain.from_iterable(value))) <= _NUMBER_TYPES
         ):
             row = inner + "  "
-            body = json.dumps(value, separators=("," + row, ": "))[2:-2].replace(
-                "]," + row + "[", inner + "]," + inner + "[" + row
-            )
-            parts += ("[" + inner + "[" + row, body, inner + "]" + newline + "]")
+            between = inner + "]," + inner + "[" + row
+            yield "[" + inner + "[" + row
+            for i, group in enumerate(_row_groups(value)):
+                if i:
+                    yield between
+                if len(group) == 1:
+                    yield from _numbers(group[0], "," + row)
+                else:
+                    text = json.dumps(group, separators=("," + row, ": "))
+                    yield text[2:-2].replace("]," + row + "[", between)
+            yield inner + "]" + newline + "]"
         else:
             opener = "["
             for item in value:
-                parts.append(opener + inner)
-                _indent2(item, inner, parts)
+                yield opener + inner
+                yield from _indent2(item, inner)
                 opener = ","
-            parts.append(newline + "]")
+            yield newline + "]"
     else:
         # scalars, {} and []
-        parts.append(json.dumps(value))
+        yield json.dumps(value)
+
+
+def _numbers(values: list | tuple, separator: str) -> Iterator[str]:
+    """The items of a number list joined by `separator`, `_CHUNK` at a time."""
+    for start in range(0, len(values), _CHUNK):
+        if start:
+            yield separator
+        chunk = values[start:start + _CHUNK]
+        yield json.dumps(chunk, separators=(separator, ": "))[1:-1]
+
+
+def _row_groups(rows: list) -> Iterator[list]:
+    """Consecutive runs of `rows` holding at most `_CHUNK` numbers in all; a
+    longer row is a run of its own."""
+    start = count = 0
+    for i, row in enumerate(rows):
+        if count and count + len(row) > _CHUNK:
+            yield rows[start:i]
+            start, count = i, 0
+        count += len(row)
+    yield rows[start:]
 
 
 def _json_key(key: Any) -> str:

@@ -17,12 +17,11 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from ._util import dumps_indent2
+from ._util import write_json
 from .diagnostics import ALL_AUDITS
 from .errors import ConfigError, GraphmannError
 from .mann import DEFAULT_MAX_ITER, DEFAULT_TOL, Schedule
@@ -67,12 +66,33 @@ def _int(value: Any, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _float(value: Any, name: str) -> float:
+    """A float field: a real number other than NaN; a bool, a string or NaN
+    is a ConfigError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the range of a float
+            number = math.nan
+        if not math.isnan(number):
+            return number
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def check_seed(value: Any) -> int:
+    """A seed: a non-negative integer, as numpy's generators take."""
+    seed = _int(value, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _parse_p(value: Any) -> float:
     if isinstance(value, str):
         if value.lower() in ("inf", "infinity"):
             return math.inf
         raise ConfigError(f"space.p must be a number >= 1 or 'inf', got {value!r}")
-    p = float(value)
+    p = _float(value, "space.p")
     if not p >= 1.0:
         raise ConfigError(f"space.p must be >= 1, got {p}")
     return p
@@ -80,8 +100,8 @@ def _parse_p(value: Any) -> float:
 
 def _vec(value: Any, dim: int, name: str) -> np.ndarray:
     """Broadcast a scalar, or validate a length-d list."""
-    if isinstance(value, (int, float)):
-        return np.full(dim, float(value))
+    if isinstance(value, numbers.Number):
+        return np.full(dim, _float(value, name))
     arr = np.asarray(value, dtype=float)
     if arr.shape != (dim,):
         raise ConfigError(f"{name} must be a scalar or a list of {dim} numbers")
@@ -135,7 +155,8 @@ class BodyConfig(_Section):
             _check_keys("body", data, {"kind", "center", "radius"})
             if "center" not in data or "radius" not in data:
                 raise ConfigError("ball body requires center and radius")
-            return cls(kind="ball", center=data["center"], radius=float(data["radius"]))
+            radius = _float(data["radius"], "body.radius")
+            return cls(kind="ball", center=data["center"], radius=radius)
         raise ConfigError(f"body.kind must be 'box' or 'ball', got {kind!r}")
 
 
@@ -149,7 +170,7 @@ class RelationConfig(_Section):
     @classmethod
     def from_dict(cls, data: dict) -> "RelationConfig":
         kind = data.get("kind", cls.kind)
-        tol = float(data.get("slack_tol", cls.slack_tol))
+        tol = _float(data.get("slack_tol", cls.slack_tol), "relation.slack_tol")
         if kind == "coordinatewise":
             _check_keys("relation", data, {"kind", "slack_tol"})
             return cls(kind=kind, slack_tol=tol)
@@ -192,7 +213,7 @@ class OperatorConfig(_Section):
             return cls(
                 kind=kind,
                 matrix=data.get("matrix"),
-                scale=float(data["scale"]) if "scale" in data else None,
+                scale=_float(data["scale"], "operator.scale") if "scale" in data else None,
                 offset=data.get("offset", 0.0),
             )
         if kind == "componentwise":
@@ -205,7 +226,9 @@ class OperatorConfig(_Section):
             if "factor" not in data:
                 raise ConfigError("test_only_nonmonotone requires a factor")
             return cls(
-                kind=kind, factor=float(data["factor"]), offset=data.get("offset", 0.0)
+                kind=kind,
+                factor=_float(data["factor"], "operator.factor"),
+                offset=data.get("offset", 0.0),
             )
         raise ConfigError(f"unknown operator kind {kind!r}")
 
@@ -248,13 +271,14 @@ class ScheduleConfig(_Section):
             raise ConfigError(
                 f"schedule.enforce_bounds must be true or false, got {enforce!r}"
             )
-        a = float(data["a"]) if "a" in data else None
-        b = float(data["b"]) if "b" in data else None
+        a = _float(data["a"], "schedule.a") if "a" in data else None
+        b = _float(data["b"], "schedule.b") if "b" in data else None
         if kind == "constant":
             _check_keys("schedule", data, {"kind", "t", "a", "b", "enforce_bounds"})
             if "t" not in data:
                 raise ConfigError("constant schedule requires t")
-            return cls(kind=kind, t=float(data["t"]), a=a, b=b, enforce_bounds=enforce)
+            t = _float(data["t"], "schedule.t")
+            return cls(kind=kind, t=t, a=a, b=b, enforce_bounds=enforce)
         if kind == "explicit":
             _check_keys("schedule", data, {"kind", "values", "a", "b", "enforce_bounds"})
             if "values" not in data:
@@ -274,7 +298,7 @@ class RunOptions(_Section):
         _check_keys("run", data, _field_names(cls))
         opts = cls(
             max_iter=_int(data.get("max_iter", cls.max_iter), "run.max_iter"),
-            tol=float(data.get("tol", cls.tol)),
+            tol=_float(data.get("tol", cls.tol), "run.tol"),
             record_stride=_int(
                 data.get("record_stride", cls.record_stride), "run.record_stride"
             ),
@@ -351,7 +375,7 @@ class ExperimentConfig:
                 run=RunOptions.from_dict(data.get("run", {})),
                 audits=audits,
                 output=OutputConfig.from_dict(data.get("output", {})),
-                seed=_int(data.get("seed", cls.seed), "seed"),
+                seed=check_seed(data.get("seed", cls.seed)),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config value: {exc}") from exc
@@ -384,7 +408,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path) -> None:
-    Path(path).write_text(dumps_indent2(config.to_dict()) + "\n")
+    write_json(config.to_dict(), path)
 
 
 # --- builders ---------------------------------------------------------------

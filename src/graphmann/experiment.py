@@ -7,9 +7,11 @@ auditors read the run's own iterates while the loop produces them, so a run
 is computed once and never replayed, and it keeps in memory only the
 iterates its `record_stride` records plus the audit blocks still pending.
 The audit of a stored decimated record replays it gap by gap into the same
-blocks.  Sweeps run one experiment per axis value, in the given order, keep
-one summary row per value and aggregate a summary CSV.  Identical config
-and seed give byte-identical files.
+blocks.  The JSON artifacts are written piece by piece, never as one string.
+Sweeps run one experiment per axis value, in the given order, keep one
+summary row per value and aggregate a summary CSV; the values' configs
+share every section the axis does not touch.  Identical config and seed
+give byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import dumps_indent2, fmt17
+from ._util import fmt17, write_json
 from .config import (
     ExperimentConfig,
     build_body,
@@ -30,6 +32,7 @@ from .config import (
     build_schedule,
     build_space,
     build_start,
+    check_seed,
 )
 from .diagnostics import AuditPass, exit_code_from_audits, run_audits, write_gk_records_csv
 from .errors import ConfigError
@@ -72,7 +75,7 @@ def _write_outputs(
             "config": config.to_dict(),
             "trajectory": trajectory_to_dict(traj),
         }
-        (out_dir / "run.json").write_text(dumps_indent2(record) + "\n")
+        write_json(record, out_dir / "run.json")
     report = {
         "schema_version": RUN_SCHEMA_VERSION,
         "stop_reason": traj.stop_reason,
@@ -81,7 +84,7 @@ def _write_outputs(
         "exit_code": exit_code_from_audits(audits),
         "audits": audits,
     }
-    (out_dir / "audits.json").write_text(dumps_indent2(report) + "\n")
+    write_json(report, out_dir / "audits.json")
 
 
 def _build(config: ExperimentConfig):
@@ -106,7 +109,7 @@ def run_experiment(
     read all N iterates while the record written (and returned) keeps only
     the recorded ones, and no (N, d) history is ever held.
     """
-    seed = config.seed if seed is None else int(seed)
+    seed = config.seed if seed is None else check_seed(seed)
     space, rel, operator, schedule, diam = _build(config)
     rng = np.random.default_rng([seed, 1])
     x1 = build_start(config, operator, rel, rng)
@@ -206,23 +209,27 @@ def audit_stored(
             "exit_code": code,
             "audits": audits,
         }
-        (out / "audits.json").write_text(dumps_indent2(report) + "\n")
+        write_json(report, out / "audits.json")
     return code, audits
 
 
 # --- sweeps -------------------------------------------------------------------
 
 def set_config_value(data: dict, axis: str, value: float) -> dict:
-    """Return a copy of the raw config dict with the dotted `axis` replaced."""
-    parts = axis.split(".")
-    out = json.loads(json.dumps(data))
-    node = out
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
+    """Return the raw config dict with the dotted `axis` replaced.
+
+    Only the dicts on the axis path are copied: every other subtree (a
+    d x d matrix, say) is shared with `data`, which is left unchanged.
+    """
+    *path, leaf = axis.split(".")
+    out = node = dict(data)
+    for part in path:
+        child = node.get(part)
+        if not isinstance(child, dict):
             raise ConfigError(f"unknown sweep axis {axis!r}")
+        node[part] = dict(child)
         node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
+    if leaf not in node:
         raise ConfigError(f"unknown sweep axis {axis!r}")
     old = node[leaf]
     if not isinstance(old, (int, float)) or isinstance(old, bool):
@@ -274,6 +281,8 @@ def run_sweep(
                 f"share the output directory {name}"
             )
         first_value[name] = value
+    if seed is not None:
+        seed = check_seed(seed)
     base = ExperimentConfig.from_dict(config_data)
     root = Path(out_dir) if out_dir is not None else Path(base.output.directory)
     configs = []

@@ -1,5 +1,7 @@
+import copy
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from graphmann.config import (
 from graphmann.corpus import negative_swap_config, oracle_1d_config, t_one_config
 from graphmann.diagnostics import ALL_AUDITS, run_audits, write_gk_records_csv
 from graphmann.errors import ConfigError
-from graphmann.experiment import run_experiment, set_config_value
+from graphmann.experiment import run_experiment, run_sweep, set_config_value
 from graphmann.mann import trajectory_from_dict
 from graphmann.normed_space import diameter
 from graphmann.order_graph import undirected_contains
@@ -267,6 +269,32 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             set_config_value(data, "operator.kind", 0.1)
 
+    @pytest.mark.parametrize("axis", ["seed", "operator.offset"])
+    def test_set_config_value_shares_what_is_off_the_path(self, axis):
+        data = {"schema_version": 1, "seed": 3,
+                "operator": {"kind": "matrix_affine", "matrix": [[0.5, 0.0], [0.0, 0.5]],
+                             "offset": 0.25},
+                "body": {"kind": "box", "lo": [0.0, 0.0], "hi": 1.0}}
+        before = copy.deepcopy(data)
+        out = set_config_value(data, axis, 0.125)
+        assert data == before
+        *path, leaf = axis.split(".")
+        node, original = out, data
+        for part in path:
+            assert node is not original
+            node, original = node[part], original[part]
+        assert node is not original and node[leaf] == 0.125
+        # every subtree off the path is the input's own object
+        assert out["body"] is data["body"]
+        assert out["operator"]["matrix"] is data["operator"]["matrix"]
+
+    def test_sweep_leaves_its_input_unchanged(self, tmp_path):
+        data = oracle_1d_config(str(tmp_path / "o"))
+        before = copy.deepcopy(data)
+        code, rows = run_sweep(data, "schedule.t", [0.25, 0.75], out_dir=tmp_path / "sw")
+        assert code == 0 and len(rows) == 2
+        assert data == before
+
 
 class TestCliRun:
     def test_oracle_run_exit_zero_and_trajectory(self, tmp_path, oracle_cfg, capsys):
@@ -312,6 +340,66 @@ class TestCliRun:
         assert main(["run", "--config", write_config(tmp_path, data), "--quiet"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "base, field, value",
+        [
+            ("oracle", "run.tol", math.nan),
+            ("oracle", "run.tol", 10**400),
+            ("oracle", "space.p", True),
+            ("oracle", "relation.slack_tol", True),
+            ("unbounded", "schedule.t", True),
+            ("unbounded", "schedule.a", True),
+            ("unbounded", "schedule.b", False),
+            ("ball", "body.radius", True),
+            ("scale", "operator.scale", True),
+            ("swap", "operator.factor", False),
+            ("oracle", "body.hi", True),
+        ],
+        ids=lambda v: v if isinstance(v, str) else repr(v)[:8],
+    )
+    def test_float_field_rejects_nan_and_booleans(self, tmp_path, capsys, base, field, value):
+        # each of these ran (as NaN, 1.0 or 0.0), or raised OverflowError,
+        # before floats were checked
+        out = str(tmp_path / "o")
+        data = negative_swap_config(out) if base == "swap" else oracle_1d_config(out)
+        data["run"]["max_iter"] = 2000
+        if base == "unbounded":
+            data["schedule"]["enforce_bounds"] = False
+        elif base == "ball":
+            data.update(body={"kind": "ball", "center": 0.5, "radius": 0.5},
+                        operator={"kind": "identity"})
+        elif base == "scale":
+            data["operator"] = {"kind": "matrix_affine", "scale": 0.5, "offset": 0.25}
+        set_field(data, field, value)
+        assert main(["run", "--config", write_config(tmp_path, data), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{field} must be a number" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_is_exit_one(self, tmp_path, capsys, command, where):
+        data = oracle_1d_config(str(tmp_path / "o"))
+        args = [command, "--config", write_config(tmp_path, data), "--quiet"]
+        if command == "sweep":
+            args += ["--axis", "schedule.t", "--values", "0.5"]
+        if where == "flag":
+            args += ["--seed", "-1"]
+        else:
+            data["seed"] = -1
+            write_config(tmp_path, data)
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_override_is_config_error(self, tmp_path):
+        data = oracle_1d_config(str(tmp_path / "o"))
+        with pytest.raises(ConfigError):
+            run_experiment(ExperimentConfig.from_dict(data), seed=-1, write=False)
+        with pytest.raises(ConfigError):
+            run_sweep(data, "schedule.t", [0.5], out_dir=tmp_path / "sw", seed=-1)
+        assert not (tmp_path / "sw").exists()
 
     def test_enforced_unit_step_is_config_error(self, tmp_path):
         data = oracle_1d_config(str(tmp_path / "o"))

@@ -27,7 +27,7 @@ from graphmann.diagnostics import (
     _rate_report,
 )
 from graphmann.errors import ConfigError, DomainError, InputError, UndefinedProductError
-from graphmann.experiment import audit_stored, run_experiment
+from graphmann.experiment import audit_stored, run_experiment, run_sweep
 from graphmann.mann import (
     STEP_RECOMPUTE_TOL,
     STOP_DIVERGED,
@@ -859,8 +859,13 @@ class TestStreamedAuditAtScale:
 
 def permutation_config(d, s, n, stride):
     """The config of `permutation_map(d, s)` from 0, run to n iterates."""
+    return ExperimentConfig.from_dict(permutation_data(d, s, n, stride))
+
+
+def permutation_data(d, s, n, stride):
+    """The raw config dict of `permutation_config`."""
     op = permutation_map(d, s)
-    return ExperimentConfig.from_dict({
+    return {
         "schema_version": 1,
         "seed": 0,
         "space": {"dimension": d, "p": 2.0},
@@ -873,7 +878,7 @@ def permutation_config(d, s, n, stride):
         "run": {"max_iter": n, "tol": 0.0, "record_stride": stride},
         "audits": list(ALL_AUDITS),
         "output": {"directory": "out", "formats": ["csv", "json"]},
-    })
+    }
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -906,3 +911,19 @@ class TestStreamedMemory:
         block = audit_block_rows(d) * d * 8
         assert peaks["run"][1] - peaks["run"][0] < block
         assert peaks["audit"][1] - peaks["audit"][0] < block
+
+
+class TestSweepMemory:
+    def test_sweep_holds_one_config(self, tmp_path):
+        # the sub-runs share the input's 256 x 256 matrix, so three more
+        # values of the axis add less than a megabyte to the peak, where one
+        # more copy of the matrix's floats alone is 1.5 MiB
+        data = permutation_data(256, 0.999, 300, 50)
+        peaks = []
+        for values in ([0.5], [0.3, 0.5, 0.7, 0.9]):
+            peak, (code, rows) = traced_peak(
+                run_sweep, data, "schedule.t", values, out_dir=tmp_path / str(len(values))
+            )
+            assert code != 2 and len(rows) == len(values)
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 2**20

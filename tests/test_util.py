@@ -2,9 +2,9 @@ import json
 import math
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from graphmann._util import dumps_indent2
+from graphmann._util import _CHUNK, dumps_indent2, write_json
 from graphmann.mann import Schedule, run, trajectory_to_dict
 from graphmann.normed_space import Box, NormSpace
 from graphmann.operators import MatrixAffine
@@ -41,11 +41,50 @@ values = st.recursive(
     max_leaves=30,
 )
 
+# lengths around the writer's chunk of numbers per C-encoder call
+CHUNK_LENGTHS = (_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 1)
+
+
+@st.composite
+def chunked_number_lists(draw):
+    """A number list of one of CHUNK_LENGTHS, a drawn pattern repeated."""
+    n = draw(st.sampled_from(CHUNK_LENGTHS))
+    pattern = draw(st.lists(numbers, min_size=1, max_size=5))
+    return (pattern * n)[:n]
+
+
+@st.composite
+def chunked_row_lists(draw):
+    """A list of number lists holding one of CHUNK_LENGTHS numbers in all.
+
+    A row width that does not divide the chunk puts a row across a chunk
+    boundary; a row longer than a chunk may be inserted anywhere.
+    """
+    flat = draw(chunked_number_lists())
+    width = draw(st.sampled_from((1, 3, 4, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1)))
+    rows = [flat[i:i + width] for i in range(0, len(flat), width)]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(chunked_number_lists()))
+    return rows
+
+
+chunked = st.one_of(chunked_number_lists(), chunked_row_lists())
+long_values = st.one_of(chunked, st.dictionaries(texts, chunked, min_size=1, max_size=2))
+
 
 class TestDumpsIndent2:
     @given(values)
     def test_matches_json_dumps_indent_2(self, value):
         assert dumps_indent2(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(values, long_values))
+    def test_writer_matches_json_dumps_indent_2(self, tmp_path_factory, value):
+        path = tmp_path_factory.getbasetemp() / "written.json"
+        write_json(value, path)
+        text = json.dumps(value, indent=2)
+        assert path.read_bytes() == (text + "\n").encode()
+        assert dumps_indent2(value) == text
 
     def test_special_floats_and_big_ints(self):
         value = {"x": list(SPECIAL_FLOATS) + [10**30, True, None]}
