@@ -69,7 +69,8 @@ print(json.dumps(codes))
 
 # configs run with T = x + shift: with t = 0.5 from 0 the iterates
 # x_n = (n - 1) s / 2 leave the unit box first at n = 1 500, inside the
-# audit block still pending at d = 256 (rows 1 024..1 499)
+# 256-row audit block of rows 1 280..1 535 at d = 256, still pending when
+# the run stops at row 1 499
 DRIFT = {"leave_box_d256": 1.0 / (0.5 * (1500 - 1.5))}
 
 
@@ -101,8 +102,8 @@ def configs(head_src: Path) -> dict[str, dict]:
     explicit = permutation(3, d=4, s=0.99, stride=1)
     steps = 0.3 + 0.5 * np.random.default_rng(5).random(3000)
     explicit["schedule"] = {"kind": "explicit", "values": steps.tolist(), "a": 0.3, "b": 0.8}
-    # 2 049 iterates: one past the second 1 024-row audit block, so the
-    # one-row tail folds into it
+    # 2 049 = 8 x 256 + 1 iterates: one row past the eighth 256-row audit
+    # block at d = 256, so the one-row tail folds into it
     past_block = permutation(3, d=256, s=0.995, stride=7)
     past_block["run"].update(max_iter=2049, tol=0.0)
     # the same run with no auditor that reads T of every iterate: the stream
@@ -160,9 +161,9 @@ def swap_d256(config: dict) -> dict:
     T x = 0.999 reverse(x) + 0.0005 fixes 0.5 * 1, and the start is 0.5 * 1
     plus an antisymmetric vector, so x_n - 0.5 * 1 flips sign every step
     and shrinks by 0.997 per step.  The first coordinate therefore falls on
-    every other step, and `edge_propagation` and `fejer` fail in all three
-    1 024-row audit blocks (the 28-row tail folds into the third); the run
-    exits 2.
+    every other step, and `edge_propagation` and `fejer` fail in all twelve
+    256-row audit blocks (3 100 = 12 x 256 + 28: the 28-row tail folds into
+    the twelfth); the run exits 2.
     """
     d = 256
     config["space"]["dimension"] = d

@@ -98,11 +98,18 @@ def _parse_p(value: Any) -> float:
     return p
 
 
+def _floats(value: Any, name: str) -> np.ndarray:
+    """A list of float fields, entry i checked as `name[i]`."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return np.array([_float(v, f"{name}[{i}]") for i, v in enumerate(value)], dtype=float)
+
+
 def _vec(value: Any, dim: int, name: str) -> np.ndarray:
-    """Broadcast a scalar, or validate a length-d list."""
+    """Broadcast a scalar, or validate a length-d list of float fields."""
     if isinstance(value, numbers.Number):
         return np.full(dim, _float(value, name))
-    arr = np.asarray(value, dtype=float)
+    arr = _floats(value, name)
     if arr.shape != (dim,):
         raise ConfigError(f"{name} must be a scalar or a list of {dim} numbers")
     return arr
@@ -502,7 +509,7 @@ def build_schedule(config: ExperimentConfig) -> Schedule:
     cfg = config.schedule
     if cfg.kind == "constant":
         return Schedule.constant(cfg.t, cfg.a, cfg.b, cfg.enforce_bounds)
-    values = np.asarray(cfg.values, dtype=float)
+    values = _floats(cfg.values, "schedule.values")
     return Schedule.explicit(values, cfg.a, cfg.b, cfg.enforce_bounds)
 
 

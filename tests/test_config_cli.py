@@ -377,6 +377,29 @@ class TestCliRun:
         assert err.startswith("error: ") and f"{field} must be a number" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "field, value, entry",
+        [
+            ("body.hi", [True], "body.hi[0]"),
+            ("start.value", [True], "start.value[0]"),
+            ("schedule.values", [0.5, math.nan], "schedule.values[1]"),
+            ("body.hi", [None], "body.hi[0]"),
+        ],
+        ids=["hi-true", "start-true", "values-nan", "hi-null"],
+    )
+    def test_list_entries_are_float_fields(self, tmp_path, capsys, field, value, entry):
+        # each of these ran as 1.0, ran a NaN step to exit 2, or was blamed
+        # on start.value, before the entries of a list were checked
+        out = str(tmp_path / "o")
+        data = oracle_1d_config(out)
+        if field == "schedule.values":
+            data["schedule"] = {"kind": "explicit", "values": value, "enforce_bounds": False}
+        set_field(data, field, value)
+        assert main(["run", "--config", write_config(tmp_path, data), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{entry} must be a number" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_negative_seed_is_exit_one(self, tmp_path, capsys, command, where):

@@ -669,8 +669,19 @@ class TestBlockedAudit:
         self.assert_same(traj, gentle_maps(), COORD2, schedule)
 
 
+@pytest.fixture(params=[None, 2 << 20], ids=["shipped_rule", "bytes_2MiB"])
+def block_rule(request, monkeypatch):
+    """The shipped block rule, 256-row audit blocks at d = 256 (one run block
+    each), and a 2 MiB budget, 1 024-row audit blocks at d = 256, so that one
+    audit block spans several run blocks."""
+    if request.param is not None:
+        monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_BYTES", request.param)
+
+
+@pytest.mark.usefixtures("block_rule")
 class TestBlockedAuditAtScale:
-    """The same at d = 256 with the block rule itself: 1 024-row blocks."""
+    """The same at d = 256 with the block rule itself, and with 2 MiB
+    blocks."""
 
     @pytest.mark.parametrize("kind", ["iterate_up", "iterate_down", "step"])
     def test_tampered_record_at_block_boundaries(self, kind):
@@ -832,9 +843,10 @@ class TestStreamedAudit:
         assert got["trajectory"]["status"] == "fail"
 
 
+@pytest.mark.usefixtures("block_rule")
 class TestStreamedAuditAtScale:
-    """The same at d = 256 with the block rules themselves: 1 024-row audit
-    blocks pushed from 256-row run blocks."""
+    """The same at d = 256 with the block rules themselves, audit blocks
+    pushed from 256-row run blocks, and with 2 MiB audit blocks."""
 
     def test_tolerance_stops_at_block_edges(self):
         d = 256
@@ -892,10 +904,17 @@ def traced_peak(fn, *args, **kwargs):
 
 
 class TestStreamedMemory:
+    # the stored audit's growth from 2 000 to 8 000 iterates at d = 256:
+    # `json.loads` of run.json holds Python objects for the residuals, the
+    # steps and every 50th row, measured at 1.12 MB for the 6 000 more
+    # iterates, where an (N, d) history would add 6 000 x 2 KiB = 12 MB
+    STORED_AUDIT_GROWTH = 2 << 20
+
     def test_run_and_stored_audit_peaks_do_not_grow_with_the_run(self, tmp_path):
         # at stride 50 neither the run nor the audit of its run.json holds
         # an (N, d) history, so 6 000 more iterates of 2 KiB add less than
-        # one audit block to either peak
+        # one audit block to the run's peak, and to the stored audit's only
+        # the record's Python objects (STORED_AUDIT_GROWTH)
         d = 256
         peaks = {"run": [], "audit": []}
         for n in (2000, 8000):
@@ -908,9 +927,26 @@ class TestStreamedMemory:
             peak, (code, _) = traced_peak(audit_stored, out / "run.json", config)
             assert code != 2
             peaks["audit"].append(peak)
-        block = audit_block_rows(d) * d * 8
-        assert peaks["run"][1] - peaks["run"][0] < block
-        assert peaks["audit"][1] - peaks["audit"][0] < block
+        assert peaks["run"][1] - peaks["run"][0] < audit_block_rows(d) * d * 8
+        assert peaks["audit"][1] - peaks["audit"][0] < self.STORED_AUDIT_GROWTH
+
+    @pytest.mark.parametrize("stride", [1, 50])
+    def test_audit_working_set(self, stride):
+        # the audit of a 2 000-iterate d = 256 record: its blocks, their
+        # images and the auditors' block-sized temporaries, with a stored
+        # record's gaps replayed at stride 50.  512 KiB blocks peak at 6.4
+        # and 5.0 MiB, 2 MiB blocks at 24.1 and 16.7 MiB, so a larger block
+        # fails here
+        d = 256
+        op = permutation_map(d, 0.9999)
+        rel = ConeRelation(np.eye(d))
+        schedule = Schedule.constant(0.5)
+        traj = run(op, np.zeros(d), schedule, max_iter=2000, tol=0.0, rel=rel,
+                   record_stride=stride)
+        peak, results = traced_peak(run_audits, ALL_AUDITS, traj, op, rel, op.space,
+                                    schedule, diam=16.0)
+        assert all(e["status"] != "fail" for e in results.values())
+        assert peak < 8 << 20
 
 
 class TestSweepMemory:
