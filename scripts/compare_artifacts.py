@@ -69,9 +69,13 @@ print(json.dumps(codes))
 
 # configs run with T = x + shift: with t = 0.5 from 0 the iterates
 # x_n = (n - 1) s / 2 leave the unit box first at n = 1 500, inside the
-# 256-row audit block of rows 1 280..1 535 at d = 256, still pending when
-# the run stops at row 1 499
-DRIFT = {"leave_box_d256": 1.0 / (0.5 * (1500 - 1.5))}
+# 256-row audit block of rows 1 280..1 535 at d = 256, still held when the
+# run stops at row 1 499; at d = 4 first at n = 16 700, inside the second
+# 16 384-row audit block and between two of the run's 256-row box checks
+DRIFT = {
+    "leave_box_d256": 1.0 / (0.5 * (1500 - 1.5)),
+    "leave_box_d4": 1.0 / (0.5 * (16_700 - 1.5)),
+}
 
 
 # sweeps of a config, by axis and values: schedule.t, and operator.offset,
@@ -92,9 +96,9 @@ def configs(head_src: Path) -> dict[str, dict]:
     """The demo configs, the benchmark's averaged-permutation family
     (long_full is d = 4, wide_sweep d = 256), a swap run whose auditors fail
     in every audit block, d = 256 runs that end just past an audit block
-    (one of them without the auditors that read images) or leave the box,
-    and two small runs of the remaining section kinds, with HEAD_SRC's
-    graphmann."""
+    (one of them without the auditors that read images), d = 256 and d = 4
+    runs that leave the box, and two small runs of the remaining section
+    kinds, with HEAD_SRC's graphmann."""
     sys.path[:0] = [str(head_src), str(ROOT)]
     from graphmann.corpus import negative_swap_config, oracle_1d_config, t_one_config
     from perfbench.workloads import averaged_permutation_config as permutation
@@ -110,12 +114,15 @@ def configs(head_src: Path) -> dict[str, dict]:
     # applies no T, and gk_inequality applies it to the head rows itself
     no_images = copy.deepcopy(past_block)
     no_images["audits"] = ["residual_monotone", "gk_inequality", "fejer", "rate", "convergence"]
-    # the identity config, run with T = x + s (DRIFT); its record is
+    # the identity configs, run with T = x + s (DRIFT); their records are
     # decimated, so the audit of run.json replays up to the first iterate
     # outside the box
     leave_box = permutation(3, d=256, s=0.995, stride=50)
     leave_box["operator"] = {"kind": "identity"}
     leave_box["run"]["tol"] = 0.0
+    leave_box_d4 = permutation(3, d=4, s=0.999, stride=50)
+    leave_box_d4["operator"] = {"kind": "identity"}
+    leave_box_d4["run"].update(max_iter=40_000, tol=0.0)
     # the audit of the decimated record streams its replay through blocks
     # that all fail
     swap_thin = swap_d256(negative_swap_config())
@@ -149,6 +156,7 @@ def configs(head_src: Path) -> dict[str, dict]:
         "perm_d256_stride7_past_block": past_block,
         "perm_d256_stride7_no_images": no_images,
         "leave_box_d256": leave_box,
+        "leave_box_d4": leave_box_d4,
         "swap_d256_stride50": swap_thin,
         "ball_identity_custom_d2": ball,
         "scale_random_start_explicit_d3": scaled,

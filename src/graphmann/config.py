@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -103,6 +104,22 @@ def _floats(value: Any, name: str) -> np.ndarray:
     if not isinstance(value, (list, tuple, np.ndarray)):
         raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
     return np.array([_float(v, f"{name}[{i}]") for i, v in enumerate(value)], dtype=float)
+
+
+def _matrix(value: Any, name: str) -> np.ndarray:
+    """A list of rows of float fields, checked as a whole rather than entry
+    by entry (a matrix may have 65 536 entries): the entry types first, then
+    NaN in the converted array."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise ConfigError(f"{name} must be a list of rows of numbers")
+    types = set(map(type, chain.from_iterable(value)))
+    bad = sorted(t.__name__ for t in types if t is bool or not issubclass(t, numbers.Real))
+    if bad:
+        raise ConfigError(f"{name} entries must be numbers, got {', '.join(bad)}")
+    matrix = np.array(value, dtype=float)
+    if np.isnan(matrix).any():
+        raise ConfigError(f"{name} entries must be numbers, got NaN")
+    return matrix
 
 
 def _vec(value: Any, dim: int, name: str) -> np.ndarray:
@@ -323,11 +340,13 @@ class OutputConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "OutputConfig":
         _check_keys("output", data, _field_names(cls))
-        formats = tuple(data.get("formats", cls.formats))
+        formats = data.get("formats", list(cls.formats))
+        if not isinstance(formats, list):
+            raise ConfigError(f"output.formats must be a list, got {formats!r}")
         bad = [f for f in formats if f not in ("csv", "json")]
         if bad:
             raise ConfigError(f"output.formats entries must be csv/json, got {bad}")
-        return cls(directory=str(data.get("directory", cls.directory)), formats=formats)
+        return cls(directory=str(data.get("directory", cls.directory)), formats=tuple(formats))
 
     def to_dict(self) -> dict:
         return {"directory": self.directory, "formats": list(self.formats)}
@@ -460,7 +479,7 @@ def build_relation(config: ExperimentConfig, space: NormSpace) -> ConeRelation:
         if not np.any(row != 0.0):
             raise ConfigError("relation.row must be nonzero")
         return ConeRelation(row[None, :], cfg.slack_tol)
-    matrix = np.asarray(cfg.generator_matrix, dtype=float)
+    matrix = _matrix(cfg.generator_matrix, "relation.generator_matrix")
     if matrix.ndim != 2 or matrix.shape[1] != d:
         raise ConfigError(f"relation.generator_matrix must have {d} columns")
     return ConeRelation(matrix, cfg.slack_tol)
@@ -478,7 +497,7 @@ def build_operator(
         matrix = (
             float(cfg.scale) * np.eye(d)
             if cfg.scale is not None
-            else np.asarray(cfg.matrix, dtype=float)
+            else _matrix(cfg.matrix, "operator.matrix")
         )
         return MatrixAffine(space, body, matrix, _vec(cfg.offset, d, "operator.offset"))
     if cfg.kind == "componentwise":
@@ -496,8 +515,8 @@ def build_operator(
                     f"operator.functions[{i}] must be an object with exactly "
                     "knots_x and knots_y"
                 )
-            knots_x.append(np.asarray(fn["knots_x"], dtype=float))
-            knots_y.append(np.asarray(fn["knots_y"], dtype=float))
+            knots_x.append(_floats(fn["knots_x"], f"operator.functions[{i}].knots_x"))
+            knots_y.append(_floats(fn["knots_y"], f"operator.functions[{i}].knots_y"))
         return Componentwise(space, body, tuple(knots_x), tuple(knots_y))
     return NonmonotoneSwap(
         space, body, float(cfg.factor), _vec(cfg.offset, d, "operator.offset")

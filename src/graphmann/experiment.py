@@ -5,9 +5,9 @@ One experiment produces up to three artifacts in its output directory:
 with the config echoed), and `audits.json` (per-auditor status).  The
 auditors read the run's own iterates while the loop produces them, so a run
 is computed once and never replayed, and it keeps in memory only the
-iterates its `record_stride` records plus the audit blocks still pending.
-The audit of a stored decimated record replays it gap by gap into the same
-blocks.  The JSON artifacts are written piece by piece, never as one string.
+iterates its `record_stride` records plus the block the loop fills and the
+one the audit holds.  The audit of a stored decimated record replays it gap
+by gap into the same blocks.  The JSON artifacts are written piece by piece, never as one string.
 Sweeps run one experiment per axis value, in the given order, keep one
 summary row per value and aggregate a summary CSV; the values' configs
 share every section the axis does not touch.  Identical config and seed

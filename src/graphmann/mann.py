@@ -8,13 +8,12 @@ step can be recomputed bit-identically from the records.  Indices are
 One stepping kernel serves the run, the replay and the recheck: `_step`
 writes t T(x) + (1 - t) x in place into a preallocated row, with t and
 1 - t as 0-d arrays, and T is the operator's single-vector `_apply`.
-run() steps into blocks of RUN_BLOCK_ROWS rows and checks a box domain once
-per block; `iterate_rows` replays a decimated record gap by gap into blocks
-of the same size; `verify_trajectory` steps whole columns of rows at once,
-one audit block at a time.  The audit reads a run's rows through an
-`AuditStream`, which cuts them into audit blocks as a run hands them over
-or `stream_record` pushes a stored record, so no (N, d) history is needed
-to audit a run.
+run() and `iterate_rows` (the replay of a decimated record) step into the
+audit's blocks, and run() checks a box domain every AUDIT_BLOCK_ROWS rows;
+`verify_trajectory` steps whole columns of rows at once, one audit block at
+a time.  The audit reads those blocks in place through an `AuditStream`, as
+a run hands them over or `stream_record` pushes a stored record, so no
+(N, d) history is needed to audit a run.
 """
 
 from __future__ import annotations
@@ -41,21 +40,18 @@ STEP_RECOMPUTE_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
 DEFAULT_TOL = 1e-10
 
-# the audit reads a run's iterates in blocks of AUDIT_BLOCK_BYTES and at
-# least AUDIT_BLOCK_ROWS rows, and applies T once per block, so its scratch
-# memory is a few blocks whatever the length of the run.  512 KiB keeps a
-# block, its images and each auditor temporary (x - Tx, edge differences,
-# Fejer distances) within a 2 MiB L2 cache: 16 384 rows at d = 4, and at
-# d = 256 the 256-row floor, one run block.  T of a block this long has the
-# bits of T of the whole array (a product of a few rows can differ in the
-# last bit), and a shorter tail folds into the block before it, so no block
-# is a smaller product than the others
+# a run steps its iterates into, and the audit reads them in, blocks of
+# AUDIT_BLOCK_BYTES and at least AUDIT_BLOCK_ROWS rows (run() checks a box
+# every AUDIT_BLOCK_ROWS rows), and T is applied once per block, so the
+# audit's scratch memory is a few blocks whatever the length of the run.
+# 512 KiB keeps a block, its images and each auditor temporary (x - Tx, edge
+# differences, Fejer distances) within a 2 MiB L2 cache: 16 384 rows at
+# d = 4, 256 at d = 256.  T of a block this long has the bits of T of the
+# whole array (a product of a few rows can differ in the last bit), and a
+# shorter tail folds into the block before it, so no block is a smaller
+# product than the others
 AUDIT_BLOCK_ROWS = 256
 AUDIT_BLOCK_BYTES = 512 << 10
-
-# rows per block of the run loop: iterates are stepped in place into a block
-# and a box domain is checked once per block
-RUN_BLOCK_ROWS = 256
 
 # rows per `%` template of the CSV writer; bounds the Python floats alive at
 # once whatever the length of the record
@@ -251,22 +247,19 @@ def audit_block_rows(d: int) -> int:
 
 
 class AuditStream:
-    """Cuts the rows of a run, handed over in order, into the audit's blocks.
+    """Audits a run's blocks, handed over in order, where they lie.
 
-    A producer calls `open` once with the run's record, `push` with its rows
-    in order and `close` after the last.  Each block has
-    `audit_block_rows(d)` rows (512 KiB of iterates, and at least 256 rows),
-    and a shorter tail folds into the block before it, so the last block has
-    fewer than twice as many: a block is cut once its successor is
-    full-size, or at `close`.  Pushed rows are copied into a ring of two
-    blocks and a spare row, allocated at the first push, so the stream holds
-    O(block) memory and allocates nothing per block but T of its rows,
-    applied as one batch when `operator` is given.  Blocks are cut at
-    multiples of a block, so a block's rows and the row after them are
-    contiguous in the ring (the spare row repeats ring row 0); only a last
-    block that wraps round is copied out.  Each block goes to `audit`, which
-    a subclass defines (or an instance is given), and is audited there
-    before the ring moves on.
+    A producer calls `open` once with the run's record, `push` with its
+    blocks in order and `close` after the last.  Every block but the last
+    has `audit_block_rows(d)` rows (512 KiB of iterates, and at least 256
+    rows) and a spare row, which the producer fills with the first row of
+    the next block before pushing that one.  The stream holds the last
+    block pushed and cuts it when a full-size successor arrives, or at
+    `close`; a shorter last block folds into it by one concatenation, so
+    the last block cut has fewer than twice as many rows.  No other block
+    is copied, no row is written, and nothing is allocated per block but T
+    of its rows, applied as one batch when `operator` is given.  Each block
+    goes to `audit`, which a subclass defines (or an instance is given).
     """
 
     def __init__(self, operator: Operator | None = None) -> None:
@@ -283,54 +276,37 @@ class AuditStream:
         """
         self.record = (residuals, steps, indices)
         self.case = edge_case(forward, reverse)
-        self.pending = None  # the ring, allocated at the first push
-        self.start = 0  # run row of the first pending row, at ring row start % ring
-        self.count = 0
+        self.held = None  # the block pushed last and its row count
+        self.start = 0  # run row of the held block's first row
         self.prev = None
         self.cursor = 1  # the first recorded index a step may lead to
 
-    def push(self, rows: np.ndarray) -> None:
-        """Hand over the run's next rows (copied)."""
-        if self.pending is None:
-            d = rows.shape[1]
-            self.size = audit_block_rows(d)
-            self.pending = np.empty((2 * self.size + 1, d))
-        ring = 2 * self.size
-        done = 0
-        while done < rows.shape[0]:
-            at = (self.start + self.count) % ring
-            n = min(rows.shape[0] - done, ring - self.count, ring - at)
-            self.pending[at : at + n] = rows[done : done + n]
-            if at == 0:
-                # the spare row after the ring: the row after a block in
-                # the second half
-                self.pending[ring] = rows[done]
-            self.count += n
-            done += n
-            if self.count == ring:
-                self._cut(self.size)
+    def push(self, block: np.ndarray, count: int) -> None:
+        """Hand over the run's next `count` rows, block[:count], read in
+        place until the next push or `close`."""
+        if self.held is not None:
+            last, k = self.held
+            if count == audit_block_rows(block.shape[1]):
+                self._cut(last[: k + 1], k)
+            else:  # a shorter last block folds into the block before it
+                block, count = np.concatenate((last[:k], block[:count])), k + count
+        self.held = block, count
 
     def close(self) -> None:
-        """End the run: the rows still pending form its last block.  The
-        ring and the record are released."""
-        if self.count:
-            self._cut(self.count)
-        self.pending = self.record = None
+        """End the run: the block held is its last.  The block and the
+        record are released."""
+        if self.held is not None:
+            block, count = self.held
+            self._cut(block[:count], count)
+        self.held = self.record = None
 
     def audit(self, block: AuditBlock) -> None:
         """Take one block, whose rows stay valid only for this call."""
         raise NotImplementedError
 
-    def _cut(self, k: int) -> None:
-        # the first k pending rows form a block; x adds the row after them
+    def _cut(self, x: np.ndarray, k: int) -> None:
+        # the first k rows of x form a block; x adds the row after them
         start, stop = self.start, self.start + k
-        ring = 2 * self.size
-        at = start % ring
-        end = at + min(k + 1, self.count)
-        if end <= ring + 1:
-            x = self.pending[at:end]
-        else:  # a last block that wraps round the ring
-            x = np.concatenate((self.pending[at:ring], self.pending[: end - ring]))
         rows = x[:k]
         # the recorded x_h with h - 2 in [start, stop): at most k of them
         residuals, steps, indices = self.record
@@ -351,7 +327,7 @@ class AuditStream:
             )
         )
         self.prev = rows[-1].copy()
-        self.start, self.count = stop, self.count - k
+        self.start = stop
 
 
 def start_edges(rel: ConeRelation, x1, tx1) -> tuple[bool, bool]:
@@ -418,16 +394,16 @@ def run(
     domain (beyond MEMBERSHIP_TOL) ends the run with STOP_DIVERGED and its
     own residual as the last one.
 
-    Iterates are stepped in place into blocks of RUN_BLOCK_ROWS rows.  A box
-    domain is checked once per block, so a run that leaves the box applies
-    T to at most RUN_BLOCK_ROWS - 1 further iterates and then discards them;
-    any other body is checked after every step.  Only the rows
-    `record_stride` selects and the final iterate are kept.
+    Iterates are stepped in place into audit blocks (`AuditStream`).  A box
+    domain is checked every AUDIT_BLOCK_ROWS rows, so a run that leaves the
+    box applies T to at most AUDIT_BLOCK_ROWS - 1 further iterates and then
+    discards them; any other body is checked after every step.  Only the
+    rows `record_stride` selects and the final iterate are kept.
 
     With `audit`, the run is audited while it runs: the stream is opened
-    with the run's record, each block of rows is pushed once it has passed
-    the box check (so no discarded row is ever handed over), and the stream
-    is closed after the final iterate.
+    with the run's record, each block is pushed once it has passed the box
+    check (so no discarded row is ever handed over), and the stream is
+    closed after the final iterate.
     """
     if max_iter < 1:
         raise InputError(f"max_iter must be >= 1, got {max_iter}")
@@ -461,7 +437,7 @@ def run(
     else:
         inside = partial(contains, space, body, tol=MEMBERSHIP_TOL)
     apply = operator._apply
-    block_rows = RUN_BLOCK_ROWS
+    size = audit_block_rows(d)
 
     kept: list[np.ndarray] = []  # recorded rows, one array per block
     indices: list[int] = []
@@ -476,22 +452,29 @@ def run(
         )
         audit.open(residuals, steps, indices, forward, reverse)
 
+    pushed = None  # the block pushed last, its spare row still empty
+
     def keep(block: np.ndarray, base: int, count: int) -> None:
         # rows 0..count-1 of a block whose row 0 is iterate `base`, past the
-        # box check; the block is never written again
+        # box check; they are never written again
+        nonlocal pushed
         first = -(base - 1) % record_stride
         if first < count:
             picked = block[first:count:record_stride]
             kept.append(picked if record_stride == 1 else picked.copy())
             indices.extend(range(base + first, base + count, record_stride))
         if audit is not None:
-            audit.push(block[:count])
+            if pushed is not None:
+                pushed[size] = block[0]
+            audit.push(block, count)
+            pushed = block
 
-    block = np.empty((block_rows, d))
+    block = np.empty((size + 1, d))
     block[0] = x
     x = block[0]
     base = 1  # iterate index of block row 0
     row = 0
+    checked, check = 0, AUDIT_BLOCK_ROWS  # rows checked / to check next
     n = 1
     stop = None
     while True:
@@ -503,12 +486,14 @@ def run(
         if n >= effective_max:
             stop = STOP_MAX_ITER
             break
-        if row + 1 == block_rows:
-            if box and _first_outside(block, lo, hi) < block_rows:
+        if row + 1 == check:
+            if box and _first_outside(block[checked:check], lo, hi) < check - checked:
                 break
-            keep(block, base, block_rows)
-            block = np.empty((block_rows, d))
-            base, row = n + 1, -1
+            if check == size:
+                keep(block, base, size)
+                block = np.empty((size + 1, d))
+                base, row, check = n + 1, -1, 0
+            checked, check = check, min(check + AUDIT_BLOCK_ROWS, size)
         if t_values is not None:
             t[()] = step = t_values[n - 1]
             s[()] = 1.0 - step
@@ -519,7 +504,7 @@ def run(
             tx = apply(x)
         except Exception:
             # T may refuse a point past one that already left the box
-            if box and _first_outside(block[:row], lo, hi) < row:
+            if box and _first_outside(block[checked:row], lo, hi) < row - checked:
                 break
             raise
         if not box and not inside(x):
@@ -527,7 +512,7 @@ def run(
             stop = STOP_DIVERGED
             break
     if box:
-        out = _first_outside(block[: row + 1], lo, hi)
+        out = checked + _first_outside(block[checked : row + 1], lo, hi)
         if out <= row:
             # the first iterate outside the box ends the run
             row, n, stop = out, base + out, STOP_DIVERGED
@@ -558,32 +543,33 @@ def run(
 
 
 def iterate_rows(traj: Trajectory, operator: Operator):
-    """The iterates x_1..x_N of a record, in order, in blocks of rows.
+    """The iterates x_1..x_N of a record, in order, as the (block, count)
+    pairs of audit blocks that `AuditStream.push` takes.
 
-    A full-history record is yielded as stored, in one block.  The gaps of a
-    decimated record are replayed in order with the recorded step sizes,
-    each step written in place into a block of RUN_BLOCK_ROWS rows by the
-    same `_step` and the same single-vector T as run()'s loop, so every
-    replayed iterate is bit-identical to the original run; the recorded
-    iterates are copied in as stored.  A block is never written after it is
-    yielded, and none is kept here, so the replay holds O(block) memory.
-    The record is not validated here.
+    A full-history record is yielded as views of its stored rows.  The gaps
+    of a decimated record are replayed in order with the recorded step
+    sizes, each step written in place into a block by the same `_step` and
+    the same single-vector T as run()'s loop, so every replayed iterate is
+    bit-identical to the original run; the recorded iterates are copied in
+    as stored.  A block is never written after it is yielded, and none is
+    kept here, so the replay holds O(block) memory.  The record is not
+    validated here.
     """
-    if traj.is_full_history:
-        yield traj.iterates
-        return
     d = traj.dimension
+    size = audit_block_rows(d)
+    if traj.is_full_history:
+        rows = traj.iterates
+        for start in range(0, rows.shape[0], size):
+            yield rows[start : start + size + 1], min(size, rows.shape[0] - start)
+        return
     apply = operator._apply
     steps = traj.schedule_used.tolist()
     indices = traj.iterate_indices.tolist()
     t, s, scratch = np.empty(()), np.empty(()), np.empty(d)
-    block, row = np.empty((RUN_BLOCK_ROWS, d)), 0
+    block, row = np.empty((size + 1, d)), 0
     for j, lo in enumerate(indices):
         hi = indices[j + 1] if j + 1 < len(indices) else lo + 1
         for n in range(lo, hi):
-            if row == RUN_BLOCK_ROWS:
-                yield block
-                block, row = np.empty((RUN_BLOCK_ROWS, d)), 0
             if n == lo:
                 block[row] = traj.iterates[j]
             else:
@@ -591,8 +577,13 @@ def iterate_rows(traj: Trajectory, operator: Operator):
                 s[()] = 1.0 - step
                 _step(x, apply(x), t, block[row], s, scratch)
             x = block[row]
+            if row == size:  # the spare row: the first row of the next block
+                yield block, size
+                block, row = np.empty((size + 1, d)), 0
+                block[0] = x
+                x = block[0]
             row += 1
-    yield block[:row]
+    yield block, row
 
 
 def stream_record(traj: Trajectory, operator: Operator, stream: AuditStream) -> None:
@@ -606,8 +597,8 @@ def stream_record(traj: Trajectory, operator: Operator, stream: AuditStream) -> 
         traj.start_edge_forward,
         traj.start_edge_reverse,
     )
-    for rows in iterate_rows(traj, operator):
-        stream.push(rows)
+    for block, count in iterate_rows(traj, operator):
+        stream.push(block, count)
     stream.close()
 
 
@@ -620,8 +611,9 @@ def full_iterates(traj: Trajectory, operator: Operator) -> np.ndarray:
     replayed.
     """
     traj.validate()
-    rows = list(iterate_rows(traj, operator))
-    return rows[0] if len(rows) == 1 else np.concatenate(rows)
+    if traj.is_full_history:
+        return traj.iterates
+    return np.concatenate([block[:count] for block, count in iterate_rows(traj, operator)])
 
 
 def verify_trajectory(

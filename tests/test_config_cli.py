@@ -400,6 +400,55 @@ class TestCliRun:
         assert err.startswith("error: ") and f"{entry} must be a number" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "field, value, entry",
+        [
+            ("operator.matrix", [[True]], "operator.matrix entries must be numbers, got bool"),
+            ("operator.matrix", [[math.nan]], "operator.matrix entries must be numbers, got NaN"),
+            ("operator.matrix", [[None]], "operator.matrix entries must be numbers, got NoneType"),
+            ("operator.matrix", [0.5], "operator.matrix must be a list of rows of numbers"),
+            ("relation.generator_matrix", [[True]],
+             "relation.generator_matrix entries must be numbers, got bool"),
+            ("relation.generator_matrix", [[math.nan]],
+             "relation.generator_matrix entries must be numbers, got NaN"),
+            ("operator.functions.knots_x", [False, 1.0],
+             "operator.functions[0].knots_x[0] must be a number"),
+            ("operator.functions.knots_y", [math.nan, 1.0],
+             "operator.functions[0].knots_y[0] must be a number"),
+            ("operator.functions.knots_y", [None, 1.0],
+             "operator.functions[0].knots_y[0] must be a number"),
+        ],
+        ids=["matrix-true", "matrix-nan", "matrix-null", "matrix-no-rows", "generator-true",
+             "generator-nan",
+             "knots_x-false", "knots_y-nan", "knots_y-null"],
+    )
+    def test_matrix_and_knots_entries_are_float_fields(self, tmp_path, capsys, field, value,
+                                                       entry):
+        # each of these exited 3, 0 or 2, or 1 without naming the field,
+        # before matrices and knots were checked
+        out = str(tmp_path / "o")
+        data = oracle_1d_config(out)
+        if field == "operator.matrix":
+            data["operator"] = {"kind": "matrix_affine", "matrix": value, "offset": 0.25}
+        elif field == "relation.generator_matrix":
+            data["relation"] = {"kind": "custom", "generator_matrix": value}
+        else:
+            set_field(data, field, value)
+        assert main(["run", "--config", write_config(tmp_path, data), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and entry in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["", "csv"], ids=["empty", "csv"])
+    def test_formats_must_be_a_list(self, tmp_path, capsys, value):
+        # "" ran and wrote only audits.json; "csv" was read as ['c', 's', 'v']
+        data = oracle_1d_config(str(tmp_path / "o"))
+        data["output"]["formats"] = value
+        assert main(["run", "--config", write_config(tmp_path, data), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: output.formats must be a list")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_negative_seed_is_exit_one(self, tmp_path, capsys, command, where):

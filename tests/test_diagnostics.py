@@ -31,6 +31,7 @@ from graphmann.experiment import audit_stored, run_experiment, run_sweep
 from graphmann.mann import (
     STEP_RECOMPUTE_TOL,
     STOP_DIVERGED,
+    AuditStream,
     Schedule,
     Trajectory,
     _step,
@@ -39,6 +40,7 @@ from graphmann.mann import (
     read_trajectory_csv,
     run,
     start_edges,
+    stream_record,
     write_trajectory_csv,
 )
 from graphmann.normed_space import Box, NormSpace, diameter
@@ -671,9 +673,9 @@ class TestBlockedAudit:
 
 @pytest.fixture(params=[None, 2 << 20], ids=["shipped_rule", "bytes_2MiB"])
 def block_rule(request, monkeypatch):
-    """The shipped block rule, 256-row audit blocks at d = 256 (one run block
-    each), and a 2 MiB budget, 1 024-row audit blocks at d = 256, so that one
-    audit block spans several run blocks."""
+    """The shipped block rule, 256-row audit blocks at d = 256, and a 2 MiB
+    budget, 1 024-row audit blocks at d = 256, each spanning four box
+    checks of the run."""
     if request.param is not None:
         monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_BYTES", request.param)
 
@@ -756,15 +758,14 @@ class Escape(Operator):
 
 
 class TestStreamedAudit:
-    """run() audited while it runs, with blocks of B audit rows pushed from
-    run blocks of 5 and of 256 rows, against the unblocked audit of the full
-    history."""
+    """run() audited while it runs, in blocks of 5 and of B rows, against the
+    unblocked audit of the full history."""
 
-    @pytest.fixture(autouse=True, params=[5, 256], ids=["run_rows5", "run_rows256"])
+    @pytest.fixture(autouse=True, params=[5, B], ids=["block_rows5", f"block_rows{B}"])
     def small_blocks(self, monkeypatch, request):
-        monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_ROWS", B)
+        # the byte budget never exceeds the minimum
+        monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_ROWS", request.param)
         monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_BYTES", 0)
-        monkeypatch.setattr(graphmann.mann, "RUN_BLOCK_ROWS", request.param)
 
     @pytest.mark.parametrize("stride", STRIDES)
     @pytest.mark.parametrize("d", [2, 4])
@@ -808,7 +809,8 @@ class TestStreamedAudit:
         assert traj.n_iterates == 1
 
     @pytest.mark.parametrize("stride", STRIDES)
-    # 2B + 2 ends in a last block that wraps round the stream's ring
+    # at B-row blocks 2B + 1 and 2B + 2 end in a short block folded into the
+    # block before it
     @pytest.mark.parametrize(
         "n", [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 2, 3 * B + 1]
     )
@@ -842,11 +844,49 @@ class TestStreamedAudit:
         assert got == reference_run_audits(ALL_AUDITS, *args, diam=2.0, seed=3)
         assert got["trajectory"]["status"] == "fail"
 
+    def test_read_only_record(self):
+        # the stored rows of a full-history record are read, never written:
+        # the row after each block is already the stored next row
+        schedule = Schedule.constant(0.5)
+        traj = run(gentle_maps(), [0.1, 0.2], schedule, max_iter=3 * B + 2, tol=0.0, rel=COORD2)
+        traj.iterates.flags.writeable = False
+        args = (traj, gentle_maps(), COORD2, SPACE2, schedule)
+        got = run_audits(ALL_AUDITS, *args, diam=2.0, seed=3)
+        assert got == reference_run_audits(ALL_AUDITS, *args, diam=2.0, seed=3)
+
+    def test_full_history_is_read_in_place(self):
+        # every block but the folded last one is a view of the stored rows
+        traj = run(gentle_maps(), [0.1, 0.2], Schedule.constant(0.5), max_iter=3 * B + 2,
+                   tol=0.0, rel=COORD2)
+        shared = []
+        stream = AuditStream()
+        stream.audit = lambda block: shared.append(np.shares_memory(block.x, traj.iterates))
+        stream_record(traj, gentle_maps(), stream)
+        assert len(shared) >= 3 and all(shared[:-1]) and not shared[-1]
+
+
+def test_streamed_audit_at_the_d4_block_edge():
+    # under the shipped rule an audit block is 16 384 rows at d = 4, and the
+    # run checks its box 64 times per block
+    d = 4
+    op = permutation_map(d, 0.999)
+    rel = ConeRelation(np.eye(d))
+    schedule = Schedule.constant(0.5)
+    b = audit_block_rows(d)
+    assert b == 16_384
+    residuals = run(op, np.zeros(d), schedule, max_iter=b + 1, tol=0.0).residuals
+    for n in (b - 1, b, b + 1):
+        for stride in STRIDES:
+            traj, _ = assert_streamed_like_full_history(
+                op, np.zeros(d), schedule, rel, stride, max_iter=2 * b, tol=residuals[n - 1]
+            )
+            assert traj.n_iterates == n
+
 
 @pytest.mark.usefixtures("block_rule")
 class TestStreamedAuditAtScale:
-    """The same at d = 256 with the block rules themselves, audit blocks
-    pushed from 256-row run blocks, and with 2 MiB audit blocks."""
+    """The same at d = 256 with the block rule itself, and with 2 MiB
+    blocks."""
 
     def test_tolerance_stops_at_block_edges(self):
         d = 256

@@ -13,7 +13,7 @@ from graphmann.cli import main
 from graphmann.corpus import oracle_1d_config
 from graphmann.errors import ConfigError, DomainError, InputError
 from graphmann.mann import (
-    RUN_BLOCK_ROWS,
+    AUDIT_BLOCK_ROWS,
     STEP_RECOMPUTE_TOL,
     STOP_DIVERGED,
     STOP_MAX_ITER,
@@ -558,7 +558,7 @@ class TestLoopFastPath:
         assert traj.n_iterates == 2
 
 
-K = RUN_BLOCK_ROWS
+K = AUDIT_BLOCK_ROWS  # rows between box checks
 STRIDES = (1, 7, K, K + 1)
 
 
@@ -605,7 +605,8 @@ class TestBlockKernel:
         op = Escape(target, 0.5)
         got = run(op, np.zeros(2), sched, max_iter=10 * K, tol=0.0, record_stride=stride)
         assert_same_trajectory(got, expect)
-        # T is applied to x_1..x_target, then to at most K - 1 discarded iterates
+        # T is applied to x_1..x_target, then to at most K - 1 discarded
+        # iterates (under the shipped rule a block is 32 768 rows at d = 2)
         assert target <= op.calls <= target + K - 1
 
     @pytest.mark.parametrize("n_stop", [K - 1, K, K + 1])
@@ -697,6 +698,17 @@ class TestBlockKernel:
         for stride in (7, K, K + 1):
             thin = run(op, x1, sched, max_iter=2 * K + 9, tol=0.0, record_stride=stride)
             assert np.array_equal(full_iterates(thin, op), full.iterates)
+
+
+class TestBlockKernelSmallBlocks(TestBlockKernel):
+    """The same with box checks every 16 rows in blocks of 40 rows at d = 5
+    (100 at d = 2, 200 at d = 1), so runs cross many blocks and a block
+    ends between two box checks."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_ROWS", 16)
+        monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_BYTES", 8 * 5 * 40)
 
 
 def tampered(kind, p, family):

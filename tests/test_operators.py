@@ -154,7 +154,9 @@ class TestBlockedApplyBits:
             stream = AuditStream(op)
             stream.audit = blocks.append  # start, stop and tx outlive the call
             stream.open(np.empty(0), np.empty(0), np.empty(0))
-            stream.push(rows)
+            # (block, count) pairs, as `mann.iterate_rows` yields them
+            for start in range(0, n, b):
+                stream.push(rows[start : start + b + 1], min(b, n - start))
             stream.close()
             assert blocks[0].start == 0 and blocks[-1].stop == n
             # a tail shorter than a block folds into the block before it
