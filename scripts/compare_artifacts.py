@@ -97,8 +97,10 @@ def configs(head_src: Path) -> dict[str, dict]:
     (long_full is d = 4, wide_sweep d = 256), a swap run whose auditors fail
     in every audit block, d = 256 runs that end just past an audit block
     (one of them without the auditors that read images), d = 256 and d = 4
-    runs that leave the box, and two small runs of the remaining section
-    kinds, with HEAD_SRC's graphmann."""
+    runs that leave the box, two small runs of the remaining section kinds,
+    and d = 2 runs from a start incomparable with its image, from a
+    reverse-comparable start and from a fixed point, with HEAD_SRC's
+    graphmann."""
     sys.path[:0] = [str(head_src), str(ROOT)]
     from graphmann.corpus import negative_swap_config, oracle_1d_config, t_one_config
     from perfbench.workloads import averaged_permutation_config as permutation
@@ -144,6 +146,7 @@ def configs(head_src: Path) -> dict[str, dict]:
         schedule={"kind": "explicit", "a": 0.3, "b": 0.8,
                   "values": (0.3 + 0.5 * np.random.default_rng(6).random(2000)).tolist()},
     )
+    contraction = {"kind": "matrix_affine", "scale": 0.9, "offset": 0.05}
     return {
         "oracle": oracle_1d_config(),
         "swap": negative_swap_config(),
@@ -160,7 +163,25 @@ def configs(head_src: Path) -> dict[str, dict]:
         "swap_d256_stride50": swap_thin,
         "ball_identity_custom_d2": ball,
         "scale_random_start_explicit_d3": scaled,
+        # x_1 and T x_1 = (0.86, 0.14) are incomparable, so every auditor
+        # that needs a comparable start is not met (exit 3)
+        "incomparable_d2": oracle_d2(
+            oracle_1d_config(),
+            {"kind": "matrix_affine", "matrix": [[0.0, 0.9], [0.9, 0.0]], "offset": 0.05},
+            [0.1, 0.9]),
+        # T x = 0.9 x + 0.05 fixes 0.5 * 1; from above it, the audits run mirrored
+        "reverse_d2": oracle_d2(oracle_1d_config(), contraction, [1.0, 0.8]),
+        # a one-iterate run: no Goebel-Kirk pair or rate span is checked
+        "fixed_start_d2": oracle_d2(oracle_1d_config(), contraction, [0.5, 0.5]),
     }
+
+
+def oracle_d2(config: dict, operator: dict, start: list[float]) -> dict:
+    """The oracle config at d = 2, on the box [0, 1]^2 under the
+    coordinatewise cone, with the given operator section and start."""
+    config["space"]["dimension"] = 2
+    config.update(operator=operator, start={"kind": "explicit", "value": start})
+    return config
 
 
 def swap_d256(config: dict) -> dict:

@@ -54,8 +54,6 @@ from .mann import (
 )
 from .diagnostics import (
     ALL_AUDITS,
-    GKRecord,
-    RateCheck,
     audit_edge_propagation,
     audit_fejer,
     convergence_audit,

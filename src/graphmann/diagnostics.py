@@ -21,7 +21,7 @@ and every report equals that of one check over the whole run.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, replace
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -56,10 +56,12 @@ ACCEPT_FIXED_POINT_TOL = 1e-8
 
 # run_audits checks the telescoping inequality at GK_PAIRS seeded random
 # (i, n) pairs inside the first GK_WINDOW iterates, and the rate inequality
-# at each of RATE_SPANS that fits the run
+# at each of RATE_SPANS that fits the run, from at most RATE_SAMPLES start
+# indices per span
 GK_PAIRS = 50
 GK_WINDOW = 200
 RATE_SPANS = (1, 5, 10, 50)
+RATE_SAMPLES = 20
 INCOMPARABLE_START = "start is not comparable with its image"
 ALL_AUDITS = (
     "trajectory",
@@ -76,36 +78,6 @@ REPLAYING_AUDITS = frozenset({"trajectory", "edge_propagation", "gk_inequality",
 # auditors that read T of every iterate; run_audits applies T once per block
 # for both, and the Goebel-Kirk auditor reads T of the first block
 IMAGE_AUDITS = frozenset({"trajectory", "edge_propagation"})
-
-
-@dataclass(frozen=True)
-class GKRecord:
-    """One instance of the telescoping inequality at indices (i, i+n)."""
-
-    i: int
-    n: int
-    lhs: float
-    rhs: float
-    slack: float
-
-
-@dataclass(frozen=True)
-class RateCheck:
-    """Pre-limit rate verification for one span n.
-
-    `bound` is diam / (1 + n a); `observed_limit_estimate` is the residual at
-    the final recorded iterate.  `trials`/`failures`/`min_slack` summarize
-    the sampled-i inequality checks for this span.
-    """
-
-    n: int
-    a: float
-    diam: float
-    bound: float
-    observed_limit_estimate: float
-    trials: int
-    failures: int
-    min_slack: float
 
 
 def audit_edge_propagation(
@@ -246,13 +218,15 @@ def gk_inequality_check(
     pairs: list[tuple[int, int]],
     x_all: np.ndarray | None = None,
     tx_head: np.ndarray | None = None,
-) -> list[GKRecord]:
+) -> AuditReport:
     """Evaluate the telescoping inequality at the requested (i, n) pairs.
 
     lhs = (1 + sum of t_s over the span) * r_i and
     rhs = ||T(x_{i+n}) - x_i|| + prod of (1 - t_s)^{-1} * (r_i - r_{i+n});
     the slack rhs - lhs is nonnegative (within 1e-9) whenever the run's
     hypotheses hold.  Spans touching a step with t_s = 1 are undefined.
+    The report holds one record {i, n, lhs, rhs, slack} per pair, counts a
+    failure per slack below -1e-9 and notes the least slack as `min_slack`.
     `x_all` holds the run's first iterates, through at least row i + n of
     every pair (all of them, `full_iterates`, when not given), and
     `tx_head` is `operator.apply_batch` of its first rows, through at least
@@ -270,7 +244,7 @@ def gk_inequality_check(
         rows = max(head, audit_block_rows(traj.dimension))
         tx_head = operator.apply_batch(x_all[:rows])
     space = operator.space
-    records = []
+    report = AuditReport("gk_inequality", trials=len(pairs), records=[])
     for i, n in pairs:
         if i < 1 or n < 1:
             raise InputError(f"pair indices must satisfy i, n >= 1, got ({i}, {n})")
@@ -291,8 +265,14 @@ def gk_inequality_check(
         gap = r_i - r_in
         telescoped = 0.0 if gap == 0.0 else prod * gap
         rhs = space.norm(tx_head[i + n - 1] - x_all[i - 1]) + telescoped
-        records.append(GKRecord(i=i, n=n, lhs=lhs, rhs=rhs, slack=rhs - lhs))
-    return records
+        slack = rhs - lhs
+        report.records.append({"i": i, "n": n, "lhs": lhs, "rhs": rhs, "slack": slack})
+        if slack < -INEQUALITY_SLACK_TOL:
+            report.fail(1, (len(report.records),))
+    # with no pair (a one-iterate run) min_slack is null, since JSON has no
+    # infinity
+    report.extra["min_slack"] = min((r["slack"] for r in report.records), default=None)
+    return report
 
 
 def write_gk_records_csv(records, path) -> None:
@@ -318,11 +298,9 @@ def residual_monotone_check(traj: Trajectory) -> AuditReport:
     r = traj.residuals
     increases = np.flatnonzero(r[1:] > r[:-1] + MONOTONE_TOL)
     report.trials = int(r.shape[0] - 1)
-    report.failures = int(increases.size)
     if increases.size:
         k = int(increases[0])
-        report.witness = (np.array([r[k]]), np.array([r[k + 1]]))
-        report.extra["first_failure_step"] = k + 1
+        report.fail(int(increases.size), (k,), ([r[k]], [r[k + 1]]), first_failure_step=k + 1)
     return report
 
 
@@ -337,23 +315,21 @@ def rate_bound(n: int, a: float, diam: float) -> float:
     return diam / (1.0 + n * a)
 
 
-def rate_audit(
-    traj: Trajectory,
-    schedule: Schedule,
-    diam: float,
-    spans,
-    samples_per_span: int = 20,
-) -> list[RateCheck]:
+def rate_audit(traj: Trajectory, schedule: Schedule, diam: float, spans) -> AuditReport:
     """Verify (1 + n a) r_i <= diam + (1-b)^{-n} (r_i - r_{i+n}) per span.
 
     For each requested span n the inequality is checked at evenly spaced
-    start indices i (at most `samples_per_span` of them), with the
-    schedule's declared bounds a, b substituted.  Each returned record also
-    carries the bound diam / (1 + n a) next to the final observed residual.
+    start indices i (at most RATE_SAMPLES of them), with the schedule's
+    declared bounds a, b substituted.  The report holds one record per
+    checked span, with the bound diam / (1 + n a) next to the final observed
+    residual and the span's trials, failures and least slack.  A span whose
+    weight (1-b)^{-n} exceeds the largest double is not checked; the spans
+    left out so are listed as `unchecked_spans`.
     """
     n_total = traj.n_iterates
     a, b = schedule.a, schedule.b
-    checks = []
+    report = AuditReport("rate_inequality", records=[])
+    unchecked = []
     for span in spans:
         span = int(span)
         if span < 1:
@@ -362,36 +338,33 @@ def rate_audit(
             raise InputError(
                 f"span {span} exceeds the trajectory ({n_total} iterates)"
             )
+        try:
+            weight = (1.0 - b) ** (-span)
+        except OverflowError:
+            unchecked.append(span)
+            continue
         i_max = n_total - span
-        count = min(samples_per_span, i_max)
-        i_values = np.unique(np.linspace(1, i_max, count).round().astype(int))
-        trials = failures = 0
-        min_slack = np.inf
-        scale = (1.0 - b) ** (-span)
-        for i in i_values:
-            r_i = float(traj.residuals[i - 1])
-            r_in = float(traj.residuals[i + span - 1])
-            gap = r_i - r_in
-            rhs = diam + (0.0 if gap == 0.0 else scale * gap)
-            lhs = (1.0 + span * a) * r_i
-            slack = rhs - lhs
-            trials += 1
-            if slack < -INEQUALITY_SLACK_TOL:
-                failures += 1
-            min_slack = min(min_slack, slack)
-        checks.append(
-            RateCheck(
-                n=span,
-                a=a,
-                diam=diam,
-                bound=rate_bound(span, a, diam),
-                observed_limit_estimate=traj.final_residual,
-                trials=trials,
-                failures=failures,
-                min_slack=float(min_slack),
-            )
-        )
-    return checks
+        i = np.unique(np.linspace(1, i_max, min(RATE_SAMPLES, i_max)).round().astype(int))
+        r_i = traj.residuals[i - 1]
+        gap = r_i - traj.residuals[i + span - 1]
+        slack = diam + np.where(gap == 0.0, 0.0, weight * gap) - (1.0 + span * a) * r_i
+        failures = int(np.count_nonzero(slack < -INEQUALITY_SLACK_TOL))
+        report.trials += i.size
+        if failures:
+            report.fail(failures, (span,))
+        # a NaN slack is passed over, as by a running min from infinity
+        min_slack = float(np.fmin.reduce(slack, initial=np.inf))
+        report.records.append({
+            "n": span, "a": a, "diam": diam, "bound": rate_bound(span, a, diam),
+            "observed_limit_estimate": traj.final_residual, "trials": i.size,
+            "failures": failures, "min_slack": min_slack,
+        })
+    # as for the Goebel-Kirk audit, min_slack is null when no span is checked
+    report.extra["min_slack"] = min((r["min_slack"] for r in report.records), default=None)
+    report.extra["spans"] = list(spans)
+    if unchecked:
+        report.extra["unchecked_spans"] = unchecked
+    return report
 
 
 def verify_fixed_point(operator: Operator, x, tol: float) -> bool:
@@ -400,15 +373,10 @@ def verify_fixed_point(operator: Operator, x, tol: float) -> bool:
     return operator.space.norm(operator.evaluate(xv) - xv) <= tol
 
 
-def convergence_audit(
-    traj: Trajectory,
-    operator: Operator,
-    rel: ConeRelation,
-    tol: float = ACCEPT_FIXED_POINT_TOL,
-) -> AuditReport:
+def convergence_audit(traj: Trajectory, operator: Operator, rel: ConeRelation) -> AuditReport:
     """Check that a tolerance-met run ended at a fixed point comparable to x_1.
 
-    The final iterate must satisfy ||T(x) - x|| <= tol, and the limit edge
+    The final iterate must satisfy ||T(x) - x|| <= 1e-8, and the limit edge
     edge(x_1, x_final) (mirrored for reverse-comparable starts) must hold.
     Runs that did not stop on tolerance are hypothesis-not-met.  The
     direction is read from the trajectory's start flags; a record without
@@ -423,7 +391,7 @@ def convergence_audit(
         )
     report = AuditReport("convergence_to_fixed_point")
     final = traj.final_iterate
-    report.record(verify_fixed_point(operator, final, tol), final)
+    report.record(verify_fixed_point(operator, final, ACCEPT_FIXED_POINT_TOL), final)
     x1 = traj.iterates[0]
     if case in ("forward", "both"):
         report.record(rel.contains(x1, final), x1, final)
@@ -588,16 +556,7 @@ def _gk_report(
             i = int(rng.integers(1, window))
             n = int(rng.integers(1, window - i + 1))
             pairs.append((i, n))
-    records = gk_inequality_check(traj, operator, pairs, x_head, tx_head)
-    # a one-iterate run checks no pair; its min_slack is null, since JSON
-    # has no infinity
-    return AuditReport(
-        "gk_inequality",
-        trials=len(records),
-        failures=sum(1 for r in records if r.slack < -INEQUALITY_SLACK_TOL),
-        extra={"min_slack": min((r.slack for r in records), default=None)},
-        records=[asdict(r) for r in records],
-    )
+    return gk_inequality_check(traj, operator, pairs, x_head, tx_head)
 
 
 def _fejer_target(x1, operator: Operator, rel: ConeRelation):
@@ -626,16 +585,7 @@ def _rate_report(traj: Trajectory, schedule: Schedule, diam: float) -> AuditRepo
             "rate_inequality", "schedule does not enforce bounds [a, b] in (0, 1)"
         )
     spans = [n for n in RATE_SPANS if n <= traj.n_iterates - 1]
-    checks = rate_audit(traj, schedule, diam, spans)
-    # as for the Goebel-Kirk audit, min_slack is null when no span fits
-    worst = min((c.min_slack for c in checks), default=None)
-    return AuditReport(
-        "rate_inequality",
-        trials=sum(c.trials for c in checks),
-        failures=sum(c.failures for c in checks),
-        extra={"min_slack": worst, "spans": spans},
-        records=[asdict(c) for c in checks],
-    )
+    return rate_audit(traj, schedule, diam, spans)
 
 
 def exit_code_from_audits(results: dict[str, dict]) -> int:

@@ -811,14 +811,21 @@ def trajectory_from_dict(data: dict) -> Trajectory:
     """Rebuild a trajectory from its JSON record; inconsistent records raise
     ConfigError."""
     try:
+        indices = data["iterate_indices"]
+        forward, reverse = data.get("start_edge_forward"), data.get("start_edge_reverse")
+        # int() would read an index 2.5 or true as 2 or 1: reject them, as config does
+        if any(type(k) is not int and not (type(k) is float and k.is_integer()) for k in indices):
+            raise ValueError("iterate indices must be integers")
+        if any(f is not None and type(f) is not bool for f in (forward, reverse)):
+            raise ValueError("start flags must be true, false or null")
         traj = Trajectory(
             iterates=np.array(data["iterates"], dtype=float),
-            iterate_indices=np.array(data["iterate_indices"], dtype=int),
+            iterate_indices=np.array(indices, dtype=int),
             residuals=np.array(data["residuals"], dtype=float),
             schedule_used=np.array(data["schedule_used"], dtype=float),
             stop_reason=str(data["stop_reason"]),
-            start_edge_forward=data.get("start_edge_forward"),
-            start_edge_reverse=data.get("start_edge_reverse"),
+            start_edge_forward=forward,
+            start_edge_reverse=reverse,
             operator_ref=data.get("operator_ref", ""),
             space_ref=data.get("space_ref", ""),
             relation_ref=data.get("relation_ref", ""),

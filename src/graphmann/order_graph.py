@@ -118,11 +118,11 @@ class AuditReport:
     """Outcome of one sampled property check.
 
     `witness` carries the vectors of the first failure and is present exactly
-    when failures > 0.  `hypothesis_met` distinguishes "the property's
-    hypotheses did not apply" from a genuine pass or fail.  `records` holds
-    the per-instance payload of an inequality audit, one dict per checked
-    instance, and is exported only when set.  `witness_key` orders the
-    failures counted by `fail` and is not exported.
+    when failures > 0, except in an inequality audit.  `hypothesis_met`
+    distinguishes "the property's hypotheses did not apply" from a genuine
+    pass or fail.  `records` holds the per-instance payload of an inequality
+    audit, one dict per checked instance, and is exported only when set.
+    `witness_key` orders the failures counted by `fail` and is not exported.
     """
 
     property_name: str
@@ -146,19 +146,19 @@ class AuditReport:
         return STATUS_FAIL if self.failures else STATUS_PASS
 
     def record(self, ok: bool, *witness_vectors: np.ndarray) -> None:
+        """Count one trial, failed unless `ok`, witnessed by the vectors given."""
         self.trials += 1
         if not ok:
-            self.failures += 1
-            if self.witness is None:
-                self.witness = tuple(np.array(v) for v in witness_vectors)
+            self.fail(1, (self.trials,), witness_vectors)
 
-    def fail(self, count: int, key: tuple, witness: tuple, **detail) -> None:
+    def fail(self, count: int, key: tuple, witness: tuple = (), **detail) -> None:
         """Count `count` failures, the first of which sorts as `key` (a tuple
         such as (family, index)) among this report's failures.
 
-        Its `witness` vectors and `detail` entries are kept unless a failure
-        of a lower key was counted before, so a report extended block by
-        block keeps the witness of one check over the whole run.
+        Its `witness` vectors (none for an inequality audit, whose records
+        show the failure) and `detail` entries are kept unless a failure of
+        a lower key was counted before, so a report extended block by block
+        keeps the witness of one check over the whole run.
         """
         self.failures += count
         if self.witness_key is None or key < self.witness_key:

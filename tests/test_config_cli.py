@@ -540,6 +540,19 @@ class TestCliRun:
                 assert entry["trials"] == 0 and entry["records"] == []
                 assert entry["detail"]["min_slack"] is None
 
+    def test_rate_span_with_an_overflowing_weight_is_left_unchecked(self, tmp_path):
+        # (1 - b)^{-50} = 1e350 exceeds the largest double: span 50 is listed,
+        # not checked, and the run exits 0 instead of raising OverflowError
+        data = oracle_1d_config(str(tmp_path / "o"))
+        data["schedule"]["t"] = 0.9999999
+        data["run"].update(tol=0, max_iter=300)
+        assert main(["run", "--config", write_config(tmp_path, data), "--quiet"]) == 0
+        rate = json.loads((tmp_path / "o" / "audits.json").read_text())["audits"]["rate"]
+        assert rate["status"] == "pass" and rate["trials"] == 60
+        assert [check["n"] for check in rate["records"]] == [1, 5, 10]
+        assert rate["detail"]["spans"] == [1, 5, 10, 50]
+        assert rate["detail"]["unchecked_spans"] == [50]
+
 
 class TestCliAudit:
     def test_round_trip_on_own_output(self, tmp_path, oracle_cfg):
@@ -618,6 +631,27 @@ class TestCliAudit:
         assert audit("truncated", iterate_indices=traj["iterate_indices"][:-2] + [n]) == 1
         assert audit("unordered", iterate_indices=[1, 3, 2] + traj["iterate_indices"][3:]) == 1
         assert audit("short_schedule", schedule_used=traj["schedule_used"][:-1]) == 1
+
+    @pytest.mark.parametrize("case", ["fractional_index", "boolean_index", "string_flag"])
+    def test_malformed_record_values_exit_one(self, tmp_path, oracle_cfg, capsys, case):
+        # int() would read 2.5 as 2 and true as 1, and any nonempty string is
+        # truthy; each is rejected as the config reader rejects them
+        _, path = oracle_cfg
+        assert main(["run", "--config", path, "--quiet"]) == 0
+        record = json.loads((tmp_path / "out" / "run.json").read_text())
+        traj = record["trajectory"]
+        indices = traj["iterate_indices"]
+        if case == "fractional_index":
+            traj["iterate_indices"] = [1] + [k + 0.5 for k in indices[1:-1]] + indices[-1:]
+        elif case == "boolean_index":
+            traj["iterate_indices"] = [True] + indices[1:]
+        else:
+            traj["start_edge_forward"] = "yes"
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert main(["audit", str(target), "--config", path, "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("error: malformed trajectory record")
 
 
 class TestCliSweep:

@@ -118,6 +118,56 @@ def reference_run_audits(names, traj, operator, rel, space, schedule, diam, seed
     return {name: audits[name]().to_dict() for name in names}
 
 
+def reference_rate_audit(traj, schedule, diam, spans):
+    """The per-sample loop that rate_audit evaluates as one numpy expression
+    per span, at 20 start indices per span, assembled into the report's
+    dict."""
+    a, b = schedule.a, schedule.b
+    records = []
+    for span in spans:
+        i_max = traj.n_iterates - span
+        count = min(20, i_max)
+        i_values = np.unique(np.linspace(1, i_max, count).round().astype(int))
+        trials = failures = 0
+        min_slack = np.inf
+        scale = (1.0 - b) ** (-span)
+        for i in i_values:
+            r_i = float(traj.residuals[i - 1])
+            r_in = float(traj.residuals[i + span - 1])
+            gap = r_i - r_in
+            rhs = diam + (0.0 if gap == 0.0 else scale * gap)
+            lhs = (1.0 + span * a) * r_i
+            slack = rhs - lhs
+            trials += 1
+            if slack < -1e-9:
+                failures += 1
+            min_slack = min(min_slack, slack)
+        records.append({
+            "n": span, "a": a, "diam": diam, "bound": rate_bound(span, a, diam),
+            "observed_limit_estimate": traj.final_residual, "trials": trials,
+            "failures": failures, "min_slack": float(min_slack),
+        })
+    return AuditReport(
+        "rate_inequality",
+        trials=sum(r["trials"] for r in records),
+        failures=sum(r["failures"] for r in records),
+        extra={"min_slack": min((r["min_slack"] for r in records), default=None),
+               "spans": list(spans)},
+        records=records,
+    ).to_dict()
+
+
+def float_bits(value):
+    """`value` with every float replaced by its hex form, so == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: float_bits(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [float_bits(v) for v in value]
+    return value
+
+
 def reference_verify(traj, operator, x_all, tx_all):
     space = operator.space
     report = AuditReport("trajectory_consistency")
@@ -247,17 +297,18 @@ class TestGoebelKirk:
         # t = 0.5, x1 = 0: r1 = 0.5, x2 = 0.25, T(x2) = 0.625, r2 = 0.375,
         # so lhs = 1.5 * 0.5 and rhs = 0.625 + 2 * (0.5 - 0.375)
         traj = oracle_run(n=3)
-        (record,) = gk_inequality_check(traj, midpoint_map(), [(1, 1)])
-        assert record.lhs == pytest.approx(0.75, abs=1e-12)
-        assert record.rhs == pytest.approx(0.875, abs=1e-12)
-        assert record.slack == pytest.approx(0.125, abs=1e-12)
+        (record,) = gk_inequality_check(traj, midpoint_map(), [(1, 1)]).records
+        assert record["lhs"] == pytest.approx(0.75, abs=1e-12)
+        assert record["rhs"] == pytest.approx(0.875, abs=1e-12)
+        assert record["slack"] == pytest.approx(0.125, abs=1e-12)
 
     def test_fixed_point_run_has_nonnegative_slack(self):
         traj = constant_trajectory([0.5, 0.5], 10)
-        records = gk_inequality_check(traj, half_maps(), [(1, 1), (2, 5), (1, 9)])
-        for record in records:
-            assert record.lhs == 0.0
-            assert record.slack >= 0.0
+        report = gk_inequality_check(traj, half_maps(), [(1, 1), (2, 5), (1, 9)])
+        assert report.trials == 3 and report.status == "pass"
+        for record in report.records:
+            assert record["lhs"] == 0.0
+            assert record["slack"] >= 0.0
 
     def test_random_library_run_all_slacks_nonnegative(self, rng):
         traj = run(gentle_maps(), [0.1, 0.2], Schedule.constant(0.4), max_iter=200, tol=0.0, rel=COORD2)
@@ -265,8 +316,10 @@ class TestGoebelKirk:
         for _ in range(50):
             i = int(rng.integers(1, 199))
             pairs.append((i, int(rng.integers(1, 200 - i + 1))))
-        for record in gk_inequality_check(traj, gentle_maps(), pairs):
-            assert record.slack >= -1e-9
+        report = gk_inequality_check(traj, gentle_maps(), pairs)
+        assert report.failures == 0
+        for record in report.records:
+            assert record["slack"] >= -1e-9
 
     def test_span_beyond_trajectory_rejected(self):
         traj = oracle_run(n=5)
@@ -279,7 +332,7 @@ class TestGoebelKirk:
         schedule = Schedule.constant(0.5)
         traj = run(op, np.zeros(d), schedule, max_iter=3000, tol=0.0)
         pairs = [(1, 199), (150, 50)]
-        whole = gk_inequality_check(traj, op, pairs, tx_head=op.apply_batch(traj.iterates))
+        whole = gk_inequality_check(traj, op, pairs, tx_head=op.apply_batch(traj.iterates)).to_dict()
         rows = []
         apply_batch = MatrixAffine.apply_batch
 
@@ -289,7 +342,7 @@ class TestGoebelKirk:
 
         monkeypatch.setattr(MatrixAffine, "apply_batch", counted)
         # one batch of an audit block, whose bits are those of the whole array
-        assert gk_inequality_check(traj, op, pairs) == whole
+        assert gk_inequality_check(traj, op, pairs).to_dict() == whole
         assert rows == [audit_block_rows(d)]
         # pairs beyond the block widen the batch to the rows they read
         gk_inequality_check(traj, op, [(2000, 500)])
@@ -340,28 +393,67 @@ class TestRate:
         # (i, n) = (1, 2) on the 1-d oracle: lhs = 2 r1 = 1,
         # rhs = 1 + (1 - 0.5)^{-2} (r1 - r3) = 1.875
         traj = oracle_run(n=3)
-        (check,) = rate_audit(traj, Schedule.constant(0.5), 1.0, [2], samples_per_span=1)
-        assert check.trials == 1 and check.failures == 0
-        assert check.min_slack == pytest.approx(0.875, abs=1e-12)
-        assert check.bound == pytest.approx(0.5)
+        (check,) = rate_audit(traj, Schedule.constant(0.5), 1.0, [2]).records
+        assert check["trials"] == 1 and check["failures"] == 0
+        assert check["min_slack"] == pytest.approx(0.875, abs=1e-12)
+        assert check["bound"] == pytest.approx(0.5)
 
     def test_library_run_spans_pass(self):
         traj = run(gentle_maps(), [0.1, 0.2], Schedule.constant(0.4), max_iter=200, tol=0.0, rel=COORD2)
         diam = diameter(SPACE2, BOX2)
-        for check in rate_audit(traj, Schedule.constant(0.4), diam, [1, 5, 10, 50]):
-            assert check.failures == 0
-            assert check.min_slack >= -1e-9
+        report = rate_audit(traj, Schedule.constant(0.4), diam, [1, 5, 10, 50])
+        assert report.trials == 80 and report.status == "pass"
+        for check in report.records:
+            assert check["failures"] == 0
+            assert check["min_slack"] >= -1e-9
 
     def test_fixed_point_run_reduces_to_diameter_bound(self):
         traj = constant_trajectory([0.5, 0.5], 60, t=0.4)
-        for check in rate_audit(traj, Schedule.constant(0.4), 2.0, [1, 5, 50]):
-            assert check.failures == 0
-            assert check.min_slack == pytest.approx(2.0)  # 0 <= diam exactly
+        report = rate_audit(traj, Schedule.constant(0.4), 2.0, [1, 5, 50])
+        assert [check["n"] for check in report.records] == [1, 5, 50]
+        for check in report.records:
+            assert check["failures"] == 0
+            assert check["min_slack"] == pytest.approx(2.0)  # 0 <= diam exactly
 
     def test_span_beyond_trajectory_rejected(self):
         traj = oracle_run(n=10)
         with pytest.raises(InputError):
             rate_audit(traj, Schedule.constant(0.5), 1.0, [50])
+
+    def test_span_with_an_overflowing_weight_is_unchecked(self):
+        # (1 - b)^{-50} = 1e350 is beyond the largest double
+        traj = constant_trajectory([0.5], 60, t=0.9999999, residual=0.1)
+        report = rate_audit(traj, Schedule.constant(0.9999999), 1.0, [1, 50])
+        assert [check["n"] for check in report.records] == [1]
+        assert report.trials == 20 and report.status == "pass"
+        assert report.extra["spans"] == [1, 50]
+        assert report.extra["unchecked_spans"] == [50]
+
+    @given(
+        residuals=st.lists(
+            st.one_of(st.sampled_from([0.0, 0.25, 1.0]), st.floats(0.0, 4.0)),
+            min_size=2,
+            max_size=80,
+        ),
+        steps=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4),
+        diam=st.floats(0.0, 4.0),
+        extra_span=st.integers(1, 79),
+    )
+    def test_matches_the_per_sample_loop_bit_for_bit(self, residuals, steps, diam, extra_span):
+        # repeated values give zero gaps, and the others positive and
+        # negative ones; runs of fewer than 51 iterates leave spans out
+        n = len(residuals)
+        schedule = Schedule.explicit(np.resize(steps, n - 1))
+        traj = Trajectory(
+            iterates=np.zeros((n, 1)),
+            iterate_indices=np.arange(1, n + 1),
+            residuals=np.array(residuals),
+            schedule_used=np.resize(steps, n - 1),
+            stop_reason="max_iterations",
+        )
+        spans = [m for m in (1, 5, 10, 50, extra_span) if m <= n - 1]
+        got = rate_audit(traj, schedule, diam, spans).to_dict()
+        assert float_bits(got) == float_bits(reference_rate_audit(traj, schedule, diam, spans))
 
 
 class TestFejer:
