@@ -98,9 +98,9 @@ def configs(head_src: Path) -> dict[str, dict]:
     in every audit block, d = 256 runs that end just past an audit block
     (one of them without the auditors that read images), d = 256 and d = 4
     runs that leave the box, two small runs of the remaining section kinds,
-    and d = 2 runs from a start incomparable with its image, from a
-    reverse-comparable start and from a fixed point, with HEAD_SRC's
-    graphmann."""
+    a d = 3 run that sets the fields no other config sets, and d = 2 runs
+    from a start incomparable with its image, from a reverse-comparable
+    start and from a fixed point, with HEAD_SRC's graphmann."""
     sys.path[:0] = [str(head_src), str(ROOT)]
     from graphmann.corpus import negative_swap_config, oracle_1d_config, t_one_config
     from perfbench.workloads import averaged_permutation_config as permutation
@@ -146,6 +146,18 @@ def configs(head_src: Path) -> dict[str, dict]:
         schedule={"kind": "explicit", "a": 0.3, "b": 0.8,
                   "values": (0.3 + 0.5 * np.random.default_rng(6).random(2000)).tolist()},
     )
+    # the echo of p = "inf", slack_tol, a, b and enforce_bounds, under a
+    # half-space cone from a drawn comparable start
+    echo_fields = oracle_1d_config()
+    echo_fields.update(
+        space={"dimension": 3, "p": "inf"},
+        relation={"kind": "half_space", "row": [1.0, 0.5, 0.25], "slack_tol": 1e-10},
+        operator={"kind": "componentwise",
+                  "functions": [{"knots_x": [0.0, 1.0], "knots_y": [0.3, 0.8]}] * 3},
+        start={"kind": "random_comparable"},
+        schedule={"kind": "constant", "t": 0.4, "a": 0.3, "b": 0.6, "enforce_bounds": True},
+        run={"max_iter": 5000, "tol": 1e-9, "record_stride": 3},
+    )
     contraction = {"kind": "matrix_affine", "scale": 0.9, "offset": 0.05}
     return {
         "oracle": oracle_1d_config(),
@@ -163,6 +175,7 @@ def configs(head_src: Path) -> dict[str, dict]:
         "swap_d256_stride50": swap_thin,
         "ball_identity_custom_d2": ball,
         "scale_random_start_explicit_d3": scaled,
+        "echo_fields_d3": echo_fields,
         # x_1 and T x_1 = (0.86, 0.14) are incomparable, so every auditor
         # that needs a comparable start is not met (exit 3)
         "incomparable_d2": oracle_d2(

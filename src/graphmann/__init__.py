@@ -28,7 +28,6 @@ from .order_graph import (
     audit_reflexive,
     audit_transitive,
     sample_cone_element,
-    undirected_contains,
 )
 from .operators import (
     Componentwise,

@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig, load_config
+from .config import load_config, read_config
 from .errors import ConfigError, GraphmannError
 from .experiment import audit_stored, run_experiment, run_sweep
 
@@ -53,12 +53,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        with open(args.config) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
-    ExperimentConfig.from_dict(data)  # validate the base config up front
+    data = read_config(args.config)
     values = _parse_values(args.values)
     code, rows = run_sweep(data, args.axis, values, out_dir=args.out, seed=args.seed)
     if not args.quiet:

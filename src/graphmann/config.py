@@ -5,9 +5,10 @@ vector-valued fields (box corners, offsets, the per-coordinate function of a
 componentwise operator) broadcast to the space dimension, which keeps one
 config usable across a dimension sweep.  See README for the full schema.
 
-Each section's dataclass is the one declaration of its fields: their order
-is the order of the echo in run.json, their defaults are the parser's, and
-a section without a kind accepts exactly their names as keys.
+Each section's dataclass is the one declaration of its fields and kinds:
+the field order is the order of the echo in run.json, and one parser
+(`_Section.from_dict`) reads every section by its kind table, its field
+defaults and its field annotations.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import chain
 from typing import Any
 
@@ -25,7 +26,7 @@ import numpy as np
 from ._util import write_json
 from .diagnostics import ALL_AUDITS
 from .errors import ConfigError, GraphmannError
-from .mann import DEFAULT_MAX_ITER, DEFAULT_TOL, Schedule
+from .mann import DEFAULT_MAX_ITER, DEFAULT_TOL, Schedule, start_edges
 from .normed_space import Ball, Box, ConvexBody, NormSpace, contains, sample_point
 from .operators import (
     Componentwise,
@@ -35,24 +36,15 @@ from .operators import (
     Operator,
     known_fixed_points,
 )
-from .order_graph import (
-    EDGE_SLACK_TOL,
-    ConeRelation,
-    sample_cone_element,
-    undirected_contains,
-)
+from .order_graph import EDGE_SLACK_TOL, ConeRelation, sample_cone_element
 
 SCHEMA_VERSION = 1
 
 _RANDOM_START_TRIES = 2000
 
 
-def _field_names(cls) -> set[str]:
-    return {f.name for f in fields(cls)}
-
-
-def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
-    unknown = set(data) - allowed
+def _check_keys(section: str, data: dict, allowed) -> None:
+    unknown = data.keys() - allowed
     if unknown:
         raise ConfigError(f"{section}: unknown keys {sorted(unknown)}")
 
@@ -132,8 +124,68 @@ def _vec(value: Any, dim: int, name: str) -> np.ndarray:
     return arr
 
 
+def _bool(value: Any, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+# the checks of the given values of a section's fields, by annotation; a
+# field of any other type is kept as given, for the builders to check
+_CHECKS = {"int": _int, "float": _float, "bool": _bool}
+
+
+@functools.cache
+def _layout(cls) -> tuple[dict[str, Any], dict[str, Any]]:
+    """The fields that every kind of section `cls` allows (those no kind
+    lists), with their defaults (MISSING when required), and the check of
+    each checked field."""
+    listed = {key for required, optional in cls.kinds.values() for key in (*required, *optional)}
+    common = {f.name: f.default for f in fields(cls) if f.name not in listed}
+    checks = {f.name: check for f in fields(cls)
+              if (check := _CHECKS.get(f.type.removesuffix(" | None")))}
+    return common, checks
+
+
 class _Section:
-    """A section echoed as its set (not None) fields in declaration order."""
+    """A config section, parsed by its declaration and echoed as its set
+    (not None) fields in declaration order.
+
+    `kinds` maps each kind to its required keys and to its optional keys
+    with their defaults; the default kind is the default of the `kind`
+    field.  A field that no kind lists is allowed by every kind, with its
+    dataclass default, and is required when it has none; a section without
+    kinds allows exactly its fields.
+    """
+
+    section = ""
+    kinds: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {}
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        common, checks = _layout(cls)
+        keys = dict(common)
+        if cls.kinds:
+            kind = data.get("kind", keys["kind"])
+            if not isinstance(kind, str) or kind not in cls.kinds:
+                raise ConfigError(
+                    f"{cls.section}.kind must be one of {', '.join(cls.kinds)}, "
+                    f"got {data.get('kind')!r}"
+                )
+            required, optional = cls.kinds[kind]
+            keys.update(dict.fromkeys(required, MISSING), **optional)
+        _check_keys(cls.section, data, keys.keys())
+        values = {}
+        for key, default in keys.items():
+            if key in data:
+                value = data[key]
+                check = checks.get(key)
+                values[key] = value if check is None else check(value, f"{cls.section}.{key}")
+            elif default is MISSING:
+                raise ConfigError(f"{cls.section}.{key} is required")
+            else:
+                values[key] = default
+        return cls(**values)
 
     def to_dict(self) -> dict:
         pairs = ((f.name, getattr(self, f.name)) for f in fields(self))
@@ -141,19 +193,15 @@ class _Section:
 
 
 @dataclass(frozen=True)
-class SpaceConfig:
+class SpaceConfig(_Section):
+    section = "space"
     dimension: int
-    p: float = 2.0
+    p: Any = 2.0  # a number >= 1, or "inf"
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpaceConfig":
-        _check_keys("space", data, _field_names(cls))
-        if "dimension" not in data:
-            raise ConfigError("space.dimension is required")
-        dim = _int(data["dimension"], "space.dimension")
-        if dim < 1:
-            raise ConfigError(f"space.dimension must be >= 1, got {dim}")
-        return cls(dimension=dim, p=_parse_p(data.get("p", cls.p)))
+    def __post_init__(self) -> None:
+        if self.dimension < 1:
+            raise ConfigError(f"space.dimension must be >= 1, got {self.dimension}")
+        object.__setattr__(self, "p", _parse_p(self.p))
 
     def to_dict(self) -> dict:
         return {"dimension": self.dimension, "p": "inf" if math.isinf(self.p) else self.p}
@@ -161,60 +209,38 @@ class SpaceConfig:
 
 @dataclass(frozen=True)
 class BodyConfig(_Section):
+    section = "body"
+    kinds = {"box": (("lo", "hi"), {}), "ball": (("center", "radius"), {})}
     kind: str
     lo: Any = None
     hi: Any = None
     center: Any = None
     radius: float | None = None
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "BodyConfig":
-        kind = data.get("kind")
-        if kind == "box":
-            _check_keys("body", data, {"kind", "lo", "hi"})
-            if "lo" not in data or "hi" not in data:
-                raise ConfigError("box body requires lo and hi")
-            return cls(kind="box", lo=data["lo"], hi=data["hi"])
-        if kind == "ball":
-            _check_keys("body", data, {"kind", "center", "radius"})
-            if "center" not in data or "radius" not in data:
-                raise ConfigError("ball body requires center and radius")
-            radius = _float(data["radius"], "body.radius")
-            return cls(kind="ball", center=data["center"], radius=radius)
-        raise ConfigError(f"body.kind must be 'box' or 'ball', got {kind!r}")
-
 
 @dataclass(frozen=True)
 class RelationConfig(_Section):
+    section = "relation"
+    kinds = {
+        "coordinatewise": ((), {}),
+        "half_space": (("row",), {}),
+        "custom": (("generator_matrix",), {}),
+    }
     kind: str = "coordinatewise"
     slack_tol: float = EDGE_SLACK_TOL
     row: Any = None
     generator_matrix: Any = None
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RelationConfig":
-        kind = data.get("kind", cls.kind)
-        tol = _float(data.get("slack_tol", cls.slack_tol), "relation.slack_tol")
-        if kind == "coordinatewise":
-            _check_keys("relation", data, {"kind", "slack_tol"})
-            return cls(kind=kind, slack_tol=tol)
-        if kind == "half_space":
-            _check_keys("relation", data, {"kind", "row", "slack_tol"})
-            if "row" not in data:
-                raise ConfigError("half_space relation requires a row vector")
-            return cls(kind=kind, row=data["row"], slack_tol=tol)
-        if kind == "custom":
-            _check_keys("relation", data, {"kind", "generator_matrix", "slack_tol"})
-            if "generator_matrix" not in data:
-                raise ConfigError("custom relation requires generator_matrix")
-            return cls(kind=kind, generator_matrix=data["generator_matrix"], slack_tol=tol)
-        raise ConfigError(
-            f"relation.kind must be coordinatewise, half_space, or custom, got {kind!r}"
-        )
-
 
 @dataclass(frozen=True)
 class OperatorConfig(_Section):
+    section = "operator"
+    kinds = {
+        "identity": ((), {}),
+        "matrix_affine": ((), {"matrix": None, "scale": None, "offset": 0.0}),
+        "componentwise": (("functions",), {}),
+        "test_only_nonmonotone": (("factor",), {"offset": 0.0}),
+    }
     kind: str
     matrix: Any = None
     scale: float | None = None
@@ -222,64 +248,23 @@ class OperatorConfig(_Section):
     functions: Any = None
     factor: float | None = None
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "OperatorConfig":
-        kind = data.get("kind")
-        if kind == "identity":
-            _check_keys("operator", data, {"kind"})
-            return cls(kind=kind)
-        if kind == "matrix_affine":
-            _check_keys("operator", data, {"kind", "matrix", "scale", "offset"})
-            if ("matrix" in data) == ("scale" in data):
-                raise ConfigError(
-                    "matrix_affine requires exactly one of matrix / scale"
-                )
-            return cls(
-                kind=kind,
-                matrix=data.get("matrix"),
-                scale=_float(data["scale"], "operator.scale") if "scale" in data else None,
-                offset=data.get("offset", 0.0),
-            )
-        if kind == "componentwise":
-            _check_keys("operator", data, {"kind", "functions"})
-            if "functions" not in data:
-                raise ConfigError("componentwise operator requires functions")
-            return cls(kind=kind, functions=data["functions"])
-        if kind == "test_only_nonmonotone":
-            _check_keys("operator", data, {"kind", "factor", "offset"})
-            if "factor" not in data:
-                raise ConfigError("test_only_nonmonotone requires a factor")
-            return cls(
-                kind=kind,
-                factor=_float(data["factor"], "operator.factor"),
-                offset=data.get("offset", 0.0),
-            )
-        raise ConfigError(f"unknown operator kind {kind!r}")
+    def __post_init__(self) -> None:
+        if self.kind == "matrix_affine" and (self.matrix is None) == (self.scale is None):
+            raise ConfigError("operator: matrix_affine requires exactly one of matrix / scale")
 
 
 @dataclass(frozen=True)
 class StartConfig(_Section):
+    section = "start"
+    kinds = {"explicit": (("value",), {}), "random_comparable": ((), {})}
     kind: str
     value: Any = None
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StartConfig":
-        kind = data.get("kind")
-        if kind == "explicit":
-            _check_keys("start", data, {"kind", "value"})
-            if "value" not in data:
-                raise ConfigError("explicit start requires a value")
-            return cls(kind=kind, value=data["value"])
-        if kind == "random_comparable":
-            _check_keys("start", data, {"kind"})
-            return cls(kind=kind)
-        raise ConfigError(
-            f"start.kind must be 'explicit' or 'random_comparable', got {kind!r}"
-        )
 
 
 @dataclass(frozen=True)
 class ScheduleConfig(_Section):
+    section = "schedule"
+    kinds = {"constant": (("t",), {}), "explicit": (("values",), {})}
     kind: str = "constant"
     enforce_bounds: bool = True
     t: float | None = None
@@ -287,66 +272,34 @@ class ScheduleConfig(_Section):
     a: float | None = None
     b: float | None = None
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScheduleConfig":
-        kind = data.get("kind", cls.kind)
-        enforce = data.get("enforce_bounds", cls.enforce_bounds)
-        if not isinstance(enforce, bool):
-            raise ConfigError(
-                f"schedule.enforce_bounds must be true or false, got {enforce!r}"
-            )
-        a = _float(data["a"], "schedule.a") if "a" in data else None
-        b = _float(data["b"], "schedule.b") if "b" in data else None
-        if kind == "constant":
-            _check_keys("schedule", data, {"kind", "t", "a", "b", "enforce_bounds"})
-            if "t" not in data:
-                raise ConfigError("constant schedule requires t")
-            t = _float(data["t"], "schedule.t")
-            return cls(kind=kind, t=t, a=a, b=b, enforce_bounds=enforce)
-        if kind == "explicit":
-            _check_keys("schedule", data, {"kind", "values", "a", "b", "enforce_bounds"})
-            if "values" not in data:
-                raise ConfigError("explicit schedule requires values")
-            return cls(kind=kind, values=data["values"], a=a, b=b, enforce_bounds=enforce)
-        raise ConfigError(f"schedule.kind must be 'constant' or 'explicit', got {kind!r}")
-
 
 @dataclass(frozen=True)
 class RunOptions(_Section):
+    section = "run"
     max_iter: int = DEFAULT_MAX_ITER
     tol: float = DEFAULT_TOL
     record_stride: int = 1
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunOptions":
-        _check_keys("run", data, _field_names(cls))
-        opts = cls(
-            max_iter=_int(data.get("max_iter", cls.max_iter), "run.max_iter"),
-            tol=_float(data.get("tol", cls.tol), "run.tol"),
-            record_stride=_int(
-                data.get("record_stride", cls.record_stride), "run.record_stride"
-            ),
-        )
-        if opts.max_iter < 1 or opts.record_stride < 1 or opts.tol < 0:
-            raise ConfigError("run options out of range")
-        return opts
+    def __post_init__(self) -> None:
+        for key, low in (("max_iter", 1), ("record_stride", 1), ("tol", 0.0)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"run.{key} must be >= {low}, got {getattr(self, key)}")
 
 
 @dataclass(frozen=True)
-class OutputConfig:
+class OutputConfig(_Section):
+    section = "output"
     directory: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "OutputConfig":
-        _check_keys("output", data, _field_names(cls))
-        formats = data.get("formats", list(cls.formats))
-        if not isinstance(formats, list):
-            raise ConfigError(f"output.formats must be a list, got {formats!r}")
-        bad = [f for f in formats if f not in ("csv", "json")]
+    def __post_init__(self) -> None:
+        if not isinstance(self.formats, (list, tuple)):
+            raise ConfigError(f"output.formats must be a list, got {self.formats!r}")
+        bad = [f for f in self.formats if f not in ("csv", "json")]
         if bad:
             raise ConfigError(f"output.formats entries must be csv/json, got {bad}")
-        return cls(directory=str(data.get("directory", cls.directory)), formats=tuple(formats))
+        object.__setattr__(self, "directory", str(self.directory))
+        object.__setattr__(self, "formats", tuple(self.formats))
 
     def to_dict(self) -> dict:
         return {"directory": self.directory, "formats": list(self.formats)}
@@ -370,7 +323,7 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
-        _check_keys("config", data, _field_names(cls))
+        _check_keys("config", data, {f.name for f in fields(cls)})
         version = data.get("schema_version")
         if isinstance(version, bool) or version != SCHEMA_VERSION:
             raise ConfigError(
@@ -422,15 +375,19 @@ class ExperimentConfig:
         }
 
 
-def load_config(path) -> ExperimentConfig:
+def read_config(path) -> Any:
+    """The JSON value of the config file at `path`, unparsed."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return ExperimentConfig.from_dict(data)
+
+
+def load_config(path) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(read_config(path))
 
 
 def save_config(config: ExperimentConfig, path) -> None:
@@ -556,8 +513,8 @@ def _comparable_toward(
             if not np.isfinite(gamma) or gamma <= 0:
                 continue
             x = anchor + gamma * w
-            if contains(operator.space, body, x) and undirected_contains(
-                rel, x, operator._apply(x)
+            if contains(operator.space, body, x) and any(
+                start_edges(rel, x, operator._apply(x))
             ):
                 return x
     return None
@@ -571,8 +528,8 @@ def build_start(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Resolve the starting point; 'random_comparable' draws a seeded point
-    with (x1, T(x1)) in the undirected edge set, and falls back to the box
-    corners lo, then hi, when no draw is comparable."""
+    x1 comparable with T(x1) in either direction (`start_edges`), and falls
+    back to the box corners lo, then hi, when no draw is comparable."""
     space, body = operator.space, operator.domain
     cfg = config.start
     if cfg.kind == "explicit":
@@ -587,7 +544,7 @@ def build_start(
             return x
     for _ in range(_RANDOM_START_TRIES):
         x = sample_point(space, body, rng)
-        if undirected_contains(rel, x, operator._apply(x)):
+        if any(start_edges(rel, x, operator._apply(x))):
             return x
     # a dense map can leave every draw incomparable with its image, while T
     # maps into the box, so under the coordinatewise cone both corners are
@@ -595,7 +552,7 @@ def build_start(
     if isinstance(body, Box):
         for corner in (body.lo, body.hi):
             x = np.array(corner)
-            if undirected_contains(rel, x, operator._apply(x)):
+            if any(start_edges(rel, x, operator._apply(x))):
                 return x
     raise ConfigError(
         "could not draw a start comparable with its image; "

@@ -20,7 +20,7 @@ import numpy as np
 
 from .diagnostics import ALL_AUDITS
 from .errors import GraphmannError
-from .mann import Schedule
+from .mann import Schedule, start_edges
 from .normed_space import Box, NormSpace, contains
 from .operators import Componentwise, MatrixAffine, Operator
 from .order_graph import ConeRelation
@@ -179,11 +179,11 @@ def _build_instance(k: int, seed: int) -> Instance:
             x1 = target + rng.uniform(0.3, 0.9) * float(caps.min()) * v
         if not contains(space, body, x1):
             continue
-        tx1 = operator._apply(x1)
+        forward, reverse = start_edges(rel, x1, operator._apply(x1))
         if start_case == "forward":
-            start_ok = rel.contains(x1, tx1) and rel.contains(x1, target)
+            start_ok = forward and rel.contains(x1, target)
         else:
-            start_ok = rel.contains(tx1, x1) and rel.contains(target, x1)
+            start_ok = reverse and rel.contains(target, x1)
         if start_ok and space.norm(x1 - target) > 1e-6:
             return Instance(
                 name=f"inst_{k:03d}_{cone_kind}_{family}_{start_case}",

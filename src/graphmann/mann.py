@@ -445,8 +445,13 @@ def run(
     diff = np.empty(d)
     scratch = np.empty(d)
     if audit is not None:
+        # the stream reads only the steps of rows the run pushed, and no run
+        # reaches 2**60 iterates, so a view of a huge max_iter's length is
+        # capped below numpy's limit on an array's size in bytes
         steps = (
-            np.broadcast_to(schedule.t_constant, (effective_max,))
+            np.broadcast_to(
+                schedule.t_constant, (min(effective_max, np.iinfo(np.intp).max // 8),)
+            )
             if t_values is None
             else schedule.t_values
         )

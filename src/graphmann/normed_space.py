@@ -73,6 +73,8 @@ class Box:
         object.__setattr__(
             self, "hi", frozen_array(as_vector(self.hi, self.lo.shape[0], "hi"))
         )
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise InputError("box corners must be finite")
         if np.any(self.lo > self.hi):
             raise InputError("box requires lo <= hi componentwise")
 
@@ -92,8 +94,10 @@ class Ball:
         object.__setattr__(
             self, "center", frozen_array(as_vector(self.center, name="center"))
         )
-        if not self.radius > 0:
-            raise InputError(f"ball radius must be positive, got {self.radius}")
+        if not np.isfinite(self.center).all():
+            raise InputError("ball center must be finite")
+        if not 0 < self.radius < math.inf:
+            raise InputError(f"ball radius must be positive and finite, got {self.radius}")
 
     @property
     def dimension(self) -> int:

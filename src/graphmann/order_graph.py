@@ -178,11 +178,6 @@ class AuditReport:
         }
 
 
-def undirected_contains(rel, x, y) -> bool:
-    """Membership in E(G) union E(G^-1)."""
-    return rel.contains(x, y) or rel.contains(y, x)
-
-
 # --- samplers -------------------------------------------------------------
 
 def sample_cone_element(rel: ConeRelation, rng: np.random.Generator) -> np.ndarray:

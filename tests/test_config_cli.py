@@ -1,14 +1,25 @@
 import copy
 import csv
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graphmann.cli import main
 from graphmann.config import (
+    BodyConfig,
     ExperimentConfig,
+    OperatorConfig,
+    OutputConfig,
+    RelationConfig,
+    RunOptions,
+    ScheduleConfig,
+    SpaceConfig,
+    StartConfig,
     build_body,
     build_operator,
     build_relation,
@@ -22,9 +33,8 @@ from graphmann.corpus import negative_swap_config, oracle_1d_config, t_one_confi
 from graphmann.diagnostics import ALL_AUDITS, run_audits, write_gk_records_csv
 from graphmann.errors import ConfigError
 from graphmann.experiment import run_experiment, run_sweep, set_config_value
-from graphmann.mann import trajectory_from_dict
+from graphmann.mann import start_edges, trajectory_from_dict
 from graphmann.normed_space import diameter
-from graphmann.order_graph import undirected_contains
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -296,6 +306,94 @@ class TestConfigParsing:
         assert data == before
 
 
+SECTIONS = [SpaceConfig, BodyConfig, RelationConfig, OperatorConfig, StartConfig,
+            ScheduleConfig, RunOptions, OutputConfig]
+KINDS = {(cls.section, kind) for cls in SECTIONS for kind in cls.kinds}
+
+
+def kind_of(section, value):
+    """The kind of a section as written: its `kind`, or the default kind."""
+    cls = next(cls for cls in SECTIONS if cls.section == section)
+    return value.get("kind", next(f.default for f in dataclasses.fields(cls) if f.name == "kind"))
+
+
+def section_example(cls, kind):
+    """A valid `cls` section of kind `kind` (None for a section without
+    kinds), on the oracle config: the first of ECHOES with that kind."""
+    if kind is None:
+        return oracle_1d_config()[cls.section]
+    return next(value for section, value, _ in ECHOES
+                if section == cls.section and kind_of(section, value) == kind)
+
+
+def section_keys(cls, kind):
+    """The keys a `cls` section of kind `kind` allows, and those it
+    requires, by its kind table."""
+    listed = {key for required, optional in cls.kinds.values() for key in (*required, *optional)}
+    common = [f for f in dataclasses.fields(cls) if f.name not in listed]
+    required, optional = cls.kinds[kind] if kind is not None else ((), {})
+    allowed = {f.name for f in common} | set(required) | set(optional)
+    return allowed, {f.name for f in common if f.default is dataclasses.MISSING} | set(required)
+
+
+def table_cases(make):
+    """One case per section and kind of the kind tables, and per key that
+    `make(cls, kind)` lists for it."""
+    return [
+        pytest.param(cls, kind, key, id=f"{cls.section}-{kind}-{key}")
+        for cls in SECTIONS
+        for kind in (list(cls.kinds) or [None])
+        for key in sorted(make(cls, kind))
+    ]
+
+
+def checked_fields(cls, kind):
+    allowed, _ = section_keys(cls, kind)
+    return {f.name for f in dataclasses.fields(cls)
+            if f.name in allowed and f.type.removesuffix(" | None") in ("int", "float", "bool")}
+
+
+class TestSectionTables:
+    """Cases derived from each section's kind table, so a kind added to a
+    table is covered."""
+
+    def test_echoes_cover_every_kind(self):
+        # test_round_trip_of_every_kind round-trips each of ECHOES
+        assert {(section, kind_of(section, value)) for section, value, _ in ECHOES} == KINDS
+
+    @pytest.mark.parametrize("cls, kind, key",
+                             table_cases(lambda cls, kind: section_keys(cls, kind)[1]))
+    def test_missing_required_key_is_exit_one(self, tmp_path, capsys, cls, kind, key):
+        data = oracle_1d_config(str(tmp_path / "o"))
+        data[cls.section] = {k: v for k, v in section_example(cls, kind).items() if k != key}
+        assert main(["run", "--config", write_config(tmp_path, data), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cls.section}") and key in err
+
+    @pytest.mark.parametrize("cls, kind, key", table_cases(lambda cls, kind: {"surprise"}))
+    def test_unknown_key_is_exit_one(self, tmp_path, capsys, cls, kind, key):
+        data = oracle_1d_config(str(tmp_path / "o"))
+        data[cls.section] = {**section_example(cls, kind), key: 1.0}
+        assert main(["run", "--config", write_config(tmp_path, data), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cls.section}") and key in err
+
+    @pytest.mark.parametrize("cls, kind, key", table_cases(checked_fields))
+    def test_non_numeric_checked_field_is_exit_one(self, tmp_path, capsys, cls, kind, key):
+        data = oracle_1d_config(str(tmp_path / "o"))
+        data[cls.section] = {**section_example(cls, kind), key: "x"}
+        assert main(["run", "--config", write_config(tmp_path, data), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {cls.section}.{key} must be")
+
+    def test_readme_schema_parses_and_names_every_kind(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        schema = readme.split("## Config schema", 1)[1]
+        block = schema.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        ExperimentConfig.from_dict(json.loads(re.sub(r"//.*", "", block)))
+        kinds = set(re.findall(r'"kind": "(\w+)"', block))
+        assert kinds == {kind for _, kind in KINDS}
+
+
 class TestCliRun:
     def test_oracle_run_exit_zero_and_trajectory(self, tmp_path, oracle_cfg, capsys):
         data, path = oracle_cfg
@@ -473,6 +571,37 @@ class TestCliRun:
             run_sweep(data, "schedule.t", [0.5], out_dir=tmp_path / "sw", seed=-1)
         assert not (tmp_path / "sw").exists()
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"kind": "box", "lo": -math.inf, "hi": 1.0},
+            {"kind": "box", "lo": 0.0, "hi": math.inf},
+            {"kind": "ball", "center": 0.5, "radius": math.inf},
+            {"kind": "ball", "center": math.inf, "radius": 1.0},
+        ],
+        ids=["box-lo", "box-hi", "ball-radius", "ball-center"],
+    )
+    def test_unbounded_body_is_exit_one(self, tmp_path, capsys, body):
+        # the box and the infinite radius ran to exit 0, writing bare
+        # Infinity tokens; the infinite center was blamed on start.value
+        data = oracle_1d_config(str(tmp_path / "o"))
+        data["body"] = body
+        if body["kind"] == "ball":
+            data["operator"] = {"kind": "identity"}
+        assert main(["run", "--config", write_config(tmp_path, data), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("error: body: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("max_iter", [2**60, 2e18, 1e19])
+    def test_huge_max_iter_runs_to_tolerance(self, tmp_path, max_iter):
+        # each raised ValueError out of main: a constant schedule's steps
+        # were a view of max_iter entries
+        data = oracle_1d_config(str(tmp_path / "o"))
+        data["run"]["max_iter"] = max_iter
+        assert main(["run", "--config", write_config(tmp_path, data), "--quiet"]) == 0
+        report = json.loads((tmp_path / "o" / "audits.json").read_text())
+        assert report["stop_reason"] == "tolerance_met"
+
     def test_enforced_unit_step_is_config_error(self, tmp_path):
         data = oracle_1d_config(str(tmp_path / "o"))
         data["schedule"] = {"kind": "constant", "t": 1.0, "enforce_bounds": True}
@@ -508,7 +637,7 @@ class TestCliRun:
         operator = build_operator(config, space, build_body(config, space))
         x1 = build_start(config, operator, rel, np.random.default_rng([1, 1]))
         assert np.array_equal(x1, np.zeros(16))
-        assert undirected_contains(rel, x1, operator._apply(x1))
+        assert any(start_edges(rel, x1, operator._apply(x1)))
         assert main(["run", "--config", write_config(tmp_path, data), "--quiet"]) == 0
 
     def test_seed_override_changes_random_start(self, tmp_path):
@@ -705,6 +834,12 @@ class TestCliSweep:
     def test_unknown_axis_exit_one(self, tmp_path, oracle_cfg):
         _, path = oracle_cfg
         assert main(["sweep", "--config", path, "--axis", "does.not.exist", "--values", "0.5", "--quiet"]) == 1
+
+    def test_missing_config_is_read_as_run_reads_it(self, tmp_path, capsys):
+        # printed "i/o error: [Errno 2] ..." where run printed this
+        args = ["--config", str(tmp_path / "missing.json"), "--quiet"]
+        assert main(["sweep", *args, "--axis", "schedule.t", "--values", "0.5"]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read config ")
 
     def test_malformed_json_exit_one(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -24,6 +24,7 @@ from graphmann.mann import (
     full_iterates,
     read_trajectory_csv,
     run,
+    start_edges,
     trajectory_from_dict,
     trajectory_to_dict,
     verify_trajectory,
@@ -350,6 +351,27 @@ class TestSchedule:
     def test_unenforced_still_requires_unit_interval(self):
         with pytest.raises(ConfigError):
             Schedule.constant(1.2, enforce_bounds=False)
+
+
+class TestStartEdges:
+    """(edge(x1, T x1), edge(T x1, x1)), with y standing for T x1."""
+
+    def test_reverse_edge(self):
+        assert start_edges(ConeRelation(np.eye(2)), [1, 2], [0, 0]) == (False, True)
+
+    def test_incomparable(self):
+        assert start_edges(ConeRelation(np.eye(2)), [1, 0], [0, 1]) == (False, False)
+
+    def test_loop(self):
+        assert start_edges(ConeRelation(np.eye(2)), [0.5, 0.5], [0.5, 0.5]) == (True, True)
+
+    @given(
+        st.lists(st.floats(-5, 5), min_size=2, max_size=2),
+        st.lists(st.floats(-5, 5), min_size=2, max_size=2),
+    )
+    def test_symmetric(self, x, y):
+        rel = ConeRelation(np.array([[1.0, 1.0]]))
+        assert start_edges(rel, x, y) == start_edges(rel, y, x)[::-1]
 
 
 class TestRun:

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from graphmann.errors import DimensionMismatchError, InputError
 from graphmann.order_graph import (
@@ -12,7 +11,6 @@ from graphmann.order_graph import (
     edge_pair_source,
     gaussian_point_source,
     sample_cone_element,
-    undirected_contains,
 )
 from testonly_relations import MetricBallRelation, StrictConeRelation
 
@@ -108,25 +106,6 @@ class TestCoordinatewiseFastPath:
         with np.errstate(invalid="ignore"):  # the product meets inf and NaN
             assert np.array_equal(rel.diffs_in_cone(rows), expect)
             assert [rel.diff_in_cone(r) for r in rows] == expect.tolist()
-
-
-class TestUndirected:
-    def test_reverse_edge(self):
-        assert undirected_contains(coordinatewise(), [1, 2], [0, 0])
-
-    def test_incomparable(self):
-        assert not undirected_contains(coordinatewise(), [1, 0], [0, 1])
-
-    def test_loop(self):
-        assert undirected_contains(coordinatewise(), [0.5, 0.5], [0.5, 0.5])
-
-    @given(
-        st.lists(st.floats(-5, 5), min_size=2, max_size=2),
-        st.lists(st.floats(-5, 5), min_size=2, max_size=2),
-    )
-    def test_symmetric(self, x, y):
-        rel = half_space()
-        assert undirected_contains(rel, x, y) == undirected_contains(rel, y, x)
 
 
 class TestAuditReflexive:
