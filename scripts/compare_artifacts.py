@@ -78,10 +78,13 @@ DRIFT = {
 }
 
 
-# sweeps of a config, by axis and values: schedule.t, and operator.offset,
-# which lies in the section that holds the d x d matrix every sub-run shares
+# sweeps of a config, by axis and values: schedule.t and run.tol, whose
+# sub-runs share every built object (the d x d operator included), and
+# operator.offset, which lies in the section that holds the matrix, so each
+# sub-run builds its own operator
 SWEEPS = {
-    "perm_d256_stride50": [("schedule.t", "0.7,0.9"), ("operator.offset", "0.001,0.004")],
+    "perm_d256_stride50": [("schedule.t", "0.7,0.9"), ("operator.offset", "0.001,0.004"),
+                           ("run.tol", "1e-6,1e-10")],
 }
 
 

@@ -64,13 +64,14 @@ _CHUNK = 4096
 
 
 def dumps_indent2(obj: Any) -> str:
-    """Exactly `json.dumps(obj, indent=2)`, mostly at the C encoder's speed."""
+    """Exactly `json.dumps(obj, indent=2)`, mostly at the C encoder's speed;
+    an array in `obj` is written as its `tolist()`."""
     return "".join(_indent2(obj, "\n"))
 
 
 def write_json(obj: Any, path: str | Path) -> None:
-    """Write `json.dumps(obj, indent=2)` and a newline to `path`, piece by
-    piece, so the whole text is never held in memory."""
+    """Write `dumps_indent2(obj)` and a newline to `path`, piece by piece,
+    so the whole text is never held in memory."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_indent2(obj, "\n"))
         fh.write("\n")
@@ -80,12 +81,13 @@ def _indent2(value: Any, newline: str) -> Iterator[str]:
     """The pieces of `value`'s indent=2 text, nested at `newline`.
 
     CPython's C encoder runs only without indent, but with any item
-    separator.  Lists of numbers, and nonempty lists of nonempty number
-    lists, go through it `_CHUNK` numbers at a time, with a separator that
-    carries the newline and indent of their items; a group of rows then
-    needs one substitution to lay out the row boundaries.  Everything else
-    is laid out here with json's own indent rules, each leaf written by
-    json itself.
+    separator.  Lists of numbers, nonempty lists of nonempty number lists,
+    and nonempty 1-d and 2-d int or float arrays go through it `_CHUNK`
+    numbers at a time (an array converted to a list one chunk at a time),
+    with a separator that carries the newline and indent of their items; a
+    group of rows then needs one substitution to lay out the row boundaries.
+    Any other array is written as its `tolist()`.  Everything else is laid
+    out here with json's own indent rules, each leaf written by json itself.
     """
     inner = newline + "  "
     if isinstance(value, dict) and value:
@@ -95,29 +97,23 @@ def _indent2(value: Any, newline: str) -> Iterator[str]:
             yield from _indent2(item, inner)
             opener = ","
         yield newline + "}"
+    elif isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iuf" or value.ndim not in (1, 2) or not value.size:
+            yield from _indent2(value.tolist(), newline)
+        elif value.ndim == 1:
+            yield from _number_list(value, newline)
+        else:
+            yield from _number_rows(value, newline)
     elif isinstance(value, (list, tuple)) and value:
         types = set(map(type, value))
         if types <= _NUMBER_TYPES:
-            yield "[" + inner
-            yield from _numbers(value, "," + inner)
-            yield newline + "]"
+            yield from _number_list(value, newline)
         elif (
             types == {list}
             and all(value)
             and set(map(type, chain.from_iterable(value))) <= _NUMBER_TYPES
         ):
-            row = inner + "  "
-            between = inner + "]," + inner + "[" + row
-            yield "[" + inner + "[" + row
-            for i, group in enumerate(_row_groups(value)):
-                if i:
-                    yield between
-                if len(group) == 1:
-                    yield from _numbers(group[0], "," + row)
-                else:
-                    text = json.dumps(group, separators=("," + row, ": "))
-                    yield text[2:-2].replace("]," + row + "[", between)
-            yield inner + "]" + newline + "]"
+            yield from _number_rows(value, newline)
         else:
             opener = "["
             for item in value:
@@ -130,18 +126,55 @@ def _indent2(value: Any, newline: str) -> Iterator[str]:
         yield json.dumps(value)
 
 
-def _numbers(values: list | tuple, separator: str) -> Iterator[str]:
-    """The items of a number list joined by `separator`, `_CHUNK` at a time."""
+def _plain(values: Any) -> Any:
+    """A list, tuple or array of numbers as json encodes it."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+def _number_list(values: Any, newline: str) -> Iterator[str]:
+    """A nonempty number list or 1-d array, nested at `newline`."""
+    inner = newline + "  "
+    yield "[" + inner
+    yield from _numbers(values, "," + inner)
+    yield newline + "]"
+
+
+def _number_rows(rows: Any, newline: str) -> Iterator[str]:
+    """A nonempty list of nonempty number lists, or a nonempty 2-d array,
+    nested at `newline`."""
+    inner = newline + "  "
+    row = inner + "  "
+    between = inner + "]," + inner + "[" + row
+    yield "[" + inner + "[" + row
+    for i, group in enumerate(_row_groups(rows)):
+        if i:
+            yield between
+        if len(group) == 1:
+            yield from _numbers(group[0], "," + row)
+        else:
+            text = json.dumps(_plain(group), separators=("," + row, ": "))
+            yield text[2:-2].replace("]," + row + "[", between)
+    yield inner + "]" + newline + "]"
+
+
+def _numbers(values: Any, separator: str) -> Iterator[str]:
+    """The items of a number list or 1-d array joined by `separator`,
+    `_CHUNK` at a time."""
     for start in range(0, len(values), _CHUNK):
         if start:
             yield separator
-        chunk = values[start:start + _CHUNK]
+        chunk = _plain(values[start:start + _CHUNK])
         yield json.dumps(chunk, separators=(separator, ": "))[1:-1]
 
 
-def _row_groups(rows: list) -> Iterator[list]:
+def _row_groups(rows: Any) -> Iterator[Any]:
     """Consecutive runs of `rows` holding at most `_CHUNK` numbers in all; a
     longer row is a run of its own."""
+    if isinstance(rows, np.ndarray):
+        per_group = max(1, _CHUNK // rows.shape[1])
+        for start in range(0, rows.shape[0], per_group):
+            yield rows[start:start + per_group]
+        return
     start = count = 0
     for i, row in enumerate(rows):
         if count and count + len(row) > _CHUNK:

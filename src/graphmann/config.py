@@ -59,14 +59,18 @@ def _int(value: Any, name: str) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-def _float(value: Any, name: str) -> float:
-    """A float field: a real number other than NaN; a bool, a string or NaN
-    is a ConfigError."""
+def _float(value: Any, name: str, finite: bool = True) -> float:
+    """A float field: a finite real number, or also an infinite one when not
+    `finite`; a bool, a string, NaN or a number beyond the range of a float is
+    a ConfigError, and so is ±Infinity (which Python's JSON reader accepts)
+    in a `finite` field."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             number = float(value)
         except OverflowError:  # an integer beyond the range of a float
             number = math.nan
+        if math.isinf(number) and finite:
+            raise ConfigError(f"{name} must be finite, got {value!r}")
         if not math.isnan(number):
             return number
     raise ConfigError(f"{name} must be a number, got {value!r}")
@@ -85,7 +89,7 @@ def _parse_p(value: Any) -> float:
         if value.lower() in ("inf", "infinity"):
             return math.inf
         raise ConfigError(f"space.p must be a number >= 1 or 'inf', got {value!r}")
-    p = _float(value, "space.p")
+    p = _float(value, "space.p", finite=False)
     if not p >= 1.0:
         raise ConfigError(f"space.p must be >= 1, got {p}")
     return p
@@ -111,6 +115,8 @@ def _matrix(value: Any, name: str) -> np.ndarray:
     matrix = np.array(value, dtype=float)
     if np.isnan(matrix).any():
         raise ConfigError(f"{name} entries must be numbers, got NaN")
+    if np.isinf(matrix).any():
+        raise ConfigError(f"{name} entries must be finite")
     return matrix
 
 
@@ -215,7 +221,13 @@ class BodyConfig(_Section):
     lo: Any = None
     hi: Any = None
     center: Any = None
-    radius: float | None = None
+    radius: Any = None
+
+    def __post_init__(self) -> None:
+        # an infinite radius is left to Ball, so that it is an error naming
+        # the body, as an infinite corner or center is
+        if self.radius is not None:
+            object.__setattr__(self, "radius", _float(self.radius, "body.radius", finite=False))
 
 
 @dataclass(frozen=True)
@@ -422,7 +434,7 @@ def build_body(config: ExperimentConfig, space: NormSpace) -> ConvexBody:
     cfg = config.body
     if cfg.kind == "box":
         return Box(_vec(cfg.lo, d, "body.lo"), _vec(cfg.hi, d, "body.hi"))
-    return Ball(_vec(cfg.center, d, "body.center"), float(cfg.radius))
+    return Ball(_vec(cfg.center, d, "body.center"), cfg.radius)
 
 
 @_builds("relation")

@@ -10,8 +10,9 @@ one the audit holds.  The audit of a stored decimated record replays it gap
 by gap into the same blocks.  The JSON artifacts are written piece by piece, never as one string.
 Sweeps run one experiment per axis value, in the given order, keep one
 summary row per value and aggregate a summary CSV; the values' configs
-share every section the axis does not touch.  Identical config and seed
-give byte-identical files.
+share every section the axis does not touch, and their runs every object
+built from those sections.  Identical config and seed give byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -39,14 +40,17 @@ from .errors import ConfigError
 from .mann import (
     STOP_MAX_ITER,
     STOP_TOLERANCE,
+    Schedule,
     Trajectory,
     read_trajectory_csv,
     run,
+    trajectory_fields,
     trajectory_from_dict,
-    trajectory_to_dict,
     write_trajectory_csv,
 )
-from .normed_space import diameter
+from .normed_space import ConvexBody, NormSpace, diameter
+from .operators import Operator
+from .order_graph import ConeRelation
 
 RUN_SCHEMA_VERSION = 1
 
@@ -73,7 +77,7 @@ def _write_outputs(
         record = {
             "schema_version": RUN_SCHEMA_VERSION,
             "config": config.to_dict(),
-            "trajectory": trajectory_to_dict(traj),
+            "trajectory": trajectory_fields(traj),
         }
         write_json(record, out_dir / "run.json")
     report = {
@@ -87,13 +91,47 @@ def _write_outputs(
     write_json(report, out_dir / "audits.json")
 
 
-def _build(config: ExperimentConfig):
-    """The space, relation, operator, schedule and domain diameter of a config."""
-    space = build_space(config)
-    body = build_body(config, space)
-    rel = build_relation(config, space)
-    operator = build_operator(config, space, body)
-    return space, rel, operator, build_schedule(config), diameter(space, body)
+@dataclass(frozen=True)
+class Built:
+    """What the builders make of a config: its space, body, relation,
+    operator, schedule and domain diameter, and the start drawn for a run."""
+
+    space: NormSpace
+    body: ConvexBody
+    rel: ConeRelation
+    operator: Operator
+    schedule: Schedule
+    diam: float
+    start: np.ndarray | None = None
+
+
+def _build(
+    config: ExperimentConfig,
+    seed: int | None = None,
+    shared: Built | None = None,
+    section: str = "",
+) -> Built:
+    """Build a config, with its start when given the run's seed.
+
+    `shared` is the build of a config that differs from this one only in
+    config section `section`; what that section does not reach is taken from
+    it, not built again.  A space or body section reaches every object, a
+    relation or operator section only the object of its name, and the
+    schedule and the start are always built.
+    """
+
+    def reached(*names: str) -> bool:
+        return shared is None or section in ("space", "body", *names)
+
+    space = build_space(config) if reached() else shared.space
+    body = build_body(config, space) if reached() else shared.body
+    rel = build_relation(config, space) if reached("relation") else shared.rel
+    operator = build_operator(config, space, body) if reached("operator") else shared.operator
+    diam = diameter(space, body) if reached() else shared.diam
+    start = None
+    if seed is not None:
+        start = build_start(config, operator, rel, np.random.default_rng([seed, 1]))
+    return Built(space, body, rel, operator, build_schedule(config), diam, start)
 
 
 def run_experiment(
@@ -101,22 +139,25 @@ def run_experiment(
     out_dir: str | Path | None = None,
     seed: int | None = None,
     write: bool = True,
+    built: Built | None = None,
 ) -> ExperimentResult:
     """Execute one configured experiment end to end.
 
     The loop runs at the configured `record_stride` and streams every
     iterate into the audit's pass (`AuditPass`) as it goes, so the auditors
     read all N iterates while the record written (and returned) keeps only
-    the recorded ones, and no (N, d) history is ever held.
+    the recorded ones, and no (N, d) history is ever held.  `built` is the
+    config's build with the start for `seed` (a sweep builds every value
+    first); without it the config is built here.
     """
     seed = config.seed if seed is None else check_seed(seed)
-    space, rel, operator, schedule, diam = _build(config)
-    rng = np.random.default_rng([seed, 1])
-    x1 = build_start(config, operator, rel, rng)
+    if built is None:
+        built = _build(config, seed)
+    space, rel, operator, schedule = built.space, built.rel, built.operator, built.schedule
     audit = AuditPass(config.audits, operator, rel, space)
     traj = run(
         operator,
-        x1,
+        built.start,
         schedule,
         max_iter=config.run.max_iter,
         tol=config.run.tol,
@@ -132,7 +173,7 @@ def run_experiment(
         rel,
         space,
         schedule,
-        diam=diam,
+        diam=built.diam,
         seed=seed,
         audit=audit,
     )
@@ -186,17 +227,17 @@ def audit_stored(
     iterates.  The report written to `out_dir` names its source by file name only, so
     it does not depend on the directory the trajectory was read from.
     """
-    space, rel, operator, schedule, diam = _build(config)
+    built = _build(config)
     traj = load_stored_trajectory(trajectory_path, config)
     names = ["trajectory"] + [a for a in config.audits if a != "trajectory"]
     audits = run_audits(
         names,
         traj,
-        operator,
-        rel,
-        space,
-        schedule,
-        diam=diam,
+        built.operator,
+        built.rel,
+        built.space,
+        built.schedule,
+        diam=built.diam,
         seed=config.seed,
     )
     code = exit_code_from_audits(audits)
@@ -263,7 +304,12 @@ def run_sweep(
 
     Each value writes to its own subdirectory `<axis>=<value:g>`; values
     that share a directory name (duplicates, or values equal to six
-    significant digits) are a ConfigError, raised before any run.  The
+    significant digits) are a ConfigError, raised before any run.  Every
+    value's config is parsed and built, start included, before the first
+    run, so a value that any check rejects stops the sweep before anything
+    is written.  What the axis does not reach is built once, from the first
+    value, and shared by every run (see `_build`): a schedule.t sweep builds
+    its operator once, an operator.offset sweep once per value.  The
     summary CSV has one row per value (in the given order): value,
     final_residual, iterations, all_audits_pass.  The exit code follows the
     single-run contract over the aggregate.  Only each value's summary row
@@ -285,13 +331,21 @@ def run_sweep(
         seed = check_seed(seed)
     base = ExperimentConfig.from_dict(config_data)
     root = Path(out_dir) if out_dir is not None else Path(base.output.directory)
-    configs = []
-    for value in values:
-        data = set_config_value(config_data, axis, value)
-        configs.append(ExperimentConfig.from_dict(data))
+    configs = [
+        ExperimentConfig.from_dict(set_config_value(config_data, axis, value))
+        for value in values
+    ]
+    section = axis.split(".")[0]
+    builds: list[Built] = []
+    for config in configs:
+        run_seed = config.seed if seed is None else seed
+        shared = builds[0] if builds else None
+        builds.append(_build(config, run_seed, shared, section))
     rows, codes = [], []
-    for value, config, name in zip(values, configs, names):
-        row, code = _summary(value, run_experiment(config, out_dir=root / name, seed=seed))
+    for value, config, name, built in zip(values, configs, names, builds):
+        row, code = _summary(
+            value, run_experiment(config, out_dir=root / name, seed=seed, built=built)
+        )
         rows.append(row)
         codes.append(code)
     root.mkdir(parents=True, exist_ok=True)

@@ -53,9 +53,10 @@ DEFAULT_TOL = 1e-10
 AUDIT_BLOCK_ROWS = 256
 AUDIT_BLOCK_BYTES = 512 << 10
 
-# rows per `%` template of the CSV writer; bounds the Python floats alive at
-# once whatever the length of the record
-CSV_BLOCK_ROWS = 4096
+# numbers per `%` template of the CSV writer (a block holds at least one
+# row); bounds the Python floats and the text alive at once whatever the
+# length and the dimension of the record
+CSV_BLOCK_VALUES = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -692,26 +693,31 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     t_n is the step leaving x_n and is empty on the final row.  Numbers use
     17 significant digits, which round-trips doubles exactly.  The bytes are
     those of `csv.writer` over `fmt17` fields (`%.17g` is the same
-    conversion; no field needs quoting).  The rows are gathered into one
-    (k, d + 3) table, and each block of CSV_BLOCK_ROWS rows is formatted by
-    one `%` template.
+    conversion; no field needs quoting).  The rows are cut into blocks of
+    about CSV_BLOCK_VALUES numbers, and each block is gathered from the
+    record's arrays into a (rows, d + 3) table and formatted by one `%`
+    template.
     """
     k, d = traj.iterates.shape
     indices = traj.iterate_indices
-    table = np.empty((k, d + 3))
-    table[:, 0] = indices
-    table[:, 1 : d + 1] = traj.iterates
-    table[:, d + 1] = traj.residuals[indices - 1]
-    table[:-1, d + 2] = traj.schedule_used[indices[:-1] - 1]
+    residuals = traj.residuals[indices - 1]
+    steps = traj.schedule_used[indices[:-1] - 1]
     row = "%d" + ",%.17g" * (d + 2) + "\r\n"
     final_row = "%d" + ",%.17g" * (d + 1) + ",\r\n"
     header = ["n"] + [f"x_{i + 1}" for i in range(d)] + ["residual", "t_n"]
+    block_rows = max(1, CSV_BLOCK_VALUES // (d + 3))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for start in range(0, k - 1, CSV_BLOCK_ROWS):
-            block = table[start : min(start + CSV_BLOCK_ROWS, k - 1)]
-            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
-        fh.write(final_row % tuple(table[-1, :-1].tolist()))
+        for start in range(0, k - 1, block_rows):
+            stop = min(start + block_rows, k - 1)
+            table = np.empty((stop - start, d + 3))
+            table[:, 0] = indices[start:stop]
+            table[:, 1 : d + 1] = traj.iterates[start:stop]
+            table[:, d + 1] = residuals[start:stop]
+            table[:, d + 2] = steps[start:stop]
+            fh.write(row * (stop - start) % tuple(table.ravel().tolist()))
+        last = (int(indices[-1]), *traj.iterates[-1].tolist(), float(residuals[-1]))
+        fh.write(final_row % last)
 
 
 # what an empty t_n field reads as: a NaN whose payload no parsed number
@@ -795,21 +801,30 @@ def read_trajectory_csv(path) -> Trajectory:
     )
 
 
+def trajectory_fields(traj: Trajectory) -> dict:
+    """The JSON record of a trajectory with its arrays as they are, for
+    `_util.write_json`, which converts them a chunk at a time."""
+    return {
+        "iterates": traj.iterates,
+        "iterate_indices": traj.iterate_indices,
+        "residuals": traj.residuals,
+        "schedule_used": traj.schedule_used,
+        **jsonable(
+            {
+                "stop_reason": traj.stop_reason,
+                "start_edge_forward": traj.start_edge_forward,
+                "start_edge_reverse": traj.start_edge_reverse,
+                "operator_ref": traj.operator_ref,
+                "space_ref": traj.space_ref,
+                "relation_ref": traj.relation_ref,
+            }
+        ),
+    }
+
+
 def trajectory_to_dict(traj: Trajectory) -> dict:
-    return jsonable(
-        {
-            "iterates": traj.iterates,
-            "iterate_indices": traj.iterate_indices,
-            "residuals": traj.residuals,
-            "schedule_used": traj.schedule_used,
-            "stop_reason": traj.stop_reason,
-            "start_edge_forward": traj.start_edge_forward,
-            "start_edge_reverse": traj.start_edge_reverse,
-            "operator_ref": traj.operator_ref,
-            "space_ref": traj.space_ref,
-            "relation_ref": traj.relation_ref,
-        }
-    )
+    """The JSON record of a trajectory as plain Python values."""
+    return jsonable(trajectory_fields(traj))
 
 
 def trajectory_from_dict(data: dict) -> Trajectory:

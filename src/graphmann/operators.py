@@ -23,6 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from ._util import as_vector, frozen_array
+
+try:  # the clip ufunc that `ndarray.clip` calls after its Python wrapper
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 from .errors import DomainError, InputError
 from .normed_space import (
     Box,
@@ -40,12 +45,10 @@ OPNORM_TOL = 1e-9
 FIXED_POINT_TOL = 1e-12
 
 
-def matrix_opnorm_bound(matrix: np.ndarray, p: float) -> float:
-    """Certified upper bound on the l_p operator norm.
-
-    Exact for p in {1, 2, inf}; Riesz-Thorin interpolation between the
-    max-column-sum and max-row-sum norms otherwise.
-    """
+def _interpolated_bound(matrix: np.ndarray, p: float) -> float:
+    """Riesz-Thorin interpolation between the max-column-sum (p = 1) and
+    max-row-sum (p = inf) norms: an upper bound on the l_p operator norm,
+    exact at p in {1, inf}."""
     absm = np.abs(matrix)
     col = float(absm.sum(axis=0).max(initial=0.0))
     row = float(absm.sum(axis=1).max(initial=0.0))
@@ -53,7 +56,16 @@ def matrix_opnorm_bound(matrix: np.ndarray, p: float) -> float:
         return col
     if math.isinf(p):
         return row
-    interp = col ** (1.0 / p) * row ** (1.0 - 1.0 / p) if col and row else 0.0
+    return col ** (1.0 / p) * row ** (1.0 - 1.0 / p) if col and row else 0.0
+
+
+def matrix_opnorm_bound(matrix: np.ndarray, p: float) -> float:
+    """Certified upper bound on the l_p operator norm.
+
+    Exact for p in {1, 2, inf}; Riesz-Thorin interpolation between the
+    max-column-sum and max-row-sum norms otherwise.
+    """
+    interp = _interpolated_bound(matrix, p)
     if p == 2.0:
         spectral = float(np.linalg.svd(matrix, compute_uv=False)[0]) if matrix.size else 0.0
         return min(interp, spectral) if interp else spectral
@@ -132,29 +144,33 @@ class MatrixAffine(Operator):
         off = as_vector(self.offset, d, "offset")
         if np.any(off < 0):
             raise InputError("offset components must be nonnegative")
-        bound = matrix_opnorm_bound(mat, self.space.p)
-        if bound > 1.0 + OPNORM_TOL:
-            raise InputError(
-                f"certified operator norm bound {bound:.6g} exceeds 1 for p={self.space.p}"
-            )
+        # matrix_opnorm_bound is at most the interpolated bound, so when that
+        # certifies M the SVD that p = 2 adds cannot change the verdict (a NaN
+        # bound certifies nothing)
+        if not _interpolated_bound(mat, self.space.p) <= 1.0 + OPNORM_TOL:
+            bound = matrix_opnorm_bound(mat, self.space.p)
+            if bound > 1.0 + OPNORM_TOL:
+                raise InputError(
+                    f"certified operator norm bound {bound:.6g} exceeds 1 for p={self.space.p}"
+                )
         object.__setattr__(self, "matrix", frozen_array(mat))
         object.__setattr__(self, "offset", frozen_array(off))
         del box
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        # np.clip(M x + c, lo, hi) without its dispatch: the same ufuncs,
-        # applied in place to the fresh image
+        # np.clip(M x + c, lo, hi) without its Python wrapper: the same
+        # ufunc, applied in place to the fresh image
         box = self.domain
         v = self.matrix @ x
         v += self.offset
-        return v.clip(box.lo, box.hi, out=v)
+        return _clip(v, box.lo, box.hi, v)
 
     def apply_batch(self, rows: np.ndarray) -> np.ndarray:
         # np.clip(rows @ M.T + c, lo, hi), in place on the fresh product
         box = self.domain
         v = rows @ self.matrix.T
         v += self.offset
-        return v.clip(box.lo, box.hi, out=v)
+        return _clip(v, box.lo, box.hi, v)
 
     def describe(self) -> str:
         return f"matrix_affine(d={self.space.dimension})"
@@ -274,7 +290,7 @@ class NonmonotoneSwap(Operator):
         box = self.domain
         v = self.factor * x[::-1]
         v += self.offset
-        return v.clip(box.lo, box.hi, out=v)
+        return _clip(v, box.lo, box.hi, v)
 
     def apply_batch(self, rows: np.ndarray) -> np.ndarray:
         box = self.domain

@@ -32,6 +32,7 @@ from graphmann.config import (
 from graphmann.corpus import negative_swap_config, oracle_1d_config, t_one_config
 from graphmann.diagnostics import ALL_AUDITS, run_audits, write_gk_records_csv
 from graphmann.errors import ConfigError
+import graphmann.experiment as experiment
 from graphmann.experiment import run_experiment, run_sweep, set_config_value
 from graphmann.mann import start_edges, trajectory_from_dict
 from graphmann.normed_space import diameter
@@ -223,10 +224,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(data)
 
-    def test_infinity_norm_spelled_inf(self, tmp_path):
+    # space.p is the one float field where an infinite number means something
+    @pytest.mark.parametrize("p", ["inf", math.inf], ids=["string", "number"])
+    def test_infinity_norm_spelled_inf(self, tmp_path, p):
         data = oracle_1d_config(str(tmp_path / "o"))
-        data["space"]["p"] = "inf"
-        result = run_experiment(ExperimentConfig.from_dict(data), write=False)
+        data["space"]["p"] = p
+        config = ExperimentConfig.from_dict(data)
+        assert config.to_dict()["space"]["p"] == "inf"
+        result = run_experiment(config, write=False)
         assert result.exit_code == 0
 
     def test_scalar_broadcasting_box(self, tmp_path):
@@ -503,12 +508,16 @@ class TestCliRun:
         [
             ("operator.matrix", [[True]], "operator.matrix entries must be numbers, got bool"),
             ("operator.matrix", [[math.nan]], "operator.matrix entries must be numbers, got NaN"),
+            ("operator.matrix", [[math.inf]],
+             "operator.matrix entries must be finite"),
             ("operator.matrix", [[None]], "operator.matrix entries must be numbers, got NoneType"),
             ("operator.matrix", [0.5], "operator.matrix must be a list of rows of numbers"),
             ("relation.generator_matrix", [[True]],
              "relation.generator_matrix entries must be numbers, got bool"),
             ("relation.generator_matrix", [[math.nan]],
              "relation.generator_matrix entries must be numbers, got NaN"),
+            ("relation.generator_matrix", [[-math.inf]],
+             "relation.generator_matrix entries must be finite"),
             ("operator.functions.knots_x", [False, 1.0],
              "operator.functions[0].knots_x[0] must be a number"),
             ("operator.functions.knots_y", [math.nan, 1.0],
@@ -516,8 +525,8 @@ class TestCliRun:
             ("operator.functions.knots_y", [None, 1.0],
              "operator.functions[0].knots_y[0] must be a number"),
         ],
-        ids=["matrix-true", "matrix-nan", "matrix-null", "matrix-no-rows", "generator-true",
-             "generator-nan",
+        ids=["matrix-true", "matrix-nan", "matrix-inf", "matrix-null", "matrix-no-rows",
+             "generator-true", "generator-nan", "generator-inf",
              "knots_x-false", "knots_y-nan", "knots_y-null"],
     )
     def test_matrix_and_knots_entries_are_float_fields(self, tmp_path, capsys, field, value,
@@ -590,6 +599,31 @@ class TestCliRun:
             data["operator"] = {"kind": "identity"}
         assert main(["run", "--config", write_config(tmp_path, data), "--quiet"]) == 1
         assert capsys.readouterr().err.startswith("error: body: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "field, value, entry, section",
+        [
+            ("run.tol", math.inf, "run.tol", None),
+            ("relation.row", [math.inf], "relation.row[0]",
+             {"relation": {"kind": "half_space", "row": [1.0]}}),
+            ("operator.offset", math.inf, "operator.offset",
+             {"operator": {"kind": "matrix_affine", "scale": 0.5, "offset": 0.0}}),
+            ("operator.offset", [-math.inf], "operator.offset[0]",
+             {"operator": {"kind": "matrix_affine", "scale": 0.5, "offset": 0.0}}),
+        ],
+        ids=["tol", "row", "offset", "offset-list"],
+    )
+    def test_infinite_float_field_is_exit_one(self, tmp_path, capsys, field, value, entry,
+                                              section):
+        # Python's JSON reader takes Infinity: run.tol ran to exit 2, the
+        # half-space row to exit 0 and the offset to exit 3
+        data = oracle_1d_config(str(tmp_path / "o"))
+        data.update(section or {})
+        set_field(data, field, value)
+        assert main(["run", "--config", write_config(tmp_path, data), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{entry} must be finite" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("max_iter", [2**60, 2e18, 1e19])
@@ -861,6 +895,67 @@ class TestCliSweep:
         for pa, pb in zip(a_files, b_files):
             assert pa.read_bytes() == pb.read_bytes()
 
+
+    @pytest.mark.parametrize(
+        "axis, values, first, error",
+        [
+            ("schedule.t", "0.5,1.5", "schedule_t=0.5", "error: schedule: "),
+            ("body.hi", "1,-1", "body_hi=1", "error: body: "),
+            ("start.value", "0.5,2", "start_value=0.5", "error: start: "),
+        ],
+        ids=["schedule", "body", "start"],
+    )
+    def test_value_a_builder_rejects_exits_one_before_any_run(self, tmp_path, capsys, axis,
+                                                              values, first, error):
+        # the first value's run wrote its directory before the second value
+        # failed in its builder, and no summary was written
+        data = oracle_1d_config(str(tmp_path / "o"))
+        data["start"]["value"] = 0.0
+        out = tmp_path / "sw"
+        args = ["sweep", "--config", write_config(tmp_path, data), "--axis", axis,
+                "--values", values, "--out", str(out), "--quiet"]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(error)
+        assert not (out / first).exists() and not (out / "sweep_summary.csv").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "axis, values, builds",
+        [
+            ("schedule.t", [0.3, 0.5, 0.7, 0.9], 1),
+            ("run.tol", [1e-10, 1e-12], 1),
+            ("relation.slack_tol", [1e-12, 1e-9], 1),
+            ("seed", [1, 2], 1),
+            ("operator.offset", [0.0, 0.1, 0.2, 0.25], 4),
+            ("body.hi", [1.0, 2.0], 2),
+            ("space.dimension", [1, 3], 2),
+        ],
+    )
+    def test_sweep_builds_what_its_axis_reaches(self, tmp_path, monkeypatch, axis, values,
+                                                builds):
+        # each run reads the objects built once as if it had built its own:
+        # every file equals that of a run of the value's config alone
+        data = oracle_1d_config(str(tmp_path / "o"))
+        data["relation"]["slack_tol"] = 1e-12
+        data["operator"] = {"kind": "matrix_affine", "scale": 0.5, "offset": 0.25}
+        data["start"] = {"kind": "random_comparable"}
+        calls = []
+        build = experiment.build_operator
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(experiment, "build_operator", counted)
+        code, rows = run_sweep(data, axis, values, out_dir=tmp_path / "sw")
+        assert code == 0 and len(rows) == len(values)
+        assert len(calls) == builds
+        for value in values:
+            name = f"{axis.replace('.', '_')}={value:g}"
+            config = ExperimentConfig.from_dict(set_config_value(data, axis, value))
+            run_experiment(config, out_dir=tmp_path / "alone" / name)
+            for path in sorted((tmp_path / "alone" / name).iterdir()):
+                assert path.read_bytes() == (tmp_path / "sw" / name / path.name).read_bytes()
 
     @pytest.mark.parametrize("values", ["0.3000001,0.3000002", "0.5,0.5", "0.2,0.4,0.2"])
     def test_values_sharing_a_directory_exit_one(self, tmp_path, oracle_cfg, values):

@@ -801,7 +801,8 @@ class TestSerialization:
         assert lines[1].startswith("1,")
         assert lines[-1].endswith(",")  # final row carries no step
 
-    @pytest.mark.parametrize("d", [1, 4, 256])
+    # 2 048 + 3 numbers make a row longer than a CSV block
+    @pytest.mark.parametrize("d", [1, 4, 256, 2048])
     @pytest.mark.parametrize("stride", [1, 9])
     def test_csv_bytes_match_reference_writer(self, tmp_path, d, stride):
         op = doubly_stochastic_map(d, 2.0)
@@ -831,10 +832,11 @@ class TestSerialization:
             new = (tmp_path / f"new{k}.csv").read_bytes()
             assert new == (tmp_path / f"ref{k}.csv").read_bytes()
 
-    @pytest.mark.parametrize("block", [1, 2, 7])
+    # at d = 3 a row holds 6 numbers, so these are blocks of 1, 2 and 7 rows
+    @pytest.mark.parametrize("block", [1, 12, 47])
     @pytest.mark.parametrize("n", [1, 2, 6, 7, 8, 15, 16])
     def test_csv_blocks_match_reference_writer(self, tmp_path, monkeypatch, block, n):
-        monkeypatch.setattr(graphmann.mann, "CSV_BLOCK_ROWS", block)
+        monkeypatch.setattr(graphmann.mann, "CSV_BLOCK_VALUES", block)
         traj = run(doubly_stochastic_map(3, 2.0), [0.1, 0.5, 0.9], Schedule.constant(0.6),
                    max_iter=n, tol=0.0)
         assert traj.n_iterates == n

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from graphmann import operators
 from graphmann.errors import DomainError, InputError
 from graphmann.mann import AuditStream, audit_block_rows
 from graphmann.normed_space import Ball, Box, NormSpace, contains
 from graphmann.operators import (
+    OPNORM_TOL,
     Componentwise,
     Identity,
     MatrixAffine,
@@ -119,6 +121,36 @@ class TestApplyBits:
             expect = np.clip(op.factor * x[::-1] + op.offset, box.lo, box.hi)
             assert op._apply(x).tobytes() == expect.tobytes()
 
+    # the clip ufunc is applied in place; these are the values where a
+    # different clip would show: -0.0 against 0.0, NaN, the infinities, and
+    # values on, just inside and outside the bounds
+    SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 0.25, 0.5, 0.75, 1.0,
+               5e-324, -5e-324, 1.0 + 2**-52, -1.0, 2.0]
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.0, 0.75), (0.25, 0.25), (0.5, 1.0)])
+    def test_clip_ufunc_special_values(self, lo, hi):
+        x = np.array(self.SPECIAL)
+        bounds = np.full(x.size, lo), np.full(x.size, hi)
+        expect = np.clip(x, *bounds)
+        out = x.copy()
+        assert operators._clip(out, *bounds, out) is out
+        assert out.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.0, 0.75), (0.25, 0.25), (0.5, 1.0)])
+    def test_special_values(self, lo, hi):
+        box = Box([lo], [hi])
+        space = NormSpace(1, 2.0)
+        affine = MatrixAffine(space, box, np.eye(1), [-0.0])
+        swap = NonmonotoneSwap(space, box, 0.5, [-0.0])
+        rows = np.array(self.SPECIAL)[:, None]
+        for x in rows:
+            expect = np.clip(affine.matrix @ x + affine.offset, lo, hi)
+            assert affine._apply(x).tobytes() == expect.tobytes()
+            expect = np.clip(0.5 * x[::-1] + swap.offset, lo, hi)  # keeps -0.0
+            assert swap._apply(x).tobytes() == expect.tobytes()
+        expect = np.clip(rows @ affine.matrix.T + affine.offset, lo, hi)
+        assert affine.apply_batch(rows).tobytes() == expect.tobytes()
+
 
 def block_test_operator(family, d, rng):
     """An operator of `family` at dimension d with random data, so that every
@@ -204,6 +236,53 @@ class TestConstructionGuards:
     def test_swap_factor_must_contract(self):
         with pytest.raises(InputError):
             NonmonotoneSwap(SPACE, UNIT_BOX, 1.0, [0.0, 0.0])
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_accepts_exactly_the_certified_matrices(self, rng, p):
+        # the interpolated bound decides first and the SVD only when it does
+        # not certify M, so the accepted set is that of matrix_opnorm_bound
+        matrices = [
+            np.array([[0.6, 0.6], [0.6, 0.0]]),  # interpolated 1.2, spectral 0.97
+            np.array([[0.6, 0.6], [0.6, 0.6]]),  # 1.2 in every l_p
+            np.array([[0.5, 0.5], [0.5, 0.5]]),  # exactly 1
+            np.array([[1.0 + 2e-9, 0.0], [0.0, 0.0]]),  # just beyond the tolerance
+            np.array([[1.0 + 5e-10, 0.0], [0.0, 0.5]]),  # just within it
+            np.array([[0.9, 0.2], [0.0, 0.7]]),
+            np.zeros((2, 2)),
+        ]
+        for _ in range(40):
+            m = rng.uniform(0, 1, (2, 2)) * rng.uniform(0, 1, (2, 2)) < 0.5
+            m = m * rng.uniform(0, 1, (2, 2))
+            matrices.append(m / max(matrix_opnorm_bound(m, 2.0), 1e-3) * rng.uniform(0.8, 1.2))
+        for m in matrices:
+            certified = matrix_opnorm_bound(m, p) <= 1.0 + OPNORM_TOL
+            try:
+                MatrixAffine(NormSpace(2, p), UNIT_BOX, m, [0.0, 0.0])
+                accepted = True
+            except InputError:
+                accepted = False
+            assert accepted == certified, (m, p)
+
+    def test_svd_only_when_interpolation_does_not_certify(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        d = 256
+        perm = sum(np.eye(d)[np.random.default_rng(k).permutation(d)] for k in range(3)) / 3
+        MatrixAffine(NormSpace(d, 2.0), Box(np.zeros(d), np.ones(d)), 0.995 * perm, np.zeros(d))
+        assert calls == []
+        MatrixAffine(SPACE, UNIT_BOX, np.array([[0.6, 0.6], [0.6, 0.0]]), [0.0, 0.0])
+        assert calls == [(2, 2)]
+
+    def test_rejected_matrix_message(self):
+        with pytest.raises(InputError) as info:
+            MatrixAffine(SPACE, UNIT_BOX, np.array([[0.6, 0.6], [0.6, 0.6]]), [0.0, 0.0])
+        assert str(info.value) == "certified operator norm bound 1.2 exceeds 1 for p=2.0"
 
     def test_opnorm_bound_exact_for_p1_pinf(self):
         m = np.array([[0.5, 0.4], [0.1, 0.2]])

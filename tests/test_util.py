@@ -4,8 +4,8 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from graphmann._util import _CHUNK, dumps_indent2, write_json
-from graphmann.mann import Schedule, run, trajectory_to_dict
+from graphmann._util import _CHUNK, dumps_indent2, jsonable, write_json
+from graphmann.mann import Schedule, run, trajectory_fields, trajectory_to_dict
 from graphmann.normed_space import Box, NormSpace
 from graphmann.operators import MatrixAffine
 
@@ -68,6 +68,29 @@ def chunked_row_lists(draw):
     return rows
 
 
+# array shapes: empty, one element, one column, rows across and longer
+# than a chunk, and 1-d arrays around a chunk
+ARRAY_SHAPES = ((0,), (1,), (7,), (_CHUNK + 1,), (3 * _CHUNK + 1,), (0, 3), (3, 0),
+                (1, 1), (5, 1), (_CHUNK + 1, 1), (4, 7), (_CHUNK // 7 + 3, 7),
+                (3, _CHUNK - 1), (2, _CHUNK + 1))
+
+
+@st.composite
+def number_arrays(draw):
+    """A 1-d or 2-d float or int array of one of ARRAY_SHAPES, a drawn
+    pattern repeated; float patterns hold the special floats."""
+    shape = draw(st.sampled_from(ARRAY_SHAPES))
+    if draw(st.booleans()):
+        entries = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                            st.sampled_from(SPECIAL_FLOATS))
+        dtype = float
+    else:
+        entries = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+        dtype = np.int64
+    pattern = np.array(draw(st.lists(entries, min_size=1, max_size=5)), dtype=dtype)
+    return np.resize(pattern, shape)
+
+
 chunked = st.one_of(chunked_number_lists(), chunked_row_lists())
 long_values = st.one_of(chunked, st.dictionaries(texts, chunked, min_size=1, max_size=2))
 
@@ -85,6 +108,16 @@ class TestDumpsIndent2:
         text = json.dumps(value, indent=2)
         assert path.read_bytes() == (text + "\n").encode()
         assert dumps_indent2(value) == text
+
+    @settings(max_examples=80, deadline=None)
+    @given(number_arrays(), st.sampled_from(("bare", "in_dict", "in_list")))
+    def test_arrays_match_json_dumps_of_their_lists(self, tmp_path_factory, array, where):
+        value = {"bare": array, "in_dict": {"a": array, "b": 1}, "in_list": [array, [1.5]]}[where]
+        text = json.dumps(jsonable(value), indent=2)
+        assert dumps_indent2(value) == text
+        path = tmp_path_factory.getbasetemp() / "array.json"
+        write_json(value, path)
+        assert path.read_bytes() == (text + "\n").encode()
 
     def test_special_floats_and_big_ints(self):
         value = {"x": list(SPECIAL_FLOATS) + [10**30, True, None]}
@@ -109,3 +142,5 @@ class TestDumpsIndent2:
         traj = run(op, np.zeros(3), Schedule.constant(0.7), max_iter=60, tol=0.0)
         record = {"schema_version": 1, "trajectory": trajectory_to_dict(traj)}
         assert dumps_indent2(record) == json.dumps(record, indent=2)
+        fields = {"schema_version": 1, "trajectory": trajectory_fields(traj)}
+        assert dumps_indent2(fields) == json.dumps(record, indent=2)
