@@ -18,15 +18,11 @@ from .normed_space import (
     contains,
     diameter,
     modulus_uc_estimate,
-    project,
     sample_point,
 )
 from .order_graph import (
     AuditReport,
     ConeRelation,
-    audit_cg,
-    audit_reflexive,
-    audit_transitive,
     sample_cone_element,
 )
 from .operators import (
@@ -36,11 +32,8 @@ from .operators import (
     MatrixAffine,
     NonmonotoneSwap,
     Operator,
-    audit_lipschitz_on_edges,
-    audit_monotone,
     known_fixed_points,
     matrix_opnorm_bound,
-    sample_domain_edge,
 )
 from .mann import (
     Schedule,

@@ -63,15 +63,10 @@ _NUMBER_TYPES = {int, float, bool, type(None)}
 _CHUNK = 4096
 
 
-def dumps_indent2(obj: Any) -> str:
-    """Exactly `json.dumps(obj, indent=2)`, mostly at the C encoder's speed;
-    an array in `obj` is written as its `tolist()`."""
-    return "".join(_indent2(obj, "\n"))
-
-
 def write_json(obj: Any, path: str | Path) -> None:
-    """Write `dumps_indent2(obj)` and a newline to `path`, piece by piece,
-    so the whole text is never held in memory."""
+    """Write exactly `json.dumps(obj, indent=2)` and a newline to `path`,
+    mostly at the C encoder's speed and piece by piece, so the whole text is
+    never held in memory; an array in `obj` is written as its `tolist()`."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_indent2(obj, "\n"))
         fh.write("\n")

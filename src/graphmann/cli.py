@@ -6,8 +6,8 @@ Subcommands:
   audit   re-check a stored trajectory against its config
   report  render a plain-text summary table from a JSON report
 
-Exit codes: 0 all audits pass, 1 config or I/O error, 2 at least one audit
-failure, 3 hypothesis-not-met outcomes without failures.
+Exit codes: 0 all audits pass, 1 usage, config or I/O error, 2 at least one
+audit failure, 3 hypothesis-not-met outcomes without failures.
 """
 
 from __future__ import annotations
@@ -142,7 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage and its message (or the help); a
+        # usage error exits 1, since 2 means an audit failed
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ConfigError, GraphmannError) as exc:

@@ -23,7 +23,6 @@ from typing import Any
 
 import numpy as np
 
-from ._util import write_json
 from .diagnostics import ALL_AUDITS
 from .errors import ConfigError, GraphmannError
 from .mann import DEFAULT_MAX_ITER, DEFAULT_TOL, Schedule, start_edges
@@ -400,10 +399,6 @@ def read_config(path) -> Any:
 
 def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(read_config(path))
-
-
-def save_config(config: ExperimentConfig, path) -> None:
-    write_json(config.to_dict(), path)
 
 
 # --- builders ---------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Finite-dimensional l_p spaces, convex bounded domains, and convexity modulus.
 
-The space fixes an l_p norm on R^d; domains are boxes (clamping projection,
-valid in every l_p) or norm balls (radial projection, p = 2 only).  The
+The space fixes an l_p norm on R^d; domains are boxes or norm balls.  The
 modulus-of-uniform-convexity estimator runs a seeded multistart search with
 local SLSQP refinement and reports the smallest feasible value found, which
 upper-bounds the true infimum up to optimizer tolerance.
@@ -15,11 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import as_vector, frozen_array
-from .errors import (
-    DimensionMismatchError,
-    InputError,
-    UnsupportedCombinationError,
-)
+from .errors import DimensionMismatchError, InputError
 
 MEMBERSHIP_TOL = 1e-9
 
@@ -120,23 +115,6 @@ def contains(space: NormSpace, body: ConvexBody, x, tol: float = MEMBERSHIP_TOL)
     if isinstance(body, Box):
         return bool(np.all(v >= body.lo - tol) and np.all(v <= body.hi + tol))
     return space.norm(v - body.center) <= body.radius + tol
-
-
-def project(space: NormSpace, body: ConvexBody, x) -> np.ndarray:
-    """Nearest point of the body; clamping for boxes, radial scaling for p=2 balls."""
-    _check_body(space, body)
-    v = as_vector(x, space.dimension, "x")
-    if isinstance(body, Box):
-        return np.clip(v, body.lo, body.hi)
-    if space.p != 2.0:
-        raise UnsupportedCombinationError(
-            "ball projection is only defined for p = 2"
-        )
-    offset = v - body.center
-    dist = float(np.linalg.norm(offset))
-    if dist <= body.radius:
-        return v
-    return body.center + offset * (body.radius / dist)
 
 
 def diameter(space: NormSpace, body: ConvexBody) -> float:

@@ -33,7 +33,9 @@ from graphmann.diagnostics import (
 )
 from graphmann.mann import STOP_TOLERANCE, Schedule, Trajectory, run
 from graphmann.normed_space import NormSpace, diameter, modulus_uc_estimate
-from graphmann.order_graph import (
+from test_normed_space import P2_MODULUS, grid_modulus_p2_d2
+from testonly_relations import (
+    MetricBallRelation,
     audit_cg,
     audit_reflexive,
     audit_transitive,
@@ -41,8 +43,6 @@ from graphmann.order_graph import (
     edge_pair_source,
     gaussian_point_source,
 )
-from test_normed_space import P2_MODULUS, grid_modulus_p2_d2
-from testonly_relations import MetricBallRelation
 
 AUDIT_STEPS = 200
 GK_PAIRS = 50

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graphmann._util import write_json
 from graphmann.cli import main
 from graphmann.config import (
     BodyConfig,
@@ -27,7 +28,6 @@ from graphmann.config import (
     build_space,
     build_start,
     load_config,
-    save_config,
 )
 from graphmann.corpus import negative_swap_config, oracle_1d_config, t_one_config
 from graphmann.diagnostics import ALL_AUDITS, run_audits, write_gk_records_csv
@@ -1056,6 +1056,32 @@ class TestNegativeCorpusConfigs:
         assert "fail" not in statuses
 
 
+class TestCliUsage:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--config", "demo.json", "--seed", "2.5"], "invalid int value: '2.5'"),
+            (["run"], "the following arguments are required: --config"),
+            ([], "the following arguments are required: command"),
+            (["bogus"], "invalid choice: 'bogus'"),
+            (["run", "--config", "demo.json", "--bogus"], "unrecognized arguments: --bogus"),
+        ],
+        ids=["fractional_seed", "missing_config", "no_subcommand", "unknown_subcommand",
+             "unknown_flag"],
+    )
+    def test_usage_error_is_exit_one(self, capsys, argv, message):
+        # 2 is reserved for an audit failure
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: graphmann")
+        assert message in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_is_exit_zero(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: graphmann")
+
+
 def test_load_config_from_file(tmp_path):
     data = oracle_1d_config(str(tmp_path / "o"))
     path = write_config(tmp_path, data)
@@ -1067,7 +1093,7 @@ def test_load_config_from_file(tmp_path):
 def test_save_config_round_trips(tmp_path):
     config = ExperimentConfig.from_dict(oracle_1d_config(str(tmp_path / "o")))
     path = tmp_path / "saved.json"
-    save_config(config, path)
+    write_json(config.to_dict(), path)
     assert load_config(path) == config
 
 

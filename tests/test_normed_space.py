@@ -24,9 +24,9 @@ from graphmann.normed_space import (
     contains,
     diameter,
     modulus_uc_estimate,
-    project,
     sample_point,
 )
+from testonly_operators import project
 
 # reference values for the p=2 modulus, 1 - sqrt(1 - eps^2/4); the grid
 # oracle below re-derives them before the estimator is held to them

@@ -13,13 +13,11 @@ from graphmann.operators import (
     Identity,
     MatrixAffine,
     NonmonotoneSwap,
-    audit_lipschitz_on_edges,
-    audit_monotone,
     known_fixed_points,
     matrix_opnorm_bound,
-    sample_domain_edge,
 )
 from graphmann.order_graph import ConeRelation
+from testonly_operators import audit_lipschitz_on_edges, audit_monotone, sample_domain_edge
 
 SPACE = NormSpace(2, 2.0)
 UNIT_BOX = Box([0.0, 0.0], [1.0, 1.0])

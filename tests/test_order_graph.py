@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from graphmann.errors import DimensionMismatchError, InputError
-from graphmann.order_graph import (
-    ConeRelation,
+from graphmann.order_graph import ConeRelation, sample_cone_element
+from testonly_relations import (
+    MetricBallRelation,
+    StrictConeRelation,
     audit_cg,
     audit_reflexive,
     audit_transitive,
     chained_triple_source,
     edge_pair_source,
     gaussian_point_source,
-    sample_cone_element,
 )
-from testonly_relations import MetricBallRelation, StrictConeRelation
 
 
 def coordinatewise(d=2):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from graphmann._util import _CHUNK, dumps_indent2, jsonable, write_json
+from graphmann._util import _CHUNK, _indent2, jsonable, write_json
 from graphmann.mann import Schedule, run, trajectory_fields, trajectory_to_dict
 from graphmann.normed_space import Box, NormSpace
 from graphmann.operators import MatrixAffine
@@ -93,6 +93,11 @@ def number_arrays(draw):
 
 chunked = st.one_of(chunked_number_lists(), chunked_row_lists())
 long_values = st.one_of(chunked, st.dictionaries(texts, chunked, min_size=1, max_size=2))
+
+
+def dumps_indent2(obj):
+    """The text `write_json` writes, without its final newline."""
+    return "".join(_indent2(obj, "\n"))
 
 
 class TestDumpsIndent2:
