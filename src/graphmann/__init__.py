@@ -8,7 +8,6 @@ from .errors import (
     GraphmannError,
     InputError,
     UndefinedProductError,
-    UnsupportedCombinationError,
 )
 from .normed_space import (
     Ball,
@@ -41,13 +40,10 @@ from .mann import (
     full_iterates,
     read_trajectory_csv,
     run,
-    verify_trajectory,
     write_trajectory_csv,
 )
 from .diagnostics import (
     ALL_AUDITS,
-    audit_edge_propagation,
-    audit_fejer,
     convergence_audit,
     exit_code_from_audits,
     gk_inequality_check,

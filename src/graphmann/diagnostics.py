@@ -35,7 +35,6 @@ from .mann import (
     Schedule,
     Trajectory,
     audit_block_rows,
-    full_iterates,
     start_edges,
     stream_record,
     verify_trajectory,
@@ -51,7 +50,6 @@ from .order_graph import (
 
 INEQUALITY_SLACK_TOL = 1e-9
 MONOTONE_TOL = 1e-12
-FEJER_FIXED_POINT_TOL = 1e-10
 ACCEPT_FIXED_POINT_TOL = 1e-8
 
 # run_audits checks the telescoping inequality at GK_PAIRS seeded random
@@ -81,35 +79,17 @@ IMAGE_AUDITS = frozenset({"trajectory", "edge_propagation"})
 
 
 def audit_edge_propagation(
-    traj: Trajectory | None,
-    operator: Operator,
-    rel: ConeRelation,
-    block: AuditBlock | None = None,
-    report: AuditReport | None = None,
+    rel: ConeRelation, block: AuditBlock, report: AuditReport
 ) -> AuditReport:
-    """Check the propagated edges along the whole run.
+    """Check the propagated edges of the steps leaving one audit block, and
+    extend `report` (made by `_edge_report`) with them.
 
     With a forward-comparable start this is (x_n, x_{n+1}) and
     (x_{n+1}, T(x_n)) for every step; with a reverse-comparable start both
-    families run mirrored.  A start comparable in neither direction yields
-    hypothesis-not-met.  The direction is read from the trajectory's start
-    flags (`Trajectory.start_edge_case`); a record without them raises
-    InputError.  The witness is the first failing step edge, or the first
-    failing image edge when every step edge holds.
-
-    The steps are checked one audit block at a time, with T applied once
-    per block; a block's last step reads the first row of the next.
-    `block` and `report` work as in `verify_trajectory`.
+    families run mirrored.  The witness is the first failing step edge, or
+    the first failing image edge when every step edge holds.  A block's last
+    step reads the first row of the next.
     """
-    if report is None:
-        report = _edge_report(traj.start_edge_case())
-        if not report.hypothesis_met:
-            return report
-    if block is None:
-        stream = AuditStream(operator)
-        stream.audit = partial(audit_edge_propagation, None, operator, rel, report=report)
-        stream_record(traj, operator, stream)
-        return report
     x, tx, start = block.x, block.tx, block.start  # the steps leaving rows start..stop-1
     steps = x.shape[0] - 1
     if steps == 0:
@@ -147,47 +127,28 @@ def _edge_report(case: str | None) -> AuditReport:
 
 
 def audit_fejer(
-    traj: Trajectory | None,
-    omega,
-    operator: Operator,
-    rel: ConeRelation,
-    space: NormSpace,
-    block: AuditBlock | None = None,
-    report: AuditReport | None = None,
+    omega, rel: ConeRelation, space: NormSpace, block: AuditBlock, report: AuditReport
 ) -> AuditReport:
-    """Check edge(x_n, omega) for all n and nonincreasing distances to omega.
+    """Check edge(x_n, omega) and nonincreasing distances to omega over one
+    audit block, and extend `report` with them.
 
-    Requires omega to be a fixed point (within 1e-10) with edge(x_1, omega);
-    otherwise the result is hypothesis-not-met.  The witness is the first
-    iterate outside the edge to omega, or the first distance increase when
-    every edge holds.
-
-    The rows are checked one audit block at a time; a block's first
-    distance is compared with the last row of the block before.  `block`
-    and `report` work as in `verify_trajectory`.
+    omega is the known fixed point that `_fejer_target` found comparable
+    with x_1.  The witness is the first iterate outside the edge to omega,
+    or the first distance increase when every edge holds.  A block's first
+    distance is compared with the last row of the block before.
     """
-    w = as_vector(omega, space.dimension, "omega")
-    if report is None:
-        report = _fejer_report(w, operator, rel, space, traj.iterates[0])
-        if not report.hypothesis_met:
-            return report
-    if block is None:
-        stream = AuditStream()
-        stream.audit = partial(audit_fejer, None, w, operator, rel, space, report=report)
-        stream_record(traj, operator, stream)
-        return report
     start, stop = block.start, block.stop
     x = block.x[: stop - start]
-    member = rel.diffs_in_cone(w - x)
+    member = rel.diffs_in_cone(omega - x)
     report.trials += stop - start
     bad = np.flatnonzero(~member)
     if bad.size:
         k = int(bad[0])
-        report.fail(int(bad.size), (0, start + k), (x[k], w))
+        report.fail(int(bad.size), (0, start + k), (x[k], omega))
     # distances from the last row of the block before on, whose distance is
     # the limit estimate so far (norms of rows do not depend on the other
     # rows of the batch)
-    dist = space.norms(x - w)
+    dist = space.norms(x - omega)
     if block.prev is not None:
         dist = np.concatenate(([report.extra["limit_estimate"]], dist))
     lo = stop - dist.shape[0]
@@ -202,21 +163,11 @@ def audit_fejer(
     return report
 
 
-def _fejer_report(w, operator: Operator, rel: ConeRelation, space: NormSpace, x1) -> AuditReport:
-    """The Fejer report before its first block: not met unless omega is a
-    fixed point with edge(x_1, omega)."""
-    if space.norm(operator._apply(w) - w) > FEJER_FIXED_POINT_TOL:
-        return AuditReport.not_met("fejer_monotone", "omega is not a fixed point")
-    if not rel.contains(x1, w):
-        return AuditReport.not_met("fejer_monotone", "edge(x_1, omega) does not hold")
-    return AuditReport("fejer_monotone")
-
-
 def gk_inequality_check(
     traj: Trajectory,
     operator: Operator,
     pairs: list[tuple[int, int]],
-    x_all: np.ndarray | None = None,
+    x_head: np.ndarray,
     tx_head: np.ndarray | None = None,
 ) -> AuditReport:
     """Evaluate the telescoping inequality at the requested (i, n) pairs.
@@ -227,22 +178,19 @@ def gk_inequality_check(
     hypotheses hold.  Spans touching a step with t_s = 1 are undefined.
     The report holds one record {i, n, lhs, rhs, slack} per pair, counts a
     failure per slack below -1e-9 and notes the least slack as `min_slack`.
-    `x_all` holds the run's first iterates, through at least row i + n of
-    every pair (all of them, `full_iterates`, when not given), and
-    `tx_head` is `operator.apply_batch` of its first rows, through at least
-    row i + n of every pair (`run_audits` passes the head of its first audit
-    block).  When it is not given or too short, T is applied here to the
-    head rows only: one batch of at least an audit block (`run_audits` then
-    passes that many rows), whose bits are those of a batch over the whole
-    array.
+    `x_head` holds the run's first iterates, through at least row i + n of
+    every pair, and `tx_head` is `operator.apply_batch` of its first rows,
+    through at least row i + n of every pair (`run_audits` passes the head
+    of its first audit block).  When it is not given or too short, T is
+    applied here to the head rows only: one batch of at least an audit
+    block (`run_audits` then passes that many rows), whose bits are those of
+    a batch over the whole array.
     """
     n_total = traj.n_iterates
-    if x_all is None:
-        x_all = full_iterates(traj, operator)
     head = max((i + n for i, n in pairs), default=0)
     if head > (0 if tx_head is None else tx_head.shape[0]):
         rows = max(head, audit_block_rows(traj.dimension))
-        tx_head = operator.apply_batch(x_all[:rows])
+        tx_head = operator.apply_batch(x_head[:rows])
     space = operator.space
     report = AuditReport("gk_inequality", trials=len(pairs), records=[])
     for i, n in pairs:
@@ -264,7 +212,7 @@ def gk_inequality_check(
         prod = float(np.prod(1.0 / one_minus))
         gap = r_i - r_in
         telescoped = 0.0 if gap == 0.0 else prod * gap
-        rhs = space.norm(tx_head[i + n - 1] - x_all[i - 1]) + telescoped
+        rhs = space.norm(tx_head[i + n - 1] - x_head[i - 1]) + telescoped
         slack = rhs - lhs
         report.records.append({"i": i, "n": n, "lhs": lhs, "rhs": rhs, "slack": slack})
         if slack < -INEQUALITY_SLACK_TOL:
@@ -452,18 +400,17 @@ class AuditPass(AuditStream):
         x1 = block.x[0]
         if "trajectory" in self.names:
             report = AuditReport("trajectory_consistency")
-            self._add("trajectory", report, verify_trajectory, None, operator)
+            self._add("trajectory", report, verify_trajectory, space)
         if "edge_propagation" in self.names:
-            report = _edge_report(self.case)
-            self._add("edge_propagation", report, audit_edge_propagation, None, operator, rel)
+            self._add("edge_propagation", _edge_report(self.case), audit_edge_propagation, rel)
         if "fejer" in self.names:
             target = _fejer_target(x1, operator, rel)
             if isinstance(target, AuditReport):
                 self.reports["fejer"] = target
             else:
                 omega, edge_rel, self.fejer_direction = target
-                report = _fejer_report(omega, operator, edge_rel, space, x1)
-                self._add("fejer", report, audit_fejer, None, omega, operator, edge_rel, space)
+                report = AuditReport("fejer_monotone")
+                self._add("fejer", report, audit_fejer, omega, edge_rel, space)
         if "gk_inequality" in self.names:
             # the pairs lie in the first GK_WINDOW rows; where the first
             # block's images do not cover them, gk_inequality_check applies

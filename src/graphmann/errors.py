@@ -17,10 +17,6 @@ class DomainError(GraphmannError):
     """A point lies outside the operator's domain."""
 
 
-class UnsupportedCombinationError(GraphmannError):
-    """A valid pair of objects that the library deliberately does not combine."""
-
-
 class UndefinedProductError(GraphmannError):
     """A step product includes a factor (1 - t) with t = 1."""
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -148,9 +148,11 @@ def run_experiment(
     read all N iterates while the record written (and returned) keeps only
     the recorded ones, and no (N, d) history is ever held.  `built` is the
     config's build with the start for `seed` (a sweep builds every value
-    first); without it the config is built here.
+    first); without it the config is built here.  The config is echoed, and
+    returned, with the seed the run used.
     """
     seed = config.seed if seed is None else check_seed(seed)
+    config = replace(config, seed=seed)
     if built is None:
         built = _build(config, seed)
     space, rel, operator, schedule = built.space, built.rel, built.operator, built.schedule

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._util import as_vector, frozen_array, jsonable
 from .errors import ConfigError, DomainError, InputError
-from .normed_space import MEMBERSHIP_TOL, Box, contains
+from .normed_space import MEMBERSHIP_TOL, Box, NormSpace, contains
 from .operators import Operator
 from .order_graph import AuditReport, ConeRelation
 
@@ -622,18 +622,14 @@ def full_iterates(traj: Trajectory, operator: Operator) -> np.ndarray:
     return np.concatenate([block[:count] for block, count in iterate_rows(traj, operator)])
 
 
-def verify_trajectory(
-    traj: Trajectory | None,
-    operator: Operator,
-    block: AuditBlock | None = None,
-    report: AuditReport | None = None,
-) -> AuditReport:
-    """Recompute every residual and every recorded step of a trajectory.
+def verify_trajectory(space: NormSpace, block: AuditBlock, report: AuditReport) -> AuditReport:
+    """Recompute the residuals and recorded steps of one audit block, and
+    extend `report` with them.
 
-    The record's iterates are read as stored, replayed gap by gap when
-    decimated, and checked one audit block at a time (`stream_record`),
-    with T applied once per block, in two families of vector comparisons,
-    each with tolerance STEP_RECOMPUTE_TOL (1e-12):
+    `run_audits` calls this once per block of its one pass over a run's
+    iterates (stored, or replayed gap by gap when decimated), with T applied
+    once per block.  Over the run that makes two families of vector
+    comparisons, each with tolerance STEP_RECOMPUTE_TOL (1e-12):
 
     * residual n, for every n = 1..N: | ||x_n - T x_n|| - r_n |;
     * step to each recorded iterate x_h after the first: the norm of
@@ -649,21 +645,7 @@ def verify_trajectory(
     against a matrix-vector product), an error of order 1e-16 times the
     size of the iterates, far inside the tolerance, so any run() output
     verifies with zero failures.
-
-    Each block is checked by a call with that `block`, which carries its
-    slices of the record (so `traj` is not read and may be None), and the
-    `report` the checks of the earlier blocks extended: `run_audits` makes
-    these calls in its one pass over a run's blocks, and a call without
-    `block` makes them by streaming `traj` itself.
     """
-    if report is None:
-        report = AuditReport("trajectory_consistency")
-    if block is None:
-        stream = AuditStream(operator)
-        stream.audit = partial(verify_trajectory, None, operator, report=report)
-        stream_record(traj, operator, stream)
-        return report
-    space = operator.space
     x, tx, checked = block.x[: block.stop - block.start], block.tx, block.checked
     residual_ok = np.abs(space.norms(x - tx) - block.residuals) <= STEP_RECOMPUTE_TOL
     predicted = _step(x[checked], tx[checked], block.steps[:, None])

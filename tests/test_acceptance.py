@@ -22,8 +22,6 @@ from graphmann.corpus import (
     t_one_config,
 )
 from graphmann.diagnostics import (
-    audit_edge_propagation,
-    audit_fejer,
     convergence_audit,
     gk_inequality_check,
     rate_audit,
@@ -34,6 +32,7 @@ from graphmann.diagnostics import (
 from graphmann.mann import STOP_TOLERANCE, Schedule, Trajectory, run
 from graphmann.normed_space import NormSpace, diameter, modulus_uc_estimate
 from test_normed_space import P2_MODULUS, grid_modulus_p2_d2
+from testonly_records import audit_record
 from testonly_relations import (
     MetricBallRelation,
     audit_cg,
@@ -95,8 +94,8 @@ def test_criterion_1_edge_propagation(corpus):
         if item.audit_traj.n_iterates != AUDIT_STEPS + 1:
             bad.append((item.instance.name, "short run"))
             continue
-        report = audit_edge_propagation(
-            item.audit_traj, item.instance.operator, item.instance.relation
+        report = audit_record(
+            "edge_propagation", item.audit_traj, item.instance.operator, item.instance.relation
         )
         if report.status != "pass" or report.trials != 2 * AUDIT_STEPS:
             bad.append((item.instance.name, report.status, report.failures))
@@ -129,7 +128,8 @@ def test_criterion_3_goebel_kirk(corpus):
         for _ in range(GK_PAIRS):
             i = int(rng.integers(1, AUDIT_STEPS))
             pairs.append((i, int(rng.integers(1, AUDIT_STEPS - i + 1))))
-        records = gk_inequality_check(item.audit_traj, item.instance.operator, pairs).records
+        traj = item.audit_traj
+        records = gk_inequality_check(traj, item.instance.operator, pairs, traj.iterates).records
         low = min(r["slack"] for r in records)
         worst = min(worst, low)
         if low < -1e-9:
@@ -139,7 +139,7 @@ def test_criterion_3_goebel_kirk(corpus):
     from test_diagnostics import midpoint_map
 
     traj = run(midpoint_map(), [0.0], Schedule.constant(0.5), max_iter=3, tol=0.0)
-    (record,) = gk_inequality_check(traj, midpoint_map(), [(1, 1)]).records
+    (record,) = gk_inequality_check(traj, midpoint_map(), [(1, 1)], traj.iterates).records
     hand_ok = (
         abs(record["lhs"] - 0.75) <= 1e-12
         and abs(record["rhs"] - 0.875) <= 1e-12
@@ -156,10 +156,11 @@ def test_criterion_4_fejer(corpus):
     bad = []
     for item in corpus.runs:
         inst = item.instance
-        rel = inst.relation if inst.start_case == "forward" else inst.relation.reversed()
-        report = audit_fejer(item.audit_traj, inst.omega, inst.operator, rel, inst.space)
+        report = audit_record("fejer", item.audit_traj, inst.operator, inst.relation)
         if report.status != "pass":
             bad.append((inst.name, report.status))
+        elif abs(report.extra["initial_distance"] - inst.space.norm(inst.x1 - inst.omega)) > 1e-12:
+            bad.append((inst.name, "another fixed point"))
         elif report.extra["limit_estimate"] > report.extra["initial_distance"] + 1e-12:
             bad.append((inst.name, "distance grew"))
     criterion(

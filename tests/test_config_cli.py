@@ -684,6 +684,31 @@ class TestCliRun:
         b = read_csv_rows(tmp_path / "s2" / "trajectory.csv")[0]["x_1"]
         assert a != b
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_seed_override_is_echoed(self, tmp_path, command):
+        # the echoed config reruns the run it records: the same random start
+        # and the same Goebel-Kirk pairs
+        data = oracle_1d_config(str(tmp_path / "o"))
+        data["space"]["dimension"] = 3
+        data["operator"] = {"kind": "matrix_affine", "scale": 0.9, "offset": 0.05}
+        data["start"] = {"kind": "random_comparable"}
+        path = write_config(tmp_path, data)
+        first = tmp_path / "first"
+        if command == "run":
+            args = ["run", "--config", path, "--out", str(first)]
+        else:
+            args = ["sweep", "--config", path, "--axis", "schedule.t", "--values", "0.5",
+                    "--out", str(tmp_path / "sw")]
+            first = tmp_path / "sw" / "schedule_t=0.5"
+        assert main(args + ["--seed", "5", "--quiet"]) == 0
+        echo = json.loads((first / "run.json").read_text())["config"]
+        assert echo["seed"] == 5
+        again = tmp_path / "again"
+        echo_path = write_config(tmp_path, echo, "echo.json")
+        assert main(["run", "--config", echo_path, "--out", str(again), "--quiet"]) == 0
+        for name in ("run.json", "trajectory.csv", "audits.json"):
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
     def test_start_at_fixed_point_writes_standard_json(self, tmp_path):
         # a one-iterate run checks no Goebel-Kirk pair and no rate span
         data = oracle_1d_config(str(tmp_path / "fixed"))

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +11,9 @@ from graphmann.config import ExperimentConfig
 from graphmann.diagnostics import (
     ALL_AUDITS,
     AuditPass,
-    FEJER_FIXED_POINT_TOL,
     INCOMPARABLE_START,
     MONOTONE_TOL,
-    audit_edge_propagation,
-    audit_fejer,
+    REPLAYING_AUDITS,
     convergence_audit,
     exit_code_from_audits,
     gk_inequality_check,
@@ -53,7 +52,7 @@ from graphmann.operators import (
     known_fixed_points,
 )
 from graphmann.order_graph import AuditReport, ConeRelation
-from testonly_records import decimate
+from testonly_records import audit_record, decimate
 
 SPACE1 = NormSpace(1, 2.0)
 BOX1 = Box([0.0], [1.0])
@@ -218,30 +217,23 @@ def reference_fejer(traj, operator, rel, space, x_all):
     for w in known_fixed_points(operator).known_points:
         for direction, edge_rel in (("forward", rel), ("reverse", rel.reversed())):
             if edge_rel.contains(x1, w):
-                if space.norm(operator._apply(w) - w) > FEJER_FIXED_POINT_TOL:
-                    report = AuditReport.not_met("fejer_monotone", "omega is not a fixed point")
-                elif not edge_rel.contains(x_all[0], w):
-                    report = AuditReport.not_met(
-                        "fejer_monotone", "edge(x_1, omega) does not hold"
-                    )
-                else:
-                    report = AuditReport("fejer_monotone")
-                    member = edge_rel.diffs_in_cone(w - x_all)
-                    report.trials += int(member.shape[0])
-                    bad = np.flatnonzero(~member)
-                    if bad.size:
-                        report.failures += int(bad.size)
-                        report.witness = (np.array(x_all[int(bad[0])]), np.array(w))
-                    dist = space.norms(x_all - w)
-                    increases = np.flatnonzero(dist[1:] > dist[:-1] + MONOTONE_TOL)
-                    report.trials += int(dist.shape[0] - 1)
-                    if increases.size:
-                        report.failures += int(increases.size)
-                        if report.witness is None:
-                            k = int(increases[0])
-                            report.witness = (np.array(x_all[k]), np.array(x_all[k + 1]))
-                    report.extra["initial_distance"] = float(dist[0])
-                    report.extra["limit_estimate"] = float(dist[-1])
+                report = AuditReport("fejer_monotone")
+                member = edge_rel.diffs_in_cone(w - x_all)
+                report.trials += int(member.shape[0])
+                bad = np.flatnonzero(~member)
+                if bad.size:
+                    report.failures += int(bad.size)
+                    report.witness = (np.array(x_all[int(bad[0])]), np.array(w))
+                dist = space.norms(x_all - w)
+                increases = np.flatnonzero(dist[1:] > dist[:-1] + MONOTONE_TOL)
+                report.trials += int(dist.shape[0] - 1)
+                if increases.size:
+                    report.failures += int(increases.size)
+                    if report.witness is None:
+                        k = int(increases[0])
+                        report.witness = (np.array(x_all[k]), np.array(x_all[k + 1]))
+                report.extra["initial_distance"] = float(dist[0])
+                report.extra["limit_estimate"] = float(dist[-1])
                 report.extra["direction"] = direction
                 return report
     note = (
@@ -297,14 +289,14 @@ class TestGoebelKirk:
         # t = 0.5, x1 = 0: r1 = 0.5, x2 = 0.25, T(x2) = 0.625, r2 = 0.375,
         # so lhs = 1.5 * 0.5 and rhs = 0.625 + 2 * (0.5 - 0.375)
         traj = oracle_run(n=3)
-        (record,) = gk_inequality_check(traj, midpoint_map(), [(1, 1)]).records
+        (record,) = gk_inequality_check(traj, midpoint_map(), [(1, 1)], traj.iterates).records
         assert record["lhs"] == pytest.approx(0.75, abs=1e-12)
         assert record["rhs"] == pytest.approx(0.875, abs=1e-12)
         assert record["slack"] == pytest.approx(0.125, abs=1e-12)
 
     def test_fixed_point_run_has_nonnegative_slack(self):
         traj = constant_trajectory([0.5, 0.5], 10)
-        report = gk_inequality_check(traj, half_maps(), [(1, 1), (2, 5), (1, 9)])
+        report = gk_inequality_check(traj, half_maps(), [(1, 1), (2, 5), (1, 9)], traj.iterates)
         assert report.trials == 3 and report.status == "pass"
         for record in report.records:
             assert record["lhs"] == 0.0
@@ -316,7 +308,7 @@ class TestGoebelKirk:
         for _ in range(50):
             i = int(rng.integers(1, 199))
             pairs.append((i, int(rng.integers(1, 200 - i + 1))))
-        report = gk_inequality_check(traj, gentle_maps(), pairs)
+        report = gk_inequality_check(traj, gentle_maps(), pairs, traj.iterates)
         assert report.failures == 0
         for record in report.records:
             assert record["slack"] >= -1e-9
@@ -324,7 +316,7 @@ class TestGoebelKirk:
     def test_span_beyond_trajectory_rejected(self):
         traj = oracle_run(n=5)
         with pytest.raises(InputError):
-            gk_inequality_check(traj, midpoint_map(), [(3, 4)])
+            gk_inequality_check(traj, midpoint_map(), [(3, 4)], traj.iterates)
 
     def test_images_of_the_head_rows_only(self, monkeypatch):
         d = 256
@@ -332,7 +324,8 @@ class TestGoebelKirk:
         schedule = Schedule.constant(0.5)
         traj = run(op, np.zeros(d), schedule, max_iter=3000, tol=0.0)
         pairs = [(1, 199), (150, 50)]
-        whole = gk_inequality_check(traj, op, pairs, tx_head=op.apply_batch(traj.iterates)).to_dict()
+        x_all = traj.iterates
+        whole = gk_inequality_check(traj, op, pairs, x_all, op.apply_batch(x_all)).to_dict()
         rows = []
         apply_batch = MatrixAffine.apply_batch
 
@@ -342,10 +335,10 @@ class TestGoebelKirk:
 
         monkeypatch.setattr(MatrixAffine, "apply_batch", counted)
         # one batch of an audit block, whose bits are those of the whole array
-        assert gk_inequality_check(traj, op, pairs).to_dict() == whole
+        assert gk_inequality_check(traj, op, pairs, x_all).to_dict() == whole
         assert rows == [audit_block_rows(d)]
         # pairs beyond the block widen the batch to the rows they read
-        gk_inequality_check(traj, op, [(2000, 500)])
+        gk_inequality_check(traj, op, [(2000, 500)], x_all)
         assert rows[1:] == [2500]
         rows.clear()
         rel = ConeRelation(np.eye(d))
@@ -356,7 +349,7 @@ class TestGoebelKirk:
         sched = Schedule.constant(1.0, enforce_bounds=False)
         traj = run(midpoint_map(), [0.0], sched, max_iter=5, tol=0.0)
         with pytest.raises(UndefinedProductError):
-            gk_inequality_check(traj, midpoint_map(), [(1, 2)])
+            gk_inequality_check(traj, midpoint_map(), [(1, 2)], traj.iterates)
 
 
 class TestRate:
@@ -460,7 +453,7 @@ class TestFejer:
     def test_oracle_distances_match_closed_form(self):
         traj = oracle_run(n=100)
         op = midpoint_map()
-        report = audit_fejer(traj, [1.0], op, REL1, SPACE1)
+        report = audit_record("fejer", traj, op, REL1)
         assert report.status == "pass" and report.failures == 0
         dist = np.abs(full_iterates(traj, op)[:, 0] - 1.0)
         expect = 0.75 ** np.arange(100)
@@ -470,43 +463,33 @@ class TestFejer:
 
     def test_start_at_fixed_point_all_distances_zero(self):
         traj = run(half_maps(), [0.5, 0.5], Schedule.constant(0.3), rel=COORD2)
-        report = audit_fejer(traj, [0.5, 0.5], half_maps(), COORD2, SPACE2)
+        report = audit_record("fejer", traj, half_maps(), COORD2)
         assert report.status == "pass"
         assert report.extra["limit_estimate"] == 0.0
 
     def test_matrix_run_nonincreasing_distances(self):
         traj = run(half_maps(), [0.05, 0.1], Schedule.constant(0.4), max_iter=200, tol=0.0, rel=COORD2)
-        report = audit_fejer(traj, [0.5, 0.5], half_maps(), COORD2, SPACE2)
+        report = audit_record("fejer", traj, half_maps(), COORD2)
         assert report.failures == 0
         assert report.extra["limit_estimate"] <= report.extra["initial_distance"]
-
-    def test_non_fixed_omega_is_hypothesis_not_met(self):
-        traj = oracle_run(n=10)
-        report = audit_fejer(traj, [0.3], midpoint_map(), REL1, SPACE1)
-        assert report.status == "hypothesis_not_met"
-
-    def test_missing_start_edge_is_hypothesis_not_met(self):
-        traj = run(half_maps(), [0.9, 0.9], Schedule.constant(0.4), max_iter=20, tol=0.0, rel=COORD2)
-        report = audit_fejer(traj, [0.5, 0.5], half_maps(), COORD2, SPACE2)
-        assert report.status == "hypothesis_not_met"
 
 
 class TestEdgePropagation:
     def test_monotone_library_run_passes(self):
         traj = run(half_maps(), [0.1, 0.2], Schedule.constant(0.4), max_iter=200, tol=0.0, rel=COORD2)
-        report = audit_edge_propagation(traj, half_maps(), COORD2)
+        report = audit_record("edge_propagation", traj, half_maps(), COORD2)
         assert report.status == "pass" and report.failures == 0
         assert report.trials == 2 * 199
 
     def test_identity_run_all_loops(self, rng):
         op = Identity(SPACE2, BOX2)
         traj = run(op, rng.uniform(0, 1, 2), Schedule.constant(0.5), rel=COORD2)
-        assert audit_edge_propagation(traj, op, COORD2).status == "pass"
+        assert audit_record("edge_propagation", traj, op, COORD2).status == "pass"
 
     def test_reverse_comparable_start_uses_mirrored_edges(self):
         traj = run(half_maps(), [0.9, 0.8], Schedule.constant(0.4), max_iter=100, tol=0.0, rel=COORD2)
         assert traj.start_edge_reverse and not traj.start_edge_forward
-        report = audit_edge_propagation(traj, half_maps(), COORD2)
+        report = audit_record("edge_propagation", traj, half_maps(), COORD2)
         assert report.status == "pass"
         assert report.extra["case"] == "reverse"
 
@@ -516,7 +499,7 @@ class TestEdgePropagation:
         op = NonmonotoneSwap(SPACE2, BOX2, 0.5, [0.3, 0.1])
         traj = run(op, [0.55, 0.55], Schedule.constant(0.5), max_iter=50, tol=0.0, rel=rel)
         assert traj.start_edge_forward
-        report = audit_edge_propagation(traj, op, rel)
+        report = audit_record("edge_propagation", traj, op, rel)
         assert report.status == "fail"
         assert report.failures > 0
         assert report.extra["first_failure"]["step"] == 2
@@ -524,14 +507,14 @@ class TestEdgePropagation:
     def test_incomparable_start_is_hypothesis_not_met(self):
         op = MatrixAffine(SPACE2, BOX2, np.array([[0.0, 0.5], [0.5, 0.0]]), [0.2, 0.2])
         traj = run(op, [0.9, 0.05], Schedule.constant(0.5), max_iter=20, tol=0.0, rel=COORD2)
-        report = audit_edge_propagation(traj, op, COORD2)
+        report = audit_record("edge_propagation", traj, op, COORD2)
         assert report.status == "hypothesis_not_met"
 
     def test_record_without_start_flags_rejected(self):
         traj = run(half_maps(), [0.1, 0.2], Schedule.constant(0.4), max_iter=20, tol=0.0)
         assert traj.start_edge_case() is None
         with pytest.raises(InputError):
-            audit_edge_propagation(traj, half_maps(), COORD2)
+            audit_record("edge_propagation", traj, half_maps(), COORD2)
 
 
 class TestResidualMonotone:
@@ -640,6 +623,15 @@ class TestOrchestration:
         own = run_audits(ALL_AUDITS, traj, *args, diam=2.0)
         assert run_audits(ALL_AUDITS, exported, *args, diam=2.0) == own
 
+    def test_readme_library_block(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Library use", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        scope = {}
+        exec(block, scope)
+        reports = scope["reports"]
+        assert reports and all(entry["status"] == "pass" for entry in reports.values())
+
     def test_exit_code_precedence(self):
         assert exit_code_from_audits({"a": {"status": "pass"}}) == 0
         assert exit_code_from_audits(
@@ -716,18 +708,17 @@ class TestBlockedAudit:
     )
     @pytest.mark.parametrize("stride", [1, 2])
     def test_standalone_auditors(self, stride, kind, m):
-        # called on a record, the edge and Fejer auditors stream it through
-        # the same blocks; at stride 2 recorded rows B - 1..B + 1 are
+        # each alone in the pass over a record, the edge and Fejer auditors
+        # read the same blocks; at stride 2 recorded rows B - 1..B + 1 are
         # iterates 2B - 1..2B + 3, round the second block boundary
         op = gentle_maps()
         full = run(op, [0.1, 0.2], Schedule.constant(0.5), max_iter=40, tol=0.0, rel=COORD2)
         traj = tamper(decimate(full, stride), kind, m)
         x_all = full_iterates(traj, op)
-        edges = audit_edge_propagation(traj, op, COORD2)
+        edges = audit_record("edge_propagation", traj, op, COORD2)
         expect = reference_edges(traj, COORD2, x_all, op.apply_batch(x_all))
         assert edges.to_dict() == expect.to_dict()
-        omega = known_fixed_points(op).known_points[0]
-        fejer = audit_fejer(traj, omega, op, COORD2, SPACE2)
+        fejer = audit_record("fejer", traj, op, COORD2)
         expect = reference_fejer(traj, op, COORD2, SPACE2, x_all)
         assert expect.extra.pop("direction") == "forward"
         assert fejer.to_dict() == expect.to_dict()
@@ -808,6 +799,33 @@ class TestBlockedAuditAtScale:
                 tracemalloc.stop()
             assert all(e["status"] != "fail" for e in results.values())
         assert peaks[1] - peaks[0] < audit_block_rows(d) * d * 8
+
+
+@pytest.mark.parametrize("kind", [None, "iterate_down"])
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("block_rows", [None, B], ids=["shipped_rule", f"block_rows{B}"])
+def test_each_replaying_auditor_alone_matches_the_full_pass(monkeypatch, block_rows, stride,
+                                                            kind):
+    # alone, `fejer` and `gk_inequality` stream the record with no T applied,
+    # and gk_inequality_check applies T to the head rows itself; a 1 500-row
+    # run spans audit blocks under either rule (1 024 rows at d = 64)
+    if block_rows is not None:
+        monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_BYTES", 0)
+    d = 64
+    op = permutation_map(d, 0.999)
+    rel = ConeRelation(np.eye(d))
+    schedule = Schedule.constant(0.5)
+    full = run(op, np.zeros(d), schedule, max_iter=1500, tol=0.0, rel=rel)
+    traj = decimate(full, stride)
+    if kind is not None:
+        traj = tamper(traj, kind, B)
+    args = (traj, op, rel, op.space, schedule)
+    every = run_audits(ALL_AUDITS, *args, diam=8.0, seed=3)
+    for name in sorted(REPLAYING_AUDITS):
+        assert run_audits([name], *args, diam=8.0, seed=3) == {name: every[name]}, name
+    if kind is not None:
+        assert every["trajectory"]["status"] == "fail"
 
 
 STRIDES = [1, 7, 50]

@@ -27,7 +27,6 @@ from graphmann.mann import (
     start_edges,
     trajectory_from_dict,
     trajectory_to_dict,
-    verify_trajectory,
     write_trajectory_csv,
 )
 from graphmann.normed_space import MEMBERSHIP_TOL, Ball, Box, NormSpace, contains
@@ -39,7 +38,7 @@ from graphmann.operators import (
     Operator,
 )
 from graphmann.order_graph import AuditReport, ConeRelation
-from testonly_records import decimate
+from testonly_records import audit_record, decimate
 
 SPACE1 = NormSpace(1, 2.0)
 BOX1 = Box([0.0], [1.0])
@@ -492,7 +491,7 @@ class TestDecimation:
             midpoint_map(), [0.0], Schedule.constant(0.5),
             max_iter=80, tol=0.0, record_stride=9,
         )
-        assert verify_trajectory(thin, midpoint_map()).failures == 0
+        assert audit_record("trajectory", thin, midpoint_map()).failures == 0
 
     @pytest.mark.parametrize("stride", [1, 2, 7, 50, 1000])
     def test_decimate_matches_strided_run(self, stride):
@@ -528,21 +527,21 @@ class TestDecimation:
 class TestVerify:
     def test_any_run_output_passes(self):
         traj = run(midpoint_map(), [0.0], Schedule.constant(0.5), max_iter=60, tol=0.0)
-        report = verify_trajectory(traj, midpoint_map())
+        report = audit_record("trajectory", traj, midpoint_map())
         assert report.status == "pass" and report.failures == 0
 
     def test_tampered_iterate_detected(self):
         traj = run(midpoint_map(), [0.0], Schedule.constant(0.5), max_iter=60, tol=0.0)
         traj.iterates = traj.iterates.copy()
         traj.iterates[30, 0] += 1e-6
-        report = verify_trajectory(traj, midpoint_map())
+        report = audit_record("trajectory", traj, midpoint_map())
         assert report.failures >= 1
 
     def test_empty_trajectory_is_input_error(self):
         traj = run(midpoint_map(), [0.0], Schedule.constant(0.5), max_iter=5, tol=0.0)
         traj.residuals = np.array([])
         with pytest.raises(InputError):
-            verify_trajectory(traj, midpoint_map())
+            audit_record("trajectory", traj, midpoint_map())
 
 
 class TestLoopFastPath:
@@ -770,7 +769,7 @@ class TestBatchedVerify:
         monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_BYTES", 0)
         traj, op = tampered(kind, p, family)
         expect = reference_verify(traj, op)
-        got = verify_trajectory(traj, op)
+        got = audit_record("trajectory", traj, op)
         assert (got.trials, got.failures) == (expect.trials, expect.failures)
         assert (got.failures > 0) == (kind != "none")
         if expect.witness is None:
@@ -790,7 +789,7 @@ class TestSerialization:
         assert np.array_equal(back.iterates, traj.iterates)
         assert np.array_equal(back.residuals, traj.residuals)
         assert np.array_equal(back.schedule_used, traj.schedule_used)
-        assert verify_trajectory(back, midpoint_map()).failures == 0
+        assert audit_record("trajectory", back, midpoint_map()).failures == 0
 
     def test_csv_one_based_indices(self, tmp_path):
         traj = run(midpoint_map(), [0.0], Schedule.constant(0.5), max_iter=3, tol=0.0)
@@ -992,4 +991,4 @@ class TestCsvReader:
         write_trajectory_csv(traj, tmp_path / "t.csv")
         back = read_trajectory_csv(tmp_path / "t.csv")
         assert back.schedule_used.tobytes() == traj.schedule_used.tobytes()
-        assert verify_trajectory(back, doubly_stochastic_map(1, 2.0)).failures > 0
+        assert audit_record("trajectory", back, doubly_stochastic_map(1, 2.0)).failures > 0

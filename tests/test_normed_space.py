@@ -11,11 +11,7 @@ from hypothesis import given, strategies as st
 
 import graphmann
 
-from graphmann.errors import (
-    DimensionMismatchError,
-    InputError,
-    UnsupportedCombinationError,
-)
+from graphmann.errors import DimensionMismatchError, InputError
 from graphmann.normed_space import (
     Ball,
     Box,
@@ -26,7 +22,7 @@ from graphmann.normed_space import (
     modulus_uc_estimate,
     sample_point,
 )
-from testonly_operators import project
+from testonly_operators import UnsupportedCombinationError, project
 
 # reference values for the p=2 modulus, 1 - sqrt(1 - eps^2/4); the grid
 # oracle below re-derives them before the estimator is held to them

@@ -9,7 +9,7 @@ hypotheses numerically, away from any run.
 import numpy as np
 
 from graphmann._util import as_vector
-from graphmann.errors import InputError, UnsupportedCombinationError
+from graphmann.errors import GraphmannError, InputError
 from graphmann.normed_space import (
     Box,
     ConvexBody,
@@ -20,6 +20,10 @@ from graphmann.normed_space import (
 )
 from graphmann.operators import Operator
 from graphmann.order_graph import AuditReport, ConeRelation, sample_cone_element
+
+
+class UnsupportedCombinationError(GraphmannError):
+    """A valid pair of objects that `project` deliberately does not combine."""
 
 
 def project(space: NormSpace, body: ConvexBody, x) -> np.ndarray:

@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 
+from graphmann.diagnostics import AuditPass
 from graphmann.errors import InputError
+from graphmann.mann import stream_record
 
 
 def decimate(traj, stride):
@@ -24,3 +26,13 @@ def decimate(traj, stride):
     if rows[-1] != traj.n_iterates - 1:
         rows = np.append(rows, traj.n_iterates - 1)
     return replace(traj, iterates=traj.iterates[rows], iterate_indices=rows + 1)
+
+
+def audit_record(name, traj, operator, rel=None):
+    """The report of auditor `name` on a stored record, as `run_audits`'
+    pass makes it: the record streamed into an `AuditPass` of that auditor
+    alone, and its report read after the pass, before `run_audits` turns it
+    into a dict."""
+    audit = AuditPass([name], operator, rel, operator.space)
+    stream_record(traj, operator, audit)
+    return audit.reports[name]
