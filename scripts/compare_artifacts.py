@@ -8,8 +8,10 @@ BASE_SRC and HEAD_SRC are checkouts of graphmann, each holding
 src/graphmann: for instance a git worktree of a base commit and the working
 tree.  On a fixed set of configs each tree runs `graphmann run`, then
 `graphmann audit` of the run.json and of the trajectory.csv that run wrote;
-the configs named in SWEEPS also run each of their `graphmann sweep`s.
-Every exit code and every file written must be the same under both trees.
+the configs named in SWEEPS also run each of their `graphmann sweep`s, and
+the run.json of each config named in REDUMPED is written again without
+indentation (REDUMPS) and audited in that form.  Every exit code and every
+file written must be the same under both trees.
 The two trees run one after the other on the same machine, so BLAS
 differences between hosts cannot show up as differences here.
 
@@ -37,9 +39,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # runs each command of a JSON list through graphmann.cli.main, with the
 # given source directory first on sys.path, and T = x + shift for the
-# commands whose config has a shift; prints the exit codes
+# commands whose config has a shift; a "redump SOURCE TARGET STYLE" command
+# writes the record at SOURCE again in a style of REDUMPS; prints the exit
+# codes
 RUNNER = """
-import json, sys
+import json, os, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 import graphmann.cli
@@ -56,10 +60,28 @@ class Drift(Operator):
         return x + self.shift
 
 
+REDUMPS = {
+    "compact": lambda record: json.dumps(record),
+    "tabs_crlf": lambda record: json.dumps(record, indent="\\t").replace("\\n", "\\r\\n"),
+}
+
+
+def redump(source, target, style):
+    with open(source) as fh:
+        record = json.load(fh)
+    os.makedirs(os.path.dirname(target), exist_ok=True)
+    with open(target, "w", newline="") as fh:
+        fh.write(REDUMPS[style](record))
+
+
 build_operator = experiment.build_operator
 job = json.loads(sys.argv[2])
 codes = []
 for args in job["commands"]:
+    if args[0] == "redump":
+        redump(*args[1:])
+        codes.append(0)
+        continue
     shift = job["shifts"].get(args[args.index("--config") + 1])
     experiment.build_operator = build_operator if shift is None else (
         lambda config, space, body, shift=shift: Drift(space, body, shift))
@@ -86,6 +108,13 @@ SWEEPS = {
     "perm_d256_stride50": [("schedule.t", "0.7,0.9"), ("operator.offset", "0.001,0.004"),
                            ("run.tol", "1e-6,1e-10")],
 }
+
+
+# a full-history and a decimated run.json, each also audited as written
+# again by the runner's REDUMPS: `json.dumps(record)` on one line, and with
+# tab indents and CRLF line ends
+REDUMPED = ("perm_d4_stride1", "perm_d256_stride50")
+REDUMP_STYLES = ("compact", "tabs_crlf")
 
 
 def source_dir(tree: str) -> Path:
@@ -236,6 +265,13 @@ def commands(config_paths: dict[str, Path], out: Path) -> list[list[str]]:
              "--out", str(case / f"sweep_{axis}")]
             for axis, values in SWEEPS.get(name, ())
         ]
+        for style in REDUMP_STYLES if name in REDUMPED else ():
+            record = case / "redump" / f"{style}.json"
+            cmds += [
+                ["redump", str(case / "run" / "run.json"), str(record), style],
+                ["audit", str(record), "--config", str(config),
+                 "--out", str(case / f"audit_{style}")],
+            ]
     return cmds
 
 

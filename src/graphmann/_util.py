@@ -1,8 +1,9 @@
-"""Small shared helpers for array validation and JSON conversion."""
+"""Small shared helpers for array validation and JSON conversion and I/O."""
 
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterator
 from itertools import chain
 from pathlib import Path
@@ -184,3 +185,178 @@ def _json_key(key: Any) -> str:
     if isinstance(key, str):
         return json.dumps(key)
     return json.dumps({key: None})[1:-7]
+
+
+# text per json.loads call of a number array: its text, its Python numbers
+# and their array stay a few hundred KiB however long the array
+_PIECE = 64 << 10
+
+_WHITESPACE = re.compile(rb"[ \t\n\r]*")
+# a string, or any other token up to the next delimiter; json.loads decides
+# whether it is a value
+_TOKEN = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"|[^ \t\n\r,:\[\]{}"]+', re.DOTALL)
+# the end of a row and of the array that holds it
+_LAST_ROW = re.compile(rb"\][ \t\n\r]*\]")
+# the first bytes of a number, NaN, Infinity and -Infinity
+_NUMBER_START = {bytes([c]) for c in b"-0123456789NI"}
+
+
+def read_json(path: str | Path) -> Any:
+    """`json.loads` of the file's UTF-8 text, with each nonempty array of
+    numbers, or of nonempty number rows of one width, read as its
+    `np.array` (the same dtype and bits).
+
+    Objects and arrays are walked here and every key and other value is read
+    by json.loads, so json's semantics (NaN and Infinity, the last of
+    duplicate keys) stay.  A number array is read `_PIECE` of text at a time
+    into the array, so the read holds the file's bytes and what it returns,
+    never the text as a str nor a Python object per number.  Malformed text
+    raises what json.loads of the text raises, with its line and column.
+    """
+    doc = Path(path).read_bytes()
+    try:
+        value, end = _value(doc, _skip(doc, 0))
+        if _skip(doc, end) == len(doc):
+            return value
+    except (ValueError, RecursionError):
+        pass
+    # the walk met text it does not read: json.loads of the whole text says why
+    json.loads(doc.decode("utf-8"))
+    # json.loads read what the walk could not: only nesting deeper than
+    # Python's recursion limit allows that
+    raise ValueError(f"{path} is nested too deeply to read")
+
+
+def _skip(doc: bytes, i: int) -> int:
+    """The index of the first non-whitespace byte at or after i."""
+    return _WHITESPACE.match(doc, i).end()
+
+
+def _value(doc: bytes, i: int) -> tuple[Any, int]:
+    """The value at i and the index after it."""
+    opener = doc[i:i + 1]
+    if opener == b"{":
+        return _object(doc, i + 1)
+    if opener == b"[":
+        return _array(doc, i + 1)
+    return _token(doc, i)
+
+
+def _token(doc: bytes, i: int) -> tuple[Any, int]:
+    """The string, number or literal at i, read by json.loads, and the index
+    after it."""
+    match = _TOKEN.match(doc, i)
+    if match is None:
+        raise ValueError("no value")
+    return json.loads(match[0].decode("utf-8")), match.end()
+
+
+def _object(doc: bytes, i: int) -> tuple[dict, int]:
+    """The object whose "{" is at i - 1, and the index after its "}"."""
+    obj: dict = {}
+    i = _skip(doc, i)
+    if doc[i:i + 1] == b"}":
+        return obj, i + 1
+    while True:
+        if doc[i:i + 1] != b'"':
+            raise ValueError("unexpected text")
+        key, i = _token(doc, i)
+        i = _skip(doc, i)
+        if doc[i:i + 1] != b":":
+            raise ValueError("unexpected text")
+        obj[key], i = _value(doc, _skip(doc, i + 1))
+        i = _skip(doc, i)
+        delimiter = doc[i:i + 1]
+        if delimiter == b"}":
+            return obj, i + 1
+        if delimiter != b",":
+            raise ValueError("unexpected text")
+        i = _skip(doc, i + 1)
+
+
+def _array(doc: bytes, i: int) -> tuple[Any, int]:
+    """The array whose "[" is at i - 1, and the index after its "]"; an
+    array of numbers or of number rows as an ndarray."""
+    i = _skip(doc, i)
+    if doc[i:i + 1] == b"[":
+        first = _skip(doc, i + 1)
+        last_row = _LAST_ROW.search(doc, first) if doc[first:first + 1] in _NUMBER_START else None
+        if last_row:
+            array = _number_array(doc, i, last_row.start() + 1, rows=True)
+            if array is not None:
+                return array, last_row.end()
+    elif doc[i:i + 1] in _NUMBER_START:
+        stop = doc.find(b"]", i)
+        if stop >= 0:
+            array = _number_array(doc, i, stop, rows=False)
+            if array is not None:
+                return array, stop + 1
+    items = []
+    if doc[i:i + 1] == b"]":
+        return items, i + 1
+    while True:
+        item, i = _value(doc, i)
+        items.append(item)
+        i = _skip(doc, i)
+        delimiter = doc[i:i + 1]
+        if delimiter == b"]":
+            return items, i + 1
+        if delimiter != b",":
+            raise ValueError("unexpected text")
+        i = _skip(doc, i + 1)
+
+
+def _number_array(doc: bytes, start: int, stop: int, rows: bool) -> np.ndarray | None:
+    """`np.array` of the array whose items are the text doc[start:stop],
+    when they are all numbers, or all nonempty number rows of one width
+    (`rows`), and None otherwise.
+
+    A piece of the text ends at the first comma past `_PIECE` bytes (past
+    the end of the row there, for rows), so the pieces and the commas
+    between them tile the text, and json.loads reads each piece.  The array
+    is allocated from the count of commas or rows once the first piece is
+    read, in that piece's dtype, and promoted as a later piece needs (int64
+    and uint64 to float64), as np.array promotes the items of one list.
+    """
+    out, filled, k = None, 0, start
+    while True:
+        cut = doc.find(b"]", k + _PIECE, stop) if rows else k + _PIECE
+        end = doc.find(b",", cut, stop) if cut >= 0 else -1
+        end = stop if end < 0 else end
+        piece = _parsed_numbers(doc[k:end], rows)
+        if piece is None or (out is not None and piece.shape[1:] != out.shape[1:]):
+            return None
+        if piece.dtype == object:
+            # an int beyond 64 bits: np.array keeps every item's own Python
+            # number in an object array, so such an array is read whole
+            return _parsed_numbers(doc[start:stop], rows)
+        if out is None:
+            count = doc.count(b"[", start, stop) if rows else doc.count(b",", start, stop) + 1
+            out = np.empty((count,) + piece.shape[1:], piece.dtype)
+        dtype = np.promote_types(out.dtype, piece.dtype)
+        if dtype != out.dtype:
+            out = out.astype(dtype)
+        out[filled:filled + len(piece)] = piece
+        filled += len(piece)
+        if end == stop:
+            return out
+        k = end + 1
+
+
+def _parsed_numbers(text: bytes, rows: bool) -> np.ndarray | None:
+    """`np.array` of the items in `text` when they are all numbers, or all
+    nonempty number rows of one width (`rows`), and None otherwise."""
+    try:
+        items = json.loads("[%s]" % text.decode("utf-8"))
+    except ValueError:
+        return None
+    numbers = items
+    if rows:
+        if set(map(type, items)) != {list} or len(set(map(len, items))) != 1:
+            return None
+        # one flat list: np.array promotes its items alike, and faster
+        numbers = list(chain.from_iterable(items))
+    if not numbers or not set(map(type, numbers)) <= {int, float}:
+        return None
+    array = np.array(numbers)
+    return array.reshape(len(items), -1) if rows else array

@@ -183,8 +183,9 @@ def gk_inequality_check(
     through at least row i + n of every pair (`run_audits` passes the head
     of its first audit block).  When it is not given or too short, T is
     applied here to the head rows only: one batch of at least an audit
-    block (`run_audits` then passes that many rows), whose bits are those of
-    a batch over the whole array.
+    block (`run_audits` then passes that many rows).  A batch's bits depend
+    on its number of rows, so these images can differ in the last bit from
+    those of a first block that a shorter tail folded into.
     """
     n_total = traj.n_iterates
     head = max((i + n for i, n in pairs), default=0)

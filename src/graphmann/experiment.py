@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import fmt17, write_json
+from ._util import fmt17, read_json, write_json
 from .config import (
     ExperimentConfig,
     build_body,
@@ -191,14 +191,15 @@ def run_experiment(
 def load_stored_trajectory(path: str | Path, config: ExperimentConfig) -> Trajectory:
     """Read a trajectory export (run.json or full-history CSV).
 
+    run.json is read by `read_json`, its number arrays straight into arrays.
     CSV exports carry no stop reason, so it is inferred from the final
     residual against the configured tolerance.
     """
     path = Path(path)
     if path.suffix == ".json":
         try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            data = read_json(path)
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read trajectory {path}: {exc}") from exc
         record = data.get("trajectory", data) if isinstance(data, dict) else None
         if not isinstance(record, dict):

@@ -46,10 +46,12 @@ DEFAULT_TOL = 1e-10
 # audit's scratch memory is a few blocks whatever the length of the run.
 # 512 KiB keeps a block, its images and each auditor temporary (x - Tx, edge
 # differences, Fejer distances) within a 2 MiB L2 cache: 16 384 rows at
-# d = 4, 256 at d = 256.  T of a block this long has the bits of T of the
-# whole array (a product of a few rows can differ in the last bit), and a
-# shorter tail folds into the block before it, so no block is a smaller
-# product than the others
+# d = 4, 256 at d = 256.  A shorter tail folds into the block before it.
+# The bits of a batched T depend on the number of rows in the batch (at
+# d = 255, 257 and 300 a 256-row product differs in the last bit from the
+# same rows of a 3 000-row one), so a block's images are not those of T of
+# the whole array; run(), the replay of a decimated record and the audit of
+# a stored one cut the same blocks, so their images agree
 AUDIT_BLOCK_ROWS = 256
 AUDIT_BLOCK_BYTES = 512 << 10
 
@@ -810,21 +812,18 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
 
 
 def trajectory_from_dict(data: dict) -> Trajectory:
-    """Rebuild a trajectory from its JSON record; inconsistent records raise
-    ConfigError."""
+    """Rebuild a trajectory from its JSON record, its number arrays as
+    `_util.read_json` reads them (arrays) or as lists; inconsistent records
+    raise ConfigError."""
     try:
-        indices = data["iterate_indices"]
         forward, reverse = data.get("start_edge_forward"), data.get("start_edge_reverse")
-        # int() would read an index 2.5 or true as 2 or 1: reject them, as config does
-        if any(type(k) is not int and not (type(k) is float and k.is_integer()) for k in indices):
-            raise ValueError("iterate indices must be integers")
         if any(f is not None and type(f) is not bool for f in (forward, reverse)):
             raise ValueError("start flags must be true, false or null")
         traj = Trajectory(
-            iterates=np.array(data["iterates"], dtype=float),
-            iterate_indices=np.array(indices, dtype=int),
-            residuals=np.array(data["residuals"], dtype=float),
-            schedule_used=np.array(data["schedule_used"], dtype=float),
+            iterates=np.asarray(data["iterates"], dtype=float),
+            iterate_indices=_iterate_indices(data["iterate_indices"]),
+            residuals=np.asarray(data["residuals"], dtype=float),
+            schedule_used=np.asarray(data["schedule_used"], dtype=float),
             stop_reason=str(data["stop_reason"]),
             start_edge_forward=forward,
             start_edge_reverse=reverse,
@@ -833,6 +832,24 @@ def trajectory_from_dict(data: dict) -> Trajectory:
             relation_ref=data.get("relation_ref", ""),
         )
         traj.validate()
-    except (KeyError, TypeError, ValueError, InputError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, InputError) as exc:
         raise ConfigError(f"malformed trajectory record: {exc}") from exc
     return traj
+
+
+def _iterate_indices(indices) -> np.ndarray:
+    """A record's iterate indices as int64: integers, or integral floats,
+    below 2**63 in magnitude.  int() would read 2.5 or true as 2 or 1, and
+    np.array reads an index of 10**30 as an object and one of 2**63 as a
+    float; each raises ValueError, as config does.  `read_json` leaves a
+    nonempty number array a list only when it holds a non-number."""
+    if isinstance(indices, list) and not set(map(type, indices)) <= {int, float}:
+        raise ValueError("iterate indices must be integers below 2**63")
+    indices = np.asarray(indices)
+    if indices.dtype.kind == "f" and np.all(
+        (np.floor(indices) == indices) & (np.abs(indices) < 2.0**63)
+    ):
+        return indices.astype(np.int64)
+    if indices.dtype.kind != "i":
+        raise ValueError("iterate indices must be integers below 2**63")
+    return indices

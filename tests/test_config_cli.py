@@ -820,10 +820,15 @@ class TestCliAudit:
         assert audit("unordered", iterate_indices=[1, 3, 2] + traj["iterate_indices"][3:]) == 1
         assert audit("short_schedule", schedule_used=traj["schedule_used"][:-1]) == 1
 
-    @pytest.mark.parametrize("case", ["fractional_index", "boolean_index", "string_flag"])
+    @pytest.mark.parametrize("case", [
+        "fractional_index", "boolean_index", "string_flag",
+        "last_index_10**30", "last_index_1e300", "last_index_2**63",
+    ])
     def test_malformed_record_values_exit_one(self, tmp_path, oracle_cfg, capsys, case):
         # int() would read 2.5 as 2 and true as 1, and any nonempty string is
-        # truthy; each is rejected as the config reader rejects them
+        # truthy; each is rejected as the config reader rejects them.  A last
+        # index beyond int64 reads as an object (10**30) or a float (1e300,
+        # and 2**63 among smaller ints), and is rejected too
         _, path = oracle_cfg
         assert main(["run", "--config", path, "--quiet"]) == 0
         record = json.loads((tmp_path / "out" / "run.json").read_text())
@@ -833,6 +838,8 @@ class TestCliAudit:
             traj["iterate_indices"] = [1] + [k + 0.5 for k in indices[1:-1]] + indices[-1:]
         elif case == "boolean_index":
             traj["iterate_indices"] = [True] + indices[1:]
+        elif case.startswith("last_index_"):
+            indices[-1] = {"10**30": 10**30, "1e300": 1e300, "2**63": 2**63}[case[11:]]
         else:
             traj["start_edge_forward"] = "yes"
         target = tmp_path / "bad.json"

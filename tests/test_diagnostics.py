@@ -1055,9 +1055,11 @@ def traced_peak(fn, *args, **kwargs):
 
 class TestStreamedMemory:
     # the stored audit's growth from 2 000 to 8 000 iterates at d = 256:
-    # `json.loads` of run.json holds Python objects for the residuals, the
-    # steps and every 50th row, measured at 1.12 MB for the 6 000 more
-    # iterates, where an (N, d) history would add 6 000 x 2 KiB = 12 MB
+    # `read_json` of run.json holds its bytes (1.1 MB more) and its arrays
+    # while it reads, and the peak is then set by the audit's blocks; it
+    # fell by 0.84 MB (it rose by 1.12 MB when `json.loads` held a Python
+    # float per residual, step and every 50th row), where an (N, d) history
+    # would add 6 000 x 2 KiB = 12 MB
     STORED_AUDIT_GROWTH = 2 << 20
 
     def test_run_and_stored_audit_peaks_do_not_grow_with_the_run(self, tmp_path):

@@ -1,11 +1,20 @@
 import json
 import math
+import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphmann._util import _CHUNK, _indent2, jsonable, write_json
-from graphmann.mann import Schedule, run, trajectory_fields, trajectory_to_dict
+import graphmann._util as util
+from graphmann._util import _CHUNK, _indent2, jsonable, read_json, write_json
+from graphmann.config import ExperimentConfig
+from graphmann.corpus import oracle_1d_config
+from graphmann.errors import ConfigError
+from graphmann.experiment import load_stored_trajectory
+from graphmann.mann import Schedule, Trajectory, run, trajectory_fields, trajectory_to_dict
 from graphmann.normed_space import Box, NormSpace
 from graphmann.operators import MatrixAffine
 
@@ -149,3 +158,228 @@ class TestDumpsIndent2:
         assert dumps_indent2(record) == json.dumps(record, indent=2)
         fields = {"schema_version": 1, "trajectory": trajectory_fields(traj)}
         assert dumps_indent2(fields) == json.dumps(record, indent=2)
+
+
+# --- reading ------------------------------------------------------------------
+
+reader_numbers = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(SPECIAL_FLOATS),
+)
+number_arrays_text = st.lists(reader_numbers, min_size=1, max_size=8)
+number_rows = st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.lists(reader_numbers, min_size=width, max_size=width),
+                           min_size=1, max_size=5)
+)
+# arrays the reader leaves lists: numbers mixed with bools, strings (those
+# the number paths could split on among them), nulls or rows, and ragged rows
+mixed_arrays = st.lists(
+    st.one_of(reader_numbers, st.booleans(), st.none(), texts, number_arrays_text),
+    min_size=1, max_size=6,
+)
+ragged_rows = st.lists(st.lists(reader_numbers, max_size=4), min_size=2, max_size=5)
+documents = st.recursive(
+    st.one_of(reader_numbers, st.booleans(), st.none(), texts, number_arrays_text,
+              number_rows, mixed_arrays, ragged_rows),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(texts, children, max_size=4)),
+    max_leaves=20,
+)
+
+DUMPS = {
+    "indent2": lambda value: json.dumps(value, indent=2),
+    "compact": lambda value: json.dumps(value, separators=(",", ":"), ensure_ascii=False),
+    "tabs_crlf": lambda value: json.dumps(value, indent="\t").replace("\n", "\r\n"),
+}
+# bytes of text per json.loads call: a few, so that every array is cut,
+# and the reader's own
+PIECES = (1, 5, util._PIECE)
+
+
+def is_number_array(items):
+    """Whether `read_json` reads a list as an array: nonempty, and all
+    numbers or all nonempty number rows of one width."""
+    def numbers(row):
+        return bool(row) and all(type(x) in (int, float) for x in row)
+
+    return numbers(items) or (
+        all(type(row) is list and numbers(row) for row in items)
+        and len(set(map(len, items))) == 1
+    )
+
+
+def with_arrays(value):
+    """`value` with each list `read_json` reads as an array replaced by its
+    np.array."""
+    if isinstance(value, dict):
+        return {key: with_arrays(item) for key, item in value.items()}
+    if isinstance(value, list):
+        if is_number_array(value):
+            return np.array(value)
+        return [with_arrays(item) for item in value]
+    return value
+
+
+def same(a, b):
+    """Equal values of equal types, arrays of one dtype and shape with the
+    same bits (the same Python numbers, for object arrays)."""
+    if isinstance(a, np.ndarray):
+        if not (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape):
+            return False
+        if a.dtype == object:
+            return same(a.ravel().tolist(), b.ravel().tolist())
+        return a.tobytes() == b.tobytes()
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and list(a) == list(b)
+                and all(same(a[key], b[key]) for key in a))
+    if isinstance(a, list):
+        return (isinstance(b, list) and len(a) == len(b)
+                and all(same(x, y) for x, y in zip(a, b)))
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def json_error(text):
+    """What json.loads raises for `text`."""
+    with pytest.raises(ValueError) as caught:
+        json.loads(text)
+    return caught.value
+
+
+def small_record():
+    space = NormSpace(3, 2.0)
+    op = MatrixAffine(space, Box(np.zeros(3), np.ones(3)), 0.3 * np.eye(3), np.full(3, 0.2))
+    traj = run(op, np.zeros(3), Schedule.constant(0.7), max_iter=12, tol=0.0)
+    return {"schema_version": 1, "trajectory": trajectory_to_dict(traj)}
+
+
+RECORD_TEXTS = {style: dumps(small_record()) for style, dumps in DUMPS.items()}
+READ_CONFIG = ExperimentConfig.from_dict(oracle_1d_config())
+
+
+class TestReadJson:
+    @pytest.mark.parametrize("piece", PIECES)
+    @pytest.mark.parametrize("style", DUMPS)
+    @settings(max_examples=80, deadline=None)
+    @given(value=documents)
+    def test_equals_json_loads_with_number_arrays_as_arrays(
+        self, tmp_path_factory, style, piece, value
+    ):
+        text = DUMPS[style](value)
+        path = tmp_path_factory.getbasetemp() / "document.json"
+        path.write_bytes(text.encode())
+        with mock.patch.object(util, "_PIECE", piece):
+            got = read_json(path)
+        assert same(got, with_arrays(json.loads(text)))
+
+    @pytest.mark.parametrize("text, expected", [
+        ('{"a": [1], "a": [2, 3]}', {"a": np.array([2, 3])}),
+        ("[NaN, Infinity, -Infinity]", np.array([math.nan, math.inf, -math.inf])),
+        ("[1, 9223372036854775808]", np.array([1.0, 2.0**63])),
+        ("[9223372036854775808]", np.array([2**63], dtype=np.uint64)),
+        ("[1, 1000000000000000000000000000000]", np.array([1, 10**30], dtype=object)),
+        ("[[1, 2], [0.5, 3]]", np.array([[1.0, 2.0], [0.5, 3.0]])),
+        ('[1.5, "]", 2]', [1.5, "]", 2]),
+        ("[[1], []]", [np.array([1]), []]),
+        ("[[]]", [[]]),
+        (" [ ] ", []),
+        ('"]"', "]"),
+    ])
+    def test_json_semantics_and_np_array_dtypes(self, tmp_path, text, expected):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        for piece in PIECES:
+            with mock.patch.object(util, "_PIECE", piece):
+                assert same(read_json(path), expected)
+
+    @staticmethod
+    def assert_rejected_as_json_does(path, data):
+        """load_stored_trajectory of `data` raises ConfigError with
+        json.loads' own message, whatever the piece size."""
+        expected = f"cannot read trajectory {path}: {json_error(data.decode('utf-8'))}"
+        path.write_bytes(data)
+        for piece in PIECES:
+            with mock.patch.object(util, "_PIECE", piece), \
+                    pytest.raises(ConfigError) as caught:
+                load_stored_trajectory(path, READ_CONFIG)
+            assert str(caught.value) == expected
+
+    @pytest.mark.parametrize("style", DUMPS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_truncated_record_is_rejected_as_json_does(self, tmp_path_factory, style, data):
+        text = RECORD_TEXTS[style]
+        cut = data.draw(st.integers(0, len(text) - 1))
+        path = tmp_path_factory.getbasetemp() / "truncated.json"
+        self.assert_rejected_as_json_does(path, text[:cut].encode())
+
+    @pytest.mark.parametrize("style", DUMPS)
+    @pytest.mark.parametrize("case", [
+        "number_trailing_comma", "row_trailing_comma", "rows_trailing_comma",
+        "object_trailing_comma", "extra_data", "extra_array", "bom",
+        "bracket_string_in_numbers", "missing_comma_in_numbers", "form_feed",
+    ])
+    def test_malformed_record_is_rejected_as_json_does(self, tmp_path, style, case):
+        text = RECORD_TEXTS[style]
+        # the "[" of the residuals and of the iterates, the first "]" after
+        # each (the end of the residuals and of the first row) and the end
+        # of the last row
+        residuals = text.index("[", text.index('"residuals":'))
+        residuals_end = text.index("]", residuals)
+        iterates = text.index("[", text.index('"iterates":'))
+        first_row_end = text.index("]", iterates)
+        last_row_end = re.compile(r"\][ \t\r\n]*\]").search(text, iterates).start()
+        if case == "number_trailing_comma":
+            text = text[:residuals_end] + "," + text[residuals_end:]
+        elif case == "row_trailing_comma":
+            text = text[:first_row_end] + "," + text[first_row_end:]
+        elif case == "rows_trailing_comma":
+            text = text[:last_row_end + 1] + "," + text[last_row_end + 1:]
+        elif case == "object_trailing_comma":
+            text = text[:-1].rstrip() + ",}"
+        elif case == "extra_data":
+            text += " x"
+        elif case == "extra_array":
+            text += "[1]"
+        elif case == "bracket_string_in_numbers":
+            text = text[:residuals + 1] + '1.0, "]", 2.0 3.0' + text[residuals_end:]
+        elif case == "missing_comma_in_numbers":
+            text = text[:residuals + 1] + "1.0 2.0" + text[residuals_end:]
+        elif case == "form_feed":  # not JSON whitespace
+            text = text[:residuals + 1] + "\f" + text[residuals + 1:]
+        data = text.encode()
+        if case == "bom":
+            data = b"\xef\xbb\xbf" + data
+        self.assert_rejected_as_json_does(tmp_path / "bad.json", data)
+
+    def test_bracket_string_in_numbers_is_read_as_a_list(self, tmp_path):
+        # valid JSON: the residuals stay a list, which the record check rejects
+        record = small_record()
+        record["trajectory"]["residuals"][1] = "]"
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(record, indent=2))
+        assert read_json(path)["trajectory"]["residuals"][1] == "]"
+        with pytest.raises(ConfigError, match="malformed trajectory record"):
+            load_stored_trajectory(path, READ_CONFIG)
+
+    def test_reading_a_long_record_holds_its_bytes_and_arrays(self, tmp_path):
+        # a 32 230-row d = 4 record: json.loads of its text held the bytes
+        # and the text together, then the text and a Python float per number
+        n, d = 32_230, 4
+        rng = np.random.default_rng(0)
+        traj = Trajectory(iterates=rng.random((n, d)), iterate_indices=np.arange(1, n + 1),
+                          residuals=rng.random(n), schedule_used=np.full(n - 1, 0.5),
+                          stop_reason="max_iterations")
+        path = tmp_path / "run.json"
+        write_json({"trajectory": trajectory_fields(traj)}, path)
+        tracemalloc.start()
+        try:
+            record = read_json(path)["trajectory"]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for key in ("iterates", "iterate_indices", "residuals", "schedule_used"):
+            assert np.array_equal(record[key], getattr(traj, key))
+        arrays = sum(v.nbytes for v in record.values() if isinstance(v, np.ndarray))
+        assert peak < path.stat().st_size + arrays + (1 << 20)
