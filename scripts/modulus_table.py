@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""Tabulate the estimated modulus of uniform convexity across l_p spaces.
+"""Tabulate the modulus of uniform convexity across l_p spaces.
 
-For p = 2 the closed form 1 - sqrt(1 - eps^2/4) is printed alongside; for
-p in {1, inf} the true modulus vanishes below eps = 2 (flat unit spheres).
+The values come from the closed forms (Clarkson for p >= 2, Hanner for
+1 < p < 2); for p in {1, inf} and d >= 2 the modulus vanishes (flat unit
+spheres), and on the line it is eps/2.
 """
 
 import argparse
 import math
-
-import numpy as np
 
 from graphmann.normed_space import NormSpace, modulus_uc_estimate
 
@@ -16,26 +15,19 @@ from graphmann.normed_space import NormSpace, modulus_uc_estimate
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dimension", type=int, default=2)
-    parser.add_argument("--budget", type=int, default=64)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     eps_grid = [0.25, 0.5, 1.0, 1.5, 2.0]
     ps = [1.0, 1.5, 2.0, 3.0, math.inf]
-    print(f"d = {args.dimension}, budget = {args.budget}")
+    print(f"d = {args.dimension}")
     header = "p      " + "".join(f"eps={e:<9g}" for e in eps_grid)
     print(header)
     for p in ps:
         space = NormSpace(args.dimension, p)
         row = f"{p:<7g}"
         for eps in eps_grid:
-            est = modulus_uc_estimate(space, eps, budget=args.budget, seed=args.seed)
-            row += f"{est:<13.6f}"
+            row += f"{modulus_uc_estimate(space, eps):<13.6f}"
         print(row)
-    analytic = "exact p=2: " + "".join(
-        f"{1.0 - np.sqrt(1.0 - e * e / 4.0):<13.6f}" for e in eps_grid
-    )
-    print(analytic)
 
 
 if __name__ == "__main__":

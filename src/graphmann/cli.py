@@ -13,10 +13,10 @@ audit failure, 3 hypothesis-not-met outcomes without failures.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+from ._util import read_json
 from .config import load_config, read_config
 from .errors import ConfigError, GraphmannError
 from .experiment import audit_stored, run_experiment, run_sweep
@@ -77,8 +77,8 @@ def _cmd_audit(args) -> int:
 def _cmd_report(args) -> int:
     path = Path(args.input)
     try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = read_json(path)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read report {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path} is not a JSON report")
@@ -92,11 +92,12 @@ def _cmd_report(args) -> int:
             lines += _audit_table(data["audits"])
         else:
             traj = data["trajectory"]
-            residuals = traj.get("residuals") or [float("nan")]
+            residuals = traj.get("residuals", [])
+            final = residuals[-1] if len(residuals) else float("nan")
             lines = [
                 f"stop_reason: {traj.get('stop_reason')}",
-                f"iterates: {len(traj.get('residuals', []))}",
-                f"final residual: {residuals[-1]:.6e}",
+                f"iterates: {len(residuals)}",
+                f"final residual: {final:.6e}",
             ]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path} is not a well-formed report: {exc!r}") from exc

@@ -389,12 +389,10 @@ class ExperimentConfig:
 def read_config(path) -> Any:
     """The JSON value of the config file at `path`, unparsed."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:

@@ -18,7 +18,8 @@ files.
 from __future__ import annotations
 
 import csv
-import json
+# unused here, but perfbench's tracer patches `experiment.json`
+import json  # noqa: F401
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -199,7 +200,7 @@ def load_stored_trajectory(path: str | Path, config: ExperimentConfig) -> Trajec
     if path.suffix == ".json":
         try:
             data = read_json(path)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read trajectory {path}: {exc}") from exc
         record = data.get("trajectory", data) if isinstance(data, dict) else None
         if not isinstance(record, dict):

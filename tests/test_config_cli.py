@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from graphmann.diagnostics import ALL_AUDITS, run_audits, write_gk_records_csv
 from graphmann.errors import ConfigError
 import graphmann.experiment as experiment
 from graphmann.experiment import run_experiment, run_sweep, set_config_value
-from graphmann.mann import start_edges, trajectory_from_dict
+from graphmann.mann import Trajectory, start_edges, trajectory_fields, trajectory_from_dict
 from graphmann.normed_space import diameter
 
 
@@ -1068,6 +1069,63 @@ class TestCliReport:
         assert main(["report", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
+
+    def test_empty_residuals_report_nan(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text('{"trajectory": {"stop_reason": "max_iterations", "residuals": []}}')
+        assert main(["report", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "stop_reason: max_iterations\niterates: 0\nfinal residual: nan\n"
+        )
+
+    def test_long_run_record_is_read_into_arrays(self, tmp_path, capsys):
+        # a 32 230-row d = 4 record: json.loads of the text held the text
+        # and a Python float per number, some 15 MiB
+        n, d = 32_230, 4
+        rng = np.random.default_rng(0)
+        traj = Trajectory(iterates=rng.random((n, d)), iterate_indices=np.arange(1, n + 1),
+                          residuals=rng.random(n), schedule_used=np.full(n - 1, 0.5),
+                          stop_reason="max_iterations")
+        path = tmp_path / "run.json"
+        write_json({"trajectory": trajectory_fields(traj)}, path)
+        tracemalloc.start()
+        try:
+            code = main(["report", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"iterates: {n}", f"final residual: {traj.residuals[-1]:.6e}"
+        ]
+        assert peak < 9 << 20
+
+
+# past int()'s limit of 4 300 digits, which json raises as a ValueError
+HUGE_SEED = b'{"seed": ' + b"1" * 5000 + b"}"
+HUGE_RESIDUAL = b'{"trajectory": {"residuals": [' + b"1" * 5000 + b"]}}"
+
+
+@pytest.mark.parametrize(
+    "args, content",
+    [
+        (["run", "--config", "{bad}"], HUGE_SEED),
+        (["sweep", "--config", "{bad}", "--axis", "schedule.t", "--values", "0.5"], HUGE_SEED),
+        (["audit", "{bad}", "--config", "{config}"], HUGE_RESIDUAL),
+        (["report", "{bad}"], HUGE_RESIDUAL),
+        (["run", "--config", "{bad}"], b'{"seed": "\xff"}'),
+        (["report", "{bad}"], b'{"audits": "\xff"}'),
+    ],
+    ids=["run-huge-seed", "sweep-huge-seed", "audit-huge-residual",
+         "report-huge-residual", "run-invalid-utf8", "report-invalid-utf8"],
+)
+def test_unreadable_json_exits_one(tmp_path, oracle_cfg, capsys, args, content):
+    # each reader raises every failure to read its file as a ConfigError
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main([a.format(bad=bad, config=oracle_cfg[1]) for a in args]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 class TestNegativeCorpusConfigs:

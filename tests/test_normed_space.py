@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,33 @@ class TestProject:
             Ball([0.0, 0.0], 0.0)
 
 
+def decimal_modulus(d: int, p: float, eps: float) -> Decimal:
+    """The modulus of l_p^d at eps to 40 digits, from the closed forms in
+    `decimal` arithmetic (Hanner's equation by 140 bisection steps)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        half, one, two = Decimal(eps) / 2, Decimal(1), Decimal(2)
+        if d == 1:
+            return half
+        if math.isinf(p) or p == 1.0:
+            return Decimal(0)
+        P = Decimal(p)
+        if p >= 2.0:
+            return one - (one - half**P) ** (one / P)
+        lo, hi = Decimal(0), one
+        for _ in range(140):
+            mid = (lo + hi) / 2
+            if (mid + half) ** P + abs(mid - half) ** P < two:
+                lo = mid
+            else:
+                hi = mid
+        return one - lo
+
+
+MODULUS_PS = [1.0, 1.01, 1.5, 1.9, 2.0, 3.0, 4.0, 10.0, math.inf]
+MODULUS_EPS = [0.1, 0.5, 1.0, 1.5, 1.99, 2.0]
+
+
 class TestModulus:
     def test_grid_oracle_confirms_p2_reference_values(self):
         for eps, ref in P2_MODULUS.items():
@@ -172,49 +200,77 @@ class TestModulus:
 
     @pytest.mark.parametrize("eps", [0.5, 1.0, 1.5, 2.0])
     def test_p2_estimate_matches_reference(self, eps):
-        space = NormSpace(2, 2.0)
-        est = modulus_uc_estimate(space, eps, budget=40, seed=0)
-        assert est == pytest.approx(P2_MODULUS[eps], abs=1e-2)
-        # one-sided: the estimate never undershoots the infimum by more
-        # than the documented optimizer tolerance
-        assert est >= P2_MODULUS[eps] - MODULUS_OPTIMIZER_TOL
+        est = modulus_uc_estimate(NormSpace(2, 2.0), eps)
+        assert abs(est - P2_MODULUS[eps]) <= MODULUS_OPTIMIZER_TOL
+
+    @pytest.mark.parametrize("p", MODULUS_PS)
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    def test_matches_decimal_reference(self, d, p):
+        for eps in MODULUS_EPS:
+            est = modulus_uc_estimate(NormSpace(d, p), eps)
+            assert abs(Decimal(est) - decimal_modulus(d, p, eps)) <= MODULUS_OPTIMIZER_TOL
 
     def test_p1_flat_witness(self):
         # x=(1,0), y=(0.5,0.5): unit vectors at l1 distance 1 whose midpoint
         # still has norm 1
-        space = NormSpace(2, 1.0)
-        est = modulus_uc_estimate(space, 1.0, budget=24, seed=0)
-        assert 0.0 - 1e-12 <= est <= 1e-6
+        assert modulus_uc_estimate(NormSpace(2, 1.0), 1.0) == 0.0
 
-    def test_eps2_forces_antipodal_pair(self):
-        est = modulus_uc_estimate(NormSpace(2, 2.0), 2.0, budget=16, seed=0)
-        assert est == pytest.approx(1.0, abs=1e-4)
+    @pytest.mark.parametrize("p", [1.01, 1.5, 1.9, 2.0, 3.0, 4.0, 10.0])
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_eps2_forces_antipodal_pair(self, d, p):
+        assert modulus_uc_estimate(NormSpace(d, p), 2.0) == 1.0
 
-    def test_nonincreasing_in_budget(self):
-        space = NormSpace(2, 3.0)
-        small = modulus_uc_estimate(space, 1.0, budget=6, seed=5)
-        large = modulus_uc_estimate(space, 1.0, budget=18, seed=5)
-        assert large <= small + 1e-15
+    @pytest.mark.parametrize("p", MODULUS_PS)
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    def test_nondecreasing_between_zero_and_half_eps(self, d, p):
+        space = NormSpace(d, p)
+        eps = np.linspace(0.01, 2.0, 200)
+        values = np.array([modulus_uc_estimate(space, e) for e in eps])
+        assert np.all(np.diff(values) >= 0.0)
+        assert np.all((values >= 0.0) & (values <= eps / 2.0))
 
-    @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
-    def test_nonnegative_for_uniformly_convex_p(self, p):
-        est = modulus_uc_estimate(NormSpace(2, p), 0.8, budget=12, seed=2)
-        assert est >= -1e-12
+    @pytest.mark.parametrize("p", [1.01, 1.5, 1.9, 2.0, 3.0, 4.0, 10.0])
+    def test_extremal_pair_attains_the_modulus(self, p):
+        # unit vectors of l_p^2 at distance eps whose midpoint has norm
+        # 1 - modulus: (s, +-eps/2) for p >= 2, and for p < 2 Hanner's
+        # (u + eps/2, u - eps/2) and its swap, scaled by 2^(-1/p)
+        space = NormSpace(2, p)
+        for eps in MODULUS_EPS[:-1]:
+            delta = modulus_uc_estimate(space, eps)
+            if p >= 2.0:
+                x = np.array([1.0 - delta, eps / 2.0])
+                y = x * [1.0, -1.0]
+            else:
+                x = np.array([1.0 - delta + eps / 2.0, 1.0 - delta - eps / 2.0]) / 2.0 ** (1.0 / p)
+                y = x[::-1]
+            assert space.norm(x) == pytest.approx(1.0, abs=1e-12)
+            assert space.norm(x - y) == pytest.approx(eps, abs=1e-12)
+            assert 1.0 - space.norm((x + y) / 2.0) == pytest.approx(delta, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1.01, 1.5, 1.9, 2.0, 3.0, 4.0])
+    def test_no_unit_pair_falls_below_the_modulus(self, p, rng):
+        # the modulus is nondecreasing, so a pair of unit vectors eps' apart
+        # has 1 - ||(x+y)/2|| >= modulus(eps') itself
+        space = NormSpace(3, p)
+        xs, ys = rng.standard_normal((2, 2000, 3))
+        xs /= space.norms(xs)[:, None]
+        ys /= space.norms(ys)[:, None]
+        gaps = np.minimum(space.norms(xs - ys), 2.0)
+        slack = 1.0 - space.norms((xs + ys) / 2.0)
+        bounds = np.array([modulus_uc_estimate(space, g) for g in gaps])
+        assert np.all(slack >= bounds - 1e-12)
 
     def test_one_dimensional_closed_form(self):
         # on the line every norm is |x|; the optimum pair is (1, 1 - eps),
         # so the modulus equals eps / 2 regardless of p
         for p in (1.0, 2.0, math.inf):
-            est = modulus_uc_estimate(NormSpace(1, p), 0.8, budget=12, seed=0)
-            assert est == pytest.approx(0.4, abs=1e-6)
+            assert modulus_uc_estimate(NormSpace(1, p), 0.8) == 0.4
 
     def test_epsilon_validation(self):
         with pytest.raises(InputError):
             modulus_uc_estimate(NormSpace(2, 2.0), 0.0)
         with pytest.raises(InputError):
             modulus_uc_estimate(NormSpace(2, 2.0), 2.5)
-        with pytest.raises(InputError):
-            modulus_uc_estimate(NormSpace(2, 2.0), 1.0, budget=0)
 
 
 @given(st.floats(0.1, 2.0), st.floats(-2.0, 2.0))
@@ -224,14 +280,15 @@ def test_norm_scaling_homogeneity(scale, coord):
     assert space.norm(scale * x) == pytest.approx(scale * space.norm(x), rel=1e-12)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # only modulus_uc_estimate needs it, and it costs most of the import time
+def test_modulus_loads_no_scipy_module():
+    # the closed forms need only the standard library
     src = str(Path(graphmann.__file__).resolve().parents[1])
     code = (
         "import sys, graphmann, graphmann.cli\n"
-        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n"
-        "graphmann.modulus_uc_estimate(graphmann.NormSpace(2, 2.0), 1.0, budget=1)\n"
-        "assert 'scipy.optimize' in sys.modules\n"
+        "for p in (1.5, 2.0, 3.0):\n"
+        "    graphmann.modulus_uc_estimate(graphmann.NormSpace(2, p), 1.0)\n"
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
