@@ -145,7 +145,8 @@ def configs(head_src: Path) -> dict[str, dict]:
     past_block = permutation(3, d=256, s=0.995, stride=7)
     past_block["run"].update(max_iter=2049, tol=0.0)
     # the same run with no auditor that reads T of every iterate: the stream
-    # applies no T, and gk_inequality applies it to the head rows itself
+    # still applies T once per block, and gk_inequality reads the images of
+    # its first rows from those blocks
     no_images = copy.deepcopy(past_block)
     no_images["audits"] = ["residual_monotone", "gk_inequality", "fejer", "rate", "convergence"]
     # the identity configs, run with T = x + s (DRIFT); their records are

@@ -13,9 +13,9 @@ point, steps outside (0, 1)) is never conflated with a failed conclusion.
 `run_audits` reads the iterates in one pass over row blocks, fed to an
 `AuditPass` while a run or a replay produces them: T is applied once per
 block, the trajectory, edge-propagation and Fejer auditors each extend their
-report with the block, and the Goebel-Kirk auditor reads the head of the
-first block.  The audit holds a few blocks of rows, however long the run,
-and every report equals that of one check over the whole run.
+report with the block, and the Goebel-Kirk auditor reads the first rows and
+their images from the blocks.  The audit holds a few blocks of rows, however
+long the run, and every report equals that of one check over the whole run.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .mann import (
     AuditStream,
     Schedule,
     Trajectory,
-    audit_block_rows,
     start_edges,
     stream_record,
     verify_trajectory,
@@ -70,12 +69,9 @@ ALL_AUDITS = (
     "rate",
     "convergence",
 )
-# auditors that read the iterates; run_audits streams a record's rows (a
-# decimated one replayed) once for all of them when no run streamed them
+# auditors that read the iterates, and T of them; run_audits streams a
+# record's rows (a decimated one replayed) once for all when no run did
 REPLAYING_AUDITS = frozenset({"trajectory", "edge_propagation", "gk_inequality", "fejer"})
-# auditors that read T of every iterate; run_audits applies T once per block
-# for both, and the Goebel-Kirk auditor reads T of the first block
-IMAGE_AUDITS = frozenset({"trajectory", "edge_propagation"})
 
 
 def audit_edge_propagation(
@@ -165,10 +161,10 @@ def audit_fejer(
 
 def gk_inequality_check(
     traj: Trajectory,
-    operator: Operator,
+    space: NormSpace,
     pairs: list[tuple[int, int]],
     x_head: np.ndarray,
-    tx_head: np.ndarray | None = None,
+    tx_head: np.ndarray,
 ) -> AuditReport:
     """Evaluate the telescoping inequality at the requested (i, n) pairs.
 
@@ -178,21 +174,11 @@ def gk_inequality_check(
     hypotheses hold.  Spans touching a step with t_s = 1 are undefined.
     The report holds one record {i, n, lhs, rhs, slack} per pair, counts a
     failure per slack below -1e-9 and notes the least slack as `min_slack`.
-    `x_head` holds the run's first iterates, through at least row i + n of
-    every pair, and `tx_head` is `operator.apply_batch` of its first rows,
-    through at least row i + n of every pair (`run_audits` passes the head
-    of its first audit block).  When it is not given or too short, T is
-    applied here to the head rows only: one batch of at least an audit
-    block (`run_audits` then passes that many rows).  A batch's bits depend
-    on its number of rows, so these images can differ in the last bit from
-    those of a first block that a shorter tail folded into.
+    `x_head` holds the run's first iterates and `tx_head` their images
+    under T, each through at least row i + n of every pair (`run_audits`
+    passes the first GK_WINDOW rows of its audit blocks and their images).
     """
     n_total = traj.n_iterates
-    head = max((i + n for i, n in pairs), default=0)
-    if head > (0 if tx_head is None else tx_head.shape[0]):
-        rows = max(head, audit_block_rows(traj.dimension))
-        tx_head = operator.apply_batch(x_head[:rows])
-    space = operator.space
     report = AuditReport("gk_inequality", trials=len(pairs), records=[])
     for i, n in pairs:
         if i < 1 or n < 1:
@@ -363,20 +349,22 @@ class AuditPass(AuditStream):
     order (`mann.AuditStream`): `mann.run` while it runs, or `run_audits`
     for a stored record.  On each block T is applied once, each of
     `trajectory`, `edge_propagation` and `fejer` among `names` extends its
-    report with the block, and the head of the run is kept for
-    `gk_inequality`.  `run_audits` reads the reports after `close`.
+    report with the block, and the first GK_WINDOW rows and their images
+    are kept for `gk_inequality`.  `run_audits` reads the reports after
+    `close`.
     """
 
-    def __init__(self, names, operator: Operator, rel: ConeRelation, space: NormSpace) -> None:
-        super().__init__(operator if IMAGE_AUDITS.intersection(names) else None)
+    def __init__(self, names, operator: Operator, rel: ConeRelation) -> None:
+        super().__init__(operator)
         self.names = names
-        self.audited = operator, rel, space
+        # T is applied to each block pushed, so rows are pushed only if read
+        self.reads_iterates = bool(REPLAYING_AUDITS.intersection(names))
+        self.rel = rel
         self.reports: dict[str, AuditReport] = {}
         self.checks = []  # the block auditors whose hypotheses hold, each a call on a block
         self.fejer_direction = None
-        # the first rows, and the images of the first block, for gk_inequality
-        self.head_rows: list[np.ndarray] = []
-        self.head_images = None
+        # the first rows and their images, block by block, for gk_inequality
+        self.head: list[tuple[np.ndarray, np.ndarray]] = []
         self.head_needed = 0
 
     def audit(self, block: AuditBlock) -> None:
@@ -385,9 +373,9 @@ class AuditPass(AuditStream):
         for check in self.checks:
             check(block)
         if self.head_needed:
-            rows = block.x[: min(self.head_needed, block.stop - block.start)]
-            self.head_rows.append(rows.copy())
-            self.head_needed -= rows.shape[0]
+            k = min(self.head_needed, block.stop - block.start)
+            self.head.append((block.x[:k].copy(), block.tx[:k].copy()))
+            self.head_needed -= k
 
     def _add(self, name: str, report: AuditReport, check, *args) -> None:
         # a report before its first block, and the check extending it per block
@@ -397,15 +385,14 @@ class AuditPass(AuditStream):
 
     def _begin(self, block: AuditBlock) -> None:
         # each report before its first block, from the start flags and x_1
-        operator, rel, space = self.audited
-        x1 = block.x[0]
+        operator, rel, space = self.operator, self.rel, self.operator.space
         if "trajectory" in self.names:
             report = AuditReport("trajectory_consistency")
             self._add("trajectory", report, verify_trajectory, space)
         if "edge_propagation" in self.names:
             self._add("edge_propagation", _edge_report(self.case), audit_edge_propagation, rel)
         if "fejer" in self.names:
-            target = _fejer_target(x1, operator, rel)
+            target = _fejer_target(block.x[0], operator, rel)
             if isinstance(target, AuditReport):
                 self.reports["fejer"] = target
             else:
@@ -413,14 +400,7 @@ class AuditPass(AuditStream):
                 report = AuditReport("fejer_monotone")
                 self._add("fejer", report, audit_fejer, omega, edge_rel, space)
         if "gk_inequality" in self.names:
-            # the pairs lie in the first GK_WINDOW rows; where the first
-            # block's images do not cover them, gk_inequality_check applies
-            # T to an audit block of rows itself
             self.head_needed = GK_WINDOW
-            if block.tx is None or block.tx.shape[0] < GK_WINDOW:
-                self.head_needed = max(GK_WINDOW, audit_block_rows(x1.shape[0]))
-            if block.tx is not None:
-                self.head_images = block.tx[:GK_WINDOW].copy()
 
 
 def run_audits(
@@ -441,18 +421,18 @@ def run_audits(
     for the inequality audits.  Hypothesis gating (comparable start, step
     bounds, known fixed point) is applied here so the low-level checks keep
     their strict contracts.  A record without start flags (a CSV export) is
-    given them here, by `start_edges` at x_1.
+    given them here, by `start_edges` at x_1.  `space` is the operator's.
 
     The auditors that read the iterates share one pass over the run's rows
     in audit blocks (`AuditPass`): T is applied once per block, each of
     `trajectory`, `edge_propagation` and `fejer` extends its report with the
-    block, and `gk_inequality` reads the head of the first block.  `audit`
-    is the pass a run was streamed into while it ran (`run(...,
-    audit=...)`, as `run_experiment` does), over the same `names`.
-    Without it the record is streamed into the pass here (`stream_record`):
-    its stored rows, a decimated record replayed gap by gap.  Either way the
-    audit holds a few blocks of rows beyond the record, however long the
-    run, and T is applied to each row at most once.
+    block, and `gk_inequality` reads the first rows and their images from
+    the blocks.  `audit` is the pass a run was streamed into while it ran
+    (`run(..., audit=...)`, as `run_experiment` does), over the same
+    `names`.  Without it the record is streamed into the pass here
+    (`stream_record`): its stored rows, a decimated record replayed gap by
+    gap.  Either way the audit holds a few blocks of rows beyond the record,
+    however long the run, and T is applied to each row at most once.
     """
     unknown = [name for name in names if name not in ALL_AUDITS]
     if unknown:
@@ -462,15 +442,15 @@ def run_audits(
         forward, reverse = start_edges(rel, x1, operator._apply(x1))
         traj = replace(traj, start_edge_forward=forward, start_edge_reverse=reverse)
     if audit is None:
-        audit = AuditPass(names, operator, rel, space)
-        if REPLAYING_AUDITS.intersection(names):
+        audit = AuditPass(names, operator, rel)
+        if audit.reads_iterates:
             stream_record(traj, operator, audit)
     reports = dict(audit.reports)
     if audit.fejer_direction is not None:
         reports["fejer"].extra["direction"] = audit.fejer_direction
     if "gk_inequality" in names:
-        x_head = np.concatenate(audit.head_rows)
-        reports["gk_inequality"] = _gk_report(traj, operator, seed, x_head, audit.head_images)
+        x_head, tx_head = (np.concatenate(part) for part in zip(*audit.head))
+        reports["gk_inequality"] = _gk_report(traj, space, seed, x_head, tx_head)
     results: dict[str, dict] = {}
     for name in names:
         if name == "residual_monotone":
@@ -485,10 +465,10 @@ def run_audits(
 
 def _gk_report(
     traj: Trajectory,
-    operator: Operator,
+    space: NormSpace,
     seed: int,
     x_head: np.ndarray,
-    tx_head: np.ndarray | None,
+    tx_head: np.ndarray,
 ) -> AuditReport:
     if traj.start_edge_case() == "none":
         return AuditReport.not_met("gk_inequality", INCOMPARABLE_START)
@@ -504,7 +484,7 @@ def _gk_report(
             i = int(rng.integers(1, window))
             n = int(rng.integers(1, window - i + 1))
             pairs.append((i, n))
-    return gk_inequality_check(traj, operator, pairs, x_head, tx_head)
+    return gk_inequality_check(traj, space, pairs, x_head, tx_head)
 
 
 def _fejer_target(x1, operator: Operator, rel: ConeRelation):

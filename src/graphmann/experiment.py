@@ -144,10 +144,10 @@ def run_experiment(
 ) -> ExperimentResult:
     """Execute one configured experiment end to end.
 
-    The loop runs at the configured `record_stride` and streams every
-    iterate into the audit's pass (`AuditPass`) as it goes, so the auditors
-    read all N iterates while the record written (and returned) keeps only
-    the recorded ones, and no (N, d) history is ever held.  `built` is the
+    The loop runs at the configured `record_stride`; when an auditor reads
+    the iterates it streams each into the audit's pass (`AuditPass`), so the
+    record written (and returned) keeps only the recorded ones and no (N, d)
+    history is ever held, while the auditors read all N.  `built` is the
     config's build with the start for `seed` (a sweep builds every value
     first); without it the config is built here.  The config is echoed, and
     returned, with the seed the run used.
@@ -157,7 +157,7 @@ def run_experiment(
     if built is None:
         built = _build(config, seed)
     space, rel, operator, schedule = built.space, built.rel, built.operator, built.schedule
-    audit = AuditPass(config.audits, operator, rel, space)
+    audit = AuditPass(config.audits, operator, rel)
     traj = run(
         operator,
         built.start,
@@ -167,7 +167,7 @@ def run_experiment(
         rel=rel,
         record_stride=config.run.record_stride,
         relation_ref=config.relation.kind,
-        audit=audit,
+        audit=audit if audit.reads_iterates else None,
     )
     audits = run_audits(
         config.audits,

@@ -7,13 +7,14 @@ step can be recomputed bit-identically from the records.  Indices are
 
 One stepping kernel serves the run, the replay and the recheck: `_step`
 writes t T(x) + (1 - t) x in place into a preallocated row, with t and
-1 - t as 0-d arrays, and T is the operator's single-vector `_apply`.
+1 - t as 0-d arrays, and T is the operator's one map, `_apply` of a vector.
 run() and `iterate_rows` (the replay of a decimated record) step into the
 audit's blocks, and run() checks a box domain every AUDIT_BLOCK_ROWS rows;
 `verify_trajectory` steps whole columns of rows at once, one audit block at
 a time.  The audit reads those blocks in place through an `AuditStream`, as
-a run hands them over or `stream_record` pushes a stored record, so no
-(N, d) history is needed to audit a run.
+a run hands them over or `stream_record` pushes a stored record, and the
+stream applies T once per block (`apply_batch`), the one place the audit
+computes images, so no (N, d) history is needed to audit a run.
 """
 
 from __future__ import annotations
@@ -227,8 +228,8 @@ class AuditBlock(NamedTuple):
 
     `x` holds the block's rows and then row `stop` when the run goes on (the
     step leaving the block's last row ends there); `prev` is row start - 1,
-    None in the first block; `tx` is T of the block's rows when the audit
-    reads images.  `residuals` are the recorded r_n of the block's rows,
+    None in the first block; `tx` is T of the block's rows, applied as one
+    batch.  `residuals` are the recorded r_n of the block's rows,
     `checked` the offsets of the rows whose step leads to a recorded iterate
     (that iterate is x[checked + 1]) and `steps` the recorded t_n of those
     steps.
@@ -238,7 +239,7 @@ class AuditBlock(NamedTuple):
     stop: int
     x: np.ndarray
     prev: np.ndarray | None
-    tx: np.ndarray | None
+    tx: np.ndarray
     residuals: np.ndarray
     checked: np.ndarray
     steps: np.ndarray
@@ -261,12 +262,12 @@ class AuditStream:
     `close`; a shorter last block folds into it by one concatenation, so
     the last block cut has fewer than twice as many rows.  No other block
     is copied, no row is written, and nothing is allocated per block but T
-    of its rows, applied as one batch when `operator` is given.  Each block
-    goes to `audit`, which a subclass defines (or an instance is given).
+    of its rows, `operator.apply_batch` of the block.  Each block goes to
+    `audit`, which a subclass defines (or an instance is given).
     """
 
-    def __init__(self, operator: Operator | None = None) -> None:
-        self.images = operator
+    def __init__(self, operator: Operator) -> None:
+        self.operator = operator
 
     def open(self, residuals, steps, indices, forward=None, reverse=None) -> None:
         """Start a run.
@@ -323,7 +324,7 @@ class AuditStream:
                 stop,
                 x,
                 self.prev,
-                None if self.images is None else self.images.apply_batch(rows),
+                self.operator.apply_batch(rows),
                 np.array(residuals[start:stop], dtype=float),
                 checked,
                 steps[checked + start],
@@ -723,36 +724,36 @@ def read_trajectory_csv(path) -> Trajectory:
     skipped.  Rows must carry consecutive indices starting at 1, and every
     row but the last a step size; decimated exports cannot be audited from
     CSV alone (use the JSON record).  A malformed file raises ConfigError
-    naming its 1-based line.
+    naming its 1-based line; one that is not UTF-8 names none.
     """
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header == [""]:
-            raise ConfigError("line 1: trajectory CSV is empty")
-        if len(header) < 4 or header[0] != "n" or header[-2:] != ["residual", "t_n"]:
-            raise ConfigError(
-                "line 1: trajectory CSV header must be n, x_1..x_d, residual, t_n"
-            )
-        d = len(header) - 3
-        if header[1 : 1 + d] != [f"x_{i + 1}" for i in range(d)]:
-            raise ConfigError("line 1: trajectory CSV coordinate columns must be x_1..x_d")
-        lines: list[int] = []  # the file line of each row handed to the parser
-
-        def rows():
-            for number, text in enumerate(fh, start=2):
-                if text != "\n":
-                    lines.append(number)
-                    yield text
-
-        body = rows()
-        first = next(body, None)
-        if first is None:
-            raise ConfigError("line 2: trajectory CSV has no data rows")
-        if first.count(",") != d + 2:
-            raise ConfigError(
-                f"line {lines[0]}: {first.count(',') + 1} fields, expected {d + 3}"
-            )
+    with open(path, encoding="utf-8") as fh:
         try:
+            header = fh.readline().rstrip("\n").split(",")
+            if header == [""]:
+                raise ConfigError("line 1: trajectory CSV is empty")
+            if len(header) < 4 or header[0] != "n" or header[-2:] != ["residual", "t_n"]:
+                raise ConfigError(
+                    "line 1: trajectory CSV header must be n, x_1..x_d, residual, t_n"
+                )
+            d = len(header) - 3
+            if header[1 : 1 + d] != [f"x_{i + 1}" for i in range(d)]:
+                raise ConfigError("line 1: trajectory CSV coordinate columns must be x_1..x_d")
+            lines: list[int] = []  # the file line of each row handed to the parser
+
+            def rows():
+                for number, text in enumerate(fh, start=2):
+                    if text != "\n":
+                        lines.append(number)
+                        yield text
+
+            body = rows()
+            first = next(body, None)
+            if first is None:
+                raise ConfigError("line 2: trajectory CSV has no data rows")
+            if first.count(",") != d + 2:
+                raise ConfigError(
+                    f"line {lines[0]}: {first.count(',') + 1} fields, expected {d + 3}"
+                )
             table = np.loadtxt(
                 chain((first,), body),
                 delimiter=",",
@@ -760,6 +761,8 @@ def read_trajectory_csv(path) -> Trajectory:
                 ndmin=2,
                 converters={d + 2: _step_field},
             )
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"trajectory CSV is not UTF-8: {exc}") from exc
         except ValueError as exc:
             # the parser takes one line at a time from `body`, so it failed
             # on the last line taken; its own row count is dropped

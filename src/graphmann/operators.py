@@ -71,7 +71,13 @@ class FixedPointSet:
 
 
 class Operator:
-    """Base class: a self-map of a convex body in a normed space."""
+    """Base class: a self-map of a convex body in a normed space.
+
+    A subclass writes T once, as `_apply` of a (d,) vector, unchecked;
+    `apply_batch` maps the rows of an (n, d) array, here one row at a time.
+    A library family's `_apply` takes rows too and is also `apply_batch`:
+    the run's loop binds `_apply`, and a tracer may wrap `apply_batch` alone.
+    """
 
     space: NormSpace
     domain: ConvexBody
@@ -110,10 +116,9 @@ class Identity(Operator):
             raise InputError("domain dimension does not match the space")
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        return np.array(x)
+        return np.array(x, dtype=float)
 
-    def apply_batch(self, rows: np.ndarray) -> np.ndarray:
-        return np.array(rows, dtype=float)
+    apply_batch = _apply
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +129,7 @@ class MatrixAffine(Operator):
     offset: np.ndarray
 
     def __post_init__(self) -> None:
-        box = self._check_domain_box()
+        self._check_domain_box()
         d = self.space.dimension
         mat = np.asarray(self.matrix, dtype=float)
         if mat.shape != (d, d):
@@ -145,22 +150,16 @@ class MatrixAffine(Operator):
                 )
         object.__setattr__(self, "matrix", frozen_array(mat))
         object.__setattr__(self, "offset", frozen_array(off))
-        del box
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        # np.clip(M x + c, lo, hi) without its Python wrapper: the same
-        # ufunc, applied in place to the fresh image
+        # np.clip(M x + c, lo, hi) without its Python wrapper, in place on
+        # the fresh image; a vector keeps M x, which BLAS gets as a matvec
         box = self.domain
-        v = self.matrix @ x
+        v = self.matrix @ x if x.ndim == 1 else x @ self.matrix.T
         v += self.offset
         return _clip(v, box.lo, box.hi, v)
 
-    def apply_batch(self, rows: np.ndarray) -> np.ndarray:
-        # np.clip(rows @ M.T + c, lo, hi), in place on the fresh product
-        box = self.domain
-        v = rows @ self.matrix.T
-        v += self.offset
-        return _clip(v, box.lo, box.hi, v)
+    apply_batch = _apply
 
     def describe(self) -> str:
         return f"matrix_affine(d={self.space.dimension})"
@@ -209,19 +208,12 @@ class Componentwise(Operator):
         object.__setattr__(self, "knots_y", tuple(ys_all))
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        return np.array(
-            [
-                np.interp(x[i], self.knots_x[i], self.knots_y[i])
-                for i in range(x.shape[0])
-            ]
-        )
+        out = np.empty(x.shape)
+        for i in range(x.shape[-1]):
+            out[..., i] = np.interp(x[..., i], self.knots_x[i], self.knots_y[i])
+        return out
 
-    def apply_batch(self, rows: np.ndarray) -> np.ndarray:
-        cols = [
-            np.interp(rows[:, i], self.knots_x[i], self.knots_y[i])
-            for i in range(rows.shape[1])
-        ]
-        return np.stack(cols, axis=1)
+    apply_batch = _apply
 
     def coordinate_fixed_points(self, i: int) -> list[float]:
         """All solutions of f_i(t) = t, found exactly per linear piece."""
@@ -278,13 +270,11 @@ class NonmonotoneSwap(Operator):
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         box = self.domain
-        v = self.factor * x[::-1]
+        v = self.factor * x[..., ::-1]
         v += self.offset
         return _clip(v, box.lo, box.hi, v)
 
-    def apply_batch(self, rows: np.ndarray) -> np.ndarray:
-        box = self.domain
-        return np.clip(self.factor * rows[:, ::-1] + self.offset, box.lo, box.hi)
+    apply_batch = _apply
 
     def describe(self) -> str:
         return f"test_only_nonmonotone(d={self.space.dimension})"

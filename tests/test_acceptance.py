@@ -129,7 +129,10 @@ def test_criterion_3_goebel_kirk(corpus):
             i = int(rng.integers(1, AUDIT_STEPS))
             pairs.append((i, int(rng.integers(1, AUDIT_STEPS - i + 1))))
         traj = item.audit_traj
-        records = gk_inequality_check(traj, item.instance.operator, pairs, traj.iterates).records
+        op = item.instance.operator
+        records = gk_inequality_check(
+            traj, op.space, pairs, traj.iterates, op.apply_batch(traj.iterates)
+        ).records
         low = min(r["slack"] for r in records)
         worst = min(worst, low)
         if low < -1e-9:
@@ -139,7 +142,10 @@ def test_criterion_3_goebel_kirk(corpus):
     from test_diagnostics import midpoint_map
 
     traj = run(midpoint_map(), [0.0], Schedule.constant(0.5), max_iter=3, tol=0.0)
-    (record,) = gk_inequality_check(traj, midpoint_map(), [(1, 1)], traj.iterates).records
+    op = midpoint_map()
+    (record,) = gk_inequality_check(
+        traj, op.space, [(1, 1)], traj.iterates, op.apply_batch(traj.iterates)
+    ).records
     hand_ok = (
         abs(record["lhs"] - 0.75) <= 1e-12
         and abs(record["rhs"] - 0.875) <= 1e-12

@@ -1107,21 +1107,27 @@ HUGE_RESIDUAL = b'{"trajectory": {"residuals": [' + b"1" * 5000 + b"]}}"
 
 
 @pytest.mark.parametrize(
-    "args, content",
+    "args, name, content",
     [
-        (["run", "--config", "{bad}"], HUGE_SEED),
-        (["sweep", "--config", "{bad}", "--axis", "schedule.t", "--values", "0.5"], HUGE_SEED),
-        (["audit", "{bad}", "--config", "{config}"], HUGE_RESIDUAL),
-        (["report", "{bad}"], HUGE_RESIDUAL),
-        (["run", "--config", "{bad}"], b'{"seed": "\xff"}'),
-        (["report", "{bad}"], b'{"audits": "\xff"}'),
+        (["run", "--config", "{bad}"], "bad.json", HUGE_SEED),
+        (["sweep", "--config", "{bad}", "--axis", "schedule.t", "--values", "0.5"], "bad.json",
+         HUGE_SEED),
+        (["audit", "{bad}", "--config", "{config}"], "bad.json", HUGE_RESIDUAL),
+        (["report", "{bad}"], "bad.json", HUGE_RESIDUAL),
+        (["run", "--config", "{bad}"], "bad.json", b'{"seed": "\xff"}'),
+        (["report", "{bad}"], "bad.json", b'{"audits": "\xff"}'),
+        (["audit", "{bad}", "--config", "{config}"], "bad.csv", b"n,x_\xff,residual,t_n\r\n"),
+        (["audit", "{bad}", "--config", "{config}"], "bad.csv",
+         b"n,x_1,residual,t_n\r\n1,0.\xff,0.5,0.5\r\n2,0.25,0.375,\r\n"),
     ],
     ids=["run-huge-seed", "sweep-huge-seed", "audit-huge-residual",
-         "report-huge-residual", "run-invalid-utf8", "report-invalid-utf8"],
+         "report-huge-residual", "run-invalid-utf8", "report-invalid-utf8",
+         "audit-csv-header-invalid-utf8", "audit-csv-row-invalid-utf8"],
 )
-def test_unreadable_json_exits_one(tmp_path, oracle_cfg, capsys, args, content):
-    # each reader raises every failure to read its file as a ConfigError
-    bad = tmp_path / "bad.json"
+def test_unreadable_json_exits_one(tmp_path, oracle_cfg, capsys, args, name, content):
+    # each reader raises every failure to read its file as a ConfigError; a
+    # trajectory is read as CSV unless its name ends in .json
+    bad = tmp_path / name
     bad.write_bytes(content)
     assert main([a.format(bad=bad, config=oracle_cfg[1]) for a in args]) == 1
     out, err = capsys.readouterr()

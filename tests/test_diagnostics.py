@@ -11,6 +11,7 @@ from graphmann.config import ExperimentConfig
 from graphmann.diagnostics import (
     ALL_AUDITS,
     AuditPass,
+    GK_PAIRS,
     INCOMPARABLE_START,
     MONOTONE_TOL,
     REPLAYING_AUDITS,
@@ -109,7 +110,7 @@ def reference_run_audits(names, traj, operator, rel, space, schedule, diam, seed
         "trajectory": lambda: reference_verify(traj, operator, x_all, tx_all),
         "edge_propagation": lambda: reference_edges(traj, rel, x_all, tx_all),
         "residual_monotone": lambda: residual_monotone_check(traj),
-        "gk_inequality": lambda: _gk_report(traj, operator, seed, x_all, tx_all),
+        "gk_inequality": lambda: _gk_report(traj, space, seed, x_all, tx_all),
         "fejer": lambda: reference_fejer(traj, operator, rel, space, x_all),
         "rate": lambda: _rate_report(traj, schedule, diam),
         "convergence": lambda: convergence_audit(traj, operator, rel),
@@ -284,19 +285,24 @@ def tamper(traj, kind, m):
     return traj
 
 
+def gk_check(traj, op, pairs):
+    """gk_inequality_check on a full-history record, with T of all its rows."""
+    return gk_inequality_check(traj, op.space, pairs, traj.iterates, op.apply_batch(traj.iterates))
+
+
 class TestGoebelKirk:
     def test_hand_computed_one_dimensional_case(self):
         # t = 0.5, x1 = 0: r1 = 0.5, x2 = 0.25, T(x2) = 0.625, r2 = 0.375,
         # so lhs = 1.5 * 0.5 and rhs = 0.625 + 2 * (0.5 - 0.375)
         traj = oracle_run(n=3)
-        (record,) = gk_inequality_check(traj, midpoint_map(), [(1, 1)], traj.iterates).records
+        (record,) = gk_check(traj, midpoint_map(), [(1, 1)]).records
         assert record["lhs"] == pytest.approx(0.75, abs=1e-12)
         assert record["rhs"] == pytest.approx(0.875, abs=1e-12)
         assert record["slack"] == pytest.approx(0.125, abs=1e-12)
 
     def test_fixed_point_run_has_nonnegative_slack(self):
         traj = constant_trajectory([0.5, 0.5], 10)
-        report = gk_inequality_check(traj, half_maps(), [(1, 1), (2, 5), (1, 9)], traj.iterates)
+        report = gk_check(traj, half_maps(), [(1, 1), (2, 5), (1, 9)])
         assert report.trials == 3 and report.status == "pass"
         for record in report.records:
             assert record["lhs"] == 0.0
@@ -308,7 +314,7 @@ class TestGoebelKirk:
         for _ in range(50):
             i = int(rng.integers(1, 199))
             pairs.append((i, int(rng.integers(1, 200 - i + 1))))
-        report = gk_inequality_check(traj, gentle_maps(), pairs, traj.iterates)
+        report = gk_check(traj, gentle_maps(), pairs)
         assert report.failures == 0
         for record in report.records:
             assert record["slack"] >= -1e-9
@@ -316,16 +322,16 @@ class TestGoebelKirk:
     def test_span_beyond_trajectory_rejected(self):
         traj = oracle_run(n=5)
         with pytest.raises(InputError):
-            gk_inequality_check(traj, midpoint_map(), [(3, 4)], traj.iterates)
+            gk_check(traj, midpoint_map(), [(3, 4)])
 
-    def test_images_of_the_head_rows_only(self, monkeypatch):
-        d = 256
+    def test_images_come_from_the_audit_blocks(self, monkeypatch):
+        # alone, gk_inequality still has T applied once per audit block, and
+        # reads the images of the first rows from those blocks: no batch of
+        # a head alone
+        d, n = 256, 3000
         op = permutation_map(d, 0.999)
         schedule = Schedule.constant(0.5)
-        traj = run(op, np.zeros(d), schedule, max_iter=3000, tol=0.0)
-        pairs = [(1, 199), (150, 50)]
-        x_all = traj.iterates
-        whole = gk_inequality_check(traj, op, pairs, x_all, op.apply_batch(x_all)).to_dict()
+        traj = run(op, np.zeros(d), schedule, max_iter=n, tol=0.0)
         rows = []
         apply_batch = MatrixAffine.apply_batch
 
@@ -334,22 +340,36 @@ class TestGoebelKirk:
             return apply_batch(self, x)
 
         monkeypatch.setattr(MatrixAffine, "apply_batch", counted)
-        # one batch of an audit block, whose bits are those of the whole array
-        assert gk_inequality_check(traj, op, pairs, x_all).to_dict() == whole
-        assert rows == [audit_block_rows(d)]
-        # pairs beyond the block widen the batch to the rows they read
-        gk_inequality_check(traj, op, [(2000, 500)], x_all)
-        assert rows[1:] == [2500]
-        rows.clear()
         rel = ConeRelation(np.eye(d))
-        run_audits(["gk_inequality"], traj, op, rel, op.space, schedule, diam=16.0)
-        assert rows == [audit_block_rows(d)]
+        got = run_audits(["gk_inequality"], traj, op, rel, op.space, schedule, diam=16.0)
+        b = audit_block_rows(d)
+        # a tail shorter than a block folds into the block before it
+        assert rows == [b] * (n // b - 1) + [b + n % b]
+        assert got["gk_inequality"]["trials"] == GK_PAIRS
+
+    @pytest.mark.parametrize("audits, blocks", [(["gk_inequality"], 3), (["rate"], 0)])
+    def test_run_streams_only_what_an_auditor_reads(self, monkeypatch, audits, blocks):
+        # the pass applies T to each block a run streams into it, so a run
+        # whose auditors read none of its iterates is not streamed
+        rows = []
+        apply_batch = MatrixAffine.apply_batch
+
+        def counted(self, x):
+            rows.append(len(x))
+            return apply_batch(self, x)
+
+        monkeypatch.setattr(MatrixAffine, "apply_batch", counted)
+        data = permutation_data(256, 0.999, 3 * audit_block_rows(256), 1)
+        data["audits"] = audits
+        result = run_experiment(ExperimentConfig.from_dict(data), write=False)
+        assert len(rows) == blocks
+        assert set(result.audits) == set(audits)
 
     def test_unit_step_makes_product_undefined(self):
         sched = Schedule.constant(1.0, enforce_bounds=False)
         traj = run(midpoint_map(), [0.0], sched, max_iter=5, tol=0.0)
         with pytest.raises(UndefinedProductError):
-            gk_inequality_check(traj, midpoint_map(), [(1, 2)], traj.iterates)
+            gk_check(traj, midpoint_map(), [(1, 2)])
 
 
 class TestRate:
@@ -803,20 +823,26 @@ class TestBlockedAuditAtScale:
 
 @pytest.mark.parametrize("kind", [None, "iterate_down"])
 @pytest.mark.parametrize("stride", [1, 7])
-@pytest.mark.parametrize("block_rows", [None, B], ids=["shipped_rule", f"block_rows{B}"])
-def test_each_replaying_auditor_alone_matches_the_full_pass(monkeypatch, block_rows, stride,
-                                                            kind):
-    # alone, `fejer` and `gk_inequality` stream the record with no T applied,
-    # and gk_inequality_check applies T to the head rows itself; a 1 500-row
-    # run spans audit blocks under either rule (1 024 rows at d = 64)
+@pytest.mark.parametrize(
+    "block_rows, d, n",
+    [(None, 64, 1500), (B, 64, 1500), (None, 255, 400), (None, 257, 400)],
+    ids=["shipped_rule", f"block_rows{B}", "shipped_rule_d255", "shipped_rule_d257"],
+)
+def test_each_replaying_auditor_alone_matches_the_full_pass(monkeypatch, block_rows, d, n,
+                                                            stride, kind):
+    # alone or with the others, each auditor reads the images of the same
+    # audit blocks.  A 1 500-row run spans audit blocks under either rule
+    # (1 024 rows at d = 64).  At d = 255 and 257 a 400-row run is one block
+    # of 257 or 256 rows with its tail folded in, and a batch's bits depend
+    # on its row count: T of that many head rows alone can differ in the
+    # last bit from the block's images of them
     if block_rows is not None:
         monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_ROWS", block_rows)
         monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_BYTES", 0)
-    d = 64
     op = permutation_map(d, 0.999)
     rel = ConeRelation(np.eye(d))
     schedule = Schedule.constant(0.5)
-    full = run(op, np.zeros(d), schedule, max_iter=1500, tol=0.0, rel=rel)
+    full = run(op, np.zeros(d), schedule, max_iter=n, tol=0.0, rel=rel)
     traj = decimate(full, stride)
     if kind is not None:
         traj = tamper(traj, kind, B)
@@ -834,7 +860,7 @@ STRIDES = [1, 7, 50]
 def streamed_audit(op, x1, schedule, rel, stride, diam=2.0, **run_args):
     """A run audited while it runs, at `stride`, as run_experiment audits it:
     its record and its reports."""
-    audit = AuditPass(ALL_AUDITS, op, rel, op.space)
+    audit = AuditPass(ALL_AUDITS, op, rel)
     traj = run(op, x1, schedule, rel=rel, record_stride=stride, audit=audit, **run_args)
     args = (traj, op, rel, op.space, schedule)
     return traj, run_audits(ALL_AUDITS, *args, diam=diam, seed=3, audit=audit)
@@ -969,7 +995,7 @@ class TestStreamedAudit:
         traj = run(gentle_maps(), [0.1, 0.2], Schedule.constant(0.5), max_iter=3 * B + 2,
                    tol=0.0, rel=COORD2)
         shared = []
-        stream = AuditStream()
+        stream = AuditStream(gentle_maps())
         stream.audit = lambda block: shared.append(np.shares_memory(block.x, traj.iterates))
         stream_record(traj, gentle_maps(), stream)
         assert len(shared) >= 3 and all(shared[:-1]) and not shared[-1]

@@ -17,7 +17,13 @@ from graphmann.operators import (
     matrix_opnorm_bound,
 )
 from graphmann.order_graph import ConeRelation
-from testonly_operators import audit_lipschitz_on_edges, audit_monotone, sample_domain_edge
+from testonly_operators import (
+    audit_lipschitz_on_edges,
+    audit_monotone,
+    reference_apply,
+    reference_apply_batch,
+    sample_domain_edge,
+)
 
 SPACE = NormSpace(2, 2.0)
 UNIT_BOX = Box([0.0, 0.0], [1.0, 1.0])
@@ -168,11 +174,28 @@ def block_test_operator(family, d, rng):
     return NonmonotoneSwap(space, box, 0.7, rng.uniform(0.0, 0.3, d))
 
 
+FAMILIES = ["matrix_affine", "componentwise", "identity", "swap"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("d", [1, 4, 16, 256])
+def test_one_map_keeps_the_bits_of_vector_and_rows(family, d):
+    # each family writes T once, for a vector and for rows; both keep the
+    # bits of the separate expressions it had for each
+    rng = np.random.default_rng([d, 11])
+    op = block_test_operator(family, d, rng)
+    rows = rng.uniform(-0.25, 1.25, (300, d))  # clipped at both ends
+    for x in rows[:20]:
+        assert op._apply(x).tobytes() == reference_apply(op, x).tobytes()
+    assert op.apply_batch(rows).tobytes() == reference_apply_batch(op, rows).tobytes()
+    assert op.apply_batch(rows[::3]).tobytes() == reference_apply_batch(op, rows[::3]).tobytes()
+
+
 class TestBlockedApplyBits:
     """T applied block by block over the audit's blocks has the bits of T
     applied to the whole array, so a blocked audit reads the same images."""
 
-    @pytest.mark.parametrize("family", ["matrix_affine", "componentwise", "identity", "swap"])
+    @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("d", [1, 4, 16, 256])
     def test_blocks_match_whole_array(self, family, d):
         rng = np.random.default_rng([d, 7])

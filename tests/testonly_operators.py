@@ -1,9 +1,12 @@
-"""Edge audits of an operator on sampled domain edges, and the nearest-point
-projection that their edge sampler uses.
+"""Edge audits of an operator on sampled domain edges, the nearest-point
+projection that their edge sampler uses, and reference images of the
+library families.
 
 The library operators are monotone and nonexpansive on edges by
 construction; `audit_monotone` and `audit_lipschitz_on_edges` check those
-hypotheses numerically, away from any run.
+hypotheses numerically, away from any run.  `reference_apply` and
+`reference_apply_batch` are T as each family once wrote it twice, for one
+vector and for rows, which its single map must match bit for bit.
 """
 
 import numpy as np
@@ -18,7 +21,7 @@ from graphmann.normed_space import (
     diameter,
     sample_point,
 )
-from graphmann.operators import Operator
+from graphmann.operators import Componentwise, Identity, MatrixAffine, NonmonotoneSwap, Operator
 from graphmann.order_graph import AuditReport, ConeRelation, sample_cone_element
 
 
@@ -109,3 +112,37 @@ def audit_lipschitz_on_edges(
         ratio = space.norm(operator._apply(y) - operator._apply(x)) / gap
         worst = max(worst, ratio)
     return worst
+
+
+def reference_apply(op: Operator, x: np.ndarray) -> np.ndarray:
+    """T(x) of one vector, as each library family wrote it for a vector."""
+    if isinstance(op, Identity):
+        return np.array(x)
+    box = op.domain
+    if isinstance(op, MatrixAffine):
+        return np.clip(op.matrix @ x + op.offset, box.lo, box.hi)
+    if isinstance(op, Componentwise):
+        return np.array(
+            [np.interp(x[i], op.knots_x[i], op.knots_y[i]) for i in range(x.shape[0])]
+        )
+    if isinstance(op, NonmonotoneSwap):
+        return np.clip(op.factor * x[::-1] + op.offset, box.lo, box.hi)
+    raise TypeError(f"no reference for {type(op).__name__}")
+
+
+def reference_apply_batch(op: Operator, rows: np.ndarray) -> np.ndarray:
+    """T of each row of an (n, d) array, as each library family wrote it for
+    rows."""
+    if isinstance(op, Identity):
+        return np.array(rows, dtype=float)
+    box = op.domain
+    if isinstance(op, MatrixAffine):
+        return np.clip(rows @ op.matrix.T + op.offset, box.lo, box.hi)
+    if isinstance(op, Componentwise):
+        cols = [
+            np.interp(rows[:, i], op.knots_x[i], op.knots_y[i]) for i in range(rows.shape[1])
+        ]
+        return np.stack(cols, axis=1)
+    if isinstance(op, NonmonotoneSwap):
+        return np.clip(op.factor * rows[:, ::-1] + op.offset, box.lo, box.hi)
+    raise TypeError(f"no reference for {type(op).__name__}")

@@ -33,6 +33,6 @@ def audit_record(name, traj, operator, rel=None):
     pass makes it: the record streamed into an `AuditPass` of that auditor
     alone, and its report read after the pass, before `run_audits` turns it
     into a dict."""
-    audit = AuditPass([name], operator, rel, operator.space)
+    audit = AuditPass([name], operator, rel)
     stream_record(traj, operator, audit)
     return audit.reports[name]
