@@ -187,8 +187,9 @@ def _json_key(key: Any) -> str:
     return json.dumps({key: None})[1:-7]
 
 
-# text per json.loads call of a number array: its text, its Python numbers
-# and their array stay a few hundred KiB however long the array
+# bytes read from the file at a time, and of text per json.loads call of a
+# number array: its text, its Python numbers and their array stay a few
+# hundred KiB however long the array
 _PIECE = 64 << 10
 
 _WHITESPACE = re.compile(rb"[ \t\n\r]*")
@@ -206,141 +207,199 @@ def read_json(path: str | Path) -> Any:
     numbers, or of nonempty number rows of one width, read as its
     `np.array` (the same dtype and bits).
 
-    Objects and arrays are walked here and every key and other value is read
-    by json.loads, so json's semantics (NaN and Infinity, the last of
-    duplicate keys) stay.  A number array is read `_PIECE` of text at a time
-    into the array, so the read holds the file's bytes and what it returns,
-    never the text as a str nor a Python object per number.  Malformed text
-    raises what json.loads of the text raises, with its line and column.
+    The file is read forward `_PIECE` bytes at a time (`_Source`).  Objects
+    and arrays are walked here and every key and other value is read by
+    json.loads, so json's semantics (NaN and Infinity, the last of duplicate
+    keys) stay.  A number array is read a piece of text at a time into
+    arrays joined at its end, so the read holds what it returns and a few
+    pieces, never the file's text nor a Python object per number.  Malformed
+    text raises what json.loads of the text raises, with its line and
+    column: only then is the whole text read.
     """
-    doc = Path(path).read_bytes()
-    try:
-        value, end = _value(doc, _skip(doc, 0))
-        if _skip(doc, end) == len(doc):
-            return value
-    except (ValueError, RecursionError):
-        pass
+    with open(path, "rb") as fh:
+        src = _Source(fh)
+        try:
+            value = _value(src, _skip(src))
+            if not _skip(src):
+                return value
+        except (ValueError, RecursionError):
+            pass
     # the walk met text it does not read: json.loads of the whole text says why
-    json.loads(doc.decode("utf-8"))
+    json.loads(Path(path).read_bytes().decode("utf-8"))
     # json.loads read what the walk could not: only nesting deeper than
     # Python's recursion limit allows that
     raise ValueError(f"{path} is nested too deeply to read")
 
 
-def _skip(doc: bytes, i: int) -> int:
-    """The index of the first non-whitespace byte at or after i."""
-    return _WHITESPACE.match(doc, i).end()
+class _Source:
+    """A binary file read forward: `buf[i:]` is the text not yet walked,
+    and `offset` the file position of buf[0]."""
+
+    def __init__(self, fh) -> None:
+        self.fh = fh
+        self.buf = b""
+        self.i = self.offset = 0
+
+    def more(self) -> bool:
+        """Append the next bytes of the file to `buf`, dropping the text
+        walked; False, with `buf` as it was, at the end of the file.  It
+        reads `_PIECE` bytes, or as many as are left unwalked when that is
+        more: a walk that reads on over one long item (a long string, an
+        array read whole) doubles the text held at each call, so it copies
+        that text about twice in all, not once per piece."""
+        data = self.fh.read(max(_PIECE, len(self.buf) - self.i))
+        if not data:
+            return False
+        self.offset += self.i
+        self.buf = self.buf[self.i:] + data
+        self.i = 0
+        return True
+
+    def tell(self) -> int:
+        return self.offset + self.i
+
+    def seek(self, position: int) -> None:
+        """Walk on from the file position `position`, read before."""
+        if position >= self.offset:
+            self.i = position - self.offset
+        else:
+            self.fh.seek(position)
+            self.buf, self.i, self.offset = b"", 0, position
 
 
-def _value(doc: bytes, i: int) -> tuple[Any, int]:
-    """The value at i and the index after it."""
-    opener = doc[i:i + 1]
+def _skip(src: _Source) -> bytes:
+    """Skip whitespace; the byte after it, b"" at the end of the file."""
+    while True:
+        src.i = _WHITESPACE.match(src.buf, src.i).end()
+        if src.i < len(src.buf) or not src.more():
+            return src.buf[src.i:src.i + 1]
+
+
+def _value(src: _Source, opener: bytes) -> Any:
+    """The value whose first byte, at `src.i`, is `opener`."""
     if opener == b"{":
-        return _object(doc, i + 1)
+        src.i += 1
+        return _object(src)
     if opener == b"[":
-        return _array(doc, i + 1)
-    return _token(doc, i)
+        src.i += 1
+        return _array(src)
+    return _token(src)
 
 
-def _token(doc: bytes, i: int) -> tuple[Any, int]:
-    """The string, number or literal at i, read by json.loads, and the index
-    after it."""
-    match = _TOKEN.match(doc, i)
+def _token(src: _Source) -> Any:
+    """The string, number or literal at `src.i`, read by json.loads."""
+    # a token is whole once a byte follows it, or the file ends
+    while True:
+        match = _TOKEN.match(src.buf, src.i)
+        if match is not None and match.end() < len(src.buf) or not src.more():
+            break
     if match is None:
         raise ValueError("no value")
-    return json.loads(match[0].decode("utf-8")), match.end()
+    src.i = match.end()
+    return json.loads(match[0].decode("utf-8"))
 
 
-def _object(doc: bytes, i: int) -> tuple[dict, int]:
-    """The object whose "{" is at i - 1, and the index after its "}"."""
+def _object(src: _Source) -> dict:
+    """The object whose "{" was just walked."""
     obj: dict = {}
-    i = _skip(doc, i)
-    if doc[i:i + 1] == b"}":
-        return obj, i + 1
+    if _skip(src) == b"}":
+        src.i += 1
+        return obj
     while True:
-        if doc[i:i + 1] != b'"':
+        if _skip(src) != b'"':
             raise ValueError("unexpected text")
-        key, i = _token(doc, i)
-        i = _skip(doc, i)
-        if doc[i:i + 1] != b":":
+        key = _token(src)
+        if _skip(src) != b":":
             raise ValueError("unexpected text")
-        obj[key], i = _value(doc, _skip(doc, i + 1))
-        i = _skip(doc, i)
-        delimiter = doc[i:i + 1]
+        src.i += 1
+        obj[key] = _value(src, _skip(src))
+        delimiter = _skip(src)
+        src.i += 1
         if delimiter == b"}":
-            return obj, i + 1
+            return obj
         if delimiter != b",":
             raise ValueError("unexpected text")
-        i = _skip(doc, i + 1)
 
 
-def _array(doc: bytes, i: int) -> tuple[Any, int]:
-    """The array whose "[" is at i - 1, and the index after its "]"; an
-    array of numbers or of number rows as an ndarray."""
-    i = _skip(doc, i)
-    if doc[i:i + 1] == b"[":
-        first = _skip(doc, i + 1)
-        last_row = _LAST_ROW.search(doc, first) if doc[first:first + 1] in _NUMBER_START else None
-        if last_row:
-            array = _number_array(doc, i, last_row.start() + 1, rows=True)
-            if array is not None:
-                return array, last_row.end()
-    elif doc[i:i + 1] in _NUMBER_START:
-        stop = doc.find(b"]", i)
-        if stop >= 0:
-            array = _number_array(doc, i, stop, rows=False)
-            if array is not None:
-                return array, stop + 1
+def _array(src: _Source) -> Any:
+    """The array whose "[" was just walked; an array of numbers or of
+    number rows as an ndarray."""
+    opener = _skip(src)
+    start = src.tell()
+    rows = opener == b"["
+    if rows:
+        src.i += 1
+        numbers = _skip(src) in _NUMBER_START
+        src.seek(start)
+    else:
+        numbers = opener in _NUMBER_START
+    if numbers:
+        array = _number_array(src, rows)
+        if array is not None:
+            return array
+        # not a number array: walk it item by item from its start
+        src.seek(start)
     items = []
-    if doc[i:i + 1] == b"]":
-        return items, i + 1
+    if _skip(src) == b"]":
+        src.i += 1
+        return items
     while True:
-        item, i = _value(doc, i)
-        items.append(item)
-        i = _skip(doc, i)
-        delimiter = doc[i:i + 1]
+        items.append(_value(src, _skip(src)))
+        delimiter = _skip(src)
+        src.i += 1
         if delimiter == b"]":
-            return items, i + 1
+            return items
         if delimiter != b",":
             raise ValueError("unexpected text")
-        i = _skip(doc, i + 1)
 
 
-def _number_array(doc: bytes, start: int, stop: int, rows: bool) -> np.ndarray | None:
-    """`np.array` of the array whose items are the text doc[start:stop],
-    when they are all numbers, or all nonempty number rows of one width
-    (`rows`), and None otherwise.
+def _number_array(src: _Source, rows: bool, whole: bool = False) -> np.ndarray | None:
+    """`np.array` of the items of the array being walked, from `src.i` to
+    its "]", when they are all numbers, or all nonempty number rows of one
+    width (`rows`), and None otherwise.
 
-    A piece of the text ends at the first comma past `_PIECE` bytes (past
-    the end of the row there, for rows), so the pieces and the commas
-    between them tile the text, and json.loads reads each piece.  The array
-    is allocated from the count of commas or rows once the first piece is
-    read, in that piece's dtype, and promoted as a later piece needs (int64
-    and uint64 to float64), as np.array promotes the items of one list.
+    The text is cut after the last comma in the text read so far (the last
+    "]," for rows), and json.loads reads each piece so cut, so the pieces
+    and the commas between them tile the array's text.  Each piece is an
+    array in its own dtype, and the arrays are joined at the end, promoted
+    as np.array promotes the items of one list (int64 and uint64 to
+    float64).  With `whole`, or when a piece holds an int beyond 64 bits,
+    the text is read as one piece.
     """
-    out, filled, k = None, 0, start
+    start = src.tell()
+    pieces: list[np.ndarray] = []
     while True:
-        cut = doc.find(b"]", k + _PIECE, stop) if rows else k + _PIECE
-        end = doc.find(b",", cut, stop) if cut >= 0 else -1
-        end = stop if end < 0 else end
-        piece = _parsed_numbers(doc[k:end], rows)
-        if piece is None or (out is not None and piece.shape[1:] != out.shape[1:]):
+        while len(src.buf) - src.i < _PIECE and src.more():
+            pass
+        buf, i = src.buf, src.i
+        if rows:
+            last = _LAST_ROW.search(buf, i)
+            stop, after = (last.start() + 1, last.end()) if last else (-1, -1)
+            cut = -1 if whole else buf.rfind(b"],", i)
+            cut += cut >= 0  # the comma after the row
+        else:
+            stop = buf.find(b"]", i)
+            after = stop + 1
+            cut = -1 if whole else buf.rfind(b",", i)
+        final = stop >= 0
+        if not final:
+            if cut < 0:  # no whole item read yet
+                if not src.more():
+                    return None
+                continue
+            stop, after = cut, cut + 1
+        piece = _parsed_numbers(buf[i:stop], rows)
+        if piece is None or (pieces and piece.shape[1:] != pieces[0].shape[1:]):
             return None
-        if piece.dtype == object:
+        if piece.dtype == object and not whole:
             # an int beyond 64 bits: np.array keeps every item's own Python
             # number in an object array, so such an array is read whole
-            return _parsed_numbers(doc[start:stop], rows)
-        if out is None:
-            count = doc.count(b"[", start, stop) if rows else doc.count(b",", start, stop) + 1
-            out = np.empty((count,) + piece.shape[1:], piece.dtype)
-        dtype = np.promote_types(out.dtype, piece.dtype)
-        if dtype != out.dtype:
-            out = out.astype(dtype)
-        out[filled:filled + len(piece)] = piece
-        filled += len(piece)
-        if end == stop:
-            return out
-        k = end + 1
+            src.seek(start)
+            return _number_array(src, rows, whole=True)
+        pieces.append(piece)
+        src.i = after
+        if final:
+            return np.concatenate(pieces) if len(pieces) > 1 else piece
 
 
 def _parsed_numbers(text: bytes, rows: bool) -> np.ndarray | None:

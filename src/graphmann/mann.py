@@ -13,8 +13,9 @@ audit's blocks, and run() checks a box domain every AUDIT_BLOCK_ROWS rows;
 `verify_trajectory` steps whole columns of rows at once, one audit block at
 a time.  The audit reads those blocks in place through an `AuditStream`, as
 a run hands them over or `stream_record` pushes a stored record, and the
-stream applies T once per block (`apply_batch`), the one place the audit
-computes images, so no (N, d) history is needed to audit a run.
+stream applies T once per block (`apply_batch`, a folded tail with the
+block before it), the one place the audit computes images, so no (N, d)
+history is needed to audit a run.
 """
 
 from __future__ import annotations
@@ -47,7 +48,9 @@ DEFAULT_TOL = 1e-10
 # audit's scratch memory is a few blocks whatever the length of the run.
 # 512 KiB keeps a block, its images and each auditor temporary (x - Tx, edge
 # differences, Fejer distances) within a 2 MiB L2 cache: 16 384 rows at
-# d = 4, 256 at d = 256.  A shorter tail folds into the block before it.
+# d = 4, 256 at d = 256.  A shorter tail folds into the block before it:
+# T is applied to that cut as one batch, and the auditors still read it a
+# block's rows at a time, so their temporaries stay a block's size.
 # The bits of a batched T depend on the number of rows in the batch (at
 # d = 255, 257 and 300 a 256-row product differs in the last bit from the
 # same rows of a 3 000-row one), so a block's images are not those of T of
@@ -228,11 +231,11 @@ class AuditBlock(NamedTuple):
 
     `x` holds the block's rows and then row `stop` when the run goes on (the
     step leaving the block's last row ends there); `prev` is row start - 1,
-    None in the first block; `tx` is T of the block's rows, applied as one
-    batch.  `residuals` are the recorded r_n of the block's rows,
-    `checked` the offsets of the rows whose step leads to a recorded iterate
-    (that iterate is x[checked + 1]) and `steps` the recorded t_n of those
-    steps.
+    None in the first block; `tx` is T of the block's rows, taken from one
+    batch over the rows cut with them.  `residuals` are the recorded r_n of
+    the block's rows, `checked` the offsets of the rows whose step leads to
+    a recorded iterate (that iterate is x[checked + 1]) and `steps` the
+    recorded t_n of those steps.
     """
 
     start: int
@@ -260,10 +263,13 @@ class AuditStream:
     the next block before pushing that one.  The stream holds the last
     block pushed and cuts it when a full-size successor arrives, or at
     `close`; a shorter last block folds into it by one concatenation, so
-    the last block cut has fewer than twice as many rows.  No other block
-    is copied, no row is written, and nothing is allocated per block but T
-    of its rows, `operator.apply_batch` of the block.  Each block goes to
-    `audit`, which a subclass defines (or an instance is given).
+    the last cut has fewer than twice a block's rows.  T is applied to a
+    cut as one batch (`operator.apply_batch`), and the cut goes to
+    `audit`, which a subclass defines (or an instance is given), as blocks
+    of at most `audit_block_rows(d)` rows, views of the cut and of its
+    images.  So the auditors' temporaries are a block's size even for a
+    folded cut.  No block but a folded one is copied, and no row is
+    written.
     """
 
     def __init__(self, operator: Operator) -> None:
@@ -272,13 +278,17 @@ class AuditStream:
     def open(self, residuals, steps, indices, forward=None, reverse=None) -> None:
         """Start a run.
 
-        `residuals` (r_n), `steps` (t_n) and `indices` (the increasing
-        1-based indices of the recorded iterates) are indexed from 0 and may
-        grow while rows are pushed, as long as they cover every row pushed.
-        `forward` and `reverse` are the start flags (`start_edges`), kept as
-        `case` (`edge_case`).
+        `residuals` (r_n) and `steps` (t_n) are indexed from 0 and may be
+        filled while rows are pushed, as long as they cover every row
+        pushed; a producer that grows `residuals` into a new array sets
+        `self.residuals` to it before its next push (`run` does).
+        `indices` are the increasing 1-based indices of the recorded
+        iterates, or an int s when those are x_1, x_{1+s}, x_{1+2s}, ... and
+        the last row pushed (s = 1 for a full history).  `forward` and
+        `reverse` are the start flags (`start_edges`), kept as `case`
+        (`edge_case`).
         """
-        self.record = (residuals, steps, indices)
+        self.residuals, self.steps, self.indices = residuals, steps, indices
         self.case = edge_case(forward, reverse)
         self.held = None  # the block pushed last and its row count
         self.start = 0  # run row of the held block's first row
@@ -287,10 +297,11 @@ class AuditStream:
 
     def push(self, block: np.ndarray, count: int) -> None:
         """Hand over the run's next `count` rows, block[:count], read in
-        place until the next push or `close`."""
+        place until the next push or `close`.  A last block of more than a
+        block's rows is one the producer folded itself."""
         if self.held is not None:
             last, k = self.held
-            if count == audit_block_rows(block.shape[1]):
+            if count >= audit_block_rows(block.shape[1]):
                 self._cut(last[: k + 1], k)
             else:  # a shorter last block folds into the block before it
                 block, count = np.concatenate((last[:k], block[:count])), k + count
@@ -302,36 +313,49 @@ class AuditStream:
         if self.held is not None:
             block, count = self.held
             self._cut(block[:count], count)
-        self.held = self.record = None
+        self.held = self.residuals = self.steps = self.indices = None
 
     def audit(self, block: AuditBlock) -> None:
         """Take one block, whose rows stay valid only for this call."""
         raise NotImplementedError
 
     def _cut(self, x: np.ndarray, k: int) -> None:
-        # the first k rows of x form a block; x adds the row after them
-        start, stop = self.start, self.start + k
-        rows = x[:k]
-        # the recorded x_h with h - 2 in [start, stop): at most k of them
-        residuals, steps, indices = self.record
-        ends = np.array(indices[self.cursor : self.cursor + k], dtype=int)
-        ends = ends[: np.searchsorted(ends, stop + 2)]
-        self.cursor += ends.shape[0]
-        checked = ends - (start + 2)
-        self.audit(
-            AuditBlock(
-                start,
-                stop,
-                x,
-                self.prev,
-                self.operator.apply_batch(rows),
-                np.array(residuals[start:stop], dtype=float),
-                checked,
-                steps[checked + start],
+        # the first k rows of x form the block cut (a folded last block has
+        # fewer than twice a block's rows); x adds the row after them
+        start, residuals, steps, s = self.start, self.residuals, self.steps, self.indices
+        # the recorded x_h with h - 2 in [start, start + k): at most k
+        if np.ndim(s):
+            ends = np.array(s[self.cursor : self.cursor + k], dtype=int)
+            ends = ends[: np.searchsorted(ends, start + k + 2)]
+            self.cursor += ends.shape[0]
+            checked = ends - (start + 2)
+        else:  # every s-th row from x_1, and the run's last row in its last cut
+            checked = np.arange(-(start + 1) % s, x.shape[0] - 1, s)
+            if x.shape[0] == k > 1 and (start + k - 1) % s:
+                checked = np.append(checked, k - 2)
+        # one batch over the whole cut, as its bits depend on its row count;
+        # the auditors then read it a block's rows at a time
+        tx = self.operator.apply_batch(x[:k])
+        size = audit_block_rows(x.shape[1])
+        for lo in range(0, k, size):
+            hi = min(lo + size, k)
+            first, last = np.searchsorted(checked, (lo, hi))
+            offsets = checked[first:last] - lo
+            self.audit(
+                AuditBlock(
+                    start + lo,
+                    start + hi,
+                    x[lo : hi + 1],
+                    self.prev,
+                    tx[lo:hi],
+                    residuals[start + lo : start + hi],
+                    offsets,
+                    steps[offsets + (start + lo)],
+                )
             )
-        )
-        self.prev = rows[-1].copy()
-        self.start = stop
+            self.prev = x[hi - 1]
+        self.prev = self.prev.copy()
+        self.start = start + k
 
 
 def start_edges(rel: ConeRelation, x1, tx1) -> tuple[bool, bool]:
@@ -378,6 +402,17 @@ def _first_outside(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
     return rows.shape[0] if inside.all() else int(inside.argmin())
 
 
+def _grown(array: np.ndarray, filled: int, length: int, limit: int) -> np.ndarray:
+    """`array`, or when it holds fewer than `length` entries a new array
+    of twice its size (at least `length`, at most `limit`) with its first
+    `filled` entries."""
+    if array.shape[0] >= length:
+        return array
+    grown = np.empty(min(max(length, 2 * array.shape[0]), limit), array.dtype)
+    grown[:filled] = array[:filled]
+    return grown
+
+
 def run(
     operator: Operator,
     x1,
@@ -402,7 +437,9 @@ def run(
     domain is checked every AUDIT_BLOCK_ROWS rows, so a run that leaves the
     box applies T to at most AUDIT_BLOCK_ROWS - 1 further iterates and then
     discards them; any other body is checked after every step.  Only the
-    rows `record_stride` selects and the final iterate are kept.
+    rows `record_stride` selects and the final iterate are kept, and r_n
+    goes into an array grown a block at a time, so beyond its record the
+    run holds a few blocks.
 
     With `audit`, the run is audited while it runs: the stream is opened
     with the run's record, each block is pushed once it has passed the box
@@ -444,8 +481,8 @@ def run(
     size = audit_block_rows(d)
 
     kept: list[np.ndarray] = []  # recorded rows, one array per block
-    indices: list[int] = []
-    residuals: list[float] = []
+    # r_n of the first n iterates, grown a block at a time (`_grown`)
+    residuals = np.empty(min(size, effective_max))
     diff = np.empty(d)
     scratch = np.empty(d)
     if audit is not None:
@@ -459,7 +496,7 @@ def run(
             if t_values is None
             else schedule.t_values
         )
-        audit.open(residuals, steps, indices, forward, reverse)
+        audit.open(residuals, steps, record_stride, forward, reverse)
 
     pushed = None  # the block pushed last, its spare row still empty
 
@@ -471,7 +508,6 @@ def run(
         if first < count:
             picked = block[first:count:record_stride]
             kept.append(picked if record_stride == 1 else picked.copy())
-            indices.extend(range(base + first, base + count, record_stride))
         if audit is not None:
             if pushed is not None:
                 pushed[size] = block[0]
@@ -488,7 +524,7 @@ def run(
     stop = None
     while True:
         residual = norm(np.subtract(x, tx, out=diff))
-        residuals.append(residual)
+        residuals[n - 1] = residual
         if residual <= tol:
             stop = STOP_TOLERANCE
             break
@@ -502,6 +538,9 @@ def run(
                 keep(block, base, size)
                 block = np.empty((size + 1, d))
                 base, row, check = n + 1, -1, 0
+                residuals = _grown(residuals, n, n + size, effective_max)
+                if audit is not None:
+                    audit.residuals = residuals
             checked, check = check, min(check + AUDIT_BLOCK_ROWS, size)
         if t_values is not None:
             t[()] = step = t_values[n - 1]
@@ -517,7 +556,7 @@ def run(
                 break
             raise
         if not box and not inside(x):
-            residuals.append(norm(np.subtract(x, tx, out=diff)))
+            residuals[n - 1] = norm(np.subtract(x, tx, out=diff))
             stop = STOP_DIVERGED
             break
     if box:
@@ -525,18 +564,17 @@ def run(
         if out <= row:
             # the first iterate outside the box ends the run
             row, n, stop = out, base + out, STOP_DIVERGED
-            del residuals[n:]
     keep(block, base, row + 1)
-    if indices[-1] != n:  # always keep the final iterate
+    if (n - 1) % record_stride:  # always keep the final iterate
         kept.append(block[row : row + 1])
-        indices.append(n)
     if audit is not None:
         audit.close()
 
+    indices = np.arange(1, n + 1, record_stride)
     return Trajectory(
         iterates=np.concatenate(kept),
-        iterate_indices=np.array(indices, dtype=int),
-        residuals=np.array(residuals),
+        iterate_indices=indices if indices[-1] == n else np.append(indices, n),
+        residuals=residuals[:n],
         schedule_used=(
             np.full(n - 1, schedule.t_constant)
             if t_values is None
@@ -555,7 +593,9 @@ def iterate_rows(traj: Trajectory, operator: Operator):
     """The iterates x_1..x_N of a record, in order, as the (block, count)
     pairs of audit blocks that `AuditStream.push` takes.
 
-    A full-history record is yielded as views of its stored rows.  The gaps
+    A full-history record is yielded as views of its stored rows, a tail
+    shorter than a block with the block before it, so that the stream's
+    fold of them (`AuditStream.push`) is read in place too.  The gaps
     of a decimated record are replayed in order with the recorded step
     sizes, each step written in place into a block by the same `_step` and
     the same single-vector T as run()'s loop, so every replayed iterate is
@@ -568,8 +608,11 @@ def iterate_rows(traj: Trajectory, operator: Operator):
     size = audit_block_rows(d)
     if traj.is_full_history:
         rows = traj.iterates
-        for start in range(0, rows.shape[0], size):
-            yield rows[start : start + size + 1], min(size, rows.shape[0] - start)
+        n = rows.shape[0]
+        starts = range(0, max(size, n - n % size), size)
+        for start in starts:
+            stop = n if start == starts[-1] else start + size
+            yield rows[start : stop + 1], stop - start
         return
     apply = operator._apply
     steps = traj.schedule_used.tolist()
@@ -602,7 +645,7 @@ def stream_record(traj: Trajectory, operator: Operator, stream: AuditStream) -> 
     stream.open(
         traj.residuals,
         traj.schedule_used,
-        traj.iterate_indices,
+        1 if traj.is_full_history else traj.iterate_indices,
         traj.start_edge_forward,
         traj.start_edge_reverse,
     )

@@ -991,14 +991,24 @@ class TestStreamedAudit:
         assert got == reference_run_audits(ALL_AUDITS, *args, diam=2.0, seed=3)
 
     def test_full_history_is_read_in_place(self):
-        # every block but the folded last one is a view of the stored rows
-        traj = run(gentle_maps(), [0.1, 0.2], Schedule.constant(0.5), max_iter=3 * B + 2,
-                   tol=0.0, rel=COORD2)
-        shared = []
-        stream = AuditStream(gentle_maps())
-        stream.audit = lambda block: shared.append(np.shares_memory(block.x, traj.iterates))
-        stream_record(traj, gentle_maps(), stream)
-        assert len(shared) >= 3 and all(shared[:-1]) and not shared[-1]
+        # every block the auditors read is a view of the stored rows with at
+        # most a block's rows; the folded last cut is read a block at a
+        # time, with the images of T of all its rows as one batch
+        op = gentle_maps()
+        traj = run(op, [0.1, 0.2], Schedule.constant(0.5), max_iter=3 * B + 2, tol=0.0,
+                   rel=COORD2)
+        b = audit_block_rows(2)
+        blocks = []
+        stream = AuditStream(op)
+        stream.audit = lambda block: blocks.append(
+            (block.start, block.stop, block.tx, np.shares_memory(block.x, traj.iterates))
+        )
+        stream_record(traj, op, stream)
+        fold = (traj.n_iterates // b - 1) * b  # the first row of the folded cut
+        assert all(stop - start <= b and shared for start, stop, _, shared in blocks)
+        tail = [tx for start, _, tx, _ in blocks if start >= fold]
+        assert len(tail) == 2
+        assert np.concatenate(tail).tobytes() == op.apply_batch(traj.iterates[fold:]).tobytes()
 
 
 def test_streamed_audit_at_the_d4_block_edge():
@@ -1081,9 +1091,11 @@ def traced_peak(fn, *args, **kwargs):
 
 class TestStreamedMemory:
     # the stored audit's growth from 2 000 to 8 000 iterates at d = 256:
-    # `read_json` of run.json holds its bytes (1.1 MB more) and its arrays
-    # while it reads, and the peak is then set by the audit's blocks; it
-    # fell by 0.84 MB (it rose by 1.12 MB when `json.loads` held a Python
+    # `read_json` of run.json holds its arrays and a few pieces of its text
+    # while it reads, and the peak is then set by the audit's blocks and
+    # its last cut (464 rows, then 320); it fell by 0.25 MB (by 0.84 MB
+    # when the read held the file's bytes and the auditors read a folded
+    # cut whole, and it rose by 1.12 MB when `json.loads` held a Python
     # float per residual, step and every 50th row), where an (N, d) history
     # would add 6 000 x 2 KiB = 12 MB
     STORED_AUDIT_GROWTH = 2 << 20
@@ -1107,6 +1119,42 @@ class TestStreamedMemory:
             peaks["audit"].append(peak)
         assert peaks["run"][1] - peaks["run"][0] < audit_block_rows(d) * d * 8
         assert peaks["audit"][1] - peaks["audit"][0] < self.STORED_AUDIT_GROWTH
+
+    @pytest.fixture(scope="class")
+    def full_history_growth(self, tmp_path_factory):
+        """Peak bytes per iterate that run_experiment and the audit of its
+        run.json add from 2 x 16 384 + 1 000 to 4 x 16 384 + 1 000 iterates
+        at d = 4, full history: the last cut (a 16 384-row audit block with
+        1 000 rows folded in) is the same in both runs.  The run is traced
+        without writing its files, which triples the time tracing takes and
+        holds a chunk of text at a time; they are written untraced."""
+        lengths = (2 * 16_384 + 1000, 4 * 16_384 + 1000)
+        peaks = {"run": [], "audit": []}
+        for n in lengths:
+            config = permutation_config(4, 0.9999, n, 1)
+            peak, result = traced_peak(run_experiment, config, write=False)
+            assert result.trajectory.n_iterates == n and result.exit_code != 2
+            peaks["run"].append(peak)
+            del result
+            out = tmp_path_factory.mktemp("full_history")
+            run_experiment(config, out_dir=out)
+            peak, (code, _) = traced_peak(audit_stored, out / "run.json", config)
+            assert code != 2
+            peaks["audit"].append(peak)
+        return {op: (high - low) / (lengths[1] - lengths[0]) for op, (low, high) in peaks.items()}
+
+    def test_full_history_run_grows_by_its_rows_and_residuals(self, full_history_growth):
+        # the run holds its iterates (32 B) and residuals (8 B) per iterate,
+        # and its last cut and the auditors' blocks whatever its length; it
+        # grew by 105 B per iterate when it kept r_n and the indices in lists
+        assert full_history_growth["run"] < 48
+
+    def test_full_history_stored_audit_grows_by_its_record(self, full_history_growth):
+        # the audit of run.json holds the record's arrays (56 B per iterate)
+        # and, while `read_json` reads an array, the pieces of that array;
+        # it grew by 239 B per iterate when the read held the file's bytes
+        # (176 B per iterate) and a fold copied the last cut
+        assert full_history_growth["audit"] < 96
 
     @pytest.mark.parametrize("stride", [1, 50])
     def test_audit_working_set(self, stride):

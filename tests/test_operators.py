@@ -178,7 +178,7 @@ FAMILIES = ["matrix_affine", "componentwise", "identity", "swap"]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("d", [1, 4, 16, 256])
+@pytest.mark.parametrize("d", [1, 4, 16, 255, 256, 257, 300])
 def test_one_map_keeps_the_bits_of_vector_and_rows(family, d):
     # each family writes T once, for a vector and for rows; both keep the
     # bits of the separate expressions it had for each
@@ -212,9 +212,10 @@ class TestBlockedApplyBits:
                 stream.push(rows[start : start + b + 1], min(b, n - start))
             stream.close()
             assert blocks[0].start == 0 and blocks[-1].stop == n
-            # a tail shorter than a block folds into the block before it
-            assert len(blocks) == max(1, n // b)
-            assert min(block.stop - block.start for block in blocks) >= min(n, b)
+            # a tail shorter than a block folds into the cut before it, which
+            # the auditors still read a block's rows at a time
+            assert len(blocks) == -(-n // b)
+            assert all(block.stop - block.start == b for block in blocks[:-1])
             blocked = np.concatenate([block.tx for block in blocks])
             assert blocked.tobytes() == op.apply_batch(rows).tobytes()
 
