@@ -131,8 +131,9 @@ def configs(head_src: Path) -> dict[str, dict]:
     (one of them without the auditors that read images), d = 256 and d = 4
     runs that leave the box, two small runs of the remaining section kinds,
     a d = 3 run that sets the fields no other config sets, and d = 2 runs
-    from a start incomparable with its image, from a reverse-comparable
-    start and from a fixed point, with HEAD_SRC's graphmann."""
+    from a start incomparable with its image, with int entries in its
+    number arrays, from a reverse-comparable start and from a fixed point,
+    with HEAD_SRC's graphmann."""
     sys.path[:0] = [str(head_src), str(ROOT)]
     from graphmann.corpus import negative_swap_config, oracle_1d_config, t_one_config
     from perfbench.workloads import averaged_permutation_config as permutation
@@ -192,6 +193,11 @@ def configs(head_src: Path) -> dict[str, dict]:
         run={"max_iter": 5000, "tol": 1e-9, "record_stride": 3},
     )
     contraction = {"kind": "matrix_affine", "scale": 0.9, "offset": 0.05}
+    int_entries = oracle_d2(
+        oracle_1d_config(),
+        {"kind": "matrix_affine", "matrix": [[0, 0.9], [0.9, 0]], "offset": 0.05},
+        [0, 0])
+    int_entries["body"] = {"kind": "box", "lo": [0, 0], "hi": [1, 1]}
     return {
         "oracle": oracle_1d_config(),
         "swap": negative_swap_config(),
@@ -215,6 +221,10 @@ def configs(head_src: Path) -> dict[str, dict]:
             oracle_1d_config(),
             {"kind": "matrix_affine", "matrix": [[0.0, 0.9], [0.9, 0.0]], "offset": 0.05},
             [0.1, 0.9]),
+        # the matrix mixes ints and floats, and the start and the box
+        # corners are int lists, so the config echo in run.json writes ints
+        # where the config file has them
+        "int_entries_d2": int_entries,
         # T x = 0.9 x + 0.05 fixes 0.5 * 1; from above it, the audits run mirrored
         "reverse_d2": oracle_d2(oracle_1d_config(), contraction, [1.0, 0.8]),
         # a one-iterate run: no Goebel-Kirk pair or rate span is checked

@@ -27,7 +27,13 @@ def as_vector(x: Any, dim: int | None = None, name: str = "vector") -> np.ndarra
 
 
 def frozen_array(x: Any, dtype=float) -> np.ndarray:
-    """Copy to a read-only array so dataclass holders stay immutable."""
+    """A read-only array of `x`, so dataclass holders stay immutable: `x`
+    itself when it is a read-only `dtype` array that owns its data (as
+    `read_json` reads one), which nothing can write, and a read-only copy
+    otherwise."""
+    if (isinstance(x, np.ndarray) and x.dtype == dtype and x.flags.owndata
+            and not x.flags.writeable):
+        return x
     arr = np.array(x, dtype=dtype)
     arr.flags.writeable = False
     return arr
@@ -46,6 +52,8 @@ def jsonable(value: Any) -> Any:
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= _NUMBER_TYPES:
+            return list(value)
         return [jsonable(v) for v in value]
     return value
 
@@ -205,7 +213,14 @@ _NUMBER_START = {bytes([c]) for c in b"-0123456789NI"}
 def read_json(path: str | Path) -> Any:
     """`json.loads` of the file's UTF-8 text, with each nonempty array of
     numbers, or of nonempty number rows of one width, read as its
-    `np.array` (the same dtype and bits).
+    `np.array` (the same dtype and bits) when its numbers are all floats,
+    or all ints that np.array keeps as ints (an int beyond 64 bits in an
+    object array).  An array that mixes ints and floats, or whose ints
+    np.array would promote to floats, stays json.loads' list, so that
+    `write_json` writes every number of what it reads as it was written:
+    an int as an int, a float as a float.  The arrays are read-only, so a
+    holder that freezes its arrays (`frozen_array`) keeps one without a
+    copy.
 
     The file is read forward `_PIECE` bytes at a time (`_Source`).  Objects
     and arrays are walked here and every key and other value is read by
@@ -323,7 +338,8 @@ def _object(src: _Source) -> dict:
 
 def _array(src: _Source) -> Any:
     """The array whose "[" was just walked; an array of numbers or of
-    number rows as an ndarray."""
+    number rows as a read-only ndarray (unless `_number_array` gives a
+    list)."""
     opener = _skip(src)
     start = src.tell()
     rows = opener == b"["
@@ -335,6 +351,8 @@ def _array(src: _Source) -> Any:
         numbers = opener in _NUMBER_START
     if numbers:
         array = _number_array(src, rows)
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
         if array is not None:
             return array
         # not a number array: walk it item by item from its start
@@ -353,18 +371,20 @@ def _array(src: _Source) -> Any:
             raise ValueError("unexpected text")
 
 
-def _number_array(src: _Source, rows: bool, whole: bool = False) -> np.ndarray | None:
-    """`np.array` of the items of the array being walked, from `src.i` to
-    its "]", when they are all numbers, or all nonempty number rows of one
-    width (`rows`), and None otherwise.
+def _number_array(
+    src: _Source, rows: bool, whole: bool = False
+) -> np.ndarray | list | None:
+    """The items of the array being walked, from `src.i` to its "]", as
+    `_parsed_numbers` gives them when they are all numbers, or all nonempty
+    number rows of one width (`rows`), and None otherwise.
 
     The text is cut after the last comma in the text read so far (the last
     "]," for rows), and json.loads reads each piece so cut, so the pieces
     and the commas between them tile the array's text.  Each piece is an
-    array in its own dtype, and the arrays are joined at the end, promoted
-    as np.array promotes the items of one list (int64 and uint64 to
-    float64).  With `whole`, or when a piece holds an int beyond 64 bits,
-    the text is read as one piece.
+    array, and the arrays, all of one dtype, are joined at the end.  With
+    `whole`, or when a piece holds an int beyond 64 bits, is a list, or has
+    another dtype than the pieces before it (np.array of the whole would
+    promote ints to floats), the text is read as one piece.
     """
     start = src.tell()
     pieces: list[np.ndarray] = []
@@ -389,22 +409,33 @@ def _number_array(src: _Source, rows: bool, whole: bool = False) -> np.ndarray |
                 continue
             stop, after = cut, cut + 1
         piece = _parsed_numbers(buf[i:stop], rows)
-        if piece is None or (pieces and piece.shape[1:] != pieces[0].shape[1:]):
+        if piece is None:
             return None
-        if piece.dtype == object and not whole:
-            # an int beyond 64 bits: np.array keeps every item's own Python
-            # number in an object array, so such an array is read whole
+        if whole:
+            src.i = after
+            return piece
+        if isinstance(piece, list) or piece.dtype == object or (
+            pieces and piece.dtype != pieces[0].dtype
+        ):
+            # an int beyond 64 bits (np.array keeps every item's own Python
+            # number in an object array), or ints and floats together, here
+            # or across pieces: the array is read whole
             src.seek(start)
             return _number_array(src, rows, whole=True)
+        if pieces and piece.shape[1:] != pieces[0].shape[1:]:
+            return None
         pieces.append(piece)
         src.i = after
         if final:
             return np.concatenate(pieces) if len(pieces) > 1 else piece
 
 
-def _parsed_numbers(text: bytes, rows: bool) -> np.ndarray | None:
-    """`np.array` of the items in `text` when they are all numbers, or all
-    nonempty number rows of one width (`rows`), and None otherwise."""
+def _parsed_numbers(text: bytes, rows: bool) -> np.ndarray | list | None:
+    """The items in `text` when they are all numbers, or all nonempty number
+    rows of one width (`rows`), and None otherwise: their `np.array` when
+    the numbers are all floats, or all ints that it keeps as ints, and
+    json.loads' list when they mix ints and floats or np.array promotes
+    their ints to floats."""
     try:
         items = json.loads("[%s]" % text.decode("utf-8"))
     except ValueError:
@@ -415,7 +446,12 @@ def _parsed_numbers(text: bytes, rows: bool) -> np.ndarray | None:
             return None
         # one flat list: np.array promotes its items alike, and faster
         numbers = list(chain.from_iterable(items))
-    if not numbers or not set(map(type, numbers)) <= {int, float}:
+    types = set(map(type, numbers))
+    if not numbers or not types <= {int, float}:
         return None
+    if len(types) > 1:
+        return items
     array = np.array(numbers)
+    if types == {int} and array.dtype.kind == "f":
+        return items
     return array.reshape(len(items), -1) if rows else array

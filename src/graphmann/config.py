@@ -14,7 +14,6 @@ defaults and its field annotations.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import numbers
 from dataclasses import MISSING, dataclass, field, fields
@@ -23,6 +22,7 @@ from typing import Any
 
 import numpy as np
 
+from ._util import jsonable, read_json
 from .diagnostics import ALL_AUDITS
 from .errors import ConfigError, GraphmannError
 from .mann import DEFAULT_MAX_ITER, DEFAULT_TOL, Schedule, start_edges
@@ -94,24 +94,51 @@ def _parse_p(value: Any) -> float:
     return p
 
 
+def _is_numbers(value: Any, ndim: int) -> bool:
+    """Whether `value` is an `ndim`-d int or float array, as `read_json`
+    reads an array of numbers (or of number rows) that are all floats or
+    all ints."""
+    return isinstance(value, np.ndarray) and value.ndim == ndim and value.dtype.kind in "iuf"
+
+
 def _floats(value: Any, name: str) -> np.ndarray:
-    """A list of float fields, entry i checked as `name[i]`."""
-    if not isinstance(value, (list, tuple, np.ndarray)):
+    """A list or 1-d array of float fields, entry i checked as `name[i]`.
+
+    An int or float array that holds no NaN or infinity is taken whole;
+    any other value is checked with every array in it as its list, so each
+    message shows an entry as the list path does (`nan`, not
+    `np.float64(nan)`).
+    """
+    if _is_numbers(value, 1) and np.isfinite(value).all():
+        return np.array(value, dtype=float)
+    value = jsonable(value)
+    if not isinstance(value, list):
         raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
     return np.array([_float(v, f"{name}[{i}]") for i, v in enumerate(value)], dtype=float)
 
 
 def _matrix(value: Any, name: str) -> np.ndarray:
-    """A list of rows of float fields, checked as a whole rather than entry
-    by entry (a matrix may have 65 536 entries): the entry types first, then
-    NaN in the converted array."""
-    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
-        raise ConfigError(f"{name} must be a list of rows of numbers")
-    types = set(map(type, chain.from_iterable(value)))
-    bad = sorted(t.__name__ for t in types if t is bool or not issubclass(t, numbers.Real))
-    if bad:
-        raise ConfigError(f"{name} entries must be numbers, got {', '.join(bad)}")
-    matrix = np.array(value, dtype=float)
+    """A 2-d int or float array, as `read_json` reads number rows that are
+    all floats or all ints, or a list of rows of float fields, checked as a
+    whole rather than entry by entry (a matrix may have 65 536 entries):
+    the entry types of a list first, then NaN and infinity in the float
+    array.  Any other value is checked with every array in it as its list,
+    so every message is the list path's.  The array returned may be `value`
+    itself; the operator and the relation keep copies."""
+    if _is_numbers(value, 2):
+        matrix = np.asarray(value, dtype=float)
+    else:
+        value = jsonable(value)
+        if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+            raise ConfigError(f"{name} must be a list of rows of numbers")
+        types = set(map(type, chain.from_iterable(value)))
+        bad = sorted(t.__name__ for t in types if t is bool or not issubclass(t, numbers.Real))
+        if bad:
+            raise ConfigError(f"{name} entries must be numbers, got {', '.join(bad)}")
+        try:
+            matrix = np.array(value, dtype=float)
+        except OverflowError:  # an integer beyond the range of a float
+            raise ConfigError(f"{name} entries must be finite") from None
     if np.isnan(matrix).any():
         raise ConfigError(f"{name} entries must be numbers, got NaN")
     if np.isinf(matrix).any():
@@ -135,21 +162,27 @@ def _bool(value: Any, name: str) -> bool:
     return value
 
 
+# the annotation of a field that holds a number, or an array of numbers or
+# of number rows, which its builder checks (`_vec`, `_floats`, `_matrix`):
+# the one kind of field whose value `read_config` may give as an ndarray
+Numbers = Any
+
 # the checks of the given values of a section's fields, by annotation; a
 # field of any other type is kept as given, for the builders to check
 _CHECKS = {"int": _int, "float": _float, "bool": _bool}
 
 
 @functools.cache
-def _layout(cls) -> tuple[dict[str, Any], dict[str, Any]]:
+def _layout(cls) -> tuple[dict[str, Any], dict[str, Any], frozenset[str]]:
     """The fields that every kind of section `cls` allows (those no kind
-    lists), with their defaults (MISSING when required), and the check of
-    each checked field."""
+    lists), with their defaults (MISSING when required), the check of each
+    checked field, and the `Numbers` fields."""
     listed = {key for required, optional in cls.kinds.values() for key in (*required, *optional)}
     common = {f.name: f.default for f in fields(cls) if f.name not in listed}
     checks = {f.name: check for f in fields(cls)
               if (check := _CHECKS.get(f.type.removesuffix(" | None")))}
-    return common, checks
+    arrays = frozenset(f.name for f in fields(cls) if f.type == "Numbers")
+    return common, checks, arrays
 
 
 class _Section:
@@ -160,7 +193,11 @@ class _Section:
     with their defaults; the default kind is the default of the `kind`
     field.  A field that no kind lists is allowed by every kind, with its
     dataclass default, and is required when it has none; a section without
-    kinds allows exactly its fields.
+    kinds allows exactly its fields.  A `Numbers` field keeps an array as
+    given, shared by every config parsed from the same data; any other
+    field's value is read with its arrays as lists, as every check of it
+    was written for.  Sections are equal when their fields are, an array
+    equal to the list of its numbers.
     """
 
     section = ""
@@ -168,7 +205,8 @@ class _Section:
 
     @classmethod
     def from_dict(cls, data: dict):
-        common, checks = _layout(cls)
+        common, checks, arrays = _layout(cls)
+        data = {key: value if key in arrays else jsonable(value) for key, value in data.items()}
         keys = dict(common)
         if cls.kinds:
             kind = data.get("kind", keys["kind"])
@@ -196,8 +234,13 @@ class _Section:
         pairs = ((f.name, getattr(self, f.name)) for f in fields(self))
         return {name: value for name, value in pairs if value is not None}
 
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return jsonable(vars(self)) == jsonable(vars(other))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class SpaceConfig(_Section):
     section = "space"
     dimension: int
@@ -212,14 +255,14 @@ class SpaceConfig(_Section):
         return {"dimension": self.dimension, "p": "inf" if math.isinf(self.p) else self.p}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BodyConfig(_Section):
     section = "body"
     kinds = {"box": (("lo", "hi"), {}), "ball": (("center", "radius"), {})}
     kind: str
-    lo: Any = None
-    hi: Any = None
-    center: Any = None
+    lo: Numbers = None
+    hi: Numbers = None
+    center: Numbers = None
     radius: Any = None
 
     def __post_init__(self) -> None:
@@ -229,7 +272,7 @@ class BodyConfig(_Section):
             object.__setattr__(self, "radius", _float(self.radius, "body.radius", finite=False))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelationConfig(_Section):
     section = "relation"
     kinds = {
@@ -239,11 +282,11 @@ class RelationConfig(_Section):
     }
     kind: str = "coordinatewise"
     slack_tol: float = EDGE_SLACK_TOL
-    row: Any = None
-    generator_matrix: Any = None
+    row: Numbers = None
+    generator_matrix: Numbers = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorConfig(_Section):
     section = "operator"
     kinds = {
@@ -253,9 +296,9 @@ class OperatorConfig(_Section):
         "test_only_nonmonotone": (("factor",), {"offset": 0.0}),
     }
     kind: str
-    matrix: Any = None
+    matrix: Numbers = None
     scale: float | None = None
-    offset: Any = None
+    offset: Numbers = None
     functions: Any = None
     factor: float | None = None
 
@@ -264,27 +307,27 @@ class OperatorConfig(_Section):
             raise ConfigError("operator: matrix_affine requires exactly one of matrix / scale")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StartConfig(_Section):
     section = "start"
     kinds = {"explicit": (("value",), {}), "random_comparable": ((), {})}
     kind: str
-    value: Any = None
+    value: Numbers = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScheduleConfig(_Section):
     section = "schedule"
     kinds = {"constant": (("t",), {}), "explicit": (("values",), {})}
     kind: str = "constant"
     enforce_bounds: bool = True
     t: float | None = None
-    values: Any = None
+    values: Numbers = None
     a: float | None = None
     b: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunOptions(_Section):
     section = "run"
     max_iter: int = DEFAULT_MAX_ITER
@@ -297,7 +340,7 @@ class RunOptions(_Section):
                 raise ConfigError(f"run.{key} must be >= {low}, got {getattr(self, key)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutputConfig(_Section):
     section = "output"
     directory: str = "out"
@@ -334,6 +377,10 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
+        # the sections read their own arrays; the audits, seed and version
+        # are read as lists
+        data = {key: value if isinstance(value, dict) else jsonable(value)
+                for key, value in data.items()}
         _check_keys("config", data, {f.name for f in fields(cls)})
         version = data.get("schema_version")
         if isinstance(version, bool) or version != SCHEMA_VERSION:
@@ -387,10 +434,14 @@ class ExperimentConfig:
 
 
 def read_config(path) -> Any:
-    """The JSON value of the config file at `path`, unparsed."""
+    """The JSON value of the config file at `path`, unparsed, as `read_json`
+    reads it: each nonempty array of floats, or of ints, and each array of
+    number rows of one width, as one ndarray (a 256 x 256 matrix as 512 KiB,
+    not a Python float per entry), and an array that mixes ints and floats
+    as json.loads' list, so the config echo in run.json writes every number
+    as the file does."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        return read_json(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 

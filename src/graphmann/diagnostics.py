@@ -491,12 +491,15 @@ def _fejer_target(x1, operator: Operator, rel: ConeRelation):
     """(omega, relation, direction) for the first known fixed point
     comparable with x_1, or a not-met report when there is none."""
     candidates = known_fixed_points(operator).known_points
+    reverse = None
     for w in candidates:
+        if rel.contains(x1, w):
+            return w, rel, "forward"
         # a start above omega: the same monotone argument applies under the
-        # reversed graph, so audit with the cone -K
-        for direction, edge_rel in (("forward", rel), ("reverse", rel.reversed())):
-            if edge_rel.contains(x1, w):
-                return w, edge_rel, direction
+        # reversed graph, so audit with the cone -K, built only when needed
+        reverse = reverse or rel.reversed()
+        if reverse.contains(x1, w):
+            return w, reverse, "reverse"
     note = (
         "no known fixed point is comparable to x_1"
         if candidates

@@ -888,7 +888,8 @@ def _iterate_indices(indices) -> np.ndarray:
     below 2**63 in magnitude.  int() would read 2.5 or true as 2 or 1, and
     np.array reads an index of 10**30 as an object and one of 2**63 as a
     float; each raises ValueError, as config does.  `read_json` leaves a
-    nonempty number array a list only when it holds a non-number."""
+    nonempty number array a list when it holds a non-number, or mixes ints
+    and floats."""
     if isinstance(indices, list) and not set(map(type, indices)) <= {int, float}:
         raise ValueError("iterate indices must be integers below 2**63")
     indices = np.asarray(indices)

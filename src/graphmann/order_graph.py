@@ -80,14 +80,17 @@ class ConeRelation:
     @cached_property
     def _coordinate_sign(self) -> int:
         """+1 when the generator is I (the coordinatewise cone), -1 when it is
-        -I (its reverse), 0 otherwise."""
+        -I (its reverse), 0 otherwise: a square G whose diagonal is all 1 (or
+        all -1) and which has no other nonzero entry (NaN is nonzero, -0.0
+        is zero), decided without a d x d temporary."""
         mat = self.generator_matrix
-        if mat.shape[0] != mat.shape[1]:
+        d = mat.shape[1]
+        if mat.shape[0] != d or np.count_nonzero(mat) != d:
             return 0
-        eye = np.eye(mat.shape[0])
-        if np.array_equal(mat, eye):
+        diagonal = mat.diagonal()
+        if np.all(diagonal == 1.0):
             return 1
-        return -1 if np.array_equal(mat, -eye) else 0
+        return -1 if np.all(diagonal == -1.0) else 0
 
     def _coordinatewise(self, diffs: np.ndarray):
         """The decisions of the product with +-I, elementwise on the last axis.

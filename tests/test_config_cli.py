@@ -29,6 +29,7 @@ from graphmann.config import (
     build_space,
     build_start,
     load_config,
+    read_config,
 )
 from graphmann.corpus import negative_swap_config, oracle_1d_config, t_one_config
 from graphmann.diagnostics import ALL_AUDITS, run_audits, write_gk_records_csv
@@ -1204,3 +1205,190 @@ def test_gk_records_csv_writer(tmp_path):
     assert len(rows) == 2
     assert float(rows[0]["slack"]) == 0.125
     assert rows[1]["n"] == "3"
+
+
+# --- configs read into arrays -------------------------------------------------
+
+def d2_config(out, operator=None, **sections):
+    """The oracle config at d = 2 on [0, 1]^2, with a matrix_affine operator
+    (or the one given) and the sections given."""
+    data = oracle_1d_config(out)
+    data["space"]["dimension"] = 2
+    data["operator"] = operator or {"kind": "matrix_affine",
+                                    "matrix": [[0.0, 0.9], [0.9, 0.0]], "offset": 0.05}
+    data["start"] = {"kind": "explicit", "value": [0.0, 0.0]}
+    data.update(sections)
+    return data
+
+
+# number arrays of each kind: all floats, all ints, and ints with floats
+READER_CASES = {
+    "floats": ([0.5, 0.25], [[0.0, 0.9], [0.9, 0.0]]),
+    "ints": ([0, 1], [[0, 1], [1, 0]]),
+    "mixed": ([0, 0.5], [[0, 0.9], [0.9, 0]]),
+}
+
+
+class TestConfigArrays:
+    @pytest.mark.parametrize("case", READER_CASES)
+    @pytest.mark.parametrize("piece", [3, 64 << 10])
+    def test_number_arrays_are_arrays_unless_mixed(self, tmp_path, monkeypatch, case, piece):
+        import graphmann._util as util
+
+        vector, rows = READER_CASES[case]
+        data = d2_config(str(tmp_path / "o"))
+        data["body"] = {"kind": "box", "lo": vector, "hi": [1, 1]}
+        data["relation"] = {"kind": "custom", "generator_matrix": rows}
+        monkeypatch.setattr(util, "_PIECE", piece)
+        got = read_config(write_config(tmp_path, data))
+        for value, expected in ((got["body"]["lo"], vector),
+                                (got["relation"]["generator_matrix"], rows)):
+            if case == "mixed":
+                assert type(value) is list and value == expected
+                assert json.dumps(value) == json.dumps(expected)
+            else:
+                assert isinstance(value, np.ndarray) and value.tolist() == expected
+                assert value.dtype.kind == ("f" if case == "floats" else "i")
+                assert json.dumps(value.tolist()) == json.dumps(expected)
+        assert isinstance(got["body"]["hi"], np.ndarray) and got["body"]["hi"].dtype.kind == "i"
+
+    @pytest.mark.parametrize("piece", [16, 64 << 10])
+    @pytest.mark.parametrize("rows", [False, True], ids=["vector", "rows"])
+    def test_a_mix_first_seen_in_a_later_piece_is_a_list(self, tmp_path, monkeypatch, piece,
+                                                         rows):
+        # 40 000 ints (120 KB of text, past the first 64 KiB piece), then a
+        # float: the pieces read before the float are int arrays
+        import graphmann._util as util
+
+        ints = [0] * 40_000
+        value = [ints[:200] for _ in range(200)] + [[0] * 199 + [0.5]] if rows else ints + [0.5]
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"values": value}))
+        monkeypatch.setattr(util, "_PIECE", piece)
+        got = read_config(path)["values"]
+        assert type(got) is list and got == value
+        assert json.dumps(got) == json.dumps(value)
+
+    @pytest.mark.parametrize("case", READER_CASES)
+    def test_run_json_echo_is_the_json_load_echo(self, tmp_path, case):
+        # the echo of a config read into arrays, and of the same file read
+        # by json.load, are the same bytes: an int stays an int, a float a
+        # float, in the matrix, the start and the box corners
+        vector, rows = READER_CASES[case]
+        operator = {"kind": "matrix_affine", "matrix": rows, "offset": 0.05}
+        data = d2_config(str(tmp_path / "o"), operator,
+                         body={"kind": "box", "lo": [0, 0], "hi": [1, 1]},
+                         start={"kind": "explicit", "value": vector})
+        data["run"]["max_iter"] = 50
+        path = write_config(tmp_path, data)
+        with open(path) as fh:
+            loaded = json.load(fh)
+        arrays = load_config(path)
+        assert isinstance(arrays.operator.matrix, np.ndarray) == (case != "mixed")
+        run_experiment(arrays, out_dir=tmp_path / "arrays")
+        run_experiment(ExperimentConfig.from_dict(loaded), out_dir=tmp_path / "lists")
+        for name in ("run.json", "audits.json", "trajectory.csv"):
+            assert (tmp_path / "arrays" / name).read_bytes() == (
+                tmp_path / "lists" / name).read_bytes()
+        text = (tmp_path / "arrays" / "run.json").read_text()
+        echo = json.loads(text)["config"]
+        expected = ExperimentConfig.from_dict(loaded).to_dict()
+        assert json.dumps(echo, indent=2) == json.dumps(expected, indent=2)
+        for section in ("operator", "start", "body"):
+            block = json.dumps(expected[section], indent=2).replace("\n", "\n    ")
+            assert f'"{section}": {block}' in text
+
+    @pytest.mark.parametrize("bad", [True, None, math.nan, math.inf, -math.inf, "a",
+                                     10**30, 10**400],
+                             ids=["true", "null", "nan", "inf", "-inf", "string",
+                                  "int_10e30", "int_10e400"])
+    @pytest.mark.parametrize("field", ["operator.matrix", "relation.generator_matrix",
+                                       "knots_x", "knots_y", "body.lo", "body.hi"])
+    def test_error_messages_are_the_list_path_messages(self, tmp_path, field, bad):
+        # each bad entry among good ones, in a file read into arrays and in
+        # the same file read by json.load: the same error, word for word
+        # (10**30 is a valid entry but in the operator's matrix)
+        data = d2_config(str(tmp_path / "o"))
+        if field == "operator.matrix":
+            data["operator"]["matrix"] = [[0.0, bad], [0.5, 0.0]]
+        elif field == "relation.generator_matrix":
+            data["relation"] = {"kind": "custom", "generator_matrix": [[1.0, 0.0], [0.5, bad]]}
+        elif field.startswith("knots"):
+            knots = {"knots_x": [0.0, 1.0], "knots_y": [0.5, 1.0]}
+            knots[field][1] = bad
+            data["operator"] = {"kind": "componentwise", "functions": knots}
+        else:
+            data["body"] = {"kind": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+            data["body"][field[5:]][1] = bad
+        path = write_config(tmp_path, data)
+        with open(path) as fh:
+            loaded = json.load(fh)
+        messages = []
+        for read in (lambda: load_config(path), lambda: ExperimentConfig.from_dict(loaded)):
+            try:
+                experiment._build(read(), 0)
+                messages.append(None)
+            except ConfigError as exc:
+                messages.append(str(exc))
+        assert messages[0] == messages[1]
+        assert messages[0] is not None or bad == 10**30
+        assert "np." not in (messages[0] or "")
+
+    @pytest.mark.parametrize("field, message", [
+        ("operator.matrix", "operator: operator.matrix entries must be numbers, got NaN"),
+        ("relation.generator_matrix",
+         "relation: relation.generator_matrix entries must be numbers, got NaN"),
+        ("body.lo", "body: body.lo[1] must be a number, got nan"),
+        ("operator.functions.knots_x", "operator: operator.functions[0].knots_x[1] "
+                                       "must be a number, got nan"),
+    ])
+    def test_nan_is_named_as_python_writes_it(self, tmp_path, field, message):
+        data = d2_config(str(tmp_path / "o"))
+        data["relation"] = {"kind": "custom", "generator_matrix": [[1.0, 0.0], [0.0, 1.0]]}
+        data["body"] = {"kind": "box", "lo": [0.0, 0.0], "hi": 1.0}
+        if field == "operator.functions.knots_x":
+            data["operator"] = {"kind": "componentwise",
+                                "functions": {"knots_x": [0.0, 1.0], "knots_y": [0.5, 1.0]}}
+            data["operator"]["functions"]["knots_x"][1] = math.nan
+        else:
+            section, key = field.split(".")
+            entries = data[section][key]
+            if isinstance(entries[1], list):
+                entries[1][1] = math.nan
+            else:
+                entries[1] = math.nan
+        with pytest.raises(ConfigError) as caught:
+            experiment._build(load_config(write_config(tmp_path, data)), 0)
+        assert str(caught.value) == message
+
+    def test_an_int_beyond_a_float_in_a_matrix_is_a_config_error(self, tmp_path, capsys):
+        # it raised OverflowError out of main
+        data = d2_config(str(tmp_path / "o"))
+        data["operator"]["matrix"] = [[0.0, 10**400], [0.5, 0.0]]
+        assert main(["run", "--config", write_config(tmp_path, data), "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: operator: operator.matrix entries must be finite\n"
+
+    def test_arrays_in_other_fields_are_read_as_lists(self, tmp_path):
+        # a number array where a scalar, a string or a name list belongs is
+        # named as the list it was written as, not as an ndarray
+        for dotted, value, message in [
+            ("space.p", [2, 3], "space.p must be a number, got [2, 3]"),
+            ("schedule.t", [0.5], "schedule.t must be a number, got [0.5]"),
+            ("audits", [1, 2], "unknown auditors [1, 2]"),
+            ("schema_version", [1], "schema_version must be 1, got [1]"),
+            ("output.formats", [[1, 2]], "output.formats entries must be csv/json, got [[1, 2]]"),
+        ]:
+            data = oracle_1d_config(str(tmp_path / "o"))
+            set_field(data, dotted, value)
+            with pytest.raises(ConfigError) as caught:
+                load_config(write_config(tmp_path, data))
+            assert str(caught.value).startswith(message)
+
+    def test_equality_compares_arrays_and_lists_by_value(self, tmp_path):
+        data = d2_config(str(tmp_path / "o"), body={"kind": "box", "lo": [0, 0], "hi": [1, 1]})
+        from_file = load_config(write_config(tmp_path, data))
+        assert isinstance(from_file.operator.matrix, np.ndarray)
+        assert from_file == ExperimentConfig.from_dict(data)
+        other = copy.deepcopy(data)
+        other["operator"]["matrix"][0][1] = 0.8
+        assert from_file != ExperimentConfig.from_dict(other)

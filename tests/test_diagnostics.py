@@ -1,13 +1,16 @@
+import json
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import graphmann.experiment
 import graphmann.mann
-from graphmann.config import ExperimentConfig
+from graphmann.config import ExperimentConfig, load_config, read_config
 from graphmann.diagnostics import (
     ALL_AUDITS,
     AuditPass,
@@ -23,11 +26,12 @@ from graphmann.diagnostics import (
     residual_monotone_check,
     run_audits,
     verify_fixed_point,
+    _fejer_target,
     _gk_report,
     _rate_report,
 )
 from graphmann.errors import ConfigError, DomainError, InputError, UndefinedProductError
-from graphmann.experiment import audit_stored, run_experiment, run_sweep
+from graphmann.experiment import _build, audit_stored, run_experiment, run_sweep
 from graphmann.mann import (
     STEP_RECOMPUTE_TOL,
     STOP_DIVERGED,
@@ -492,6 +496,38 @@ class TestFejer:
         report = audit_record("fejer", traj, half_maps(), COORD2)
         assert report.failures == 0
         assert report.extra["limit_estimate"] <= report.extra["initial_distance"]
+
+    @pytest.mark.parametrize(
+        "x1, direction, reversals",
+        [([0.1, 0.2], "forward", 0), ([0.5, 0.5], "forward", 0),
+         ([0.9, 0.8], "reverse", 1), ([0.1, 0.9], None, 1)],
+        ids=["below", "at", "above", "incomparable"],
+    )
+    def test_reverse_cone_is_built_only_when_the_forward_edge_fails(
+        self, x1, direction, reversals
+    ):
+        # the target and direction that trying each candidate's forward,
+        # then reverse edge decides (`reference_fejer`), with -K built only
+        # for a start not below omega: at d = 256 it is a 512 KiB -I and its
+        # frozen copy per audit pass
+        calls = []
+        reversed_ = ConeRelation.reversed
+
+        def counted(rel):
+            calls.append(rel)
+            return reversed_(rel)
+
+        with mock.patch.object(ConeRelation, "reversed", counted):
+            target = _fejer_target(np.array(x1), half_maps(), COORD2)
+        assert len(calls) == reversals
+        if direction is None:
+            assert target.status == "hypothesis_not_met"
+            assert target.extra["note"] == "no known fixed point is comparable to x_1"
+            return
+        omega, edge_rel, got = target
+        assert got == direction and np.array_equal(omega, [0.5, 0.5])
+        sign = 1 if direction == "forward" else -1
+        assert np.array_equal(edge_rel.generator_matrix, sign * np.eye(2))
 
 
 class TestEdgePropagation:
@@ -1189,3 +1225,42 @@ class TestSweepMemory:
             assert code != 2 and len(rows) == len(values)
             peaks.append(peak)
         assert peaks[1] - peaks[0] < 2**20
+
+    def test_sweep_configs_share_the_files_matrix_array(self, tmp_path):
+        # a config file's 256 x 256 matrix is read as one 512 KiB array, and
+        # every value of a schedule.t sweep runs with that very array, in its
+        # config and as its operator's matrix (a Python float per entry took
+        # 2 MiB, and the operator kept a copy)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(permutation_data(256, 0.999, 300, 50)))
+        seen = []
+        run_one = graphmann.experiment.run_experiment
+
+        def recorded(config, **kwargs):
+            seen.append((config, kwargs["built"].operator))
+            return run_one(config, **kwargs)
+
+        with mock.patch.object(graphmann.experiment, "run_experiment", recorded):
+            code, rows = run_sweep(read_config(path), "schedule.t", [0.3, 0.5, 0.7, 0.9],
+                                   out_dir=tmp_path / "sweep")
+        assert code != 2 and len(seen) == 4
+        matrix = seen[0][0].operator.matrix
+        assert isinstance(matrix, np.ndarray) and matrix.nbytes == 256 * 256 * 8
+        assert all(config.operator.matrix is matrix and operator.matrix is matrix
+                   for config, operator in seen)
+
+    def test_load_and_build_peak(self, tmp_path):
+        # load_config and _build of the d = 256 config peak while the
+        # matrix's pieces of text are read and joined (1.5 MiB), and the
+        # operator keeps the joined array; with json.load the file's Python
+        # floats and two arrays made of them peaked at 3.6 MiB
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(permutation_data(256, 0.999, 300, 50)))
+
+        def load_and_build():
+            config = load_config(path)
+            return config, _build(config, 0)
+
+        peak, (config, built) = traced_peak(load_and_build)
+        assert built.operator.matrix is config.operator.matrix
+        assert peak < 2.5 * 2**20

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from graphmann.errors import DimensionMismatchError, InputError
 from graphmann.order_graph import ConeRelation, sample_cone_element
@@ -12,6 +15,7 @@ from testonly_relations import (
     chained_triple_source,
     edge_pair_source,
     gaussian_point_source,
+    reference_coordinate_sign,
 )
 
 
@@ -106,6 +110,88 @@ class TestCoordinatewiseFastPath:
         with np.errstate(invalid="ignore"):  # the product meets inf and NaN
             assert np.array_equal(rel.diffs_in_cone(rows), expect)
             assert [rel.diff_in_cone(r) for r in rows] == expect.tolist()
+
+
+def with_entry(matrix, i, j, value):
+    matrix = np.array(matrix, dtype=float)
+    matrix[i, j] = value
+    return matrix
+
+
+# generators the cone direction is decided on: I and -I, and each with one
+# entry changed to an awkward value on or off the diagonal
+SIGN_CASES = {
+    "I": np.eye(3),
+    "-I": -np.eye(3),
+    "I_1": np.eye(1),
+    "-I_1": -np.eye(1),
+    "I_tiny_off_diagonal": with_entry(np.eye(3), 0, 2, 1e-300),
+    "-I_tiny_off_diagonal": with_entry(-np.eye(3), 2, 0, -1e-300),
+    "I_negative_zero_off_diagonal": with_entry(np.eye(3), 1, 0, -0.0),
+    "-I_negative_zero_off_diagonal": with_entry(-np.eye(3), 0, 1, -0.0),
+    "I_nan_off_diagonal": with_entry(np.eye(3), 1, 2, np.nan),
+    "I_nan_on_diagonal": with_entry(np.eye(3), 1, 1, np.nan),
+    "-I_nan_on_diagonal": with_entry(-np.eye(3), 0, 0, np.nan),
+    "nan_1": np.array([[np.nan]]),
+    "I_one_minus_one": with_entry(np.eye(3), 2, 2, -1.0),
+    "I_zero_on_diagonal": with_entry(np.eye(3), 1, 1, 0.0),
+    "I_negative_zero_on_diagonal": with_entry(np.eye(3), 1, 1, -0.0),
+    "I_two_on_diagonal": with_entry(np.eye(3), 0, 0, 2.0),
+    "I_near_one_on_diagonal": with_entry(np.eye(3), 0, 0, np.nextafter(1.0, 2.0)),
+    "I_inf_on_diagonal": with_entry(np.eye(3), 2, 2, np.inf),
+    "permutation": np.eye(3)[[1, 0, 2]],
+    "I_with_a_row_more": np.vstack([np.eye(3), np.zeros(3)]),
+    "I_with_a_row_less": np.eye(3)[:2],
+    "half_space": np.array([[1.0, 1.0, 0.0]]),
+    "no_rows": np.zeros((0, 3)),
+}
+
+
+class TestCoordinateSign:
+    """The direction of the coordinatewise path, decided from the diagonal
+    and a count of nonzeros, is the one that comparing G with +-I decides
+    (`reference_coordinate_sign`)."""
+
+    @pytest.mark.parametrize("name", SIGN_CASES)
+    def test_pinned_cases_decide_as_the_comparison(self, name):
+        matrix = SIGN_CASES[name]
+        assert ConeRelation(matrix)._coordinate_sign == reference_coordinate_sign(matrix)
+
+    def test_pinned_cases_cover_every_decision(self):
+        decisions = {name: reference_coordinate_sign(m) for name, m in SIGN_CASES.items()}
+        assert decisions["I"] == decisions["I_negative_zero_off_diagonal"] == 1
+        assert decisions["-I"] == decisions["-I_negative_zero_off_diagonal"] == -1
+        assert decisions["I_tiny_off_diagonal"] == decisions["I_nan_on_diagonal"] == 0
+        assert decisions["I_nan_off_diagonal"] == decisions["I_with_a_row_less"] == 0
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(
+                st.sampled_from((0.0, -0.0, 1.0, -1.0, 1e-300, np.nan, np.inf, 2.0)),
+                min_size=d * d, max_size=d * d,
+            ).map(lambda entries: np.array(entries).reshape(d, d))
+        ),
+        st.sampled_from((1.0, -1.0)),
+    )
+    def test_near_identity_generators_decide_as_the_comparison(self, noise, sign):
+        # +-I with a drawn matrix on top of it, mostly zeros
+        d = noise.shape[0]
+        keep = np.random.default_rng(d).uniform(size=(d, d)) < 0.8
+        matrix = np.where(keep, sign * np.eye(d), noise)
+        assert ConeRelation(matrix)._coordinate_sign == reference_coordinate_sign(matrix)
+
+    def test_deciding_builds_no_d_by_d_temporary(self):
+        # comparing G with I and -I built two 512 KiB matrices at d = 256
+        d = 256
+        for sign in (1.0, -1.0):
+            rel = ConeRelation(sign * np.eye(d))
+            tracemalloc.start()
+            try:
+                assert rel._coordinate_sign == sign
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < d * d * 8 // 4
 
 
 class TestAuditReflexive:

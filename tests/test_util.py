@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import graphmann._util as util
-from graphmann._util import _CHUNK, _indent2, jsonable, read_json, write_json
+from graphmann._util import _CHUNK, _indent2, frozen_array, jsonable, read_json, write_json
 from graphmann.config import ExperimentConfig
 from graphmann.corpus import oracle_1d_config
 from graphmann.errors import ConfigError
@@ -198,27 +198,39 @@ DUMPS = {
 PIECES = (1, 5, util._PIECE)
 
 
-def is_number_array(items):
-    """Whether `read_json` reads a list as an array: nonempty, and all
-    numbers or all nonempty number rows of one width."""
+def number_items(items):
+    """The numbers of a list that `read_json` reads as a number array
+    (nonempty, and all numbers or all nonempty number rows of one width),
+    and None for any other list."""
     def numbers(row):
         return bool(row) and all(type(x) in (int, float) for x in row)
 
-    return numbers(items) or (
-        all(type(row) is list and numbers(row) for row in items)
-        and len(set(map(len, items))) == 1
-    )
+    if numbers(items):
+        return items
+    if all(type(row) is list and numbers(row) for row in items) and len(
+        set(map(len, items))
+    ) == 1:
+        return [x for row in items for x in row]
+    return None
 
 
 def with_arrays(value):
     """`value` with each list `read_json` reads as an array replaced by its
-    np.array."""
+    np.array: a number array whose numbers are all floats, or all ints that
+    np.array keeps as ints.  One that mixes ints and floats, or whose ints
+    np.array promotes to floats, stays a list."""
     if isinstance(value, dict):
         return {key: with_arrays(item) for key, item in value.items()}
     if isinstance(value, list):
-        if is_number_array(value):
+        flat = number_items(value)
+        if flat is None:
+            return [with_arrays(item) for item in value]
+        types = set(map(type, flat))
+        if types == {float}:
             return np.array(value)
-        return [with_arrays(item) for item in value]
+        if types == {int} and (array := np.array(value)).dtype.kind != "f":
+            return array
+        return value
     return value
 
 
@@ -272,14 +284,19 @@ class TestReadJson:
         with mock.patch.object(util, "_PIECE", piece):
             got = read_json(path)
         assert same(got, with_arrays(json.loads(text)))
+        # so what is read is written again as json writes what it loads
+        assert dumps_indent2(got) == json.dumps(json.loads(text), indent=2)
 
     @pytest.mark.parametrize("text, expected", [
         ('{"a": [1], "a": [2, 3]}', {"a": np.array([2, 3])}),
         ("[NaN, Infinity, -Infinity]", np.array([math.nan, math.inf, -math.inf])),
-        ("[1, 9223372036854775808]", np.array([1.0, 2.0**63])),
+        ("[1, 9223372036854775808]", [1, 2**63]),
         ("[9223372036854775808]", np.array([2**63], dtype=np.uint64)),
         ("[1, 1000000000000000000000000000000]", np.array([1, 10**30], dtype=object)),
-        ("[[1, 2], [0.5, 3]]", np.array([[1.0, 2.0], [0.5, 3.0]])),
+        ("[0.5, 1000000000000000000000000000000]", [0.5, 10**30]),
+        ("[[1, 2], [0.5, 3]]", [[1, 2], [0.5, 3]]),
+        ("[[1, 2], [5, 3]]", np.array([[1, 2], [5, 3]])),
+        ("[[1.0, 2.5], [0.5, 3.0]]", np.array([[1.0, 2.5], [0.5, 3.0]])),
         ('[1.5, "]", 2]', [1.5, "]", 2]),
         ("[[1], []]", [np.array([1]), []]),
         ("[[]]", [[]]),
@@ -352,6 +369,24 @@ class TestReadJson:
         if case == "bom":
             data = b"\xef\xbb\xbf" + data
         self.assert_rejected_as_json_does(tmp_path / "bad.json", data)
+
+    def test_arrays_are_read_only_and_frozen_without_a_copy(self, tmp_path):
+        # a holder that freezes an array read from a file keeps that array;
+        # an array another array can write, or of another dtype, is copied
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"m": [[0.5] * 300] * 300, "v": [1.5, 2.5], "i": [1, 2]}))
+        for piece in PIECES:
+            with mock.patch.object(util, "_PIECE", piece):
+                doc = read_json(path)
+            assert not any(doc[key].flags.writeable for key in doc)
+            for key in doc:
+                frozen = frozen_array(doc[key])
+                assert (frozen is doc[key]) == (doc[key].dtype == float and doc[key].flags.owndata)
+                assert not frozen.flags.writeable and np.array_equal(frozen, doc[key])
+        writeable = np.ones(3)
+        assert frozen_array(writeable) is not writeable
+        view = frozen_array(np.ones((2, 2)))[0]
+        assert frozen_array(view) is not view
 
     def test_bracket_string_in_numbers_is_read_as_a_list(self, tmp_path):
         # valid JSON: the residuals stay a list, which the record check rejects

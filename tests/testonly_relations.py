@@ -39,6 +39,18 @@ class StrictConeRelation:
         return bool(np.all(self.generator_matrix @ diff > 0.0))
 
 
+def reference_coordinate_sign(generator_matrix: np.ndarray) -> int:
+    """`ConeRelation._coordinate_sign` as it was first written: G compared
+    with I and with -I, each built whole.  +1 for I, -1 for -I, 0 otherwise."""
+    mat = generator_matrix
+    if mat.shape[0] != mat.shape[1]:
+        return 0
+    eye = np.eye(mat.shape[0])
+    if np.array_equal(mat, eye):
+        return 1
+    return -1 if np.array_equal(mat, -eye) else 0
+
+
 # --- samplers -------------------------------------------------------------
 
 def gaussian_point_source(
