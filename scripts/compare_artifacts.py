@@ -127,9 +127,10 @@ def source_dir(tree: str) -> Path:
 def configs(head_src: Path) -> dict[str, dict]:
     """The demo configs, the benchmark's averaged-permutation family
     (long_full is d = 4, wide_sweep d = 256), a swap run whose auditors fail
-    in every audit block, d = 256 runs that end just past an audit block
-    (one of them without the auditors that read images), d = 256 and d = 4
-    runs that leave the box, two small runs of the remaining section kinds,
+    in every audit block, d = 256 and d = 4 runs that end one row past an
+    audit block (one of them without the auditors that read images),
+    d = 256 and d = 4 runs that leave the box, two small runs of the
+    remaining section kinds,
     a d = 3 run that sets the fields no other config sets, and d = 2 runs
     from a start incomparable with its image, with int entries in its
     number arrays, from a reverse-comparable start and from a fixed point,
@@ -142,9 +143,18 @@ def configs(head_src: Path) -> dict[str, dict]:
     steps = 0.3 + 0.5 * np.random.default_rng(5).random(3000)
     explicit["schedule"] = {"kind": "explicit", "values": steps.tolist(), "a": 0.3, "b": 0.8}
     # 2 049 = 8 x 256 + 1 iterates: one row past the eighth 256-row audit
-    # block at d = 256, so the one-row tail folds into it
+    # block at d = 256.  The tail is not folded into that block: it is a
+    # one-row block, and the step into its row, off the stride's grid, is
+    # checked from the block before it
     past_block = permutation(3, d=256, s=0.995, stride=7)
     past_block["run"].update(max_iter=2049, tol=0.0)
+    # the same at d = 4, one row past one and two 16 384-row audit blocks
+    # (16 385 - 1 is off the grid of stride 3), where a one-row block's
+    # image differs in the last bit from that row's in a folded batch
+    past_block_d4 = permutation(3, d=4, s=0.999, stride=3)
+    past_block_d4["run"].update(max_iter=16_385, tol=0.0)
+    past_two_blocks_d4 = permutation(3, d=4, s=0.999, stride=1)
+    past_two_blocks_d4["run"].update(max_iter=32_769, tol=0.0)
     # the same run with no auditor that reads T of every iterate: the stream
     # still applies T once per block, and gk_inequality reads the images of
     # its first rows from those blocks
@@ -209,6 +219,8 @@ def configs(head_src: Path) -> dict[str, dict]:
         "swap_d256": swap_d256(negative_swap_config()),
         "perm_d256_stride7_past_block": past_block,
         "perm_d256_stride7_no_images": no_images,
+        "perm_d4_stride3_past_block": past_block_d4,
+        "perm_d4_stride1_past_two_blocks": past_two_blocks_d4,
         "leave_box_d256": leave_box,
         "leave_box_d4": leave_box_d4,
         "swap_d256_stride50": swap_thin,
@@ -246,9 +258,9 @@ def swap_d256(config: dict) -> dict:
     T x = 0.999 reverse(x) + 0.0005 fixes 0.5 * 1, and the start is 0.5 * 1
     plus an antisymmetric vector, so x_n - 0.5 * 1 flips sign every step
     and shrinks by 0.997 per step.  The first coordinate therefore falls on
-    every other step, and `edge_propagation` and `fejer` fail in all twelve
-    256-row audit blocks (3 100 = 12 x 256 + 28: the 28-row tail folds into
-    the twelfth); the run exits 2.
+    every other step, and `edge_propagation` and `fejer` fail in all
+    thirteen audit blocks (3 100 = 12 x 256 + 28: twelve 256-row blocks and
+    a 28-row one); the run exits 2.
     """
     d = 256
     config["space"]["dimension"] = d

@@ -13,9 +13,8 @@ audit's blocks, and run() checks a box domain every AUDIT_BLOCK_ROWS rows;
 `verify_trajectory` steps whole columns of rows at once, one audit block at
 a time.  The audit reads those blocks in place through an `AuditStream`, as
 a run hands them over or `stream_record` pushes a stored record, and the
-stream applies T once per block (`apply_batch`, a folded tail with the
-block before it), the one place the audit computes images, so no (N, d)
-history is needed to audit a run.
+stream applies T once per block (`apply_batch`), the one place the audit
+computes images, so no (N, d) history is needed to audit a run.
 """
 
 from __future__ import annotations
@@ -48,9 +47,7 @@ DEFAULT_TOL = 1e-10
 # audit's scratch memory is a few blocks whatever the length of the run.
 # 512 KiB keeps a block, its images and each auditor temporary (x - Tx, edge
 # differences, Fejer distances) within a 2 MiB L2 cache: 16 384 rows at
-# d = 4, 256 at d = 256.  A shorter tail folds into the block before it:
-# T is applied to that cut as one batch, and the auditors still read it a
-# block's rows at a time, so their temporaries stay a block's size.
+# d = 4, 256 at d = 256; only a run's last block is shorter.
 # The bits of a batched T depend on the number of rows in the batch (at
 # d = 255, 257 and 300 a 256-row product differs in the last bit from the
 # same rows of a 3 000-row one), so a block's images are not those of T of
@@ -130,6 +127,8 @@ class Schedule:
         enforce_bounds: bool = True,
     ) -> "Schedule":
         vals = as_vector(values, name="values")
+        if vals.shape[0] < 1:  # before its bounds are read from it
+            raise ConfigError("explicit schedule must contain at least one step")
         return cls(
             a=float(vals.min()) if a is None else a,
             b=float(vals.max()) if b is None else b,
@@ -231,11 +230,10 @@ class AuditBlock(NamedTuple):
 
     `x` holds the block's rows and then row `stop` when the run goes on (the
     step leaving the block's last row ends there); `prev` is row start - 1,
-    None in the first block; `tx` is T of the block's rows, taken from one
-    batch over the rows cut with them.  `residuals` are the recorded r_n of
-    the block's rows, `checked` the offsets of the rows whose step leads to
-    a recorded iterate (that iterate is x[checked + 1]) and `steps` the
-    recorded t_n of those steps.
+    None in the first block; `tx` is T of the block's rows, as one batch.
+    `residuals` are the recorded r_n of the block's rows, `checked` the
+    offsets of the rows whose step leads to a recorded iterate (that iterate
+    is x[checked + 1]) and `steps` the recorded t_n of those steps.
     """
 
     start: int
@@ -261,15 +259,11 @@ class AuditStream:
     has `audit_block_rows(d)` rows (512 KiB of iterates, and at least 256
     rows) and a spare row, which the producer fills with the first row of
     the next block before pushing that one.  The stream holds the last
-    block pushed and cuts it when a full-size successor arrives, or at
-    `close`; a shorter last block folds into it by one concatenation, so
-    the last cut has fewer than twice a block's rows.  T is applied to a
-    cut as one batch (`operator.apply_batch`), and the cut goes to
-    `audit`, which a subclass defines (or an instance is given), as blocks
-    of at most `audit_block_rows(d)` rows, views of the cut and of its
-    images.  So the auditors' temporaries are a block's size even for a
-    folded cut.  No block but a folded one is copied, and no row is
-    written.
+    block pushed and cuts it when the next one arrives, or at `close`:
+    each block pushed is one cut.  T is applied to a cut's rows as one
+    batch (`operator.apply_batch`), and the cut goes to `audit`, which a
+    subclass defines (or an instance is given), as one `AuditBlock`, a
+    view of the rows pushed.  No block is copied, and no row is written.
     """
 
     def __init__(self, operator: Operator) -> None:
@@ -297,14 +291,11 @@ class AuditStream:
 
     def push(self, block: np.ndarray, count: int) -> None:
         """Hand over the run's next `count` rows, block[:count], read in
-        place until the next push or `close`.  A last block of more than a
-        block's rows is one the producer folded itself."""
+        place until the next push or `close`, and cut the block held (a last
+        block of one row is x_N, so the step into x_N leaves the held one)."""
         if self.held is not None:
             last, k = self.held
-            if count >= audit_block_rows(block.shape[1]):
-                self._cut(last[: k + 1], k)
-            else:  # a shorter last block folds into the block before it
-                block, count = np.concatenate((last[:k], block[:count])), k + count
+            self._cut(last[: k + 1], k, count == 1)
         self.held = block, count
 
     def close(self) -> None:
@@ -312,16 +303,16 @@ class AuditStream:
         record are released."""
         if self.held is not None:
             block, count = self.held
-            self._cut(block[:count], count)
+            self._cut(block[:count], count, True)
         self.held = self.residuals = self.steps = self.indices = None
 
     def audit(self, block: AuditBlock) -> None:
         """Take one block, whose rows stay valid only for this call."""
         raise NotImplementedError
 
-    def _cut(self, x: np.ndarray, k: int) -> None:
-        # the first k rows of x form the block cut (a folded last block has
-        # fewer than twice a block's rows); x adds the row after them
+    def _cut(self, x: np.ndarray, k: int, final: bool) -> None:
+        # the first k rows of x form the block; x adds the row after them
+        # when the run goes on, and its last row is x_N when `final`
         start, residuals, steps, s = self.start, self.residuals, self.steps, self.indices
         # the recorded x_h with h - 2 in [start, start + k): at most k
         if np.ndim(s):
@@ -329,32 +320,24 @@ class AuditStream:
             ends = ends[: np.searchsorted(ends, start + k + 2)]
             self.cursor += ends.shape[0]
             checked = ends - (start + 2)
-        else:  # every s-th row from x_1, and the run's last row in its last cut
-            checked = np.arange(-(start + 1) % s, x.shape[0] - 1, s)
-            if x.shape[0] == k > 1 and (start + k - 1) % s:
-                checked = np.append(checked, k - 2)
-        # one batch over the whole cut, as its bits depend on its row count;
-        # the auditors then read it a block's rows at a time
-        tx = self.operator.apply_batch(x[:k])
-        size = audit_block_rows(x.shape[1])
-        for lo in range(0, k, size):
-            hi = min(lo + size, k)
-            first, last = np.searchsorted(checked, (lo, hi))
-            offsets = checked[first:last] - lo
-            self.audit(
-                AuditBlock(
-                    start + lo,
-                    start + hi,
-                    x[lo : hi + 1],
-                    self.prev,
-                    tx[lo:hi],
-                    residuals[start + lo : start + hi],
-                    offsets,
-                    steps[offsets + (start + lo)],
-                )
+        else:  # every s-th row from x_1, and x_N when x ends in it
+            m = x.shape[0]
+            checked = np.arange(-(start + 1) % s, m - 1, s)
+            if final and m > 1 and (start + m - 1) % s:
+                checked = np.append(checked, m - 2)
+        self.audit(
+            AuditBlock(
+                start,
+                start + k,
+                x,
+                self.prev,
+                self.operator.apply_batch(x[:k]),
+                residuals[start : start + k],
+                checked,
+                steps[checked + start],
             )
-            self.prev = x[hi - 1]
-        self.prev = self.prev.copy()
+        )
+        self.prev = x[k - 1].copy()
         self.start = start + k
 
 
@@ -593,9 +576,7 @@ def iterate_rows(traj: Trajectory, operator: Operator):
     """The iterates x_1..x_N of a record, in order, as the (block, count)
     pairs of audit blocks that `AuditStream.push` takes.
 
-    A full-history record is yielded as views of its stored rows, a tail
-    shorter than a block with the block before it, so that the stream's
-    fold of them (`AuditStream.push`) is read in place too.  The gaps
+    A full-history record is yielded as views of its stored rows.  The gaps
     of a decimated record are replayed in order with the recorded step
     sizes, each step written in place into a block by the same `_step` and
     the same single-vector T as run()'s loop, so every replayed iterate is
@@ -609,10 +590,8 @@ def iterate_rows(traj: Trajectory, operator: Operator):
     if traj.is_full_history:
         rows = traj.iterates
         n = rows.shape[0]
-        starts = range(0, max(size, n - n % size), size)
-        for start in starts:
-            stop = n if start == starts[-1] else start + size
-            yield rows[start : stop + 1], stop - start
+        for start in range(0, n, size):
+            yield rows[start : start + size + 1], min(size, n - start)
         return
     apply = operator._apply
     steps = traj.schedule_used.tolist()

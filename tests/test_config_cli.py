@@ -446,6 +446,16 @@ class TestCliRun:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o").exists()
 
+    def test_empty_explicit_schedule_names_the_rule(self, tmp_path, capsys):
+        # numpy's "zero-size array to reduction operation minimum which has
+        # no identity" was the message, raised before the schedule's check
+        data = oracle_1d_config(str(tmp_path / "o"))
+        data["schedule"] = {"kind": "explicit", "values": []}
+        assert main(["run", "--config", write_config(tmp_path, data), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "error: schedule: explicit schedule must contain at least one step\n"
+        )
+
     @pytest.mark.parametrize(
         "base, field, value",
         [

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 import graphmann.experiment
 import graphmann.mann
 from graphmann.config import ExperimentConfig, load_config, read_config
+from graphmann.corpus import acceptance_instances
 from graphmann.diagnostics import (
     ALL_AUDITS,
     AuditPass,
@@ -347,8 +348,8 @@ class TestGoebelKirk:
         rel = ConeRelation(np.eye(d))
         got = run_audits(["gk_inequality"], traj, op, rel, op.space, schedule, diam=16.0)
         b = audit_block_rows(d)
-        # a tail shorter than a block folds into the block before it
-        assert rows == [b] * (n // b - 1) + [b + n % b]
+        # each block pushed is one batch, the short last one included
+        assert rows == [b] * (n // b) + [n % b]
         assert got["gk_inequality"]["trials"] == GK_PAIRS
 
     @pytest.mark.parametrize("audits, blocks", [(["gk_inequality"], 3), (["rate"], 0)])
@@ -707,6 +708,46 @@ def piecewise_map2():
 B = 7  # block rows of the blocked audit in TestBlockedAudit
 
 
+@pytest.fixture(scope="module")
+def corpus_records():
+    """The first 12 corpus instances with d >= 2, each with its 400-iterate
+    full-history record."""
+    instances = [inst for inst in acceptance_instances(40) if inst.space.dimension >= 2][:12]
+    assert len(instances) == 12
+    records = []
+    for inst in instances:
+        traj = run(inst.operator, inst.x1, inst.schedule, max_iter=400, tol=0.0, rel=inst.relation)
+        assert traj.n_iterates == 400
+        records.append((inst, traj))
+    return records
+
+
+@pytest.mark.parametrize("block_rows", [None, B], ids=["shipped_rule", f"block_rows{B}"])
+def test_trajectory_detection_floor(monkeypatch, corpus_records, block_rows):
+    # `trajectory` catches an iterate coordinate or a residual raised by
+    # 1e-9, and a step raised by 1e-6, wherever the row lies in its block:
+    # under the shipped rule the run is one block, and with 7-row blocks
+    # row 399 is a one-row last block (400 = 57 x 7 + 1)
+    if block_rows is not None:
+        monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_BYTES", 0)
+    tampers = [("iterates", 1e-9, (20, 150, 399)), ("residuals", 1e-9, (20, 150, 399)),
+               ("schedule_used", 1e-6, (20, 150))]
+    cases, missed = 0, []
+    for inst, traj in corpus_records:
+        args = (inst.operator, inst.relation, inst.space, inst.schedule)
+        assert run_audits(["trajectory"], traj, *args, diam=1.0)["trajectory"]["status"] == "pass"
+        for field, h, rows in tampers:
+            for m in rows:
+                values = getattr(traj, field).copy()
+                values[(m, 0) if values.ndim == 2 else m] += h  # one coordinate of a row
+                got = run_audits(["trajectory"], replace(traj, **{field: values}), *args, diam=1.0)
+                cases += 1
+                if got["trajectory"]["status"] != "fail":
+                    missed.append((inst.name, field, m))
+    assert cases == 36 + 36 + 24 and missed == []
+
+
 class TestBlockedAudit:
     """run_audits in blocks writes what the unblocked audit writes, whichever
     block holds a failure."""
@@ -868,10 +909,10 @@ def test_each_replaying_auditor_alone_matches_the_full_pass(monkeypatch, block_r
                                                             stride, kind):
     # alone or with the others, each auditor reads the images of the same
     # audit blocks.  A 1 500-row run spans audit blocks under either rule
-    # (1 024 rows at d = 64).  At d = 255 and 257 a 400-row run is one block
-    # of 257 or 256 rows with its tail folded in, and a batch's bits depend
-    # on its row count: T of that many head rows alone can differ in the
-    # last bit from the block's images of them
+    # (1 024 rows at d = 64).  At d = 255 and 257 a 400-row run is a block
+    # of 257 or 256 rows and a shorter last one, and a batch's bits depend
+    # on its row count: T of the head rows alone can differ in the last bit
+    # from the first block's images of them
     if block_rows is not None:
         monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_ROWS", block_rows)
         monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_BYTES", 0)
@@ -981,8 +1022,8 @@ class TestStreamedAudit:
         assert traj.n_iterates == 1
 
     @pytest.mark.parametrize("stride", STRIDES)
-    # at B-row blocks 2B + 1 and 2B + 2 end in a short block folded into the
-    # block before it
+    # at B-row blocks 2B + 1 ends in a one-row last block, whose step in is
+    # checked from the block before it, and 2B + 2 in a two-row one
     @pytest.mark.parametrize(
         "n", [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 2, 3 * B + 1]
     )
@@ -1027,9 +1068,9 @@ class TestStreamedAudit:
         assert got == reference_run_audits(ALL_AUDITS, *args, diam=2.0, seed=3)
 
     def test_full_history_is_read_in_place(self):
-        # every block the auditors read is a view of the stored rows with at
-        # most a block's rows; the folded last cut is read a block at a
-        # time, with the images of T of all its rows as one batch
+        # every block the auditors read is a view of the stored rows, a
+        # block's rows but for the short last one, with the images of T of
+        # its own rows as one batch
         op = gentle_maps()
         traj = run(op, [0.1, 0.2], Schedule.constant(0.5), max_iter=3 * B + 2, tol=0.0,
                    rel=COORD2)
@@ -1040,11 +1081,11 @@ class TestStreamedAudit:
             (block.start, block.stop, block.tx, np.shares_memory(block.x, traj.iterates))
         )
         stream_record(traj, op, stream)
-        fold = (traj.n_iterates // b - 1) * b  # the first row of the folded cut
-        assert all(stop - start <= b and shared for start, stop, _, shared in blocks)
-        tail = [tx for start, _, tx, _ in blocks if start >= fold]
-        assert len(tail) == 2
-        assert np.concatenate(tail).tobytes() == op.apply_batch(traj.iterates[fold:]).tobytes()
+        n = traj.n_iterates
+        assert [stop - start for start, stop, _, _ in blocks] == [b] * (n // b) + [n % b]
+        for start, stop, tx, shared in blocks:
+            assert shared
+            assert tx.tobytes() == op.apply_batch(traj.iterates[start:stop]).tobytes()
 
 
 def test_streamed_audit_at_the_d4_block_edge():
@@ -1091,6 +1132,36 @@ class TestStreamedAuditAtScale:
                 }
 
 
+@pytest.mark.parametrize(
+    "d, block_rows, n, stride",
+    # 2 049 = 8 x 256 + 1 and 29 = 4 x 7 + 1, and x_N is off the stride's
+    # grid: 2 048 % 7 and 28 % 3 are not 0
+    [(256, None, 2049, 7), (2, 7, 29, 3)],
+    ids=["shipped_rule_d256", "block_rows7_d2"],
+)
+def test_final_step_of_a_one_row_last_block(tmp_path, monkeypatch, d, block_rows, n, stride):
+    # the last block is x_N alone, so the step into x_N, which the stride
+    # does not record, is checked from the block before it
+    if block_rows is not None:
+        monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(graphmann.mann, "AUDIT_BLOCK_BYTES", 0)
+    assert n % audit_block_rows(d) == 1 and (n - 1) % stride
+    config = permutation_config(d, 0.995, n, stride)
+    result = run_experiment(config, out_dir=tmp_path)
+    k = result.trajectory.iterates.shape[0]
+    assert result.trajectory.n_iterates == n and k == -(-n // stride) + 1
+    assert result.audits["trajectory"]["trials"] == n + k - 1
+    _, audits = audit_stored(tmp_path / "run.json", config)
+    assert audits["trajectory"]["trials"] == n + k - 1
+    assert audits["trajectory"]["status"] == "pass"
+    report = json.loads((tmp_path / "run.json").read_text())
+    record = report.get("trajectory", report)
+    record["iterates"][-1] = [v + 1e-9 for v in record["iterates"][-1]]
+    (tmp_path / "run.json").write_text(json.dumps(report))
+    _, audits = audit_stored(tmp_path / "run.json", config)
+    assert audits["trajectory"]["status"] == "fail"
+
+
 def permutation_config(d, s, n, stride):
     """The config of `permutation_map(d, s)` from 0, run to n iterates."""
     return ExperimentConfig.from_dict(permutation_data(d, s, n, stride))
@@ -1129,11 +1200,13 @@ class TestStreamedMemory:
     # the stored audit's growth from 2 000 to 8 000 iterates at d = 256:
     # `read_json` of run.json holds its arrays and a few pieces of its text
     # while it reads, and the peak is then set by the audit's blocks and
-    # its last cut (464 rows, then 320); it fell by 0.25 MB (by 0.84 MB
-    # when the read held the file's bytes and the auditors read a folded
-    # cut whole, and it rose by 1.12 MB when `json.loads` held a Python
-    # float per residual, step and every 50th row), where an (N, d) history
-    # would add 6 000 x 2 KiB = 12 MB
+    # that record; it rose by 0.54 MB (it fell by 0.25 MB when a short last
+    # block folded into the one before it, whose 464-row cut set the
+    # shorter run's peak; by 0.84 MB when the read also held the file's
+    # bytes and the auditors read a folded cut whole, and it rose by
+    # 1.12 MB when `json.loads` held a Python float per residual, step and
+    # every 50th row), where an (N, d) history would add 6 000 x 2 KiB
+    # = 12 MB
     STORED_AUDIT_GROWTH = 2 << 20
 
     def test_run_and_stored_audit_peaks_do_not_grow_with_the_run(self, tmp_path):
@@ -1160,8 +1233,8 @@ class TestStreamedMemory:
     def full_history_growth(self, tmp_path_factory):
         """Peak bytes per iterate that run_experiment and the audit of its
         run.json add from 2 x 16 384 + 1 000 to 4 x 16 384 + 1 000 iterates
-        at d = 4, full history: the last cut (a 16 384-row audit block with
-        1 000 rows folded in) is the same in both runs.  The run is traced
+        at d = 4, full history: the last audit block (1 000 rows) is the
+        same in both runs.  The run is traced
         without writing its files, which triples the time tracing takes and
         holds a chunk of text at a time; they are written untraced."""
         lengths = (2 * 16_384 + 1000, 4 * 16_384 + 1000)
@@ -1181,7 +1254,7 @@ class TestStreamedMemory:
 
     def test_full_history_run_grows_by_its_rows_and_residuals(self, full_history_growth):
         # the run holds its iterates (32 B) and residuals (8 B) per iterate,
-        # and its last cut and the auditors' blocks whatever its length; it
+        # and its last blocks and the auditors' whatever its length; it
         # grew by 105 B per iterate when it kept r_n and the indices in lists
         assert full_history_growth["run"] < 48
 
