@@ -133,8 +133,9 @@ def configs(head_src: Path) -> dict[str, dict]:
     remaining section kinds,
     a d = 3 run that sets the fields no other config sets, and d = 2 runs
     from a start incomparable with its image, with int entries in its
-    number arrays, from a reverse-comparable start and from a fixed point,
-    with HEAD_SRC's graphmann."""
+    number arrays, with only int number arrays, from a start beyond 64 bits
+    (exit 1), from a reverse-comparable start and from a fixed point, with
+    HEAD_SRC's graphmann."""
     sys.path[:0] = [str(head_src), str(ROOT)]
     from graphmann.corpus import negative_swap_config, oracle_1d_config, t_one_config
     from perfbench.workloads import averaged_permutation_config as permutation
@@ -208,6 +209,9 @@ def configs(head_src: Path) -> dict[str, dict]:
         {"kind": "matrix_affine", "matrix": [[0, 0.9], [0.9, 0]], "offset": 0.05},
         [0, 0])
     int_entries["body"] = {"kind": "box", "lo": [0, 0], "hi": [1, 1]}
+    int_arrays = oracle_d2(
+        oracle_1d_config(), {"kind": "matrix_affine", "matrix": [[0, 1], [0, 0]]}, [1, 1])
+    int_arrays["body"] = {"kind": "box", "lo": [0, 0], "hi": [1, 1]}
     return {
         "oracle": oracle_1d_config(),
         "swap": negative_swap_config(),
@@ -237,6 +241,13 @@ def configs(head_src: Path) -> dict[str, dict]:
         # corners are int lists, so the config echo in run.json writes ints
         # where the config file has them
         "int_entries_d2": int_entries,
+        # every number array is all ints (int64 arrays when read), and so is
+        # its echo in run.json
+        "int_arrays_d2": int_arrays,
+        # a start beyond 64 bits, read as a list of ints: exit 1, nothing
+        # written
+        "start_beyond_int64_d2": oracle_d2(oracle_1d_config(), contraction,
+                                           [9223372036854775808, 0]),
         # T x = 0.9 x + 0.05 fixes 0.5 * 1; from above it, the audits run mirrored
         "reverse_d2": oracle_d2(oracle_1d_config(), contraction, [1.0, 0.8]),
         # a one-iterate run: no Goebel-Kirk pair or rate span is checked

@@ -212,24 +212,22 @@ _NUMBER_START = {bytes([c]) for c in b"-0123456789NI"}
 
 def read_json(path: str | Path) -> Any:
     """`json.loads` of the file's UTF-8 text, with each nonempty array of
-    numbers, or of nonempty number rows of one width, read as its
-    `np.array` (the same dtype and bits) when its numbers are all floats,
-    or all ints that np.array keeps as ints (an int beyond 64 bits in an
-    object array).  An array that mixes ints and floats, or whose ints
-    np.array would promote to floats, stays json.loads' list, so that
-    `write_json` writes every number of what it reads as it was written:
-    an int as an int, a float as a float.  The arrays are read-only, so a
-    holder that freezes its arrays (`frozen_array`) keeps one without a
-    copy.
+    numbers, or of nonempty number rows of one width, read by one rule: a
+    float64 array when its numbers are all floats, an int64 array when they
+    are all ints that fit in 64 bits, and json.loads' list otherwise (ints
+    and floats mixed, or an int beyond 64 bits), so that `write_json`
+    writes every number of what it reads as it was written: an int as an
+    int, a float as a float.  The arrays are read-only, so a holder that
+    freezes its arrays (`frozen_array`) keeps one without a copy.
 
     The file is read forward `_PIECE` bytes at a time (`_Source`).  Objects
     and arrays are walked here and every key and other value is read by
     json.loads, so json's semantics (NaN and Infinity, the last of duplicate
-    keys) stay.  A number array is read a piece of text at a time into
-    arrays joined at its end, so the read holds what it returns and a few
-    pieces, never the file's text nor a Python object per number.  Malformed
-    text raises what json.loads of the text raises, with its line and
-    column: only then is the whole text read.
+    keys) stay.  A number array is read once, a piece of text at a time,
+    and its pieces are joined at its end, so the read holds what it returns
+    and a few pieces, never the file's text nor, for an array, a Python
+    object per number.  Malformed text raises what json.loads of the text
+    raises, with its line and column: only then is the whole text read.
     """
     with open(path, "rb") as fh:
         src = _Source(fh)
@@ -259,9 +257,10 @@ class _Source:
         """Append the next bytes of the file to `buf`, dropping the text
         walked; False, with `buf` as it was, at the end of the file.  It
         reads `_PIECE` bytes, or as many as are left unwalked when that is
-        more: a walk that reads on over one long item (a long string, an
-        array read whole) doubles the text held at each call, so it copies
-        that text about twice in all, not once per piece."""
+        more: a walk that reads on over one long item (a long string, a
+        row of numbers longer than a piece) doubles the text held at each
+        call, so it copies that text about twice in all, not once per
+        piece."""
         data = self.fh.read(max(_PIECE, len(self.buf) - self.i))
         if not data:
             return False
@@ -338,18 +337,18 @@ def _object(src: _Source) -> dict:
 
 def _array(src: _Source) -> Any:
     """The array whose "[" was just walked; an array of numbers or of
-    number rows as a read-only ndarray (unless `_number_array` gives a
-    list)."""
+    number rows as a read-only ndarray when `_number_array` gives one."""
     opener = _skip(src)
     start = src.tell()
     rows = opener == b"["
     if rows:
-        src.i += 1
-        numbers = _skip(src) in _NUMBER_START
-        src.seek(start)
-    else:
-        numbers = opener in _NUMBER_START
-    if numbers:
+        # the first byte of the first row's first item, looked at in place
+        while True:
+            first = _WHITESPACE.match(src.buf, src.i + 1).end()
+            if first < len(src.buf) or not src.more():
+                break
+        opener = src.buf[first:first + 1]
+    if opener in _NUMBER_START:
         array = _number_array(src, rows)
         if isinstance(array, np.ndarray):
             array.flags.writeable = False
@@ -371,23 +370,17 @@ def _array(src: _Source) -> Any:
             raise ValueError("unexpected text")
 
 
-def _number_array(
-    src: _Source, rows: bool, whole: bool = False
-) -> np.ndarray | list | None:
-    """The items of the array being walked, from `src.i` to its "]", as
-    `_parsed_numbers` gives them when they are all numbers, or all nonempty
-    number rows of one width (`rows`), and None otherwise.
+def _number_array(src: _Source, rows: bool) -> np.ndarray | list | None:
+    """The items of the array being walked, from `src.i` to its "]", when
+    they are all numbers, or all nonempty number rows of one width (`rows`),
+    and None otherwise: one array when `_parsed_numbers` gives every piece
+    as an array of one dtype, and json.loads' list otherwise.
 
     The text is cut after the last comma in the text read so far (the last
     "]," for rows), and json.loads reads each piece so cut, so the pieces
-    and the commas between them tile the array's text.  Each piece is an
-    array, and the arrays, all of one dtype, are joined at the end.  With
-    `whole`, or when a piece holds an int beyond 64 bits, is a list, or has
-    another dtype than the pieces before it (np.array of the whole would
-    promote ints to floats), the text is read as one piece.
+    and the commas between them tile the array's text, which is read once.
     """
-    start = src.tell()
-    pieces: list[np.ndarray] = []
+    pieces: list[np.ndarray | list] = []
     while True:
         while len(src.buf) - src.i < _PIECE and src.more():
             pass
@@ -395,12 +388,12 @@ def _number_array(
         if rows:
             last = _LAST_ROW.search(buf, i)
             stop, after = (last.start() + 1, last.end()) if last else (-1, -1)
-            cut = -1 if whole else buf.rfind(b"],", i)
+            cut = buf.rfind(b"],", i)
             cut += cut >= 0  # the comma after the row
         else:
             stop = buf.find(b"]", i)
             after = stop + 1
-            cut = -1 if whole else buf.rfind(b",", i)
+            cut = buf.rfind(b",", i)
         final = stop >= 0
         if not final:
             if cut < 0:  # no whole item read yet
@@ -409,33 +402,23 @@ def _number_array(
                 continue
             stop, after = cut, cut + 1
         piece = _parsed_numbers(buf[i:stop], rows)
-        if piece is None:
-            return None
-        if whole:
-            src.i = after
-            return piece
-        if isinstance(piece, list) or piece.dtype == object or (
-            pieces and piece.dtype != pieces[0].dtype
-        ):
-            # an int beyond 64 bits (np.array keeps every item's own Python
-            # number in an object array), or ints and floats together, here
-            # or across pieces: the array is read whole
-            src.seek(start)
-            return _number_array(src, rows, whole=True)
-        if pieces and piece.shape[1:] != pieces[0].shape[1:]:
+        if piece is None or rows and pieces and len(piece[0]) != len(pieces[0][0]):
             return None
         pieces.append(piece)
         src.i = after
         if final:
-            return np.concatenate(pieces) if len(pieces) > 1 else piece
+            break
+    first = pieces[0]
+    if all(isinstance(p, np.ndarray) and p.dtype == first.dtype for p in pieces):
+        return np.concatenate(pieces) if len(pieces) > 1 else first
+    return list(chain.from_iterable(map(_plain, pieces)))
 
 
 def _parsed_numbers(text: bytes, rows: bool) -> np.ndarray | list | None:
     """The items in `text` when they are all numbers, or all nonempty number
-    rows of one width (`rows`), and None otherwise: their `np.array` when
-    the numbers are all floats, or all ints that it keeps as ints, and
-    json.loads' list when they mix ints and floats or np.array promotes
-    their ints to floats."""
+    rows of one width (`rows`), and None otherwise: a float64 array when
+    the numbers are all floats, an int64 array when they are all ints that
+    fit in it, and json.loads' list otherwise."""
     try:
         items = json.loads("[%s]" % text.decode("utf-8"))
     except ValueError:
@@ -452,6 +435,7 @@ def _parsed_numbers(text: bytes, rows: bool) -> np.ndarray | list | None:
     if len(types) > 1:
         return items
     array = np.array(numbers)
-    if types == {int} and array.dtype.kind == "f":
+    # np.array gives ints beyond int64 a uint64, object or float64 array
+    if array.dtype != (np.int64 if int in types else np.float64):
         return items
     return array.reshape(len(items), -1) if rows else array

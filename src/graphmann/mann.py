@@ -738,6 +738,17 @@ def _step_field(field: str) -> float:
     return float(field) if field else _EMPTY_STEP
 
 
+def _file_line(row: int, blank: list[int]) -> int:
+    """The file line of data row `row` (0-based) of a trajectory CSV whose
+    empty lines after the header are `blank`, in order."""
+    line = row + 2
+    for skipped in blank:
+        if skipped > line:
+            break
+        line += 1
+    return line
+
+
 def read_trajectory_csv(path) -> Trajectory:
     """Rebuild a trajectory from a full-history CSV export.
 
@@ -760,12 +771,16 @@ def read_trajectory_csv(path) -> Trajectory:
             d = len(header) - 3
             if header[1 : 1 + d] != [f"x_{i + 1}" for i in range(d)]:
                 raise ConfigError("line 1: trajectory CSV coordinate columns must be x_1..x_d")
-            lines: list[int] = []  # the file line of each row handed to the parser
+            blank: list[int] = []  # the file lines skipped as empty
+            last = 0  # the file line of the last row handed to the parser
 
             def rows():
+                nonlocal last
                 for number, text in enumerate(fh, start=2):
-                    if text != "\n":
-                        lines.append(number)
+                    if text == "\n":
+                        blank.append(number)
+                    else:
+                        last = number
                         yield text
 
             body = rows()
@@ -774,7 +789,7 @@ def read_trajectory_csv(path) -> Trajectory:
                 raise ConfigError("line 2: trajectory CSV has no data rows")
             if first.count(",") != d + 2:
                 raise ConfigError(
-                    f"line {lines[0]}: {first.count(',') + 1} fields, expected {d + 3}"
+                    f"line {last}: {first.count(',') + 1} fields, expected {d + 3}"
                 )
             table = np.loadtxt(
                 chain((first,), body),
@@ -789,18 +804,19 @@ def read_trajectory_csv(path) -> Trajectory:
             # the parser takes one line at a time from `body`, so it failed
             # on the last line taken; its own row count is dropped
             reason = str(exc).partition(" at row ")[0]
-            raise ConfigError(f"line {lines[-1]}: {reason}") from exc
+            raise ConfigError(f"line {last}: {reason}") from exc
     k = table.shape[0]
     wrong = np.flatnonzero(table[:, 0] != np.arange(1, k + 1))
     if wrong.size:
         j = int(wrong[0])
         raise ConfigError(
-            f"line {lines[j]}: index {table[j, 0]:g} where {j + 1} was expected; "
+            f"line {_file_line(j, blank)}: index {table[j, 0]:g} where {j + 1} was expected; "
             "CSV audit requires consecutive indices starting at 1"
         )
     missing = np.flatnonzero(table[:-1, d + 2].view(np.uint64) == _EMPTY_STEP_BITS)
     if missing.size:
-        raise ConfigError(f"line {lines[int(missing[0])]}: the step size t_n is missing")
+        line = _file_line(int(missing[0]), blank)
+        raise ConfigError(f"line {line}: the step size t_n is missing")
     return Trajectory(
         iterates=table[:, 1 : d + 1].copy(),
         iterate_indices=np.arange(1, k + 1),
@@ -864,11 +880,10 @@ def trajectory_from_dict(data: dict) -> Trajectory:
 
 def _iterate_indices(indices) -> np.ndarray:
     """A record's iterate indices as int64: integers, or integral floats,
-    below 2**63 in magnitude.  int() would read 2.5 or true as 2 or 1, and
-    np.array reads an index of 10**30 as an object and one of 2**63 as a
-    float; each raises ValueError, as config does.  `read_json` leaves a
-    nonempty number array a list when it holds a non-number, or mixes ints
-    and floats."""
+    below 2**63 in magnitude.  Any other index (2.5, true, 2**63) raises
+    ValueError, as config does, where int() would read 2.5 or true as 2 or
+    1.  `read_json` gives a nonempty number array as a list unless its
+    numbers are all floats or all ints that fit in int64."""
     if isinstance(indices, list) and not set(map(type, indices)) <= {int, float}:
         raise ValueError("iterate indices must be integers below 2**63")
     indices = np.asarray(indices)

@@ -3,7 +3,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -839,8 +842,7 @@ class TestCliAudit:
     def test_malformed_record_values_exit_one(self, tmp_path, oracle_cfg, capsys, case):
         # int() would read 2.5 as 2 and true as 1, and any nonempty string is
         # truthy; each is rejected as the config reader rejects them.  A last
-        # index beyond int64 reads as an object (10**30) or a float (1e300,
-        # and 2**63 among smaller ints), and is rejected too
+        # index beyond int64 (10**30, 1e300, 2**63) is rejected too
         _, path = oracle_cfg
         assert main(["run", "--config", path, "--quiet"]) == 0
         record = json.loads((tmp_path / "out" / "run.json").read_text())
@@ -1187,6 +1189,24 @@ class TestCliUsage:
     def test_help_is_exit_zero(self, capsys, argv):
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("usage: graphmann")
+
+
+def test_importing_graphmann_pulls_in_only_numpy():
+    # the import is most of a CLI call's start-up: a fresh interpreter
+    # imports the package, its CLI and its corpus, and every new top-level
+    # module is graphmann's, numpy's or the standard library's
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import graphmann, graphmann.cli, graphmann.corpus\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(new - {'graphmann', 'numpy'} - sys.stdlib_module_names))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_load_config_from_file(tmp_path):

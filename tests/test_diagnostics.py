@@ -56,6 +56,7 @@ from graphmann.operators import (
     NonmonotoneSwap,
     Operator,
     known_fixed_points,
+    matrix_opnorm_bound,
 )
 from graphmann.order_graph import AuditReport, ConeRelation
 from testonly_records import audit_record, decimate
@@ -746,6 +747,52 @@ def test_trajectory_detection_floor(monkeypatch, corpus_records, block_rows):
                 if got["trajectory"]["status"] != "fail":
                     missed.append((inst.name, field, m))
     assert cases == 36 + 36 + 24 and missed == []
+
+
+def valid_matrix_affine_configs():
+    """One valid `matrix_affine` config per cell of d x p x t x s, drawn
+    from default_rng(2026): the box [0, s]^d under the coordinatewise cone,
+    M uniform in [0, 1) scaled to a certified norm bound drawn from
+    [0.5, 1), an offset uniform in [0, 0.1 s), start 0, 2 000 iterates, and
+    a stride of 1 or 7 and a tol of 0 or 1e-10 s drawn per config."""
+    rng = np.random.default_rng(2026)
+    configs = []
+    for d in (1, 2, 3, 8, 16):
+        for p in (1.5, 2.0, 3.0):
+            for t in (0.1, 0.5):
+                for s in (1e-3, 1.0):
+                    m = rng.random((d, d))
+                    m *= rng.uniform(0.5, 1.0) / matrix_opnorm_bound(m, p)
+                    configs.append({
+                        "schema_version": 1,
+                        "seed": 1,
+                        "space": {"dimension": d, "p": p},
+                        "body": {"kind": "box", "lo": 0.0, "hi": s},
+                        "relation": {"kind": "coordinatewise"},
+                        "operator": {"kind": "matrix_affine", "matrix": m.tolist(),
+                                     "offset": (rng.uniform(0.0, 0.1, d) * s).tolist()},
+                        "start": {"kind": "explicit", "value": [0.0] * d},
+                        "schedule": {"kind": "constant", "t": t},
+                        "run": {"max_iter": 2000, "tol": float(rng.choice([0.0, 1e-10 * s])),
+                                "record_stride": int(rng.choice([1, 7]))},
+                        "audits": list(ALL_AUDITS),
+                    })
+    return configs
+
+
+def test_valid_matrix_affine_configs_fail_no_auditor():
+    # the library certifies every hypothesis of these configs, so a `fail`
+    # on any of them would be a false one; the cells with s <= 1 and
+    # t <= 0.5 of a wider scan, where no auditor fails today
+    configs = valid_matrix_affine_configs()
+    assert len(configs) == 60
+    fails = []
+    for data in configs:
+        result = run_experiment(ExperimentConfig.from_dict(data), write=False)
+        assert result.exit_code in (0, 3)
+        fails += [(data["space"], data["schedule"]["t"], data["body"]["hi"], name)
+                  for name, entry in result.audits.items() if entry["status"] == "fail"]
+    assert fails == []
 
 
 class TestBlockedAudit:

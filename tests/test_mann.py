@@ -977,6 +977,26 @@ class TestCsvReader:
         config.write_text(json.dumps(oracle_1d_config(str(tmp_path / "out"))))
         assert main(["audit", str(bad), "--config", str(config), "--quiet"]) == 1
 
+    @pytest.mark.parametrize("case", ["index_gap", "first_index_not_one", "missing_step",
+                                      "non_numeric_iterate", "non_numeric_step",
+                                      "field_missing", "field_extra_on_first_row"])
+    def test_blank_lines_shift_only_the_line_named(self, tmp_path, case):
+        # one empty line after the header and two before the bad row, and
+        # more after it: the message is the clean file's, three lines on
+        traj = run(midpoint_map(), [0.0], Schedule.constant(0.5), max_iter=6, tol=0.0)
+        write_trajectory_csv(traj, tmp_path / "good.csv")
+        lines, line = MALFORMED_CSV[case]((tmp_path / "good.csv").read_text().splitlines())
+        spaced = [lines[0], ""] + lines[1:line - 1] + ["", ""] + lines[line - 1:] + ["", ""]
+        messages = []
+        for name, text in (("clean", lines), ("spaced", spaced)):
+            (tmp_path / name).write_text("\n".join(text) + "\n")
+            with pytest.raises(ConfigError) as caught:
+                read_trajectory_csv(tmp_path / name)
+            messages.append(str(caught.value))
+        clean, moved = messages
+        assert clean.startswith(f"line {line}: ")
+        assert moved == f"line {line + 3}: " + clean.removeprefix(f"line {line}: ")
+
     @pytest.mark.parametrize("line, field", [(2, 1), (2500, 0), (4000, 2), (4000, 3), (5001, 1)])
     def test_malformed_line_deep_in_a_long_file(self, tmp_path, line, field):
         lines = replace_field(long_csv_lines(tmp_path), line, field, "x")

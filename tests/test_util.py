@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -217,8 +218,8 @@ def number_items(items):
 def with_arrays(value):
     """`value` with each list `read_json` reads as an array replaced by its
     np.array: a number array whose numbers are all floats, or all ints that
-    np.array keeps as ints.  One that mixes ints and floats, or whose ints
-    np.array promotes to floats, stays a list."""
+    fit in int64.  One that mixes ints and floats, or holds an int beyond
+    64 bits, stays a list."""
     if isinstance(value, dict):
         return {key: with_arrays(item) for key, item in value.items()}
     if isinstance(value, list):
@@ -228,7 +229,7 @@ def with_arrays(value):
         types = set(map(type, flat))
         if types == {float}:
             return np.array(value)
-        if types == {int} and (array := np.array(value)).dtype.kind != "f":
+        if types == {int} and (array := np.array(value)).dtype == np.int64:
             return array
         return value
     return value
@@ -236,13 +237,10 @@ def with_arrays(value):
 
 def same(a, b):
     """Equal values of equal types, arrays of one dtype and shape with the
-    same bits (the same Python numbers, for object arrays)."""
+    same bits."""
     if isinstance(a, np.ndarray):
-        if not (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape):
-            return False
-        if a.dtype == object:
-            return same(a.ravel().tolist(), b.ravel().tolist())
-        return a.tobytes() == b.tobytes()
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
     if isinstance(a, dict):
         return (isinstance(b, dict) and list(a) == list(b)
                 and all(same(a[key], b[key]) for key in a))
@@ -250,6 +248,19 @@ def same(a, b):
         return (isinstance(b, list) and len(a) == len(b)
                 and all(same(x, y) for x, y in zip(a, b)))
     return type(a) is type(b) and repr(a) == repr(b)
+
+
+class CountingReader(io.BufferedReader):
+    """A binary file that counts the bytes its reads return."""
+
+    def __init__(self, path):
+        super().__init__(io.FileIO(path, "rb"))
+        self.count = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.count += len(data)
+        return data
 
 
 def json_error(text):
@@ -291,8 +302,8 @@ class TestReadJson:
         ('{"a": [1], "a": [2, 3]}', {"a": np.array([2, 3])}),
         ("[NaN, Infinity, -Infinity]", np.array([math.nan, math.inf, -math.inf])),
         ("[1, 9223372036854775808]", [1, 2**63]),
-        ("[9223372036854775808]", np.array([2**63], dtype=np.uint64)),
-        ("[1, 1000000000000000000000000000000]", np.array([1, 10**30], dtype=object)),
+        ("[9223372036854775808]", [2**63]),
+        ("[1, 1000000000000000000000000000000]", [1, 10**30]),
         ("[0.5, 1000000000000000000000000000000]", [0.5, 10**30]),
         ("[[1, 2], [0.5, 3]]", [[1, 2], [0.5, 3]]),
         ("[[1, 2], [5, 3]]", np.array([[1, 2], [5, 3]])),
@@ -309,6 +320,34 @@ class TestReadJson:
         for piece in PIECES:
             with mock.patch.object(util, "_PIECE", piece):
                 assert same(read_json(path), expected)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("[1, 2.5, 3.5]", [1, 2.5, 3.5]),
+        ("[[1, 2], [0.5, 3]]", [[1, 2], [0.5, 3]]),
+        ("[1, 9223372036854775808]", [1, 2**63]),
+        ("[0.5, 1000000000000000000000000000000]", [0.5, 10**30]),
+        ("[1.5, 2.5]", np.array([1.5, 2.5])),
+        ("[[1, 2], [3, 4]]", np.array([[1, 2], [3, 4]], dtype=np.int64)),
+    ])
+    def test_number_array_is_read_in_one_pass(self, tmp_path, text, expected):
+        # every byte of the file is read once, whatever the rule gives
+        path = tmp_path / "doc.json"
+        path.write_text('{"x": %s, "y": [2]}' % text)
+        files = []
+
+        def counting_open(file, mode):
+            files.append(CountingReader(file))
+            return files[-1]
+
+        for piece in (1, 5):
+            with mock.patch.object(util, "_PIECE", piece), \
+                    mock.patch.object(util, "open", counting_open, create=True):
+                got = read_json(path)["x"]
+            assert files[-1].count == path.stat().st_size
+            assert same(got, expected)
+            assert same(got, with_arrays(json.loads(text)))
+            if isinstance(expected, np.ndarray):
+                assert not got.flags.writeable
 
     @staticmethod
     def assert_rejected_as_json_does(path, data):
