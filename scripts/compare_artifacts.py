@@ -10,8 +10,10 @@ tree.  On a fixed set of configs each tree runs `graphmann run`, then
 `graphmann audit` of the run.json and of the trajectory.csv that run wrote;
 the configs named in SWEEPS also run each of their `graphmann sweep`s, and
 the run.json of each config named in REDUMPED is written again without
-indentation (REDUMPS) and audited in that form.  Every exit code and every
-file written must be the same under both trees.
+indentation (REDUMPS) and audited in that form.  Each tree also writes the
+seeded 100-instance corpus (`graphmann.corpus.acceptance_instances`): per
+instance its x1, omega, schedule steps and `operator.describe()`.  Every
+exit code and every file written must be the same under both trees.
 The two trees run one after the other on the same machine, so BLAS
 differences between hosts cannot show up as differences here.
 
@@ -40,14 +42,16 @@ ROOT = Path(__file__).resolve().parent.parent
 # runs each command of a JSON list through graphmann.cli.main, with the
 # given source directory first on sys.path, and T = x + shift for the
 # commands whose config has a shift; a "redump SOURCE TARGET STYLE" command
-# writes the record at SOURCE again in a style of REDUMPS; prints the exit
-# codes
+# writes the record at SOURCE again in a style of REDUMPS, and a "corpus
+# DIRECTORY" command writes one JSON file per corpus instance there; prints
+# the exit codes
 RUNNER = """
 import json, os, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 import graphmann.cli
 import graphmann.experiment as experiment
+from graphmann.corpus import acceptance_instances
 from graphmann.operators import Operator
 
 
@@ -74,12 +78,26 @@ def redump(source, target, style):
         fh.write(REDUMPS[style](record))
 
 
+def corpus(directory):
+    # json writes each float by repr, so equal text means equal bits
+    os.makedirs(directory, exist_ok=True)
+    for inst in acceptance_instances():
+        schedule = inst.schedule
+        steps = (schedule.t_constant if schedule.t_values is None
+                 else schedule.t_values.tolist())
+        instance = {"operator": inst.operator.describe(), "x1": inst.x1.tolist(),
+                    "omega": inst.omega.tolist(), "steps": steps}
+        with open(os.path.join(directory, inst.name + ".json"), "w") as fh:
+            json.dump(instance, fh)
+
+
+WRITERS = {"redump": redump, "corpus": corpus}
 build_operator = experiment.build_operator
 job = json.loads(sys.argv[2])
 codes = []
 for args in job["commands"]:
-    if args[0] == "redump":
-        redump(*args[1:])
+    if args[0] in WRITERS:
+        WRITERS[args[0]](*args[1:])
         codes.append(0)
         continue
     shift = job["shifts"].get(args[args.index("--config") + 1])
@@ -306,7 +324,7 @@ def commands(config_paths: dict[str, Path], out: Path) -> list[list[str]]:
                 ["audit", str(record), "--config", str(config),
                  "--out", str(case / f"audit_{style}")],
             ]
-    return cmds
+    return cmds + [["corpus", str(out / "corpus")]]
 
 
 def run_tree(src: Path, cmds: list[list[str]], shifts: dict[str, float]) -> list[int]:

@@ -156,19 +156,21 @@ def _number_rows(rows: Any, newline: str) -> Iterator[str]:
         if len(group) == 1:
             yield from _numbers(group[0], "," + row)
         else:
-            text = json.dumps(_plain(group), separators=("," + row, ": "))
+            text = json.dumps(
+                _plain(group), separators=("," + row, ": "), check_circular=False
+            )
             yield text[2:-2].replace("]," + row + "[", between)
     yield inner + "]" + newline + "]"
 
 
 def _numbers(values: Any, separator: str) -> Iterator[str]:
     """The items of a number list or 1-d array joined by `separator`,
-    `_CHUNK` at a time."""
+    `_CHUNK` at a time (numbers alone, so json need not look for cycles)."""
     for start in range(0, len(values), _CHUNK):
         if start:
             yield separator
         chunk = _plain(values[start:start + _CHUNK])
-        yield json.dumps(chunk, separators=(separator, ": "))[1:-1]
+        yield json.dumps(chunk, separators=(separator, ": "), check_circular=False)[1:-1]
 
 
 def _row_groups(rows: Any) -> Iterator[Any]:

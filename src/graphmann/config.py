@@ -26,7 +26,7 @@ from ._util import jsonable, read_json
 from .diagnostics import ALL_AUDITS
 from .errors import ConfigError, GraphmannError
 from .mann import DEFAULT_MAX_ITER, DEFAULT_TOL, Schedule, start_edges
-from .normed_space import Ball, Box, ConvexBody, NormSpace, contains, sample_point
+from .normed_space import Ball, Box, ConvexBody, NormSpace, box_reach, contains, sample_point
 from .operators import (
     Componentwise,
     Identity,
@@ -559,13 +559,7 @@ def _comparable_toward(
         fraction = rng.uniform(0.2, 0.9)
         for sign in (-1.0, 1.0):
             w = sign * v
-            with np.errstate(divide="ignore"):
-                caps = np.where(
-                    w < -1e-12,
-                    (body.lo - anchor) / w,
-                    np.where(w > 1e-12, (body.hi - anchor) / w, np.inf),
-                )
-            gamma = fraction * float(caps.min())
+            gamma = fraction * box_reach(body, anchor, w)
             if not np.isfinite(gamma) or gamma <= 0:
                 continue
             x = anchor + gamma * w

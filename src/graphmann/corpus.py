@@ -21,7 +21,7 @@ import numpy as np
 from .diagnostics import ALL_AUDITS
 from .errors import GraphmannError
 from .mann import Schedule, start_edges
-from .normed_space import Box, NormSpace, contains
+from .normed_space import Box, NormSpace, box_reach, contains
 from .operators import Componentwise, MatrixAffine, Operator
 from .order_graph import ConeRelation
 
@@ -167,16 +167,8 @@ def _build_instance(k: int, seed: int) -> Instance:
 
     for _ in range(32):
         v = _cone_direction(rng, rel, cone_kind, d)
-        if start_case == "forward":
-            caps = np.where(
-                v > 1e-12, (target - lo) / v, np.where(v < -1e-12, (target - hi) / v, np.inf)
-            )
-            x1 = target - rng.uniform(0.3, 0.9) * float(caps.min()) * v
-        else:
-            caps = np.where(
-                v > 1e-12, (hi - target) / v, np.where(v < -1e-12, (lo - target) / v, np.inf)
-            )
-            x1 = target + rng.uniform(0.3, 0.9) * float(caps.min()) * v
+        w = -v if start_case == "forward" else v
+        x1 = target + rng.uniform(0.3, 0.9) * box_reach(body, target, w) * w
         if not contains(space, body, x1):
             continue
         forward, reverse = start_edges(rel, x1, operator._apply(x1))

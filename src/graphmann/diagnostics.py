@@ -135,7 +135,8 @@ def audit_fejer(
     """
     start, stop = block.start, block.stop
     x = block.x[: stop - start]
-    member = rel.diffs_in_cone(omega - x)
+    gap = omega - x  # also for the distances: a norm does not see the sign
+    member = rel.diffs_in_cone(gap)
     report.trials += stop - start
     bad = np.flatnonzero(~member)
     if bad.size:
@@ -144,7 +145,7 @@ def audit_fejer(
     # distances from the last row of the block before on, whose distance is
     # the limit estimate so far (norms of rows do not depend on the other
     # rows of the batch)
-    dist = space.norms(x - omega)
+    dist = space.norms(gap)
     if block.prev is not None:
         dist = np.concatenate(([report.extra["limit_estimate"]], dist))
     lo = stop - dist.shape[0]

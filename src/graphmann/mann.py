@@ -19,7 +19,6 @@ computes images, so no (N, d) history is needed to audit a run.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -29,7 +28,7 @@ import numpy as np
 
 from ._util import as_vector, frozen_array, jsonable
 from .errors import ConfigError, DomainError, InputError
-from .normed_space import MEMBERSHIP_TOL, Box, NormSpace, contains
+from .normed_space import MEMBERSHIP_TOL, Box, NormSpace, contains, first_outside, vector_norm
 from .operators import Operator
 from .order_graph import AuditReport, ConeRelation
 
@@ -365,26 +364,6 @@ def _step(x, tx, t, out=None, s=None, scratch=None):
     return np.add(out, np.multiply(x, s, scratch), out)
 
 
-def _vector_norm(p: float):
-    """The l_p norm of one vector, by the expression np.linalg.norm itself
-    evaluates for that p, without its per-call dispatch (bit-identical)."""
-    if p == 2.0:
-        return lambda v: math.sqrt(v.dot(v))
-    if p == 1.0:
-        return lambda v: float(np.add.reduce(np.abs(v)))
-    if math.isinf(p):
-        return lambda v: float(np.abs(v).max(initial=0.0))
-    inv = 1.0 / p
-    return lambda v: float(np.add.reduce(np.abs(v) ** p) ** inv)
-
-
-def _first_outside(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
-    """Index of the first row outside [lo, hi] (NaN is outside), or the row
-    count when every row is inside."""
-    inside = ((rows >= lo) & (rows <= hi)).all(axis=1)
-    return rows.shape[0] if inside.all() else int(inside.argmin())
-
-
 def _grown(array: np.ndarray, filled: int, length: int, limit: int) -> np.ndarray:
     """`array`, or when it holds fewer than `length` entries a new array
     of twice its size (at least `length`, at most `limit`) with its first
@@ -452,12 +431,11 @@ def run(
     t_values = None if schedule.t_values is None else schedule.t_values.tolist()
     if t_values is None:
         t[()], s[()] = schedule.t_constant, 1.0 - schedule.t_constant
-    norm = _vector_norm(space.p)
+    norm = vector_norm(space.p)
     body = operator.domain
     box = isinstance(body, Box)
     if box:
-        lo = body.lo - MEMBERSHIP_TOL
-        hi = body.hi + MEMBERSHIP_TOL
+        lo, hi = body.lo - MEMBERSHIP_TOL, body.hi + MEMBERSHIP_TOL
     else:
         inside = partial(contains, space, body, tol=MEMBERSHIP_TOL)
     apply = operator._apply
@@ -515,7 +493,7 @@ def run(
             stop = STOP_MAX_ITER
             break
         if row + 1 == check:
-            if box and _first_outside(block[checked:check], lo, hi) < check - checked:
+            if box and first_outside(block[checked:check], lo, hi) < check - checked:
                 break
             if check == size:
                 keep(block, base, size)
@@ -535,7 +513,7 @@ def run(
             tx = apply(x)
         except Exception:
             # T may refuse a point past one that already left the box
-            if box and _first_outside(block[checked:row], lo, hi) < row - checked:
+            if box and first_outside(block[checked:row], lo, hi) < row - checked:
                 break
             raise
         if not box and not inside(x):
@@ -543,7 +521,7 @@ def run(
             stop = STOP_DIVERGED
             break
     if box:
-        out = checked + _first_outside(block[checked : row + 1], lo, hi)
+        out = checked + first_outside(block[checked : row + 1], lo, hi)
         if out <= row:
             # the first iterate outside the box ends the run
             row, n, stop = out, base + out, STOP_DIVERGED

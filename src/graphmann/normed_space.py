@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -41,8 +42,7 @@ class NormSpace:
         return 1.0 < self.p < math.inf
 
     def norm(self, x) -> float:
-        v = as_vector(x, self.dimension, "x")
-        return float(np.linalg.norm(v, ord=np.inf if math.isinf(self.p) else self.p))
+        return vector_norm(self.p)(as_vector(x, self.dimension, "x"))
 
     def norms(self, rows: np.ndarray) -> np.ndarray:
         """Row-wise norms of a (n, d) array."""
@@ -52,6 +52,25 @@ class NormSpace:
             )
         ord_ = np.inf if math.isinf(self.p) else self.p
         return np.linalg.norm(rows, ord=ord_, axis=1)
+
+
+@cache
+def vector_norm(p: float):
+    """The l_p norm of one float vector, by the expression np.linalg.norm
+    itself evaluates for that p, without its per-call dispatch (bit-identical).
+    For p = 2 that includes its ravel: BLAS sums a strided vector's dot
+    product in another order than a contiguous one's."""
+    if p == 2.0:
+        def norm2(v):
+            v = v.ravel(order="K")
+            return math.sqrt(v.dot(v))
+        return norm2
+    if p == 1.0:
+        return lambda v: float(np.add.reduce(np.abs(v)))
+    if math.isinf(p):
+        return lambda v: float(np.abs(v).max(initial=0.0))
+    inv = 1.0 / p
+    return lambda v: float(np.add.reduce(np.abs(v) ** p) ** inv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,8 +130,24 @@ def contains(space: NormSpace, body: ConvexBody, x, tol: float = MEMBERSHIP_TOL)
     _check_body(space, body)
     v = as_vector(x, space.dimension, "x")
     if isinstance(body, Box):
-        return bool(np.all(v >= body.lo - tol) and np.all(v <= body.hi + tol))
+        return first_outside(v[None, :], body.lo - tol, body.hi + tol) == 1
     return space.norm(v - body.center) <= body.radius + tol
+
+
+def first_outside(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
+    """Index of the first row outside [lo, hi] (NaN is outside), or the row
+    count when every row is inside."""
+    inside = ((rows >= lo) & (rows <= hi)).all(axis=1)
+    return rows.shape[0] if inside.all() else int(inside.argmin())
+
+
+def box_reach(body: Box, anchor: np.ndarray, w: np.ndarray) -> float:
+    """The largest gamma for which anchor + gamma * w stays in the box, over
+    the coordinates with |w| > 1e-12, the only ones divided by (inf if none)."""
+    caps = np.full(w.shape, np.inf)
+    np.divide(body.lo - anchor, w, out=caps, where=w < -1e-12)
+    np.divide(body.hi - anchor, w, out=caps, where=w > 1e-12)
+    return float(caps.min())
 
 
 def diameter(space: NormSpace, body: ConvexBody) -> float:

@@ -81,6 +81,7 @@ class Operator:
 
     space: NormSpace
     domain: ConvexBody
+    kind = ""  # the config kind that names the operator; the class name when empty
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -96,7 +97,7 @@ class Operator:
         return np.stack([self._apply(row) for row in np.asarray(rows, dtype=float)])
 
     def describe(self) -> str:
-        return f"{type(self).__name__.lower()}(d={self.space.dimension})"
+        return f"{self.kind or type(self).__name__.lower()}(d={self.space.dimension})"
 
     def _check_domain_box(self) -> Box:
         if not isinstance(self.domain, Box):
@@ -127,6 +128,7 @@ class MatrixAffine(Operator):
     domain: ConvexBody
     matrix: np.ndarray
     offset: np.ndarray
+    kind = "matrix_affine"
 
     def __post_init__(self) -> None:
         self._check_domain_box()
@@ -161,9 +163,6 @@ class MatrixAffine(Operator):
 
     apply_batch = _apply
 
-    def describe(self) -> str:
-        return f"matrix_affine(d={self.space.dimension})"
-
 
 @dataclass(frozen=True, eq=False)
 class Componentwise(Operator):
@@ -178,6 +177,7 @@ class Componentwise(Operator):
     domain: ConvexBody
     knots_x: tuple[np.ndarray, ...]
     knots_y: tuple[np.ndarray, ...]
+    kind = "componentwise"
 
     def __post_init__(self) -> None:
         box = self._check_domain_box()
@@ -239,13 +239,6 @@ class Componentwise(Operator):
                 out.append(r)
         return out
 
-    def describe(self) -> str:
-        return f"componentwise(d={self.space.dimension})"
-
-
-def _reversal(d: int) -> np.ndarray:
-    return np.eye(d)[::-1]
-
 
 @dataclass(frozen=True, eq=False)
 class NonmonotoneSwap(Operator):
@@ -260,6 +253,7 @@ class NonmonotoneSwap(Operator):
     domain: ConvexBody
     factor: float
     offset: np.ndarray
+    kind = "test_only_nonmonotone"
 
     def __post_init__(self) -> None:
         self._check_domain_box()
@@ -275,9 +269,6 @@ class NonmonotoneSwap(Operator):
         return _clip(v, box.lo, box.hi, v)
 
     apply_batch = _apply
-
-    def describe(self) -> str:
-        return f"test_only_nonmonotone(d={self.space.dimension})"
 
 
 def known_fixed_points(operator: Operator) -> FixedPointSet:
@@ -308,24 +299,20 @@ def known_fixed_points(operator: Operator) -> FixedPointSet:
         else:
             reps = [np.array(body.center)]
         return FixedPointSet(tuple(reps), "all of C")
-    if isinstance(operator, MatrixAffine):
-        system = np.eye(space.dimension) - operator.matrix
+    if isinstance(operator, (MatrixAffine, NonmonotoneSwap)):
+        # the clamped affine maps x |-> clamp(A x + offset), A = M or f J
+        swap = isinstance(operator, NonmonotoneSwap)
+        eye = np.eye(space.dimension)
+        linear = operator.factor * eye[::-1] if swap else operator.matrix
         try:
-            sol = np.linalg.solve(system, operator.offset)
+            sol = np.linalg.solve(eye - linear, operator.offset)
         except np.linalg.LinAlgError:
             return FixedPointSet((), "none known")
-        return verified([sol], "solution of (I - M) x = offset")
+        return verified([sol], f"solution of (I - {'f J' if swap else 'M'}) x = offset")
     if isinstance(operator, Componentwise):
         coords = [operator.coordinate_fixed_points(i) for i in range(space.dimension)]
         if any(not c for c in coords):
             return FixedPointSet((), "none known")
         point = np.array([c[0] for c in coords])
         return verified([point], "per-coordinate piecewise-linear roots")
-    if isinstance(operator, NonmonotoneSwap):
-        system = np.eye(space.dimension) - operator.factor * _reversal(space.dimension)
-        try:
-            sol = np.linalg.solve(system, operator.offset)
-        except np.linalg.LinAlgError:
-            return FixedPointSet((), "none known")
-        return verified([sol], "solution of (I - f J) x = offset")
     return FixedPointSet((), "none known")

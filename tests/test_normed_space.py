@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import graphmann
 
@@ -18,6 +18,7 @@ from graphmann.normed_space import (
     Box,
     MODULUS_OPTIMIZER_TOL,
     NormSpace,
+    box_reach,
     contains,
     diameter,
     modulus_uc_estimate,
@@ -278,6 +279,99 @@ def test_norm_scaling_homogeneity(scale, coord):
     space = NormSpace(2, 2.0)
     x = np.array([coord, 1.0 - coord])
     assert space.norm(scale * x) == pytest.approx(scale * space.norm(x), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]),
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+    st.floats(-8.0, 8.0),
+    st.floats(0.0, 16.0),
+    st.lists(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]), max_size=3),
+    st.sampled_from(["contiguous", "strided", "reversed"]),
+)
+def test_norm_is_bitwise_numpy_norm(p, d, seed, top, spread, specials, layout):
+    # the reference for every residual and distance: np.linalg.norm itself.
+    # Entries of magnitude 10**(top - spread) to 10**top, within 1e-8 to
+    # 1e8, with a few zeros, NaNs or infs, also as a strided or reversed
+    # view, whose p = 2 dot product BLAS sums in another order than a
+    # contiguous one's
+    rng = np.random.default_rng(seed)
+    exponents = np.clip(top - spread * rng.random(d), -8.0, 8.0)
+    v = rng.choice([-1.0, 1.0], d) * 10.0**exponents
+    v[rng.integers(0, d, len(specials))] = specials
+    if layout == "strided":
+        v = np.stack([v, -v], axis=1)[:, 0]
+    elif layout == "reversed":
+        v = v[::-1].copy()[::-1]
+    got = NormSpace(d, p).norm(v)
+    assert np.float64(got).tobytes() == np.float64(np.linalg.norm(v, ord=p)).tobytes()
+
+
+def reference_reach(lo, hi, anchor, w) -> float:
+    """box_reach one coordinate at a time, in Python floats."""
+    reach = math.inf
+    for lo_i, hi_i, a_i, w_i in zip(lo.tolist(), hi.tolist(), anchor.tolist(), w.tolist()):
+        if w_i > 1e-12:
+            reach = min(reach, (hi_i - a_i) / w_i)
+        elif w_i < -1e-12:
+            reach = min(reach, (lo_i - a_i) / w_i)
+    return reach
+
+
+# direction entries, the tiny ones (|w| <= 1e-12, zeros included) ignored
+DIRECTION_ENTRIES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 1e-13, -5e-13]),
+)
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d),
+            st.lists(st.floats(0.0, 3.0), min_size=d, max_size=d),
+            st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d),
+            st.lists(DIRECTION_ENTRIES, min_size=d, max_size=d),
+        )
+    )
+)
+def test_box_reach_is_the_distance_to_the_boundary(case):
+    lo, width, where, w = map(np.array, case)
+    hi = lo + width
+    body = Box(lo, hi)
+    anchor = np.clip(lo + where * width, lo, hi)
+    with np.errstate(all="raise"):  # an ignored coordinate is not divided by
+        reach = box_reach(body, anchor, w)
+    # the same float (a zero reach may carry either sign)
+    assert reach == reference_reach(body.lo, body.hi, anchor, w)
+    used = np.abs(w) > 1e-12
+    if not used.any():
+        assert reach == math.inf
+        return
+    assert 0.0 <= reach < math.inf
+    # in the coordinates it reads, anchor + reach * w lies in the box, and
+    # on its boundary in the one that bounds the reach, up to rounding
+    x, lo, hi = anchor[used] + reach * w[used], body.lo[used], body.hi[used]
+    slack = 1e-12 * (1.0 + np.abs(lo) + np.abs(hi))
+    assert np.all(x >= lo - slack) and np.all(x <= hi + slack)
+    assert np.any(np.minimum(np.abs(x - lo), np.abs(x - hi)) <= slack)
+
+
+def test_box_reach_ignores_tiny_directions():
+    body = Box([0.0, 0.0, 0.0], [1.0, 2.0, 4.0])
+    anchor = np.array([0.5, 0.5, 0.5])
+    assert box_reach(body, anchor, np.array([0.0, 1e-12, -1e-12])) == math.inf
+    assert box_reach(body, anchor, np.array([1e-13, 0.5, -0.25])) == 2.0
+    assert box_reach(body, anchor, np.array([-0.25, 0.0, 1e-12])) == 2.0
+
+
+def test_box_test_treats_nan_as_outside():
+    space, body = NormSpace(2, 2.0), Box([0.0, 0.0], [1.0, 1.0])
+    assert contains(space, body, [0.5, 1.0 + 1e-10])
+    assert not contains(space, body, [0.5, math.nan])
+    assert not contains(space, body, [math.inf, 0.5])
 
 
 def test_modulus_loads_no_scipy_module():

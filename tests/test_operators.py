@@ -13,6 +13,7 @@ from graphmann.operators import (
     Identity,
     MatrixAffine,
     NonmonotoneSwap,
+    Operator,
     known_fixed_points,
     matrix_opnorm_bound,
 )
@@ -428,6 +429,35 @@ class TestKnownFixedPoints:
         assert fps.description == "none known" or all(
             op.space.norm(op.evaluate(p) - p) <= 1e-12 for p in fps.known_points
         )
+
+
+def test_record_names():
+    # the config kind for the library families, the class name otherwise
+    class HalfShift(Operator):
+        def __init__(self, space, domain):
+            self.space, self.domain = space, domain
+
+    assert half_maps().describe() == "matrix_affine(d=2)"
+    assert shift_cap().describe() == "componentwise(d=1)"
+    assert NonmonotoneSwap(SPACE, UNIT_BOX, 0.5, [0.3, 0.1]).describe() == (
+        "test_only_nonmonotone(d=2)"
+    )
+    assert Identity(SPACE, UNIT_BOX).describe() == "identity(d=2)"
+    assert HalfShift(SPACE, UNIT_BOX).describe() == "halfshift(d=2)"
+
+
+def test_clamped_affine_fixed_points():
+    # T x = clamp(A x + offset) with A = M or f J: the solution of
+    # (I - A) x = offset, each under its own description
+    fps = known_fixed_points(half_maps())
+    assert fps.description == "solution of (I - M) x = offset"
+    swap = known_fixed_points(NonmonotoneSwap(SPACE, UNIT_BOX, 0.5, [0.3, 0.1]))
+    assert swap.description == "solution of (I - f J) x = offset"
+    # x = 0.5 (x2, x1) + (0.3, 0.1) solves to (0.7 / 1.5, 0.5 / 1.5)
+    assert swap.known_points[0] == pytest.approx([0.7 / 1.5, 0.5 / 1.5], abs=1e-15)
+    # a solution outside the box is no known fixed point
+    outside = NonmonotoneSwap(SPACE, UNIT_BOX, 0.5, [0.9, 0.9])
+    assert known_fixed_points(outside) == operators.FixedPointSet((), "none known")
 
 
 def test_sample_domain_edge_yields_edges(rng):
