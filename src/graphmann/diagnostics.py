@@ -10,12 +10,14 @@ Outcomes are tri-state: pass, fail, or hypothesis-not-met.  A property whose
 hypotheses do not apply to the run (no comparable start, no known fixed
 point, steps outside (0, 1)) is never conflated with a failed conclusion.
 
-`run_audits` reads the iterates in one pass over row blocks, fed to an
-`AuditPass` while a run or a replay produces them: T is applied once per
-block, the trajectory, edge-propagation and Fejer auditors each extend their
-report with the block, and the Goebel-Kirk auditor reads the first rows and
-their images from the blocks.  The audit holds a few blocks of rows, however
-long the run, and every report equals that of one check over the whole run.
+`run_audits` reads the iterates in one pass over row blocks, an
+`AuditPass`, to which a run or a replay pushes each block as it produces
+it, with the block's own residuals r_n and steps t_n: the pass cuts the
+blocks, T is applied once per block, the trajectory, edge-propagation and
+Fejer auditors each extend their report with the block, and the
+Goebel-Kirk auditor reads the first rows and their images from the blocks.
+The audit holds a few blocks of rows, however long the run, and every
+report equals that of one check over the whole run.
 """
 
 from __future__ import annotations
@@ -31,14 +33,14 @@ from .errors import ConfigError, InputError, UndefinedProductError
 from .mann import (
     STOP_TOLERANCE,
     AuditBlock,
-    AuditStream,
     Schedule,
     Trajectory,
+    edge_case,
     start_edges,
     stream_record,
     verify_trajectory,
 )
-from .normed_space import NormSpace
+from .normed_space import NormSpace, contains
 from .operators import Operator, known_fixed_points
 from .order_graph import (
     AuditReport,
@@ -312,9 +314,10 @@ def verify_fixed_point(operator: Operator, x, tol: float) -> bool:
 def convergence_audit(traj: Trajectory, operator: Operator, rel: ConeRelation) -> AuditReport:
     """Check that a tolerance-met run ended at a fixed point comparable to x_1.
 
-    The final iterate must satisfy ||T(x) - x|| <= 1e-8, and the limit edge
-    edge(x_1, x_final) (mirrored for reverse-comparable starts) must hold.
-    Runs that did not stop on tolerance are hypothesis-not-met.  The
+    The final iterate must lie in the domain and satisfy ||T(x) - x|| <=
+    1e-8 (T is not applied outside it), and the limit edge edge(x_1,
+    x_final) (mirrored for reverse-comparable starts) must hold.  Runs that
+    did not stop on tolerance are hypothesis-not-met.  The
     direction is read from the trajectory's start flags; a record without
     them raises InputError.
     """
@@ -327,7 +330,10 @@ def convergence_audit(traj: Trajectory, operator: Operator, rel: ConeRelation) -
         )
     report = AuditReport("convergence_to_fixed_point")
     final = traj.final_iterate
-    report.record(verify_fixed_point(operator, final, ACCEPT_FIXED_POINT_TOL), final)
+    fixed = contains(operator.space, operator.domain, final) and verify_fixed_point(
+        operator, final, ACCEPT_FIXED_POINT_TOL
+    )
+    report.record(fixed, final)
     x1 = traj.iterates[0]
     if case in ("forward", "both"):
         report.record(rel.contains(x1, final), x1, final)
@@ -342,21 +348,28 @@ def convergence_audit(traj: Trajectory, operator: Operator, rel: ConeRelation) -
 
 # --- orchestration ----------------------------------------------------------
 
-class AuditPass(AuditStream):
-    """The one pass of `run_audits` over a run's rows, audited as they stream
-    in.
+class AuditPass:
+    """The one pass of `run_audits` over a run's rows, audited where they lie
+    as they stream in.
 
-    A producer opens it with the run's record and pushes the run's rows in
-    order (`mann.AuditStream`): `mann.run` while it runs, or `run_audits`
-    for a stored record.  On each block T is applied once, each of
-    `trajectory`, `edge_propagation` and `fejer` among `names` extends its
-    report with the block, and the first GK_WINDOW rows and their images
-    are kept for `gk_inequality`.  `run_audits` reads the reports after
-    `close`.
+    A producer (`mann.run` while it runs, `mann.stream_record` for a stored
+    record) calls `open` once, `push` with the run's blocks in order, each
+    with its own residuals and steps, and `close` after the last.  Every
+    block but the last has `audit_block_rows(d)` rows (512 KiB of iterates,
+    and at least 256 rows) and a spare row, which the producer fills with
+    the first row of the next block before pushing that one.  The pass
+    holds the last block pushed and cuts it when the next one arrives, or
+    at `close`: each block pushed is one cut, read in place, never copied
+    or written.  On each cut T is applied once, as one batch
+    (`operator.apply_batch`), and `audit` takes it as one `AuditBlock`:
+    each of `trajectory`, `edge_propagation` and `fejer` among `names`
+    extends its report with the block, and the first GK_WINDOW rows and
+    their images are kept for `gk_inequality`.  `run_audits` reads the
+    reports after `close`.
     """
 
     def __init__(self, names, operator: Operator, rel: ConeRelation) -> None:
-        super().__init__(operator)
+        self.operator = operator
         self.names = names
         # T is applied to each block pushed, so rows are pushed only if read
         self.reads_iterates = bool(REPLAYING_AUDITS.intersection(names))
@@ -368,7 +381,63 @@ class AuditPass(AuditStream):
         self.head: list[tuple[np.ndarray, np.ndarray]] = []
         self.head_needed = 0
 
+    def open(self, indices, forward=None, reverse=None) -> None:
+        """Start a run.
+
+        `indices` are the increasing 1-based indices of the recorded
+        iterates, or an int s when those are x_1, x_{1+s}, x_{1+2s}, ... and
+        the last row pushed (s = 1 for a full history).  `forward` and
+        `reverse` are the start flags (`start_edges`), kept as `case`
+        (`edge_case`).
+        """
+        self.indices = indices
+        self.case = edge_case(forward, reverse)
+        self.held = None  # the block pushed last, with its count, residuals and steps
+        self.start = 0  # run row of the held block's first row
+        self.prev = None
+        self.cursor = 1  # the first recorded index a step may lead to
+
+    def push(self, block: np.ndarray, count: int, residuals, steps) -> None:
+        """Hand over the run's next `count` rows, block[:count], with their
+        r_n (`residuals`, one per row) and the t_n of the steps leaving them
+        (`steps`, one per row that has a successor), all read in place until
+        the next push or `close`; cut the block held (a last block of one
+        row is x_N, so the step into x_N leaves the held one)."""
+        if self.held is not None:
+            self._cut(*self.held, final=count == 1, more=True)
+        self.held = block, count, residuals, steps
+
+    def close(self) -> None:
+        """End the run: the block held is its last, and is released."""
+        if self.held is not None:
+            self._cut(*self.held, final=True, more=False)
+        self.held = self.indices = None
+
+    def _cut(self, block, k: int, residuals, steps, final: bool, more: bool) -> None:
+        # block[:k] is the block; x adds the row after it when the run goes
+        # on (`more`), and its last row is x_N when `final`
+        x = block[: k + more]
+        start, s = self.start, self.indices
+        # the recorded x_h with h - 2 in [start, start + k): at most k
+        if np.ndim(s):
+            ends = np.array(s[self.cursor : self.cursor + k], dtype=int)
+            ends = ends[: np.searchsorted(ends, start + k + 2)]
+            self.cursor += ends.shape[0]
+            checked = ends - (start + 2)
+        else:  # every s-th row from x_1, and x_N when x ends in it
+            m = x.shape[0]
+            checked = np.arange(-(start + 1) % s, m - 1, s)
+            if final and m > 1 and (start + m - 1) % s:
+                checked = np.append(checked, m - 2)
+        tx = self.operator.apply_batch(x[:k])
+        self.audit(
+            AuditBlock(start, start + k, x, self.prev, tx, residuals, checked, steps[checked])
+        )
+        self.prev = x[k - 1].copy()
+        self.start = start + k
+
     def audit(self, block: AuditBlock) -> None:
+        """Take one block, whose rows stay valid only for this call."""
         if block.start == 0:
             self._begin(block)
         for check in self.checks:

@@ -11,10 +11,11 @@ writes t T(x) + (1 - t) x in place into a preallocated row, with t and
 run() and `iterate_rows` (the replay of a decimated record) step into the
 audit's blocks, and run() checks a box domain every AUDIT_BLOCK_ROWS rows;
 `verify_trajectory` steps whole columns of rows at once, one audit block at
-a time.  The audit reads those blocks in place through an `AuditStream`, as
-a run hands them over or `stream_record` pushes a stored record, and the
-stream applies T once per block (`apply_batch`), the one place the audit
-computes images, so no (N, d) history is needed to audit a run.
+a time.  The audit's one pass (`diagnostics.AuditPass`) reads those blocks
+in place as a run pushes them, or as `stream_record` pushes a stored
+record, each block with its own slices of r_n and t_n; the pass applies T
+once per block (`apply_batch`), the one place the audit computes images,
+so no (N, d) history is needed to audit a run.
 """
 
 from __future__ import annotations
@@ -192,21 +193,27 @@ class Trajectory:
         Residuals cover n = 1..N, steps n = 1..N-1, and every stored iterate
         row has its own index, strictly increasing from 1 to N.
         """
+        for name, ndim in (
+            ("iterates", 2), ("iterate_indices", 1), ("residuals", 1), ("schedule_used", 1)
+        ):
+            shape = getattr(self, name).shape
+            if len(shape) != ndim:
+                raise InputError(f"{name} must be {ndim}-dimensional, got shape {shape}")
         n_total = self.n_iterates
-        if n_total == 0 or self.iterates.ndim != 2 or self.iterates.shape[0] == 0:
-            raise InputError("empty trajectory")
-        if self.schedule_used.shape != (n_total - 1,):
-            raise InputError("schedule_used length must be n_iterates - 1")
+        if n_total == 0 or self.iterates.shape[0] == 0:
+            raise InputError("empty trajectory: residuals and iterates must be nonempty")
+        if self.schedule_used.shape[0] != n_total - 1:
+            raise InputError("schedule_used length must be the length of residuals - 1")
         indices = self.iterate_indices
-        if indices.ndim != 1 or indices.shape[0] != self.iterates.shape[0]:
+        if indices.shape[0] != self.iterates.shape[0]:
             raise InputError(
-                f"{self.iterates.shape[0]} iterate rows but "
-                f"{indices.shape[0]} iterate indices"
+                f"{self.iterates.shape[0]} rows of iterates but "
+                f"{indices.shape[0]} iterate_indices"
             )
         if int(indices[0]) != 1 or int(indices[-1]) != n_total:
-            raise InputError("recorded iterates must span indices 1..N")
+            raise InputError("iterate_indices must span 1..N")
         if np.any(np.diff(indices) <= 0):
-            raise InputError("iterate indices must be strictly increasing")
+            raise InputError("iterate_indices must be strictly increasing")
 
 
 def edge_case(forward: bool | None, reverse: bool | None) -> str | None:
@@ -248,96 +255,6 @@ class AuditBlock(NamedTuple):
 def audit_block_rows(d: int) -> int:
     """Rows of one audit block at dimension d."""
     return max(AUDIT_BLOCK_ROWS, AUDIT_BLOCK_BYTES // (8 * d))
-
-
-class AuditStream:
-    """Audits a run's blocks, handed over in order, where they lie.
-
-    A producer calls `open` once with the run's record, `push` with its
-    blocks in order and `close` after the last.  Every block but the last
-    has `audit_block_rows(d)` rows (512 KiB of iterates, and at least 256
-    rows) and a spare row, which the producer fills with the first row of
-    the next block before pushing that one.  The stream holds the last
-    block pushed and cuts it when the next one arrives, or at `close`:
-    each block pushed is one cut.  T is applied to a cut's rows as one
-    batch (`operator.apply_batch`), and the cut goes to `audit`, which a
-    subclass defines (or an instance is given), as one `AuditBlock`, a
-    view of the rows pushed.  No block is copied, and no row is written.
-    """
-
-    def __init__(self, operator: Operator) -> None:
-        self.operator = operator
-
-    def open(self, residuals, steps, indices, forward=None, reverse=None) -> None:
-        """Start a run.
-
-        `residuals` (r_n) and `steps` (t_n) are indexed from 0 and may be
-        filled while rows are pushed, as long as they cover every row
-        pushed; a producer that grows `residuals` into a new array sets
-        `self.residuals` to it before its next push (`run` does).
-        `indices` are the increasing 1-based indices of the recorded
-        iterates, or an int s when those are x_1, x_{1+s}, x_{1+2s}, ... and
-        the last row pushed (s = 1 for a full history).  `forward` and
-        `reverse` are the start flags (`start_edges`), kept as `case`
-        (`edge_case`).
-        """
-        self.residuals, self.steps, self.indices = residuals, steps, indices
-        self.case = edge_case(forward, reverse)
-        self.held = None  # the block pushed last and its row count
-        self.start = 0  # run row of the held block's first row
-        self.prev = None
-        self.cursor = 1  # the first recorded index a step may lead to
-
-    def push(self, block: np.ndarray, count: int) -> None:
-        """Hand over the run's next `count` rows, block[:count], read in
-        place until the next push or `close`, and cut the block held (a last
-        block of one row is x_N, so the step into x_N leaves the held one)."""
-        if self.held is not None:
-            last, k = self.held
-            self._cut(last[: k + 1], k, count == 1)
-        self.held = block, count
-
-    def close(self) -> None:
-        """End the run: the block held is its last.  The block and the
-        record are released."""
-        if self.held is not None:
-            block, count = self.held
-            self._cut(block[:count], count, True)
-        self.held = self.residuals = self.steps = self.indices = None
-
-    def audit(self, block: AuditBlock) -> None:
-        """Take one block, whose rows stay valid only for this call."""
-        raise NotImplementedError
-
-    def _cut(self, x: np.ndarray, k: int, final: bool) -> None:
-        # the first k rows of x form the block; x adds the row after them
-        # when the run goes on, and its last row is x_N when `final`
-        start, residuals, steps, s = self.start, self.residuals, self.steps, self.indices
-        # the recorded x_h with h - 2 in [start, start + k): at most k
-        if np.ndim(s):
-            ends = np.array(s[self.cursor : self.cursor + k], dtype=int)
-            ends = ends[: np.searchsorted(ends, start + k + 2)]
-            self.cursor += ends.shape[0]
-            checked = ends - (start + 2)
-        else:  # every s-th row from x_1, and x_N when x ends in it
-            m = x.shape[0]
-            checked = np.arange(-(start + 1) % s, m - 1, s)
-            if final and m > 1 and (start + m - 1) % s:
-                checked = np.append(checked, m - 2)
-        self.audit(
-            AuditBlock(
-                start,
-                start + k,
-                x,
-                self.prev,
-                self.operator.apply_batch(x[:k]),
-                residuals[start : start + k],
-                checked,
-                steps[checked + start],
-            )
-        )
-        self.prev = x[k - 1].copy()
-        self.start = start + k
 
 
 def start_edges(rel: ConeRelation, x1, tx1) -> tuple[bool, bool]:
@@ -384,7 +301,7 @@ def run(
     rel: ConeRelation | None = None,
     record_stride: int = 1,
     relation_ref: str = "",
-    audit: AuditStream | None = None,
+    audit=None,
 ) -> Trajectory:
     """Iterate from x1 until the residual ||x_n - T(x_n)|| falls to `tol` or
     `max_iter` iterates are produced.
@@ -395,18 +312,19 @@ def run(
     domain (beyond MEMBERSHIP_TOL) ends the run with STOP_DIVERGED and its
     own residual as the last one.
 
-    Iterates are stepped in place into audit blocks (`AuditStream`).  A box
-    domain is checked every AUDIT_BLOCK_ROWS rows, so a run that leaves the
-    box applies T to at most AUDIT_BLOCK_ROWS - 1 further iterates and then
-    discards them; any other body is checked after every step.  Only the
-    rows `record_stride` selects and the final iterate are kept, and r_n
-    goes into an array grown a block at a time, so beyond its record the
-    run holds a few blocks.
+    Iterates are stepped in place into audit blocks (`audit_block_rows`).
+    A box domain is checked every AUDIT_BLOCK_ROWS rows, so a run that
+    leaves the box applies T to at most AUDIT_BLOCK_ROWS - 1 further
+    iterates and then discards them; any other body is checked after every
+    step.  Only the rows `record_stride` selects and the final iterate are
+    kept, and r_n goes into an array grown a block at a time, so beyond its
+    record the run holds a few blocks.
 
-    With `audit`, the run is audited while it runs: the stream is opened
-    with the run's record, each block is pushed once it has passed the box
-    check (so no discarded row is ever handed over), and the stream is
-    closed after the final iterate.
+    With `audit` (a `diagnostics.AuditPass`), the run is audited while it
+    runs: the pass is opened with the record stride and the start flags,
+    each block is pushed with its slices of r_n and t_n once it has passed
+    the box check (so no discarded row is ever handed over), and the pass
+    is closed after the final iterate.
     """
     if max_iter < 1:
         raise InputError(f"max_iter must be >= 1, got {max_iter}")
@@ -447,17 +365,7 @@ def run(
     diff = np.empty(d)
     scratch = np.empty(d)
     if audit is not None:
-        # the stream reads only the steps of rows the run pushed, and no run
-        # reaches 2**60 iterates, so a view of a huge max_iter's length is
-        # capped below numpy's limit on an array's size in bytes
-        steps = (
-            np.broadcast_to(
-                schedule.t_constant, (min(effective_max, np.iinfo(np.intp).max // 8),)
-            )
-            if t_values is None
-            else schedule.t_values
-        )
-        audit.open(residuals, steps, record_stride, forward, reverse)
+        audit.open(record_stride, forward, reverse)
 
     pushed = None  # the block pushed last, its spare row still empty
 
@@ -472,7 +380,9 @@ def run(
         if audit is not None:
             if pushed is not None:
                 pushed[size] = block[0]
-            audit.push(block, count)
+            at = base - 1  # the 0-based index of row 0's r_n and t_n
+            t_n = np.broadcast_to(t, (count,)) if t_values is None else schedule.t_values[at:]
+            audit.push(block, count, residuals[at : at + count], t_n[:count])
             pushed = block
 
     block = np.empty((size + 1, d))
@@ -496,12 +406,12 @@ def run(
             if box and first_outside(block[checked:check], lo, hi) < check - checked:
                 break
             if check == size:
+                # grown first, so the block pushed holds no view of the array
+                # replaced
+                residuals = _grown(residuals, n, n + size, effective_max)
                 keep(block, base, size)
                 block = np.empty((size + 1, d))
                 base, row, check = n + 1, -1, 0
-                residuals = _grown(residuals, n, n + size, effective_max)
-                if audit is not None:
-                    audit.residuals = residuals
             checked, check = check, min(check + AUDIT_BLOCK_ROWS, size)
         if t_values is not None:
             t[()] = step = t_values[n - 1]
@@ -552,7 +462,7 @@ def run(
 
 def iterate_rows(traj: Trajectory, operator: Operator):
     """The iterates x_1..x_N of a record, in order, as the (block, count)
-    pairs of audit blocks that `AuditStream.push` takes.
+    pairs of audit blocks that `AuditPass.push` takes.
 
     A full-history record is yielded as views of its stored rows.  The gaps
     of a decimated record are replayed in order with the recorded step
@@ -595,20 +505,20 @@ def iterate_rows(traj: Trajectory, operator: Operator):
     yield block, row
 
 
-def stream_record(traj: Trajectory, operator: Operator, stream: AuditStream) -> None:
-    """Validate a stored record and push its iterates x_1..x_N through
-    `stream` (`iterate_rows`), opened with the record and its start flags."""
+def stream_record(traj: Trajectory, operator: Operator, audit) -> None:
+    """Validate a stored record and push its iterates x_1..x_N into `audit`
+    (a `diagnostics.AuditPass`), opened with the record's indices and start
+    flags, each block (`iterate_rows`) with its slices of the record's
+    residuals and steps."""
     traj.validate()
-    stream.open(
-        traj.residuals,
-        traj.schedule_used,
-        1 if traj.is_full_history else traj.iterate_indices,
-        traj.start_edge_forward,
-        traj.start_edge_reverse,
-    )
+    indices = 1 if traj.is_full_history else traj.iterate_indices
+    audit.open(indices, traj.start_edge_forward, traj.start_edge_reverse)
+    start = 0
     for block, count in iterate_rows(traj, operator):
-        stream.push(block, count)
-    stream.close()
+        stop = start + count
+        audit.push(block, count, traj.residuals[start:stop], traj.schedule_used[start:stop])
+        start = stop
+    audit.close()
 
 
 def full_iterates(traj: Trajectory, operator: Operator) -> np.ndarray:

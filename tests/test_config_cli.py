@@ -790,6 +790,33 @@ class TestCliAudit:
         tampered.write_text("\n".join(rows) + "\n")
         assert main(["audit", str(tampered), "--config", path, "--quiet"]) == 2
 
+    @pytest.mark.parametrize("value", [5.0, 1.0 + 1e-6])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_final_iterate_outside_the_domain_fails_convergence(self, tmp_path, oracle_cfg,
+                                                                fmt, value):
+        # T is not applied to a tampered x_N outside C: the fixed-point trial
+        # fails with x_N as its witness, and the other verdicts are kept
+        _, path = oracle_cfg
+        out = tmp_path / "out"
+        assert main(["run", "--config", path, "--quiet"]) == 0
+        tampered = tmp_path / f"tampered.{fmt}"
+        if fmt == "json":
+            record = json.loads((out / "run.json").read_text())
+            record["trajectory"]["iterates"][-1] = [value]
+            tampered.write_text(json.dumps(record))
+        else:
+            rows = (out / "trajectory.csv").read_text().splitlines()
+            cells = rows[-1].split(",")
+            cells[1] = repr(value)
+            rows[-1] = ",".join(cells)
+            tampered.write_text("\n".join(rows) + "\n")
+        args = ["audit", str(tampered), "--config", path, "--out", str(tmp_path / "a")]
+        assert main(args + ["--quiet"]) == 2
+        audits = json.loads((tmp_path / "a" / "audits.json").read_text())["audits"]
+        assert audits["convergence"]["failures"] == 1
+        assert audits["convergence"]["witness"][0] == [value]
+        assert audits["trajectory"]["status"] == "fail"
+
     def test_missing_residual_column_is_schema_error(self, tmp_path, oracle_cfg):
         _, path = oracle_cfg
         broken = tmp_path / "broken.csv"
@@ -834,6 +861,13 @@ class TestCliAudit:
         assert audit("truncated", iterate_indices=traj["iterate_indices"][:-2] + [n]) == 1
         assert audit("unordered", iterate_indices=[1, 3, 2] + traj["iterate_indices"][3:]) == 1
         assert audit("short_schedule", schedule_used=traj["schedule_used"][:-1]) == 1
+        # arrays of the wrong number of dimensions
+        assert audit("flat_iterates", iterates=[row[0] for row in traj["iterates"]]) == 1
+        assert audit("index_rows", iterate_indices=[[k] for k in traj["iterate_indices"]]) == 1
+        assert audit("residual_rows", residuals=[[r] for r in traj["residuals"]]) == 1
+        assert audit("residual_pairs", residuals=[[r, r] for r in traj["residuals"]]) == 1
+        assert audit("residual_scalar", residuals=0.5) == 1
+        assert audit("schedule_rows", schedule_used=[[t] for t in traj["schedule_used"]]) == 1
 
     @pytest.mark.parametrize("case", [
         "fractional_index", "boolean_index", "string_flag",

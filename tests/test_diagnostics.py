@@ -36,7 +36,6 @@ from graphmann.experiment import _build, audit_stored, run_experiment, run_sweep
 from graphmann.mann import (
     STEP_RECOMPUTE_TOL,
     STOP_DIVERGED,
-    AuditStream,
     Schedule,
     Trajectory,
     _step,
@@ -1123,7 +1122,7 @@ class TestStreamedAudit:
                    rel=COORD2)
         b = audit_block_rows(2)
         blocks = []
-        stream = AuditStream(op)
+        stream = AuditPass((), op, None)
         stream.audit = lambda block: blocks.append(
             (block.start, block.stop, block.tx, np.shares_memory(block.x, traj.iterates))
         )

@@ -858,6 +858,13 @@ class TestSerialization:
             {"iterate_indices": [[1, 2, 3, 4, 5]]},
             {"schedule_used": [0.5, 0.5, 0.5]},
             {"residuals": []},
+            # arrays of the wrong number of dimensions
+            {"iterates": [0.0, 0.5, 0.75, 0.875, 0.9375]},
+            {"iterate_indices": [[1], [2], [3], [4], [5]]},
+            {"residuals": [[0.5], [0.25], [0.125], [0.0625], [0.03125]]},
+            {"residuals": [[0.5, 0.5]] * 5},
+            {"residuals": 0.5},
+            {"schedule_used": [[0.5]] * 4},
         ],
     )
     def test_inconsistent_json_record_rejected(self, change):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import graphmann
 
@@ -337,12 +337,16 @@ DIRECTION_ENTRIES = st.one_of(
         )
     )
 )
+# a quotient that underflows to 0.0 is rounding, not a division by an
+# ignored coordinate
+@example(([0.0] * 6, [0.0] * 5 + [5e-324], [0.0] * 6, [0.0] * 5 + [2.0]))
 def test_box_reach_is_the_distance_to_the_boundary(case):
     lo, width, where, w = map(np.array, case)
     hi = lo + width
     body = Box(lo, hi)
     anchor = np.clip(lo + where * width, lo, hi)
-    with np.errstate(all="raise"):  # an ignored coordinate is not divided by
+    # an ignored coordinate is not divided by: no division by zero, no 0/0
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
         reach = box_reach(body, anchor, w)
     # the same float (a zero reach may carry either sign)
     assert reach == reference_reach(body.lo, body.hi, anchor, w)

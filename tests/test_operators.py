@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from graphmann import operators
+from graphmann.diagnostics import AuditPass
 from graphmann.errors import DomainError, InputError
-from graphmann.mann import AuditStream, audit_block_rows
+from graphmann.mann import audit_block_rows
 from graphmann.normed_space import Ball, Box, NormSpace, contains
 from graphmann.operators import (
     OPNORM_TOL,
@@ -203,15 +204,16 @@ class TestBlockedApplyBits:
         rng = np.random.default_rng([d, 7])
         op = block_test_operator(family, d, rng)
         b = audit_block_rows(d)
+        empty = np.empty(0)  # no record: each block's residuals and steps
         for n in (b - 1, b, b + 1, 2 * b + 1, 2 * b + 255, 3 * b + 1):
             rows = rng.uniform(0.0, 1.0, (n, d))
             blocks = []
-            stream = AuditStream(op)
+            stream = AuditPass((), op, None)
             stream.audit = blocks.append  # start, stop and tx outlive the call
-            stream.open(np.empty(0), np.empty(0), np.empty(0))
+            stream.open(np.empty(0))
             # (block, count) pairs, as `mann.iterate_rows` yields them
             for start in range(0, n, b):
-                stream.push(rows[start : start + b + 1], min(b, n - start))
+                stream.push(rows[start : start + b + 1], min(b, n - start), empty, empty)
             stream.close()
             assert blocks[0].start == 0 and blocks[-1].stop == n
             # each block pushed is one cut, and only the last is short
